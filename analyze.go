@@ -62,15 +62,21 @@ func RegisterMeasure(name string, edge bool, doc string, compute func(*Graph) []
 }
 
 // MeasureValues evaluates a registered measure by name, reporting
-// whether the resulting field is edge-based. With parallel true, a
-// registered multi-core variant is used when the graph is large enough
-// to benefit.
+// whether the resulting field is edge-based. Every built-in kernel
+// picks its own worker count and returns the same bits for any count.
+//
+// The parallel argument is ignored. It is kept only so existing
+// callers still compile and can be dropped together with them.
 func MeasureValues(g *Graph, name string, parallel bool) ([]float64, bool, error) {
+	return measureValues(g, name)
+}
+
+func measureValues(g *Graph, name string) ([]float64, bool, error) {
 	spec, ok := measures.Lookup(name)
 	if !ok {
 		return nil, false, unknownMeasure(name)
 	}
-	return spec.Values(g, parallel), spec.Kind == measures.Edge, nil
+	return spec.Compute(g), spec.Kind == measures.Edge, nil
 }
 
 // AnalyzeOptions configures Analyze.
@@ -83,10 +89,6 @@ type AnalyzeOptions struct {
 	// color the terrain (Section II-F). It must share the height
 	// measure's vertex/edge basis.
 	ColorBy string
-	// Parallel selects multi-core measure kernels where registered.
-	// Tree construction parallelizes its sweep-order sort by default
-	// regardless of this setting.
-	Parallel bool
 	// Layout controls boundary margins and minimum child shares.
 	Layout terrain.LayoutOptions
 }

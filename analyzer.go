@@ -81,7 +81,7 @@ func (a *Analyzer) AnalyzeAll(g *Graph, measure string, opts AnalyzeOptions) (*A
 	var edge bool
 	if opts.ColorBy != "" && opts.ColorBy != measure &&
 		measures.DistanceBased(measure) && measures.DistanceBased(opts.ColorBy) {
-		if fields, ok := measures.SharedDistanceFields(g, []string{measure, opts.ColorBy}, opts.Parallel); ok {
+		if fields, ok := measures.SharedDistanceFields(g, []string{measure, opts.ColorBy}); ok {
 			values, colorValues, edge = fields[measure], fields[opts.ColorBy], false
 		}
 	}
@@ -89,7 +89,7 @@ func (a *Analyzer) AnalyzeAll(g *Graph, measure string, opts AnalyzeOptions) (*A
 		// Not a shareable pairing (or the shared pass declined): the
 		// usual one-measure-at-a-time registry path.
 		var err error
-		values, edge, err = MeasureValues(g, measure, opts.Parallel)
+		values, edge, err = measureValues(g, measure)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +116,7 @@ func (a *Analyzer) AnalyzeAll(g *Graph, measure string, opts AnalyzeOptions) (*A
 		}
 		if cv == nil {
 			var cEdge bool
-			cv, cEdge, err = MeasureValues(g, opts.ColorBy, opts.Parallel)
+			cv, cEdge, err = measureValues(g, opts.ColorBy)
 			if err != nil {
 				return nil, err
 			}

@@ -75,24 +75,17 @@ func BenchmarkTable2VertexTree(b *testing.B) {
 	}
 }
 
-// BenchmarkTable2VertexTreeParallel ablates the sweep-order drivers on
-// the Table II vertex rows: "serial" pins the comparison sort to one
-// core, "parallel" is the production default (which takes the
-// linear-time counting path on these integer K-core fields), and
-// "pooled" additionally reuses all sweep state through a
+// BenchmarkTable2VertexTreeParallel times the sweep drivers on the
+// Table II vertex rows: "parallel" is the production default (which
+// takes the linear-time counting path on these integer K-core fields),
+// and "pooled" additionally reuses all sweep state through a
 // core.TreeBuilder — run with -benchmem to see its allocs/op collapse
-// to O(1). The serial/parallel gap is the speedup the paper's
-// complexity analysis predicts from attacking the dominant
-// O(|V|·log|V|) term.
+// to O(1). The serial-sort ablation lives in internal/core
+// (BenchmarkAblationTreeSerialVsParallelSort).
 func BenchmarkTable2VertexTreeParallel(b *testing.B) {
 	for _, name := range []string{"Wikipedia", "Cit-Patent"} {
 		g := benchGraph(b, name)
 		f := core.MustVertexField(g, measures.CoreNumbersFloat(g))
-		b.Run(name+"/serial", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.BuildVertexTreeSerial(f)
-			}
-		})
 		b.Run(name+"/parallel", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.BuildVertexTree(f)

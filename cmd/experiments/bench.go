@@ -1,13 +1,12 @@
 package main
 
 // The perf-trajectory experiment: a fixed set of hot-path kernels —
-// tree construction with serial, parallel, and pooled sweep drivers,
-// the distance-based centrality kernels (the batched MS-BFS engine
-// against the retained per-source baseline, including the
-// eccentricity, k-hop, and early-cutoff diameter folds), the
-// betweenness kernels (the batched MS-Brandes engine against the
-// retained per-source Brandes baseline, vertex, edge, and sampled),
-// the snapshot-cache hit/miss paths of internal/query, and the
+// tree construction with the default and pooled sweep drivers, the
+// distance-based centrality kernels on the batched MS-BFS engine
+// (closeness, harmonic, eccentricity, k-hop, and the early-cutoff
+// diameter fold), the betweenness kernels on the batched MS-Brandes
+// engine (vertex, edge, and sampled), one row per kernel, the
+// snapshot-cache hit/miss paths of internal/query, and the
 // snapshot wire codec (encode and decode throughput for the disk
 // store and the shard fabric) — timed with allocation counts and
 // written as machine-readable JSON (-benchout, BENCH_7.json by
@@ -21,19 +20,16 @@ package main
 //	GOMAXPROCS=4 go run ./cmd/experiments -exp bench -scale 2 \
 //	    -benchiters 3 -out . -benchout BENCH_7.json
 //
-// i.e. the GrQc stand-in at twice the published size (~10k vertices)
-// with multi-worker kernels enabled, so the msbfs/* and msbrandes/*
-// rows measure the batched engines in the configuration the
-// acceptance criteria name: closeness/per-source-baseline ÷
-// msbfs/closeness is the MS-BFS batching speedup (≥3× required; ~5×
-// recorded since BENCH_4.json), and betweenness/per-source-baseline ÷
-// msbrandes/betweenness is the MS-Brandes batching speedup (≥2×
-// required since BENCH_6.json) — both baselines shard across the same
-// cores, so the ratios isolate the word-level batching, not core
-// count; the *-1worker rows isolate it further. The snapshot-codec
-// rows time the full container — graph CSR, fields, super tree — so
-// encode ns/op over the snapshot's byte size is the disk-store insert
-// cost and the upper bound a shared cache tier pays per miss.
+// i.e. the GrQc stand-in at twice the published size (~10k vertices).
+// Every measure kernel picks its own worker count (par.Workers), so
+// GOMAXPROCS sets the core count of the msbfs/* and msbrandes/* rows.
+// BENCH_4–7.json also carry per-source baseline, *-1worker, and
+// vertex-tree/serial-sort rows; those kernels now live only in test
+// code as oracles, and the checked-in files keep their numbers as
+// history. The snapshot-codec rows time the full container — graph
+// CSR, fields, super tree — so encode ns/op over the snapshot's byte
+// size is the disk-store insert cost and the upper bound a shared
+// cache tier pays per miss.
 
 import (
 	"bytes"
@@ -218,46 +214,31 @@ func runBench(cfg config) error {
 		name string
 		fn   func() error
 	}{
-		{"vertex-tree/serial-sort", ok(func() { core.BuildVertexTreeSerial(vf) })},
 		{"vertex-tree/parallel-default", ok(func() { core.BuildVertexTree(vf) })},
 		{"vertex-tree/pooled", ok(func() { pool.BuildVertexTree(vf) })},
 		{"edge-tree/parallel-default", ok(func() { core.BuildEdgeTree(ef) })},
 		{"edge-tree/pooled", ok(func() { pool.BuildEdgeTree(ef) })},
 		{"supertree/pooled", ok(func() { pool.VertexSuperTree(vf) })},
-		// Distance-based centralities: the per-source baselines (PR 2's
-		// kernels, one full BFS per vertex, sharded across cores) against
-		// the batched MS-BFS engine. baseline ÷ msbfs is the batching
-		// speedup; msbfs/closeness-1worker isolates the algorithmic win
-		// from core count; the shared row computes both fields from one
-		// traversal, the Analyzer's multi-field fast path.
-		{"closeness/per-source-baseline", ok(func() { measures.PerSourceClosenessCentrality(g) })},
-		{"harmonic/per-source-baseline", ok(func() { measures.PerSourceHarmonicCentrality(g) })},
-		{"msbfs/closeness", ok(func() { measures.ParallelClosenessCentrality(g) })},
-		{"msbfs/harmonic", ok(func() { measures.ParallelHarmonicCentrality(g) })},
-		{"msbfs/eccentricity", ok(func() { measures.ParallelEccentricity(g) })},
-		{"msbfs/khop", ok(func() { measures.ParallelKHopSize(g) })},
-		{"msbfs/closeness-1worker", ok(func() { measures.ClosenessCentrality(g) })},
+		// Distance-based centralities on the batched MS-BFS engine; the
+		// shared row computes both fields from one traversal, the
+		// Analyzer's multi-field fast path.
+		{"msbfs/closeness", ok(func() { measures.ClosenessCentrality(g) })},
+		{"msbfs/harmonic", ok(func() { measures.HarmonicCentrality(g) })},
+		{"msbfs/eccentricity", ok(func() { measures.Eccentricity(g) })},
+		{"msbfs/khop", ok(func() { measures.KHopSize(g) })},
 		{"msbfs/closeness+harmonic-shared", func() error {
-			if _, shared := measures.SharedDistanceFields(g, []string{"closeness", "harmonic"}, true); !shared {
+			if _, shared := measures.SharedDistanceFields(g, []string{"closeness", "harmonic"}); !shared {
 				return fmt.Errorf("shared distance pass refused closeness+harmonic")
 			}
 			return nil
 		}},
 		{"diameter/early-cutoff", ok(func() { measures.ComponentDiameter(g) })},
-		// Betweenness: the per-source Brandes baselines (vertex kernel
-		// sharded across cores, edge kernel serial — its pre-PR-6 form)
-		// against the batched MS-Brandes engine. baseline ÷ msbrandes is
-		// the batching speedup the acceptance criterion names (≥2×);
-		// msbrandes/betweenness-1worker isolates the algorithmic win
-		// from core count; the sampled rows time the registry's
-		// 512-pivot approximate path, old per-source sampling vs the
-		// batched parallel kernel.
-		{"betweenness/per-source-baseline", ok(func() { measures.PerSourceBetweennessCentrality(g) })},
-		{"msbrandes/betweenness", ok(func() { measures.ParallelBetweennessCentrality(g) })},
-		{"msbrandes/betweenness-1worker", ok(func() { measures.BetweennessCentrality(g) })},
-		{"edgebetweenness/per-source-baseline", ok(func() { measures.EdgeBetweennessCentrality(g) })},
-		{"msbrandes/edgebetweenness", ok(func() { measures.ParallelEdgeBetweennessCentrality(g) })},
-		{"msbrandes/sampled-512", ok(func() { measures.ParallelApproxBetweennessCentrality(g, 512, 1) })},
+		// Betweenness on the batched MS-Brandes engine: exact vertex and
+		// edge fields, the registry's 512-pivot sampled path, and a
+		// 64-pivot (single-batch) sample.
+		{"msbrandes/betweenness", ok(func() { measures.BetweennessCentrality(g) })},
+		{"msbrandes/edgebetweenness", ok(func() { measures.EdgeBetweennessCentrality(g) })},
+		{"msbrandes/sampled-512", ok(func() { measures.ApproxBetweennessCentrality(g, 512, 1) })},
 		{"betweenness/sampled-64", ok(func() { measures.ApproxBetweennessCentrality(g, 64, 1) })},
 		{"analyze/kcore-pooled", func() error {
 			_, err := analyzer.Analyze(g, "kcore", scalarfield.AnalyzeOptions{})

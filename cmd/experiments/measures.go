@@ -27,7 +27,7 @@ func runMeasures(cfg config) error {
 	fmt.Printf("%-16s %-7s %8s %10s   %s\n", "Measure", "Basis", "Nt", "t(s)", "Description")
 	for _, info := range scalarfield.MeasureInfos() {
 		t0 := time.Now()
-		terr, err := scalarfield.Analyze(g, info.Name, scalarfield.AnalyzeOptions{Parallel: true})
+		terr, err := scalarfield.Analyze(g, info.Name, scalarfield.AnalyzeOptions{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", info.Name, err)
 		}

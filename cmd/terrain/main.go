@@ -60,7 +60,6 @@ func run(input, dataset string, scale float64, seed int64, measure, colorBy, out
 	terr, err := scalarfield.Analyze(g, measure, scalarfield.AnalyzeOptions{
 		SimplifyBins: bins,
 		ColorBy:      colorBy,
-		Parallel:     true,
 	})
 	if err != nil {
 		return err

@@ -1,9 +1,5 @@
 package core
 
-import (
-	"repro/internal/unionfind"
-)
-
 // BuildVertexTree runs Algorithm 1 of the paper: it sweeps vertices in
 // decreasing scalar order and, whenever the current vertex touches an
 // already-processed subtree it is not yet part of, attaches that
@@ -16,60 +12,7 @@ import (
 // exactly the bound stated in Section II-B. Because the sort is the
 // asymptotic bottleneck, the sweep order is computed by parallel merge
 // sort by default (serial below par.SerialCutoff); the output is
-// bit-identical to BuildVertexTreeSerial either way.
+// bit-identical to a serial comparison sort either way.
 func BuildVertexTree(f *VertexField) *Tree {
 	return buildTree(f.Values, parallelSweepOrder(f.Values), f.G.Neighbors)
-}
-
-// BuildVertexTreeSerial is BuildVertexTree with the sweep order
-// computed by the serial sort regardless of input size. It exists as
-// the ablation baseline for the parallel-by-default path; the two
-// produce bit-identical trees.
-func BuildVertexTreeSerial(f *VertexField) *Tree {
-	return buildTree(f.Values, sweepOrder(f.Values), f.G.Neighbors)
-}
-
-// buildTreeOnMapGraph is the ablation twin of BuildVertexTree running
-// on the adjacency-map representation. Used only by benchmarks to
-// quantify the CSR layout's advantage; see DESIGN.md §4.5.
-func buildTreeOnMapGraph(adj map[int32][]int32, values []float64) *Tree {
-	return buildTree(values, sweepOrder(values), func(v int32) []int32 { return adj[v] })
-}
-
-// buildVertexTreeNaiveUF is the ablation twin of BuildVertexTree using
-// a union-find with no path compression or union by rank. Used only by
-// benchmarks; see DESIGN.md §4.1.
-func buildVertexTreeNaiveUF(f *VertexField) *Tree {
-	n := f.G.NumVertices()
-	t := &Tree{
-		Parent: make([]int32, n),
-		Scalar: make([]float64, n),
-		Order:  sweepOrder(f.Values),
-	}
-	copy(t.Scalar, f.Values)
-	for i := range t.Parent {
-		t.Parent[i] = -1
-	}
-	dsu := unionfind.NewNaive(n)
-	compRoot := make([]int32, n)
-	for i := range compRoot {
-		compRoot[i] = int32(i)
-	}
-	processed := make([]bool, n)
-	for _, vi := range t.Order {
-		for _, vj := range f.G.Neighbors(vi) {
-			if !processed[vj] {
-				continue
-			}
-			ri, rj := dsu.Find(int(vi)), dsu.Find(int(vj))
-			if ri == rj {
-				continue
-			}
-			t.Parent[compRoot[rj]] = vi
-			dsu.Union(ri, rj)
-			compRoot[dsu.Find(int(vi))] = vi
-		}
-		processed[vi] = true
-	}
-	return t
 }

@@ -22,14 +22,6 @@ func BuildEdgeTree(f *EdgeField) *Tree {
 	return buildTree(f.Values, order, prop3Adjacency(f, order))
 }
 
-// BuildEdgeTreeSerial is BuildEdgeTree with the serial sweep-order
-// sort regardless of input size — the ablation baseline for the
-// parallel-by-default path. The two produce bit-identical trees.
-func BuildEdgeTreeSerial(f *EdgeField) *Tree {
-	order := sweepOrder(f.Values)
-	return buildTree(f.Values, order, prop3Adjacency(f, order))
-}
-
 // prop3Adjacency returns the Proposition-3 adjacency provider for an
 // edge field swept in the given order: the candidates of edge e are
 // the min-sweep-index incident edges of e's two endpoints. The

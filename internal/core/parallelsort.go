@@ -40,20 +40,9 @@ func sweepLess(values []float64, a, b int32) bool {
 	return sweepCmp(values, a, b) < 0
 }
 
-// sweepOrder returns item IDs sorted by the sweep comparator with the
-// serial driver.
-func sweepOrder(values []float64) []int32 {
-	order := make([]int32, len(values))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sortChunk(order, values)
-	return order
-}
-
-// parallelSweepOrder computes the same sweep order as sweepOrder,
-// taking the linear-time counting sort (countingsort.go) when the
-// field is integer-valued with a small span, and a parallel merge sort
+// parallelSweepOrder computes the sweep order of values, taking the
+// linear-time counting sort (countingsort.go) when the field is
+// integer-valued with a small span, and a parallel merge sort
 // otherwise: the index range is split into GOMAXPROCS shards, each
 // shard is sorted independently, and sorted shards are pairwise
 // merged. Both paths share the sweepLess total order, so the result is

@@ -9,8 +9,10 @@ package correlation
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // Options configures LCI computation.
@@ -28,7 +30,16 @@ type Options struct {
 // Degenerate neighborhoods — fewer than two vertices, or zero variance
 // in either field — yield LCI 0, a neutral value that neither inflates
 // nor deflates GCI.
+//
+// Vertices are strided across par.Workers(|V|) workers. Each vertex's
+// LCI depends only on its own neighborhood, so the result is
+// bit-identical for any worker count.
 func LCI(g *graph.Graph, si, sj []float64, opts Options) ([]float64, error) {
+	return lci(g, si, sj, opts, par.Workers(g.NumVertices()))
+}
+
+// lci is LCI with an explicit worker count.
+func lci(g *graph.Graph, si, sj []float64, opts Options, workers int) ([]float64, error) {
 	n := g.NumVertices()
 	if len(si) != n || len(sj) != n {
 		return nil, fmt.Errorf("correlation: field lengths %d, %d for %d vertices", len(si), len(sj), n)
@@ -37,19 +48,37 @@ func LCI(g *graph.Graph, si, sj []float64, opts Options) ([]float64, error) {
 	if hops < 1 {
 		hops = 1
 	}
-	out := make([]float64, n)
-	for v := int32(0); v < int32(n); v++ {
-		var hood []int32
-		if hops == 1 {
-			nbrs := g.Neighbors(v)
-			hood = make([]int32, 0, len(nbrs)+1)
-			hood = append(hood, v)
-			hood = append(hood, nbrs...)
-		} else {
-			hood = graph.KHopNeighborhood(g, v, hops)
-		}
-		out[v] = pearsonOver(hood, si, sj)
+	if workers > n {
+		workers = n
 	}
+	if workers < 1 {
+		workers = 1
+	}
+	out := make([]float64, n)
+	run := func(w int) {
+		var hood []int32
+		for v := w; v < n; v += workers {
+			if hops == 1 {
+				hood = append(append(hood[:0], int32(v)), g.Neighbors(int32(v))...)
+			} else {
+				hood = graph.KHopNeighborhood(g, int32(v), hops)
+			}
+			out[v] = pearsonOver(hood, si, sj)
+		}
+	}
+	if workers == 1 {
+		run(0)
+		return out, nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			run(w)
+		}(w)
+	}
+	wg.Wait()
 	return out, nil
 }
 
@@ -103,19 +132,20 @@ func isFinite(x float64) bool {
 
 // GCI computes the Global Correlation Index: the mean LCI over all
 // vertices, the paper's summary of how two fields co-vary graph-wide.
+// Bit-identical for any worker count, like LCI.
 func GCI(g *graph.Graph, si, sj []float64, opts Options) (float64, error) {
-	lci, err := LCI(g, si, sj, opts)
+	scores, err := LCI(g, si, sj, opts)
 	if err != nil {
 		return 0, err
 	}
-	if len(lci) == 0 {
+	if len(scores) == 0 {
 		return 0, nil
 	}
 	var sum float64
-	for _, v := range lci {
+	for _, v := range scores {
 		sum += v
 	}
-	return sum / float64(len(lci)), nil
+	return sum / float64(len(scores)), nil
 }
 
 // OutlierScores returns -LCI(v) for every vertex, the paper's outlier

@@ -310,7 +310,7 @@ func TestPearsonBasics(t *testing.T) {
 // NaN vertex used to drive its whole neighborhood's LCI — and through
 // the mean, the graph-wide GCI — to NaN, because the covII == 0 guard
 // never fires on NaN. Poisoned neighborhoods must score the neutral 0
-// and GCI must stay finite, in both the sequential and parallel paths.
+// and GCI must stay finite, for any worker count.
 func TestNaNVertexDoesNotPoisonGCI(t *testing.T) {
 	g := lineGraph(8)
 	si := []float64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -318,8 +318,8 @@ func TestNaNVertexDoesNotPoisonGCI(t *testing.T) {
 	sj[3] = math.NaN() // poisons the 1-hop neighborhoods of 2, 3, 4
 
 	for name, compute := range map[string]func() ([]float64, error){
-		"LCI":         func() ([]float64, error) { return LCI(g, si, sj, Options{}) },
-		"ParallelLCI": func() ([]float64, error) { return ParallelLCI(g, si, sj, Options{}) },
+		"LCI":          func() ([]float64, error) { return LCI(g, si, sj, Options{}) },
+		"LCI-4workers": func() ([]float64, error) { return lci(g, si, sj, Options{}, 4) },
 	} {
 		lci, err := compute()
 		if err != nil {
@@ -344,17 +344,12 @@ func TestNaNVertexDoesNotPoisonGCI(t *testing.T) {
 		}
 	}
 
-	for name, compute := range map[string]func() (float64, error){
-		"GCI":         func() (float64, error) { return GCI(g, si, sj, Options{}) },
-		"ParallelGCI": func() (float64, error) { return ParallelGCI(g, si, sj, Options{}) },
-	} {
-		gci, err := compute()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if math.IsNaN(gci) || math.IsInf(gci, 0) {
-			t.Fatalf("%s = %g with one NaN vertex, want finite", name, gci)
-		}
+	gci, err := GCI(g, si, sj, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(gci) || math.IsInf(gci, 0) {
+		t.Fatalf("GCI = %g with one NaN vertex, want finite", gci)
 	}
 }
 

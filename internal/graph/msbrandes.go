@@ -34,8 +34,7 @@ import "math/bits"
 // dependency accumulation performs exactly the per-source kernel's
 // per-(parent, child, source) updates — sigma[v]/sigma[w]*(1+delta[w])
 // — but in the shared level order, so accumulated bc/ebc values agree
-// with the per-source kernel up to floating-point summation order, the
-// same freedom the measure registry grants serial-vs-parallel kernels.
+// with the per-source kernel up to floating-point summation order.
 // For a fixed graph and source batch the traversal, the event order,
 // and therefore every accumulated float are fully deterministic.
 

@@ -7,26 +7,36 @@ import (
 	"repro/internal/par"
 )
 
-// TestParallelHarmonicMatchesSequential checks the new worker-sharded
-// harmonic kernel bit-for-bit against the serial one. Each vertex's
-// score depends only on its own BFS, so no floating-point tolerance is
-// needed. The large case crosses par.SerialCutoff to exercise the real
-// multi-worker path, not the serial fallback.
+// TestParallelHarmonicMatchesSequential checks the worker-sharded
+// harmonic kernel bit-for-bit against one worker. Each vertex's score
+// depends only on its own BFS, so no floating-point tolerance is
+// needed. The large case crosses par.SerialCutoff, where the exported
+// kernel itself may pick several workers.
 func TestParallelHarmonicMatchesSequential(t *testing.T) {
 	for _, n := range []int{70, par.SerialCutoff + 500} {
 		g := randomGraph(11, n, 2.0)
-		seq := HarmonicCentrality(g)
-		if got := ParallelHarmonicCentrality(g); !reflect.DeepEqual(seq, got) {
-			t.Fatalf("n=%d: parallel harmonic diverges from serial", n)
+		seq := msbfsFields(g, distSel{harm: true}, 1).har
+		for w := 2; w <= 8; w++ {
+			if got := msbfsFields(g, distSel{harm: true}, w).har; !reflect.DeepEqual(seq, got) {
+				t.Fatalf("n=%d workers=%d: harmonic diverges from one worker", n, w)
+			}
+		}
+		if got := HarmonicCentrality(g); !reflect.DeepEqual(seq, got) {
+			t.Fatalf("n=%d: HarmonicCentrality diverges from one worker", n)
 		}
 	}
 }
 
 func TestParallelClosenessMatchesSequentialAboveCutoff(t *testing.T) {
 	g := randomGraph(13, par.SerialCutoff+500, 2.0)
-	seq := ClosenessCentrality(g)
-	if got := ParallelClosenessCentrality(g); !reflect.DeepEqual(seq, got) {
-		t.Fatal("parallel closeness diverges from serial above the worker cutoff")
+	seq := msbfsFields(g, distSel{close: true}, 1).clo
+	for w := 2; w <= 8; w++ {
+		if got := msbfsFields(g, distSel{close: true}, w).clo; !reflect.DeepEqual(seq, got) {
+			t.Fatalf("workers=%d: closeness diverges from one worker above the worker cutoff", w)
+		}
+	}
+	if got := ClosenessCentrality(g); !reflect.DeepEqual(seq, got) {
+		t.Fatal("ClosenessCentrality diverges from one worker above the worker cutoff")
 	}
 }
 

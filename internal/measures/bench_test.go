@@ -25,9 +25,9 @@ func BenchmarkClosenessCentrality(b *testing.B) {
 	}
 }
 
-// BenchmarkClosenessPerSourceBaseline is the PR 2 kernel the batched
-// MS-BFS engine replaced; the ratio against BenchmarkClosenessCentrality
-// is the batching speedup.
+// BenchmarkClosenessPerSourceBaseline times the per-source oracle the
+// batched MS-BFS engine replaced; the ratio against
+// BenchmarkClosenessCentrality is the batching speedup.
 func BenchmarkClosenessPerSourceBaseline(b *testing.B) {
 	g := benchCentralityGraph(b)
 	b.ResetTimer()
@@ -42,7 +42,7 @@ func BenchmarkSharedDistanceFields(b *testing.B) {
 	g := benchCentralityGraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SharedDistanceFields(g, []string{"closeness", "harmonic"}, false)
+		SharedDistanceFields(g, []string{"closeness", "harmonic"})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // DegreeCentrality returns each vertex's degree as a scalar field —
@@ -22,13 +23,13 @@ func DegreeCentrality(g *graph.Graph) []float64 {
 // forward frontier expansion and the reverse dependency sweep, still
 // O(|V|·|E|) total but with the per-edge machinery paid once per
 // 64-source batch. Scores count each unordered pair once (the
-// undirected convention: accumulated values are halved) and are
-// bitwise identical to ParallelBetweennessCentrality; the retained
-// per-source kernel (PerSourceBetweennessCentrality) is the oracle
-// baseline, which this agrees with up to floating-point summation
-// order.
+// undirected convention: accumulated values are halved). Batches are
+// striped over par.Workers(|V|) workers, and the fixed stripe merge
+// (msbrandes.go) makes the field bitwise identical for any worker
+// count; it agrees with the per-source Brandes oracle of the tests up
+// to floating-point summation order.
 func BetweennessCentrality(g *graph.Graph) []float64 {
-	return msBrandesBetweenness(g, 1)
+	return msBrandesBetweenness(g, par.Workers(g.NumVertices()))
 }
 
 // ApproxBetweennessCentrality estimates betweenness from a uniform
@@ -36,11 +37,10 @@ func BetweennessCentrality(g *graph.Graph) []float64 {
 // n/samples. It keeps Table II-scale graphs tractable: exact Brandes
 // on millions of vertices is out of reach on one machine. Pivots are
 // drawn by a seeded O(samples) partial Fisher–Yates shuffle and the
-// accumulation runs on the batched MS-Brandes engine;
-// ParallelApproxBetweennessCentrality is the bitwise-identical
-// multi-core variant.
+// accumulation runs on the batched MS-Brandes engine, bitwise
+// identical for any worker count.
 func ApproxBetweennessCentrality(g *graph.Graph, samples int, seed int64) []float64 {
-	return approxBetweenness(g, samples, seed, 1)
+	return approxBetweenness(g, samples, seed, par.Workers(g.NumVertices()))
 }
 
 // sampleSources draws `samples` distinct vertices uniformly without
@@ -75,215 +75,25 @@ func sampleSources(n, samples int, seed int64) []int32 {
 	return sources
 }
 
-// brandesScratch holds the per-worker state of the Brandes
-// accumulation: shortest-path counts, distances, dependency
-// accumulators, the BFS visitation order, and the bottom-up pending
-// list of the direction-optimizing forward phase. One scratch serves
-// any number of sources without further allocation.
-type brandesScratch struct {
-	sigma   []float64 // shortest-path counts
-	dist    []int32
-	delta   []float64 // dependency accumulators
-	order   []int32
-	pending []int32 // not-yet-discovered vertices, bottom-up levels only
-}
-
-// resize sizes the scratch for an n-vertex graph, reusing the existing
-// buffers when they are large enough.
-func (s *brandesScratch) resize(n int) {
-	if cap(s.sigma) < n {
-		s.sigma = make([]float64, n)
-		s.dist = make([]int32, n)
-		s.delta = make([]float64, n)
-		s.order = make([]int32, 0, n)
-		s.pending = make([]int32, 0, n)
-	}
-	s.sigma = s.sigma[:n]
-	s.dist = s.dist[:n]
-	s.delta = s.delta[:n]
-}
-
-// Direction-switch policy of the Brandes forward phase, mirroring the
-// MS-BFS engine's: go bottom-up when the frontier's edge budget exceeds
-// 1/brandesAlpha of the undiscovered edge budget and the frontier is
-// big enough to amortize scanning the pending list. Direction changes
-// the within-level discovery order (bottom-up appends in ascending
-// vertex ID), which reorders the floating-point dependency sums — the
-// summation-order freedom the registry already grants kernels — while
-// sigma counts and distances stay exact either way.
-const (
-	brandesAlpha       = 8
-	brandesMinFrontier = 32
-)
-
-// betweennessFrom runs the per-source Brandes accumulation from the
-// given sources. It is the engine of the retained per-source baseline
-// (PerSourceBetweennessCentrality) that the batched MS-Brandes kernels
-// are benchmarked and oracle-tested against.
-func betweennessFrom(g *graph.Graph, sources []int32, scale float64) []float64 {
-	bc := make([]float64, g.NumVertices())
-	var scratch brandesScratch
-	betweennessInto(g, sources, bc, &scratch)
-	// Each unordered pair is counted twice over undirected sources,
-	// so halve; scale corrects for source sampling.
-	for v := range bc {
-		bc[v] *= 0.5 * scale
-	}
-	return bc
-}
-
-// betweennessInto accumulates unscaled Brandes dependencies from the
-// given sources into bc, reusing the scratch across sources: after the
-// scratch has warmed up to the graph's size, the loop allocates
-// nothing. The forward phase is direction-optimizing: dense middle
-// levels flip to bottom-up expansion (each undiscovered vertex scans
-// its own neighborhood for parents), sparse levels stay on the exact
-// top-down queue. Either direction yields the same level structure and
-// the same exact sigma counts; order is always level-monotone, which is
-// all the back-propagation needs.
-func betweennessInto(g *graph.Graph, sources []int32, bc []float64, scratch *brandesScratch) {
-	n := g.NumVertices()
-	scratch.resize(n)
-	sigma, dist, delta := scratch.sigma, scratch.dist, scratch.delta
-	totalDeg := int64(2 * g.NumEdges())
-
-	for _, s := range sources {
-		for i := 0; i < n; i++ {
-			sigma[i], dist[i], delta[i] = 0, -1, 0
-		}
-		order := scratch.order[:0]
-		sigma[s], dist[s] = 1, 0
-		order = append(order, s)
-		unvisitedDeg := totalDeg - int64(g.Degree(s))
-		pending := scratch.pending[:0]
-		pendingBuilt := false
-		levelStart := 0
-		for level := int32(1); levelStart < len(order); level++ {
-			levelEnd := len(order)
-			frontierDeg := int64(0)
-			for _, v := range order[levelStart:levelEnd] {
-				frontierDeg += int64(g.Degree(v))
-			}
-			if levelEnd-levelStart >= brandesMinFrontier && frontierDeg*brandesAlpha > unvisitedDeg {
-				// Bottom-up: undiscovered vertices look for parents in
-				// the previous level. No early exit — sigma must sum
-				// over every parent. The pending list is built once per
-				// source and compacted as vertices are discovered.
-				if !pendingBuilt {
-					for v := int32(0); v < int32(n); v++ {
-						if dist[v] < 0 {
-							pending = append(pending, v)
-						}
-					}
-					pendingBuilt = true
-				}
-				live := pending[:0]
-				for _, v := range pending {
-					if dist[v] >= 0 {
-						continue
-					}
-					found := false
-					for _, u := range g.Neighbors(v) {
-						if dist[u] == level-1 {
-							if !found {
-								found = true
-								dist[v] = level
-								order = append(order, v)
-							}
-							sigma[v] += sigma[u]
-						}
-					}
-					if !found {
-						live = append(live, v)
-					}
-				}
-				pending = live
-			} else {
-				// Top-down: identical statements (and hence identical
-				// discovery order and float results) to the classic
-				// rolling-queue loop, chunked by level.
-				for _, v := range order[levelStart:levelEnd] {
-					for _, u := range g.Neighbors(v) {
-						if dist[u] < 0 {
-							dist[u] = level
-							order = append(order, u)
-						}
-						if dist[u] == level {
-							sigma[u] += sigma[v]
-						}
-					}
-				}
-			}
-			for _, v := range order[levelEnd:] {
-				unvisitedDeg -= int64(g.Degree(v))
-			}
-			levelStart = levelEnd
-		}
-		// Back-propagate dependencies in reverse BFS order.
-		for i := len(order) - 1; i > 0; i-- {
-			w := order[i]
-			for _, v := range g.Neighbors(w) {
-				if dist[v] == dist[w]-1 {
-					delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
-				}
-			}
-			bc[w] += delta[w]
-		}
-		scratch.order = order
-	}
-}
-
 // ClosenessCentrality computes, for every vertex, the standard
 // component-normalized closeness (Wasserman–Faust): the reachable
 // fraction squared over the mean distance. Isolated vertices score 0.
 // It runs on the batched MS-BFS engine — 64 sources per traversal,
-// single-worker — and is bit-identical to the retained per-source
-// baseline (the fold's integer sums are exact in any order); see
-// distance.go for the fold contract.
+// batches strided over par.Workers(|V|) workers — and is bit-identical
+// to a per-source BFS fold (the fold's integer sums are exact in any
+// order); see distance.go for the fold contract.
 func ClosenessCentrality(g *graph.Graph) []float64 {
-	return msbfsFields(g, distSel{close: true}, 1).clo
-}
-
-// closenessOf folds one source's BFS distances into its closeness
-// score. It is the reference fold of the retained per-source baseline
-// kernels, which the MS-BFS oracle tests compare against.
-func closenessOf(dist []int32, n int) float64 {
-	var sum, reach float64
-	for _, d := range dist {
-		if d > 0 {
-			sum += float64(d)
-			reach++
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	// Scale by the reachable fraction so vertices in small
-	// components do not dominate.
-	return reach * reach / (float64(n-1) * sum)
+	return msbfsFields(g, distSel{close: true}, par.Workers(g.NumVertices())).clo
 }
 
 // HarmonicCentrality computes Σ_{u≠v} 1/d(v,u) with 1/∞ = 0, the
 // harmonic centrality the paper's introduction lists among global
 // connectivity measures. It runs on the batched MS-BFS engine with the
-// level-count fold Σ_L c_L/L (ascending L), which agrees with the
-// retained per-source baseline up to floating-point summation order;
+// level-count fold Σ_L c_L/L (ascending L), which agrees with a
+// vertex-order per-source fold up to floating-point summation order;
 // see distance.go for the fold contract.
 func HarmonicCentrality(g *graph.Graph) []float64 {
-	return msbfsFields(g, distSel{harm: true}, 1).har
-}
-
-// harmonicOf folds one source's BFS distances into its harmonic score
-// in vertex order. It is the reference fold of the retained per-source
-// baseline kernels, which the MS-BFS oracle tests compare against.
-func harmonicOf(dist []int32) float64 {
-	var sum float64
-	for _, d := range dist {
-		if d > 0 {
-			sum += 1 / float64(d)
-		}
-	}
-	return sum
+	return msbfsFields(g, distSel{harm: true}, par.Workers(g.NumVertices())).har
 }
 
 // PageRank computes PageRank with uniform teleport by power iteration

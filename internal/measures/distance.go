@@ -26,17 +26,16 @@ import (
 //	khop:         Σ_{L ≤ KHopRadius} c_L (exact int64) — the number of
 //	              other vertices within KHopRadius hops
 //
-// Closeness is bit-identical to the retained per-source baseline: its
+// Closeness is bit-identical to a per-source BFS fold: its
 // intermediate sums are integers, exact in either accumulation order
 // (while Σ distances < 2^53, astronomically beyond any graph here);
 // the eccentricity and khop folds are set-determined integers too.
-// Harmonic's level-count fold replaces the baseline's vertex-order
+// Harmonic's level-count fold replaces a per-source vertex-order
 // Σ 1/d_v; the two agree up to floating-point summation order (last
-// ulp), the same contract the registry already sets for serial vs
-// parallel kernels. Every kernel in this package — serial, parallel,
-// and shared-pass — uses the level-count fold, so they agree with each
-// other bitwise for any worker count: batch boundaries are fixed by
-// vertex ID, and each batch's fold is independent of scheduling.
+// ulp). Every kernel in this package — single-measure and shared-pass
+// — uses the level-count fold, so they agree with each other bitwise
+// for any worker count: batch boundaries are fixed by vertex ID, and
+// each batch's fold is independent of scheduling.
 
 // KHopRadius is the hop radius of the "khop" neighborhood-size
 // measure: |{u : 1 ≤ d(v,u) ≤ KHopRadius}| per vertex. Three hops is
@@ -111,9 +110,9 @@ func (a *distAccum) visit(level int32, counts *[graph.MSBFSBatch]int32) {
 	}
 }
 
-// closenessScore mirrors the baseline closenessOf expression exactly:
-// same operations, same order, with the exact integer sums substituted
-// for the float-accumulated ones.
+// closenessScore mirrors the per-source closeness expression exactly
+// (reach² / ((n-1)·sum)): same operations, same order, with the exact
+// integer sums substituted for float-accumulated ones.
 func closenessScore(reach, sumDist int64, n int) float64 {
 	if sumDist == 0 {
 		return 0
@@ -127,7 +126,8 @@ func closenessScore(reach, sumDist int64, n int) float64 {
 // IDs each) are strided across workers; each worker holds one pooled
 // scratch and one accumulator, and batches write disjoint output
 // ranges, so the sweep needs no locks and performs O(1) allocations per
-// worker once warm. Results are identical for any worker count.
+// worker once warm. Results are identical for any worker count; the
+// exported kernels pass par.Workers(|V|).
 //
 // With a partition budget set (par.SetPartitionBytes), workers instead
 // claim contiguous runs of batches sized so each run's share of the
@@ -242,16 +242,6 @@ func makeIf(want bool, n int) []float64 {
 	return make([]float64, n)
 }
 
-// distanceWorkers is the shared worker policy of the MS-BFS kernels:
-// serial below the par cutoff (batch startup dominates), all cores
-// above it when parallel execution was requested.
-func distanceWorkers(g *graph.Graph, parallel bool) int {
-	if !parallel {
-		return 1
-	}
-	return par.Workers(g.NumVertices())
-}
-
 // distanceMeasures is the single source of truth for which registry
 // names are distance-based: DistanceBased and SharedDistanceFields
 // both consult it, so adding a measure here lights up the shared-pass
@@ -278,7 +268,7 @@ func DistanceBased(name string) bool {
 // ok=false (and does nothing) unless every name is DistanceBased; each
 // returned field is bit-identical to the field the registry computes
 // for that measure alone.
-func SharedDistanceFields(g *graph.Graph, names []string, parallel bool) (map[string][]float64, bool) {
+func SharedDistanceFields(g *graph.Graph, names []string) (map[string][]float64, bool) {
 	var sel distSel
 	for _, name := range names {
 		s, ok := distanceMeasures[name]
@@ -290,7 +280,7 @@ func SharedDistanceFields(g *graph.Graph, names []string, parallel bool) (map[st
 		sel.ecc = sel.ecc || s.ecc
 		sel.khop = sel.khop || s.khop
 	}
-	f := msbfsFields(g, sel, distanceWorkers(g, parallel))
+	f := msbfsFields(g, sel, par.Workers(g.NumVertices()))
 	out := make(map[string][]float64, 4)
 	if sel.close {
 		out["closeness"] = f.clo
@@ -316,14 +306,7 @@ func SharedDistanceFields(g *graph.Graph, names []string, parallel bool) (map[st
 // periphery (graph-center analysis turned upside down); as a color
 // measure over a centrality terrain it highlights eccentric cores.
 func Eccentricity(g *graph.Graph) []float64 {
-	return msbfsFields(g, distSel{ecc: true}, 1).ecc
-}
-
-// ParallelEccentricity computes Eccentricity with 64-source batches
-// strided across cores. Bitwise identical for any worker count: the
-// fold writes set-determined integers.
-func ParallelEccentricity(g *graph.Graph) []float64 {
-	return msbfsFields(g, distSel{ecc: true}, distanceWorkers(g, true)).ecc
+	return msbfsFields(g, distSel{ecc: true}, par.Workers(g.NumVertices())).ecc
 }
 
 // KHopSize computes, for every vertex, the number of other vertices
@@ -334,12 +317,5 @@ func ParallelEccentricity(g *graph.Graph) []float64 {
 // vertices adjacent to hubs; as a terrain it surfaces mesoscale
 // density that k-core peeling misses.
 func KHopSize(g *graph.Graph) []float64 {
-	return msbfsFields(g, distSel{khop: true}, 1).khop
-}
-
-// ParallelKHopSize computes KHopSize with 64-source batches strided
-// across cores. Bitwise identical for any worker count: the fold
-// writes set-determined integers.
-func ParallelKHopSize(g *graph.Graph) []float64 {
-	return msbfsFields(g, distSel{khop: true}, distanceWorkers(g, true)).khop
+	return msbfsFields(g, distSel{khop: true}, par.Workers(g.NumVertices())).khop
 }

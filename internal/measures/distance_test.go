@@ -75,18 +75,20 @@ func oracleGraphs() map[string]*graph.Graph {
 	return gs
 }
 
-// TestClosenessMSBFSBitIdenticalToPerSource is the tentpole acceptance
-// oracle: the batched kernel's closeness field equals the retained
-// per-source baseline bit for bit on every corpus graph — the fold's
-// integer sums are exact in any accumulation order.
+// TestClosenessMSBFSBitIdenticalToPerSource is the MS-BFS acceptance
+// oracle: the batched kernel's closeness field equals the per-source
+// oracle bit for bit on every corpus graph, for every worker count —
+// the fold's integer sums are exact in any accumulation order.
 func TestClosenessMSBFSBitIdenticalToPerSource(t *testing.T) {
 	for name, g := range oracleGraphs() {
 		want := PerSourceClosenessCentrality(g)
 		if got := ClosenessCentrality(g); !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: MS-BFS closeness diverges from the per-source baseline", name)
+			t.Fatalf("%s: MS-BFS closeness diverges from the per-source oracle", name)
 		}
-		if got := ParallelClosenessCentrality(g); !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: parallel MS-BFS closeness diverges from the baseline", name)
+		for w := 1; w <= 8; w++ {
+			if got := msbfsFields(g, distSel{close: true}, w).clo; !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: workers=%d MS-BFS closeness diverges from the oracle", name, w)
+			}
 		}
 	}
 }
@@ -100,15 +102,17 @@ func TestHarmonicMSBFSMatchesLevelFoldExactly(t *testing.T) {
 		if got := HarmonicCentrality(g); !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: MS-BFS harmonic diverges bitwise from the level-fold oracle", name)
 		}
-		if got := ParallelHarmonicCentrality(g); !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: parallel MS-BFS harmonic diverges from the level-fold oracle", name)
+		for w := 1; w <= 8; w++ {
+			if got := msbfsFields(g, distSel{harm: true}, w).har; !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: workers=%d MS-BFS harmonic diverges from the level-fold oracle", name, w)
+			}
 		}
 		baseline := PerSourceHarmonicCentrality(g)
 		got := HarmonicCentrality(g)
 		for v := range baseline {
 			diff := math.Abs(got[v] - baseline[v])
 			if diff > 1e-12*math.Max(1, math.Abs(baseline[v])) {
-				t.Fatalf("%s: harmonic[%d] = %g vs baseline %g — beyond summation-order slack",
+				t.Fatalf("%s: harmonic[%d] = %g vs per-source oracle %g — beyond summation-order slack",
 					name, v, got[v], baseline[v])
 			}
 		}
@@ -120,7 +124,7 @@ func TestHarmonicMSBFSMatchesLevelFoldExactly(t *testing.T) {
 // to the fields computed alone, and non-distance measures are refused.
 func TestSharedDistanceFieldsOneTraversal(t *testing.T) {
 	g := randomGraph(21, 300, 2.5)
-	fields, ok := SharedDistanceFields(g, []string{"closeness", "harmonic"}, false)
+	fields, ok := SharedDistanceFields(g, []string{"closeness", "harmonic"})
 	if !ok {
 		t.Fatal("closeness+harmonic must be computable in one shared pass")
 	}
@@ -130,7 +134,7 @@ func TestSharedDistanceFieldsOneTraversal(t *testing.T) {
 	if !reflect.DeepEqual(fields["harmonic"], HarmonicCentrality(g)) {
 		t.Fatal("shared-pass harmonic diverges from the standalone kernel")
 	}
-	if _, ok := SharedDistanceFields(g, []string{"closeness", "kcore"}, false); ok {
+	if _, ok := SharedDistanceFields(g, []string{"closeness", "kcore"}); ok {
 		t.Fatal("kcore is not distance-based; the shared pass must refuse it")
 	}
 	if !DistanceBased("closeness") || !DistanceBased("harmonic") || DistanceBased("kcore") {
@@ -217,7 +221,7 @@ func TestMSBFSKernelWarmAllocations(t *testing.T) {
 		t.Fatalf("MS-BFS closeness allocates %v objects on a 900-vertex graph, budget %d", a, allocBudget)
 	}
 	if a := testing.AllocsPerRun(5, func() {
-		SharedDistanceFields(g, []string{"closeness", "harmonic"}, false)
+		SharedDistanceFields(g, []string{"closeness", "harmonic"})
 	}); a > allocBudget+2 {
 		t.Fatalf("shared distance pass allocates %v objects, budget %d", a, allocBudget+2)
 	}

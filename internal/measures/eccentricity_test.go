@@ -30,15 +30,17 @@ func eccentricityReference(g *graph.Graph) []float64 {
 // eccentricity fold equals the per-source reference exactly on every
 // corpus graph — paths (deep levels), stars (shallow), complete
 // graphs (direction switch), disconnected graphs with isolated
-// vertices — serial and parallel.
+// vertices — for every worker count.
 func TestEccentricityMatchesNaiveBFS(t *testing.T) {
 	for name, g := range oracleGraphs() {
 		want := eccentricityReference(g)
 		if got := Eccentricity(g); !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: MS-BFS eccentricity diverges from the BFS reference", name)
 		}
-		if got := ParallelEccentricity(g); !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: parallel MS-BFS eccentricity diverges from the BFS reference", name)
+		for w := 1; w <= 8; w++ {
+			if got := msbfsFields(g, distSel{ecc: true}, w).ecc; !reflect.DeepEqual(want, got) {
+				t.Fatalf("%s: workers=%d MS-BFS eccentricity diverges from the BFS reference", name, w)
+			}
 		}
 	}
 }
@@ -70,7 +72,7 @@ func TestEccentricityStructuredShapes(t *testing.T) {
 // bit-identical to the standalone kernel.
 func TestEccentricityJoinsSharedPass(t *testing.T) {
 	g := randomGraph(33, 250, 2.0)
-	fields, ok := SharedDistanceFields(g, []string{"closeness", "harmonic", "eccentricity"}, false)
+	fields, ok := SharedDistanceFields(g, []string{"closeness", "harmonic", "eccentricity"})
 	if !ok {
 		t.Fatal("eccentricity must join the shared distance pass")
 	}
@@ -84,7 +86,7 @@ func TestEccentricityJoinsSharedPass(t *testing.T) {
 		t.Fatal("eccentricity not classified distance-based")
 	}
 	spec, ok := Lookup("eccentricity")
-	if !ok || spec.Kind != Vertex || spec.Parallel == nil {
-		t.Fatal("eccentricity not registered as a vertex measure with a parallel kernel")
+	if !ok || spec.Kind != Vertex {
+		t.Fatal("eccentricity not registered as a vertex measure")
 	}
 }

@@ -1,60 +1,23 @@
 package measures
 
-import "repro/internal/graph"
+import (
+	"repro/internal/graph"
+	"repro/internal/par"
+)
 
 // EdgeBetweennessCentrality computes exact edge betweenness on the
 // unweighted graph: for every edge, the number of shortest paths
 // passing through it, counting each unordered vertex pair once. It is
 // the Brandes vertex accumulation with dependencies attributed to the
-// edge traversed during back-propagation, O(|V|·|E|) total.
+// edge traversed during back-propagation, O(|V|·|E|) total, run on the
+// batched MS-Brandes engine with the vertex kernel's stripe merge, so
+// the field is bitwise identical for any worker count and agrees with
+// the per-source oracle of the tests up to summation order.
 //
 // Edge betweenness is the natural edge-based centrality field for the
 // paper's Section II-C machinery: feeding it to the edge scalar tree
 // surfaces the bridge structure of the graph the way vertex
 // betweenness surfaces bridge nodes in Section III-C.
 func EdgeBetweennessCentrality(g *graph.Graph) []float64 {
-	n := g.NumVertices()
-	ebc := make([]float64, g.NumEdges())
-	sigma := make([]float64, n)
-	dist := make([]int32, n)
-	delta := make([]float64, n)
-	order := make([]int32, 0, n)
-
-	for s := int32(0); s < int32(n); s++ {
-		for i := 0; i < n; i++ {
-			sigma[i], dist[i], delta[i] = 0, -1, 0
-		}
-		order = order[:0]
-		sigma[s], dist[s] = 1, 0
-		order = append(order, s)
-		for head := 0; head < len(order); head++ {
-			v := order[head]
-			for _, u := range g.Neighbors(v) {
-				if dist[u] < 0 {
-					dist[u] = dist[v] + 1
-					order = append(order, u)
-				}
-				if dist[u] == dist[v]+1 {
-					sigma[u] += sigma[v]
-				}
-			}
-		}
-		for i := len(order) - 1; i > 0; i-- {
-			w := order[i]
-			nbrs := g.Neighbors(w)
-			eids := g.IncidentEdges(w)
-			for j, v := range nbrs {
-				if dist[v] == dist[w]-1 {
-					c := sigma[v] / sigma[w] * (1 + delta[w])
-					delta[v] += c
-					ebc[eids[j]] += c
-				}
-			}
-		}
-	}
-	// Every unordered pair contributes from both endpoints' sources.
-	for e := range ebc {
-		ebc[e] *= 0.5
-	}
-	return ebc
+	return msBrandesEdgeBetweenness(g, par.Workers(g.NumVertices()))
 }

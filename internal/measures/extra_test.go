@@ -10,11 +10,13 @@ import (
 func TestParallelBetweennessMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g := randomGraph(seed, 80, 2.5)
-		seq := BetweennessCentrality(g)
-		par := ParallelBetweennessCentrality(g)
-		for v := range seq {
-			if math.Abs(seq[v]-par[v]) > 1e-9*(1+math.Abs(seq[v])) {
-				t.Fatalf("seed %d: bc[%d] seq %g, par %g", seed, v, seq[v], par[v])
+		seq := perSourceBetweennessSerial(g)
+		for w := 1; w <= 8; w++ {
+			par := msBrandesBetweenness(g, w)
+			for v := range seq {
+				if math.Abs(seq[v]-par[v]) > 1e-9*(1+math.Abs(seq[v])) {
+					t.Fatalf("seed %d workers=%d: bc[%d] seq %g, par %g", seed, w, v, seq[v], par[v])
+				}
 			}
 		}
 	}
@@ -22,20 +24,26 @@ func TestParallelBetweennessMatchesSequential(t *testing.T) {
 
 func TestParallelClosenessMatchesSequential(t *testing.T) {
 	g := randomGraph(3, 70, 2.5)
-	seq := ClosenessCentrality(g)
-	par := ParallelClosenessCentrality(g)
-	for v := range seq {
-		if math.Abs(seq[v]-par[v]) > 1e-12 {
-			t.Fatalf("closeness[%d] seq %g, par %g", v, seq[v], par[v])
+	seq := perSourceBFS(g, 1, func(dist []int32) float64 {
+		return closenessOf(dist, g.NumVertices())
+	})
+	for w := 1; w <= 8; w++ {
+		par := msbfsFields(g, distSel{close: true}, w).clo
+		for v := range seq {
+			if math.Abs(seq[v]-par[v]) > 1e-12 {
+				t.Fatalf("workers=%d: closeness[%d] seq %g, par %g", w, v, seq[v], par[v])
+			}
 		}
 	}
 }
 
 func TestParallelBetweennessTinyGraph(t *testing.T) {
 	g := pathGraph(3)
-	par := ParallelBetweennessCentrality(g)
-	if math.Abs(par[1]-1) > 1e-9 {
-		t.Errorf("P3 middle bc = %g, want 1", par[1])
+	for w := 1; w <= 8; w++ {
+		par := msBrandesBetweenness(g, w)
+		if math.Abs(par[1]-1) > 1e-9 {
+			t.Errorf("workers=%d: P3 middle bc = %g, want 1", w, par[1])
+		}
 	}
 }
 

@@ -22,10 +22,9 @@ import (
 // owns batches j, j+S, j+2S, … in ascending order, and the stripe
 // vectors are merged in ascending stripe order. Workers claim whole
 // stripes, so scheduling moves stripes between workers without ever
-// reordering a single addition. The serial kernels run the identical
-// stripe schedule on one goroutine — BetweennessCentrality and
-// ParallelBetweennessCentrality are bitwise identical, for any
-// GOMAXPROCS, and likewise for the edge and sampled variants.
+// reordering a single addition: the vertex, edge, and sampled fields
+// are bitwise identical for any worker count, one included, and hence
+// for any GOMAXPROCS.
 
 // brandesStripeCount is the fixed accumulation-stripe count of the
 // merge contract: enough stripes to feed every realistic core count,
@@ -177,29 +176,6 @@ func msBrandesBetweenness(g *graph.Graph, workers int) []float64 {
 	return bc
 }
 
-// ParallelBetweennessCentrality computes exact Brandes betweenness on
-// the batched MS-Brandes engine with 64-source batches striped across
-// all CPU cores, each worker holding one pooled scratch. The
-// stripe-ordered merge makes the result bitwise identical to
-// BetweennessCentrality for any worker count.
-//
-// On the multi-million-edge graphs of Table II even the parallel exact
-// computation is slow; combine with source sampling via
-// ApproxBetweennessCentrality when only the field's shape matters.
-func ParallelBetweennessCentrality(g *graph.Graph) []float64 {
-	return msBrandesBetweenness(g, par.Workers(g.NumVertices()))
-}
-
-// ParallelApproxBetweennessCentrality is the multi-core variant of
-// ApproxBetweennessCentrality: the same deterministically seeded pivot
-// set on the batched engine, batches striped across cores. Bitwise
-// identical to the serial sampled kernel for any worker count — the
-// sampled path no longer forfeits parallelism on exactly the graphs
-// where it matters most.
-func ParallelApproxBetweennessCentrality(g *graph.Graph, samples int, seed int64) []float64 {
-	return approxBetweenness(g, samples, seed, par.Workers(g.NumVertices()))
-}
-
 // approxBetweenness is the shared sampled-pivot body; see
 // ApproxBetweennessCentrality for the estimator.
 func approxBetweenness(g *graph.Graph, samples int, seed int64, workers int) []float64 {
@@ -213,17 +189,6 @@ func approxBetweenness(g *graph.Graph, samples int, seed int64, workers int) []f
 		bc[v] *= scale
 	}
 	return bc
-}
-
-// ParallelEdgeBetweennessCentrality computes exact edge betweenness on
-// the batched MS-Brandes engine, sharing the stripe/merge machinery of
-// the vertex kernel: dependencies are attributed to the edge traversed
-// during the shared reverse sweep. It agrees with the per-source
-// EdgeBetweennessCentrality up to floating-point summation order and
-// is bitwise identical across worker counts.
-func ParallelEdgeBetweennessCentrality(g *graph.Graph) []float64 {
-	ebc := msBrandesEdgeBetweenness(g, par.Workers(g.NumVertices()))
-	return ebc
 }
 
 // msBrandesEdgeBetweenness is the shared edge-betweenness body.

@@ -37,38 +37,41 @@ func TestBatchedBetweennessMatchesPerSource(t *testing.T) {
 
 // TestBetweennessWorkerCountIndependent pins the stripe-merge contract:
 // the batched kernel is bitwise identical for every worker count, so
-// BetweennessCentrality (one worker) and ParallelBetweennessCentrality
-// (all cores) can never disagree.
+// BetweennessCentrality returns the same bits whatever par.Workers
+// picks.
 func TestBetweennessWorkerCountIndependent(t *testing.T) {
 	g := randomGraph(61, 700, 2.5)
 	want := msBrandesBetweenness(g, 1)
-	for _, w := range []int{2, 3, 5, 16} {
+	for _, w := range []int{2, 3, 4, 5, 6, 7, 8, 16} {
 		if got := msBrandesBetweenness(g, w); !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: batched betweenness diverges bitwise from serial", w)
+			t.Fatalf("workers=%d: batched betweenness diverges bitwise from one worker", w)
 		}
 	}
-	if got := ParallelBetweennessCentrality(g); !reflect.DeepEqual(want, got) {
-		t.Fatal("ParallelBetweennessCentrality diverges bitwise from BetweennessCentrality")
+	if got := BetweennessCentrality(g); !reflect.DeepEqual(want, got) {
+		t.Fatal("BetweennessCentrality diverges bitwise from the one-worker kernel")
 	}
 }
 
 // TestParallelEdgeBetweennessMatchesSerial checks the batched edge
-// kernel against the per-source EdgeBetweennessCentrality on the
-// corpus, and its bitwise worker independence.
+// kernel against the per-source oracle on the corpus, and its bitwise
+// worker independence.
 func TestParallelEdgeBetweennessMatchesSerial(t *testing.T) {
 	for name, g := range oracleGraphs() {
-		want := EdgeBetweennessCentrality(g)
-		got := msBrandesEdgeBetweenness(g, 1)
+		want := PerSourceEdgeBetweennessCentrality(g)
+		got := EdgeBetweennessCentrality(g)
 		if e, ok := sameWithinSummationSlack(got, want); !ok {
-			t.Fatalf("%s: ebc[%d] = %g, per-source baseline %g", name, e, got[e], want[e])
+			t.Fatalf("%s: ebc[%d] = %g, per-source oracle %g", name, e, got[e], want[e])
 		}
 	}
 	g := randomGraph(62, 500, 3.0)
 	want := msBrandesEdgeBetweenness(g, 1)
-	for _, w := range []int{2, 4, 7} {
+	for w := 2; w <= 8; w++ {
 		if got := msBrandesEdgeBetweenness(g, w); !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: batched edge betweenness diverges bitwise from serial", w)
+			t.Fatalf("workers=%d: batched edge betweenness diverges bitwise from one worker", w)
 		}
+	}
+	if got := EdgeBetweennessCentrality(g); !reflect.DeepEqual(want, got) {
+		t.Fatal("EdgeBetweennessCentrality diverges bitwise from the one-worker kernel")
 	}
 }
 
@@ -90,19 +93,19 @@ func TestBatchedVertexAndEdgeFieldsShareOnePass(t *testing.T) {
 }
 
 // TestParallelApproxBitwiseMatchesSerial pins the sampled-path
-// contract: the parallel sampled kernel draws the identical seeded
-// pivot set and merges in the identical stripe order, so it matches the
-// serial sampled kernel bitwise.
+// contract: every worker count draws the identical seeded pivot set
+// and merges in the identical stripe order, so the sampled kernel is
+// bitwise identical for any worker count.
 func TestParallelApproxBitwiseMatchesSerial(t *testing.T) {
 	g := randomGraph(64, 900, 2.0)
-	want := ApproxBetweennessCentrality(g, 130, 9)
-	for _, w := range []int{2, 3, 8} {
+	want := approxBetweenness(g, 130, 9, 1)
+	for w := 2; w <= 8; w++ {
 		if got := approxBetweenness(g, 130, 9, w); !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: sampled betweenness diverges bitwise from serial", w)
+			t.Fatalf("workers=%d: sampled betweenness diverges bitwise from one worker", w)
 		}
 	}
-	if got := ParallelApproxBetweennessCentrality(g, 130, 9); !reflect.DeepEqual(want, got) {
-		t.Fatal("ParallelApproxBetweennessCentrality diverges bitwise from serial sampled kernel")
+	if got := ApproxBetweennessCentrality(g, 130, 9); !reflect.DeepEqual(want, got) {
+		t.Fatal("ApproxBetweennessCentrality diverges bitwise from the one-worker kernel")
 	}
 }
 
@@ -179,8 +182,8 @@ func TestComponentDiameterMatchesEccentricityOracle(t *testing.T) {
 }
 
 // TestKHopMatchesBFSOracle checks the khop fold against naive BFS
-// counting of vertices within KHopRadius hops, plus the bitwise
-// serial/parallel agreement.
+// counting of vertices within KHopRadius hops, plus bitwise agreement
+// across worker counts.
 func TestKHopMatchesBFSOracle(t *testing.T) {
 	for name, g := range oracleGraphs() {
 		got := KHopSize(g)
@@ -195,15 +198,17 @@ func TestKHopMatchesBFSOracle(t *testing.T) {
 				t.Fatalf("%s: khop[%d] = %g, BFS oracle %g", name, v, got[v], want)
 			}
 		}
-		if par := ParallelKHopSize(g); !reflect.DeepEqual(got, par) {
-			t.Fatalf("%s: parallel khop diverges bitwise from serial", name)
+		for w := 1; w <= 8; w++ {
+			if par := msbfsFields(g, distSel{khop: true}, w).khop; !reflect.DeepEqual(got, par) {
+				t.Fatalf("%s: workers=%d khop diverges bitwise", name, w)
+			}
 		}
 	}
 }
 
 // TestApproximateSuiteResolvesThroughRegistry pins the registry wiring
-// of the new measures: names resolve, kinds are right, and Values runs
-// both serial and parallel paths.
+// of the approximate-distance measures: names resolve, kinds are
+// right, and Compute returns one value per vertex.
 func TestApproximateSuiteResolvesThroughRegistry(t *testing.T) {
 	g := randomGraph(66, 200, 2.0)
 	for _, name := range []string{"betweenness-sampled", "diameter", "khop"} {
@@ -214,20 +219,15 @@ func TestApproximateSuiteResolvesThroughRegistry(t *testing.T) {
 		if spec.Kind != Vertex {
 			t.Fatalf("measure %q has kind %v, want vertex", name, spec.Kind)
 		}
-		for _, parallel := range []bool{false, true} {
-			if got := spec.Values(g, parallel); len(got) != g.NumVertices() {
-				t.Fatalf("measure %q (parallel=%v) returned %d values for %d vertices",
-					name, parallel, len(got), g.NumVertices())
-			}
+		if got := spec.Compute(g); len(got) != g.NumVertices() {
+			t.Fatalf("measure %q returned %d values for %d vertices",
+				name, len(got), g.NumVertices())
 		}
 	}
 	if !DistanceBased("khop") {
 		t.Fatal("khop should join the shared distance pass")
 	}
-	if spec, _ := Lookup("edgebetweenness"); spec.Parallel == nil {
-		t.Fatal("edgebetweenness has no parallel variant registered")
-	}
-	fields, ok := SharedDistanceFields(g, []string{"khop", "eccentricity"}, false)
+	fields, ok := SharedDistanceFields(g, []string{"khop", "eccentricity"})
 	if !ok {
 		t.Fatal("shared pass refused khop+eccentricity")
 	}
@@ -237,18 +237,20 @@ func TestApproximateSuiteResolvesThroughRegistry(t *testing.T) {
 }
 
 // TestBetweennessSampledRegistryDeterministic pins that the registry's
-// sampled measure is reproducible run to run and across serial and
-// parallel paths — the property that makes it safe to serve.
+// sampled measure is reproducible run to run and across worker counts
+// — the property that makes it safe to serve.
 func TestBetweennessSampledRegistryDeterministic(t *testing.T) {
 	g := randomGraph(67, 800, 2.0)
 	spec, _ := Lookup("betweenness-sampled")
-	a := spec.Values(g, false)
-	b := spec.Values(g, false)
+	a := spec.Compute(g)
+	b := spec.Compute(g)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("sampled measure differs between identical runs")
 	}
-	// Parallel vs serial is bitwise too: same pivots, same stripe merge.
-	if c := spec.Parallel(g); !reflect.DeepEqual(a, c) {
-		t.Fatal("sampled measure parallel path diverges bitwise from serial")
+	// Same pivots, same stripe merge: bitwise for any worker count.
+	for w := 1; w <= 8; w++ {
+		if c := approxBetweenness(g, betweennessSamples, betweennessSeed, w); !reflect.DeepEqual(a, c) {
+			t.Fatalf("workers=%d: sampled measure diverges bitwise from the registry", w)
+		}
 	}
 }

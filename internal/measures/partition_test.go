@@ -33,13 +33,13 @@ func withPartitionBudget(t *testing.T, budget int, fn func()) {
 func TestPartitionBudgetDistanceFieldsBitwise(t *testing.T) {
 	g := randomGraph(11, par.SerialCutoff+700, 2.2)
 	names := []string{"closeness", "harmonic", "eccentricity", "khop"}
-	baseline, ok := SharedDistanceFields(g, names, true)
+	baseline, ok := SharedDistanceFields(g, names)
 	if !ok {
 		t.Fatal("SharedDistanceFields rejected distance-based names")
 	}
 	for _, budget := range partitionBudgets {
 		withPartitionBudget(t, budget, func() {
-			got, ok := SharedDistanceFields(g, names, true)
+			got, ok := SharedDistanceFields(g, names)
 			if !ok {
 				t.Fatalf("budget %d: SharedDistanceFields rejected names", budget)
 			}
@@ -52,30 +52,33 @@ func TestPartitionBudgetDistanceFieldsBitwise(t *testing.T) {
 
 func TestPartitionBudgetBetweennessBitwise(t *testing.T) {
 	g := randomGraph(12, 900, 2.0)
-	baseline := ParallelBetweennessCentrality(g)
-	baselineEdge := ParallelEdgeBetweennessCentrality(g)
+	baseline := BetweennessCentrality(g)
+	baselineEdge := EdgeBetweennessCentrality(g)
 	for _, budget := range partitionBudgets {
 		withPartitionBudget(t, budget, func() {
-			if got := ParallelBetweennessCentrality(g); !reflect.DeepEqual(baseline, got) {
+			if got := BetweennessCentrality(g); !reflect.DeepEqual(baseline, got) {
 				t.Fatalf("budget %d: betweenness diverges from unpartitioned baseline", budget)
 			}
-			if got := ParallelEdgeBetweennessCentrality(g); !reflect.DeepEqual(baselineEdge, got) {
+			if got := EdgeBetweennessCentrality(g); !reflect.DeepEqual(baselineEdge, got) {
 				t.Fatalf("budget %d: edge betweenness diverges from unpartitioned baseline", budget)
 			}
 		})
 	}
 }
 
+// TestPartitionBudgetSerialKernelsBitwise covers graphs below
+// par.SerialCutoff, where the kernels run on one worker that claims
+// every run itself.
 func TestPartitionBudgetSerialKernelsBitwise(t *testing.T) {
 	g := randomGraph(13, 500, 2.5)
 	ecc := Eccentricity(g)
 	khop := KHopSize(g)
 	withPartitionBudget(t, 512, func() {
 		if got := Eccentricity(g); !reflect.DeepEqual(ecc, got) {
-			t.Fatal("partitioned serial eccentricity diverges")
+			t.Fatal("partitioned one-worker eccentricity diverges")
 		}
 		if got := KHopSize(g); !reflect.DeepEqual(khop, got) {
-			t.Fatal("partitioned serial khop diverges")
+			t.Fatal("partitioned one-worker khop diverges")
 		}
 	})
 }

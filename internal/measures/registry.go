@@ -26,9 +26,8 @@ func (k Kind) String() string {
 	return "vertex"
 }
 
-// Spec declares a named scalar measure for the registry: its kind, a
-// serial compute function, and an optional multi-core variant. Every
-// consumer of measures — the HTTP server, the terrain CLI, the
+// Spec declares a named scalar measure for the registry: its kind and
+// its compute function. Every consumer of measures — the HTTP server, the terrain CLI, the
 // experiment harness, the public scalarfield API — resolves measures
 // through the registry, so registering a Spec once lights the measure
 // up everywhere at the same time.
@@ -37,21 +36,10 @@ type Spec struct {
 	Kind Kind
 	// Doc is a one-line description surfaced in CLI help and docs.
 	Doc string
-	// Compute evaluates the measure.
+	// Compute evaluates the measure. Built-in kernels pick their own
+	// worker count with par.Workers and return the same bits for any
+	// count.
 	Compute func(g *graph.Graph) []float64
-	// Parallel, when non-nil, is a multi-core variant of Compute. It
-	// must agree with Compute up to floating-point summation order.
-	Parallel func(g *graph.Graph) []float64
-}
-
-// Values evaluates the measure, using the Parallel variant when one is
-// registered, parallel execution was requested, and the graph is large
-// enough to clear the shared par.SerialCutoff worker gate.
-func (s Spec) Values(g *graph.Graph, parallel bool) []float64 {
-	if parallel && s.Parallel != nil && g.NumVertices() >= par.SerialCutoff {
-		return s.Parallel(g)
-	}
-	return s.Compute(g)
 }
 
 var registry = map[string]Spec{}
@@ -91,11 +79,9 @@ func Names() []string {
 // ExactBetweennessLimit is the vertex count above which the registered
 // "betweenness" measure switches from exact Brandes (O(|V|·|E|)) to
 // source-sampled approximation. It sits a factor above the shared
-// par.SerialCutoff so the parallel exact kernel has a real window:
+// par.SerialCutoff so the exact kernel has a multi-worker window:
 // graphs in (SerialCutoff, ExactBetweennessLimit] shard the exact
-// computation across cores before sampling takes over. It also
-// replaces the previously inconsistent per-command cutoffs (4000 in
-// serve, 5000 in terrain).
+// computation across cores before sampling takes over.
 const ExactBetweennessLimit = 4 * par.SerialCutoff
 
 // betweennessSamples and betweennessSeed fix the sampled-source
@@ -105,21 +91,13 @@ const (
 	betweennessSeed    = 1
 )
 
-// adaptiveBetweenness is the registry's betweenness policy, shared by
-// the serial and parallel entries: exact on small graphs, sampled
-// beyond ExactBetweennessLimit where exact cost is prohibitive. Both
-// regimes run on the batched MS-Brandes engine, and both have true
-// multi-core variants — the sampled path no longer falls back to the
-// serial kernel on exactly the graphs where parallelism matters most.
-func adaptiveBetweenness(g *graph.Graph, parallel bool) []float64 {
+// adaptiveBetweenness is the registry's betweenness policy: exact on
+// small graphs, sampled beyond ExactBetweennessLimit where exact cost
+// is prohibitive. Both regimes run on the batched MS-Brandes engine
+// across par.Workers cores.
+func adaptiveBetweenness(g *graph.Graph) []float64 {
 	if g.NumVertices() > ExactBetweennessLimit {
-		if parallel {
-			return ParallelApproxBetweennessCentrality(g, betweennessSamples, betweennessSeed)
-		}
 		return ApproxBetweennessCentrality(g, betweennessSamples, betweennessSeed)
-	}
-	if parallel {
-		return ParallelBetweennessCentrality(g)
 	}
 	return BetweennessCentrality(g)
 }
@@ -141,14 +119,9 @@ func init() {
 		Compute: DegreeCentrality,
 	})
 	Register("betweenness", Spec{
-		Kind: Vertex,
-		Doc:  "Brandes betweenness (batched MS-Brandes); source-sampled beyond ExactBetweennessLimit vertices",
-		Compute: func(g *graph.Graph) []float64 {
-			return adaptiveBetweenness(g, false)
-		},
-		Parallel: func(g *graph.Graph) []float64 {
-			return adaptiveBetweenness(g, true)
-		},
+		Kind:    Vertex,
+		Doc:     "Brandes betweenness (batched MS-Brandes); source-sampled beyond ExactBetweennessLimit vertices",
+		Compute: adaptiveBetweenness,
 	})
 	Register("betweenness-sampled", Spec{
 		Kind: Vertex,
@@ -156,27 +129,21 @@ func init() {
 		Compute: func(g *graph.Graph) []float64 {
 			return ApproxBetweennessCentrality(g, betweennessSamples, betweennessSeed)
 		},
-		Parallel: func(g *graph.Graph) []float64 {
-			return ParallelApproxBetweennessCentrality(g, betweennessSamples, betweennessSeed)
-		},
 	})
 	Register("closeness", Spec{
-		Kind:     Vertex,
-		Doc:      "component-normalized closeness centrality",
-		Compute:  ClosenessCentrality,
-		Parallel: ParallelClosenessCentrality,
+		Kind:    Vertex,
+		Doc:     "component-normalized closeness centrality",
+		Compute: ClosenessCentrality,
 	})
 	Register("harmonic", Spec{
-		Kind:     Vertex,
-		Doc:      "harmonic centrality",
-		Compute:  HarmonicCentrality,
-		Parallel: ParallelHarmonicCentrality,
+		Kind:    Vertex,
+		Doc:     "harmonic centrality",
+		Compute: HarmonicCentrality,
 	})
 	Register("eccentricity", Spec{
-		Kind:     Vertex,
-		Doc:      "eccentricity: max BFS distance within the vertex's component (batched MS-BFS)",
-		Compute:  Eccentricity,
-		Parallel: ParallelEccentricity,
+		Kind:    Vertex,
+		Doc:     "eccentricity: max BFS distance within the vertex's component (batched MS-BFS)",
+		Compute: Eccentricity,
 	})
 	Register("diameter", Spec{
 		Kind:    Vertex,
@@ -184,10 +151,9 @@ func init() {
 		Compute: ComponentDiameter,
 	})
 	Register("khop", Spec{
-		Kind:     Vertex,
-		Doc:      "k-hop neighborhood size: vertices within 3 hops (batched MS-BFS)",
-		Compute:  KHopSize,
-		Parallel: ParallelKHopSize,
+		Kind:    Vertex,
+		Doc:     "k-hop neighborhood size: vertices within 3 hops (batched MS-BFS)",
+		Compute: KHopSize,
 	})
 	Register("pagerank", Spec{
 		Kind: Vertex,
@@ -219,9 +185,8 @@ func init() {
 		Compute: TrussNumbersFloat,
 	})
 	Register("edgebetweenness", Spec{
-		Kind:     Edge,
-		Doc:      "exact per-edge betweenness centrality",
-		Compute:  EdgeBetweennessCentrality,
-		Parallel: ParallelEdgeBetweennessCentrality,
+		Kind:    Edge,
+		Doc:     "exact per-edge betweenness centrality",
+		Compute: EdgeBetweennessCentrality,
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/par"
 )
 
@@ -46,49 +45,12 @@ func TestRegisterRejectsBadSpecs(t *testing.T) {
 }
 
 // TestParallelBetweennessWindow guards against the exact-vs-sampled
-// cutoff collapsing onto the parallel gate: ExactBetweennessLimit
-// must exceed par.SerialCutoff, or the registered parallel exact
-// kernel is unreachable at every size.
+// cutoff collapsing onto the worker cutoff: ExactBetweennessLimit
+// must exceed par.SerialCutoff, or the registered exact betweenness
+// never runs on more than one worker.
 func TestParallelBetweennessWindow(t *testing.T) {
 	if ExactBetweennessLimit <= par.SerialCutoff {
-		t.Fatalf("ExactBetweennessLimit %d <= par.SerialCutoff %d: parallel exact betweenness unreachable",
+		t.Fatalf("ExactBetweennessLimit %d <= par.SerialCutoff %d: multi-worker exact betweenness unreachable",
 			ExactBetweennessLimit, par.SerialCutoff)
-	}
-}
-
-func TestSpecValuesParallelGate(t *testing.T) {
-	serialCalls, parallelCalls := 0, 0
-	spec := Spec{
-		Kind: Vertex,
-		Compute: func(g *graph.Graph) []float64 {
-			serialCalls++
-			return make([]float64, g.NumVertices())
-		},
-		Parallel: func(g *graph.Graph) []float64 {
-			parallelCalls++
-			return make([]float64, g.NumVertices())
-		},
-	}
-
-	small := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	spec.Values(small, true)
-	if parallelCalls != 0 || serialCalls != 1 {
-		t.Fatalf("small graph took the parallel kernel (serial=%d parallel=%d)", serialCalls, parallelCalls)
-	}
-
-	n := par.SerialCutoff
-	edges := make([]graph.Edge, n-1)
-	for i := range edges {
-		edges[i] = graph.Edge{U: int32(i), V: int32(i + 1)}
-	}
-	big := graph.FromEdges(n, edges)
-	spec.Values(big, true)
-	if parallelCalls != 1 {
-		t.Fatalf("large graph with parallel=true skipped the parallel kernel (serial=%d parallel=%d)",
-			serialCalls, parallelCalls)
-	}
-	spec.Values(big, false)
-	if parallelCalls != 1 || serialCalls != 2 {
-		t.Fatalf("parallel=false still used the parallel kernel (serial=%d parallel=%d)", serialCalls, parallelCalls)
 	}
 }

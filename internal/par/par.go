@@ -1,8 +1,9 @@
 // Package par centralizes the parallelism policy shared by the scalar
-// tree sweep (internal/core) and the measure kernels
-// (internal/measures): one cutoff below which parallel code paths fall
-// back to their serial twins, and one helper that turns an input size
-// into a worker count.
+// tree sweep (internal/core), the measure kernels (internal/measures),
+// and the correlation indexes (internal/correlation): one cutoff below
+// which kernels run on a single worker, and one helper that turns an
+// input size into a worker count. Every kernel is one function that
+// calls Workers and returns the same bits for any worker count.
 //
 // Keeping the policy in one place means every "is this input big
 // enough to shard?" decision in the repo agrees, and tuning the
@@ -14,8 +15,8 @@ import (
 	"sync/atomic"
 )
 
-// SerialCutoff is the input size below which parallel code paths run
-// serially: under ~4k items, goroutine startup and merge overhead
+// SerialCutoff is the input size below which kernels run on one
+// worker: under ~4k items, goroutine startup and merge overhead
 // exceeds the sharded work itself (measured by the sort ablations in
 // internal/core and the worker gating in internal/measures).
 const SerialCutoff = 4096

@@ -575,7 +575,6 @@ func (e *Engine) analyze(key Key) (*Snapshot, error) {
 		return e.analyzer.AnalyzeAll(g, key.Measure, scalarfield.AnalyzeOptions{
 			SimplifyBins: key.Bins,
 			ColorBy:      key.Color,
-			Parallel:     true,
 		})
 	}()
 	if err != nil {
@@ -610,7 +609,7 @@ func (e *Engine) fieldValues(snap *Snapshot, measure string) ([]float64, bool, e
 		return snap.ColorValues, snap.Edge, nil
 	}
 	entry, err := e.fields.Do(fieldKey{dataset: snap.Key.Dataset, measure: measure}, func() (fieldEntry, error) {
-		values, edge, err := scalarfield.MeasureValues(snap.Graph, measure, true)
+		values, edge, err := scalarfield.MeasureValues(snap.Graph, measure, false)
 		if err != nil {
 			return fieldEntry{}, err
 		}

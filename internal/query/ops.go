@@ -208,7 +208,7 @@ func (e *Engine) opLCI(snap *Snapshot, op Op) ([]float64, error) {
 	if ei {
 		return correlation.EdgeLCI(snap.Graph, vi, vj)
 	}
-	return correlation.ParallelLCI(snap.Graph, vi, vj, correlation.Options{})
+	return correlation.LCI(snap.Graph, vi, vj, correlation.Options{})
 }
 
 func checkItem(snap *Snapshot, item int32) error {

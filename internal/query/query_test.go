@@ -295,7 +295,7 @@ func TestResolveCorrelationOps(t *testing.T) {
 	// Cross-check against the correlation package directly.
 	vi, _, _ := e.fieldValues(snap, "kcore")
 	vj, _, _ := e.fieldValues(snap, "degree")
-	want, err := correlation.ParallelGCI(snap.Graph, vi, vj, correlation.Options{})
+	want, err := correlation.GCI(snap.Graph, vi, vj, correlation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
