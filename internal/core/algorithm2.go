@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SuperTree is the postprocessed scalar tree of Algorithm 2. When the
@@ -14,6 +15,16 @@ import (
 // After postprocessing, Properties 2–4 of the scalar-tree definition
 // hold again: the subtrees of a SuperTree are exactly the maximal
 // α-connected components of the field, nested the same way.
+//
+// Super nodes are numbered in the BFS order of Algorithm 2's ancestor
+// worklist, so every parent precedes its children (Parent[s] < s).
+// The items are stored once, in one flat array laid out in DFS
+// preorder of the super nodes: a node's own members (ascending) come
+// first, then each child's subtree in ascending child order. Every
+// subtree is therefore one contiguous range of that array.
+//
+// A SuperTree is immutable once built: every accessor returns views of
+// storage computed at construction, which callers must not modify.
 type SuperTree struct {
 	// Parent[s] is super node s's parent, or -1 for a root.
 	Parent []int32
@@ -25,61 +36,171 @@ type SuperTree struct {
 	// NodeOf maps each item ID to its super node.
 	NodeOf []int32
 
-	children [][]int32 // lazily built
-	size     []int32   // lazily built: total items in each subtree
+	flat     []int32   // items in super-node preorder
+	start    []int32   // start[s]: offset of s's subtree in flat
+	size     []int32   // size[s]: total items in s's subtree
+	children [][]int32 // views of one CSR child array, ascending
 }
 
 // Postprocess runs Algorithm 2 on a raw scalar tree: a single pass
 // that groups each ancestor with its equal-scalar descendants into
-// super nodes. Time complexity is O(|V|) beyond the children lists.
+// super nodes. Time complexity is O(|V|), and the number of
+// allocations is constant.
 func Postprocess(t *Tree) *SuperTree {
+	var scratch []int32
+	return postprocess(t, &scratch)
+}
+
+// postprocess is Postprocess with its scratch slab pooled in *pool,
+// which is grown when too small and may hold anything on entry.
+func postprocess(t *Tree, pool *[]int32) *SuperTree {
 	n := t.Len()
-	st := &SuperTree{NodeOf: make([]int32, n)}
-	for i := range st.NodeOf {
-		st.NodeOf[i] = -1
+	// One scratch slab: the raw tree's children as CSR (off, child),
+	// the ancestor worklist as (node, parent super node) pairs, and the
+	// equal-scalar BFS queue. Each raw node enters the worklist or the
+	// queue at most once, so n entries bound both.
+	if cap(*pool) < 5*n+1 {
+		*pool = make([]int32, 5*n+1)
 	}
-	ch := t.Children()
+	scratch := (*pool)[:5*n+1]
+	off, child := scratch[:n+1], scratch[n+1:2*n+1]
+	ancNode, ancParent := scratch[2*n+1:3*n+1], scratch[3*n+1:4*n+1]
+	queue := scratch[4*n+1:]
+	childCSR(t.Parent, off, child)
 
-	newSuper := func(parent int32, scalar float64) int32 {
-		s := int32(len(st.Parent))
-		st.Parent = append(st.Parent, parent)
-		st.Scalar = append(st.Scalar, scalar)
-		st.Members = append(st.Members, nil)
-		return s
+	nodeOf := make([]int32, n)
+	// (ancNode, ancParent) is the ancestors worklist from the paper's
+	// pseudocode: each entry starts a new super node that absorbs the
+	// node's equal-scalar descendant closure; the super node's ID is its
+	// worklist index.
+	tail := 0
+	for i, p := range t.Parent {
+		if p < 0 {
+			ancNode[tail], ancParent[tail] = int32(i), -1
+			tail++
+		}
 	}
-
-	// ancestors is the worklist of (tree node, its super node's parent)
-	// pairs from the paper's pseudocode: each entry starts a new super
-	// node that absorbs the node's equal-scalar descendant closure.
-	type anc struct {
-		node   int32
-		parent int32 // parent super node, -1 for roots
-	}
-	var ancestors []anc
-	for _, r := range t.Roots() {
-		ancestors = append(ancestors, anc{r, -1})
-	}
-	for head := 0; head < len(ancestors); head++ {
-		a := ancestors[head]
-		s := newSuper(a.parent, t.Scalar[a.node])
-		// BFS over the equal-scalar closure below a.node.
-		queue := []int32{a.node}
-		for len(queue) > 0 {
-			nq := queue[0]
-			queue = queue[1:]
-			st.Members[s] = append(st.Members[s], nq)
-			st.NodeOf[nq] = s
-			for _, nc := range ch[nq] {
+	for s := 0; s < tail; s++ {
+		a := ancNode[s]
+		// BFS over the equal-scalar closure below a.
+		queue[0] = a
+		for head, qlen := 0, 1; head < qlen; head++ {
+			nq := queue[head]
+			nodeOf[nq] = int32(s)
+			for _, nc := range child[off[nq]:off[nq+1]] {
 				if t.Scalar[nc] == t.Scalar[nq] {
-					queue = append(queue, nc)
+					queue[qlen] = nc
+					qlen++
 				} else {
-					ancestors = append(ancestors, anc{nc, s})
+					ancNode[tail], ancParent[tail] = nc, int32(s)
+					tail++
 				}
 			}
 		}
-		sort.Slice(st.Members[s], func(i, j int) bool { return st.Members[s][i] < st.Members[s][j] })
 	}
+
+	st := &SuperTree{
+		Parent: make([]int32, tail),
+		Scalar: make([]float64, tail),
+		NodeOf: nodeOf,
+	}
+	copy(st.Parent, ancParent[:tail])
+	for s, a := range ancNode[:tail] {
+		st.Scalar[s] = t.Scalar[a]
+	}
+	st.index()
 	return st
+}
+
+// childCSR fills off (len(parent)+1) and child (len(parent)) with the
+// child lists of a parent array in CSR form: the children of p are
+// child[off[p]:off[p+1]], ascending because nodes are placed in ID
+// order. Roots (parent < 0) are nobody's child, so child's tail past
+// off[len(parent)] is left untouched.
+func childCSR(parent, off, child []int32) {
+	clear(off)
+	for _, p := range parent {
+		if p >= 0 {
+			off[p+1]++
+		}
+	}
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	// Fill cursor: off[p] walks up to the old off[p+1]; shifting back
+	// restores the offsets afterwards.
+	for i, p := range parent {
+		if p >= 0 {
+			child[off[p]] = int32(i)
+			off[p]++
+		}
+	}
+	for p := len(off) - 1; p > 0; p-- {
+		off[p] = off[p-1]
+	}
+	off[0] = 0
+}
+
+// index lays out the flat preorder item array from Parent and NodeOf
+// in O(#super + #items) and a constant number of allocations, and
+// derives Members, the subtree ranges, and the child lists from it. It
+// requires Parent[s] < s and every NodeOf entry in range.
+func (st *SuperTree) index() {
+	n, m := len(st.Parent), len(st.NodeOf)
+	ints := make([]int32, 5*n+1)
+	count, size, start := ints[:n], ints[n:2*n], ints[2*n:3*n]
+	for _, s := range st.NodeOf {
+		count[s]++
+	}
+	copy(size, count)
+	for s := n - 1; s >= 0; s-- {
+		if p := st.Parent[s]; p >= 0 {
+			size[p] += size[s]
+		}
+	}
+	// Preorder offsets in ascending ID order: a parent's start is set
+	// before any child's, and child subtrees follow the parent's own
+	// members in ascending child order. cursor[p] is the next free slot
+	// of p's range, starting just past its own members.
+	cursor := count
+	rootNext := int32(0)
+	for s := 0; s < n; s++ {
+		if p := st.Parent[s]; p < 0 {
+			start[s] = rootNext
+			rootNext += size[s]
+		} else {
+			start[s] = cursor[p]
+			cursor[p] += size[s]
+		}
+		cursor[s] += start[s]
+	}
+	// Scatter items in ascending ID order into their node's member
+	// slots; cursor[s] ends just past s's members.
+	copy(cursor, start)
+	flat := make([]int32, m)
+	for item, s := range st.NodeOf {
+		flat[cursor[s]] = int32(item)
+		cursor[s]++
+	}
+	members := make([][]int32, n)
+	for s := range members {
+		members[s] = flat[start[s]:cursor[s]:cursor[s]]
+	}
+	st.Members, st.flat, st.start, st.size = members, flat, start, size
+	st.children = childLists(st.Parent, ints[3*n:])
+}
+
+// childLists returns the child lists of a parent array, each ascending,
+// as views of one CSR laid out in csr (2·len(parent)+1 entries).
+func childLists(parent, csr []int32) [][]int32 {
+	n := len(parent)
+	off, child := csr[:n+1], csr[n+1:2*n+1]
+	childCSR(parent, off, child)
+	ch := make([][]int32, n)
+	for i := range ch {
+		ch[i] = child[off[i]:off[i+1]:off[i+1]]
+	}
+	return ch
 }
 
 // Len reports the number of super nodes.
@@ -99,55 +220,55 @@ func (st *SuperTree) Roots() []int32 {
 	return roots
 }
 
-// Children returns the child lists of every super node, cached.
-// Callers must not modify the result.
-func (st *SuperTree) Children() [][]int32 {
-	if st.children != nil {
-		return st.children
-	}
-	ch := make([][]int32, len(st.Parent))
-	for i, p := range st.Parent {
-		if p >= 0 {
-			ch[p] = append(ch[p], int32(i))
-		}
-	}
-	st.children = ch
-	return ch
-}
+// Children returns the child lists of every super node, each in
+// increasing ID order. Callers must not modify the result.
+func (st *SuperTree) Children() [][]int32 { return st.children }
 
 // SubtreeSize returns the total number of items in the subtree rooted
-// at each super node (including the node's own members). Cached.
-func (st *SuperTree) SubtreeSize() []int32 {
-	if st.size != nil {
-		return st.size
-	}
-	size := make([]int32, len(st.Parent))
-	// Children were appended in creation order, so node IDs are
-	// topologically ordered root-first; accumulate in reverse.
-	for s := len(st.Parent) - 1; s >= 0; s-- {
-		size[s] += int32(len(st.Members[s]))
-		if p := st.Parent[s]; p >= 0 {
-			size[p] += size[s]
-		}
-	}
-	st.size = size
-	return size
+// at each super node (including the node's own members). Callers must
+// not modify the result.
+func (st *SuperTree) SubtreeSize() []int32 { return st.size }
+
+// SubtreeRange returns every item in the subtree rooted at s as a view
+// of the tree's flat item array, in super-node preorder rather than
+// item order. It suits scans that need neither order nor ownership;
+// callers must not modify the result.
+func (st *SuperTree) SubtreeRange(s int32) []int32 {
+	lo := st.start[s]
+	hi := lo + st.size[s]
+	return st.flat[lo:hi:hi]
 }
 
 // SubtreeItems returns every item in the subtree rooted at s,
 // in increasing item-ID order.
 func (st *SuperTree) SubtreeItems(s int32) []int32 {
-	ch := st.Children()
-	var items []int32
-	stack := []int32{s}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		items = append(items, st.Members[v]...)
-		stack = append(stack, ch[v]...)
+	return st.appendSubtree(make([]int32, 0, st.size[s]), s)
+}
+
+// scanFraction sets where appendSubtree switches from sorting a copy
+// of the subtree's range to scanning every item: at subtrees holding at
+// least 1/scanFraction of all items.
+const scanFraction = 8
+
+// appendSubtree appends the items of s's subtree to dst in increasing
+// ID order. A small subtree is its range, copied and sorted. A large
+// one is cheaper to collect by one scan of NodeOf: super node t lies in
+// s's subtree exactly when t's own range starts inside s's range.
+func (st *SuperTree) appendSubtree(dst []int32, s int32) []int32 {
+	r := st.SubtreeRange(s)
+	if len(r) < len(st.NodeOf)/scanFraction {
+		lo := len(dst)
+		dst = append(dst, r...)
+		slices.Sort(dst[lo:])
+		return dst
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	return items
+	lo, k := st.start[s], uint32(len(r))
+	for item, t := range st.NodeOf {
+		if uint32(st.start[t]-lo) < k {
+			dst = append(dst, int32(item))
+		}
+	}
+	return dst
 }
 
 // MCC returns the items of MCC(item): the maximal α-connected
@@ -181,40 +302,49 @@ func (st *SuperTree) ComponentRootsAt(alpha float64) []int32 {
 // by each component's smallest item ID. This is the tree-based
 // counterpart of the brute-force extraction used as a test oracle.
 func (st *SuperTree) ComponentsAt(alpha float64) [][]int32 {
-	var comps [][]int32
-	for _, r := range st.ComponentRootsAt(alpha) {
-		comps = append(comps, st.SubtreeItems(r))
+	roots := st.ComponentRootsAt(alpha)
+	if len(roots) == 0 {
+		return nil
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
+	total := 0
+	for _, r := range roots {
+		total += int(st.size[r])
+	}
+	// The components are disjoint subtrees: carve them all from one
+	// buffer.
+	buf := make([]int32, 0, total)
+	comps := make([][]int32, len(roots))
+	for i, r := range roots {
+		lo := len(buf)
+		buf = st.appendSubtree(buf, r)
+		comps[i] = buf[lo:len(buf):len(buf)]
+	}
+	slices.SortFunc(comps, func(a, b []int32) int { return cmp.Compare(a[0], b[0]) })
 	return comps
 }
 
-// Validate checks super-tree invariants: monotone scalars along parent
-// links with strict inequality (equal-scalar chains must have been
-// merged), every item assigned to exactly one super node whose scalar
-// matches the item count bookkeeping, and acyclicity.
+// Validate checks super-tree invariants: super nodes numbered
+// topologically (every parent precedes its children, which also rules
+// out cycles), monotone scalars along parent links with strict
+// inequality (equal-scalar chains must have been merged), and every
+// item assigned to exactly one non-empty super node. It runs in
+// O(#super + #items).
 func (st *SuperTree) Validate() error {
+	if err := st.validateLinks(); err != nil {
+		return err
+	}
 	n := len(st.Parent)
-	if len(st.Scalar) != n || len(st.Members) != n {
+	if len(st.Members) != n {
 		return fmt.Errorf("core: super tree slice lengths disagree")
 	}
 	total := 0
 	for s := 0; s < n; s++ {
-		p := st.Parent[s]
-		if p < -1 || int(p) >= n {
-			return fmt.Errorf("core: super node %d has out-of-range parent %d", s, p)
-		}
-		if p >= 0 && st.Scalar[s] <= st.Scalar[p] {
-			return fmt.Errorf("core: super node %d scalar %g not strictly above parent's %g",
-				s, st.Scalar[s], st.Scalar[p])
-		}
 		if len(st.Members[s]) == 0 {
 			return fmt.Errorf("core: super node %d has no members", s)
 		}
 		for _, m := range st.Members[s] {
-			if st.NodeOf[m] != int32(s) {
-				return fmt.Errorf("core: item %d in members of %d but NodeOf says %d",
-					m, s, st.NodeOf[m])
+			if m < 0 || int(m) >= len(st.NodeOf) || st.NodeOf[m] != int32(s) {
+				return fmt.Errorf("core: item %d in members of %d but not mapped to it", m, s)
 			}
 		}
 		total += len(st.Members[s])
@@ -222,13 +352,28 @@ func (st *SuperTree) Validate() error {
 	if total != len(st.NodeOf) {
 		return fmt.Errorf("core: super tree covers %d items, want %d", total, len(st.NodeOf))
 	}
-	for s := 0; s < n; s++ {
-		steps := 0
-		for v := int32(s); v >= 0; v = st.Parent[v] {
-			steps++
-			if steps > n {
-				return fmt.Errorf("core: super tree parent cycle reachable from %d", s)
-			}
+	return nil
+}
+
+// validateLinks checks the invariants index relies on — topological
+// parents and in-range item mapping — plus strict scalar monotonicity.
+func (st *SuperTree) validateLinks() error {
+	n := len(st.Parent)
+	if len(st.Scalar) != n {
+		return fmt.Errorf("core: super tree slice lengths disagree")
+	}
+	for s, p := range st.Parent {
+		if p < -1 || int(p) >= s {
+			return fmt.Errorf("core: super node %d has parent %d, want -1 or a smaller ID", s, p)
+		}
+		if p >= 0 && st.Scalar[s] <= st.Scalar[p] {
+			return fmt.Errorf("core: super node %d scalar %g not strictly above parent's %g",
+				s, st.Scalar[s], st.Scalar[p])
+		}
+	}
+	for item, s := range st.NodeOf {
+		if s < 0 || int(s) >= n {
+			return fmt.Errorf("core: item %d maps to invalid super node %d", item, s)
 		}
 	}
 	return nil

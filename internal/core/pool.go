@@ -2,10 +2,10 @@ package core
 
 // TreeBuilder pools every transient buffer of the measure→sweep→tree
 // hot path — the sweep order, the counting-sort buckets, the
-// union-find sweep state, the raw tree arrays, and the edge-tree
-// incidence scratch — so repeated tree constructions (the serve
-// command's per-request analyses, experiment sweeps) stop paying O(n)
-// allocations per build. The zero value is ready to use; buffers are
+// union-find sweep state, the raw tree arrays, the edge-tree
+// incidence scratch, and Algorithm 2's worklists — so repeated tree
+// constructions (the serve command's per-request analyses, experiment
+// sweeps) stop paying O(n) allocations per build. The zero value is ready to use; buffers are
 // sized on first build and grown only when a larger field arrives.
 //
 // A TreeBuilder is not safe for concurrent use — hold one per
@@ -19,6 +19,7 @@ type TreeBuilder struct {
 	scalar  []float64
 	rank    []int32 // edge-tree sweep ranks
 	minEdge []int32 // edge-tree min-sweep-index incident edges
+	post    []int32 // Algorithm 2 scratch
 }
 
 // sweepOrderInto computes the sweep order of values into the pooled
@@ -83,11 +84,11 @@ func (b *TreeBuilder) BuildEdgeTree(f *EdgeField) *Tree {
 // returned SuperTree owns all of its storage and is safe to retain;
 // only the intermediate raw tree lived in the pool.
 func (b *TreeBuilder) VertexSuperTree(f *VertexField) *SuperTree {
-	return Postprocess(b.BuildVertexTree(f))
+	return postprocess(b.BuildVertexTree(f), &b.post)
 }
 
 // EdgeSuperTree runs Algorithm 3 + Algorithm 2 on pooled state, with
 // the same ownership contract as VertexSuperTree.
 func (b *TreeBuilder) EdgeSuperTree(f *EdgeField) *SuperTree {
-	return Postprocess(b.BuildEdgeTree(f))
+	return postprocess(b.BuildEdgeTree(f), &b.post)
 }

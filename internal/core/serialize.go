@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Scalar trees travel between the construction tool and the
@@ -66,104 +67,81 @@ func (st *SuperTree) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
+// readAhead bounds the elements of each array allocated before its
+// payload arrives: a hostile header can force at most this many, and
+// trees up to this size decode with one allocation per array.
+const readAhead = 1 << 16
+
 // ReadSuperTree deserializes a super tree written by WriteTo and
-// validates it before returning.
+// validates it before returning. It reads exactly the tree's bytes
+// from r, and for trees of up to readAhead super nodes and items it
+// makes a constant number of allocations.
 func ReadSuperTree(r io.Reader) (*SuperTree, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	scratch := make([]byte, 1<<15)
+	hdr := scratch[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("core: reading tree magic: %w", err)
 	}
-	if string(magic) != treeMagic {
-		return nil, fmt.Errorf("core: bad magic %q, want %q", magic, treeMagic)
+	if string(hdr) != treeMagic {
+		return nil, fmt.Errorf("core: bad magic %q, want %q", hdr, treeMagic)
 	}
-	version, err := br.ReadByte()
-	if err != nil {
+	hdr = scratch[:1]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("core: reading tree version: %w", err)
 	}
-	if version != treeVersion {
-		return nil, fmt.Errorf("core: unsupported tree version %d", version)
+	if hdr[0] != treeVersion {
+		return nil, fmt.Errorf("core: unsupported tree version %d", hdr[0])
 	}
-	var numSuper, numItems uint32
-	if err := binary.Read(br, binary.LittleEndian, &numSuper); err != nil {
+	hdr = scratch[:8]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("core: reading tree header: %w", err)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &numItems); err != nil {
-		return nil, fmt.Errorf("core: reading tree header: %w", err)
-	}
+	numSuper := binary.LittleEndian.Uint32(hdr)
+	numItems := binary.LittleEndian.Uint32(hdr[4:])
 	const maxReasonable = 1 << 30
 	if numSuper > maxReasonable || numItems > maxReasonable {
 		return nil, fmt.Errorf("core: implausible tree sizes %d/%d", numSuper, numItems)
 	}
-	// Arrays are read in bounded chunks so a hostile header cannot
-	// force a huge allocation before any payload bytes arrive.
 	st := &SuperTree{}
-	var err2 error
-	if st.Parent, err2 = readInt32s(br, int(numSuper)); err2 != nil {
-		return nil, fmt.Errorf("core: reading parents: %w", err2)
+	var err error
+	if st.Parent, err = readArray(r, int(numSuper), scratch, decodeInt32); err != nil {
+		return nil, fmt.Errorf("core: reading parents: %w", err)
 	}
-	if st.Scalar, err2 = readFloat64s(br, int(numSuper)); err2 != nil {
-		return nil, fmt.Errorf("core: reading scalars: %w", err2)
+	if st.Scalar, err = readArray(r, int(numSuper), scratch, decodeFloat64); err != nil {
+		return nil, fmt.Errorf("core: reading scalars: %w", err)
 	}
-	if st.NodeOf, err2 = readInt32s(br, int(numItems)); err2 != nil {
-		return nil, fmt.Errorf("core: reading item mapping: %w", err2)
+	if st.NodeOf, err = readArray(r, int(numItems), scratch, decodeInt32); err != nil {
+		return nil, fmt.Errorf("core: reading item mapping: %w", err)
 	}
-	st.Members = make([][]int32, numSuper)
-	// Rebuild members from nodeOf (ascending item order falls out).
-	for item, s := range st.NodeOf {
-		if s < 0 || s >= int32(numSuper) {
-			return nil, fmt.Errorf("core: item %d maps to invalid super node %d", item, s)
-		}
-		st.Members[s] = append(st.Members[s], int32(item))
+	if err := st.validateLinks(); err != nil {
+		return nil, fmt.Errorf("core: deserialized tree invalid: %w", err)
 	}
+	st.index()
 	if err := st.Validate(); err != nil {
 		return nil, fmt.Errorf("core: deserialized tree invalid: %w", err)
 	}
 	return st, nil
 }
 
-// readInt32s reads exactly n little-endian int32 values, growing the
-// result as data actually arrives so memory stays proportional to the
-// bytes read rather than the declared count.
-func readInt32s(r io.Reader, n int) ([]int32, error) {
-	const chunk = 1 << 15
-	first := n
-	if first > chunk {
-		first = chunk
-	}
-	out := make([]int32, 0, first)
-	buf := make([]int32, first)
-	for len(out) < n {
-		k := n - len(out)
-		if k > len(buf) {
-			k = len(buf)
-		}
-		if err := binary.Read(r, binary.LittleEndian, buf[:k]); err != nil {
-			return nil, err
-		}
-		out = append(out, buf[:k]...)
-	}
-	return out, nil
-}
+func decodeInt32(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }
 
-// readFloat64s is readInt32s for float64 payloads.
-func readFloat64s(r io.Reader, n int) ([]float64, error) {
-	const chunk = 1 << 14
-	first := n
-	if first > chunk {
-		first = chunk
-	}
-	out := make([]float64, 0, first)
-	buf := make([]float64, first)
+func decodeFloat64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
+// readArray reads exactly n little-endian values through scratch,
+// growing the result past readAhead only as data actually arrives, so
+// memory stays proportional to the bytes read rather than the declared
+// count.
+func readArray[T int32 | float64](r io.Reader, n int, scratch []byte, decode func([]byte) T) ([]T, error) {
+	width := binary.Size(T(0))
+	out := make([]T, 0, min(n, readAhead))
 	for len(out) < n {
-		k := n - len(out)
-		if k > len(buf) {
-			k = len(buf)
-		}
-		if err := binary.Read(r, binary.LittleEndian, buf[:k]); err != nil {
+		b := scratch[:min(n-len(out), len(scratch)/width)*width]
+		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		out = append(out, buf[:k]...)
+		for ; len(b) > 0; b = b[width:] {
+			out = append(out, decode(b))
+		}
 	}
 	return out, nil
 }

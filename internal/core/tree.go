@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Tree is the raw scalar tree produced by Algorithm 1 (vertex fields)
 // or Algorithm 3 (edge fields), before super-node postprocessing.
@@ -22,8 +19,6 @@ type Tree struct {
 	// (ties broken by increasing ID). Exposed because downstream
 	// consumers (layout, simplification) reuse the same ordering.
 	Order []int32
-
-	children [][]int32 // lazily built
 }
 
 // Len reports the number of nodes in the tree.
@@ -42,22 +37,9 @@ func (t *Tree) Roots() []int32 {
 }
 
 // Children returns, for every node, its child list (sorted by ID).
-// The result is cached; callers must not modify it.
+// All lists are views of one CSR array built in a single pass.
 func (t *Tree) Children() [][]int32 {
-	if t.children != nil {
-		return t.children
-	}
-	ch := make([][]int32, len(t.Parent))
-	for i, p := range t.Parent {
-		if p >= 0 {
-			ch[p] = append(ch[p], int32(i))
-		}
-	}
-	for _, c := range ch {
-		sort.Slice(c, func(a, b int) bool { return c[a] < c[b] })
-	}
-	t.children = ch
-	return ch
+	return childLists(t.Parent, make([]int32, 2*len(t.Parent)+1))
 }
 
 // SubtreeItems returns all item IDs in the subtree rooted at node,

@@ -297,7 +297,7 @@ func (l *Layout) PeaksAt(alpha float64) []Peak {
 	var peaks []Peak
 	for _, s := range st.ComponentRootsAt(alpha) {
 		top := st.Scalar[s]
-		for _, item := range st.SubtreeItems(s) {
+		for _, item := range st.SubtreeRange(s) {
 			if sc := st.Scalar[st.NodeOf[item]]; sc > top {
 				top = sc
 			}
