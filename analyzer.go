@@ -142,7 +142,7 @@ func (a *Analyzer) vertexTerrain(g *Graph, values []float64, o TerrainOptions) (
 	if o.SimplifyBins > 0 {
 		f = core.SimplifyVertexField(f, o.SimplifyBins)
 	}
-	return newTerrain(a.pool.VertexSuperTree(f), o)
+	return newTerrain(a.pool.VertexSuperTree(f), o), nil
 }
 
 // edgeTerrain is NewEdgeTerrain with the tree built on the pool.
@@ -154,5 +154,5 @@ func (a *Analyzer) edgeTerrain(g *Graph, values []float64, o TerrainOptions) (*T
 	if o.SimplifyBins > 0 {
 		f = core.SimplifyEdgeField(f, o.SimplifyBins)
 	}
-	return newTerrain(a.pool.EdgeSuperTree(f), o)
+	return newTerrain(a.pool.EdgeSuperTree(f), o), nil
 }

@@ -48,6 +48,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/measures"
 	"repro/internal/query"
+	"repro/internal/terrain"
 )
 
 var benchIters = flag.Int("benchiters", 10,
@@ -132,6 +133,7 @@ func runBench(cfg config) error {
 	kc := measures.CoreNumbersFloat(g)
 	vf := core.MustVertexField(g, kc)
 	ef := core.MustEdgeField(g, measures.TrussNumbersFloat(g))
+	clusteringTree := core.VertexSuperTree(core.MustVertexField(g, measures.ClusteringCoefficients(g)))
 	var pool core.TreeBuilder
 	analyzer := scalarfield.NewAnalyzer()
 	warmEngine := query.NewEngine(query.Options{})
@@ -219,6 +221,10 @@ func runBench(cfg config) error {
 		{"edge-tree/parallel-default", ok(func() { core.BuildEdgeTree(ef) })},
 		{"edge-tree/pooled", ok(func() { pool.BuildEdgeTree(ef) })},
 		{"supertree/pooled", ok(func() { pool.VertexSuperTree(vf) })},
+		// The terrain geometry of the clustering tree, built by the first
+		// Rects call: analyses and snapshot decodes defer it, so the
+		// viewer pays it on a terrain's first render.
+		{"terrain/layout", ok(func() { terrain.NewLayout(clusteringTree, terrain.LayoutOptions{}).Rects() })},
 		// Distance-based centralities on the batched MS-BFS engine; the
 		// shared row computes both fields from one traversal, the
 		// Analyzer's multi-field fast path.
@@ -261,8 +267,8 @@ func runBench(cfg config) error {
 		// Snapshot wire codec: the serialization layer beneath the disk
 		// store and the shard fabric. Encode is the insert path (CSR +
 		// fields + tree into one container); decode is the cold-hit
-		// path, including CSR reconstruction, terrain re-layout, and
-		// spectrum recomputation.
+		// path, including CSR reconstruction and spectrum recomputation
+		// (the terrain layout is built lazily, see terrain/layout).
 		{"snapshot-codec/encode", func() error {
 			return query.EncodeSnapshot(io.Discard, warmSnap)
 		}},

@@ -3,13 +3,17 @@ package query
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	scalarfield "repro"
+	"repro/internal/datasets"
+	"repro/internal/terrain"
 )
 
 // opsBatch exercises every operation family against one snapshot.
@@ -362,5 +366,75 @@ func TestInvalidateRacingInFlightAnalysis(t *testing.T) {
 	}
 	if !e.Cached(key) {
 		t.Fatal("fresh snapshot was not cached")
+	}
+}
+
+// mallocs counts the heap allocations f makes.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestDecodeAndResolveNeverBuildGeometry: decoding a snapshot, heap or
+// mapped, and resolving every tree-only op leaves the terrain layout
+// unbuilt — the first Rects call afterwards still pays a full build.
+func TestDecodeAndResolveNeverBuildGeometry(t *testing.T) {
+	g, err := datasets.Generate("GrQc", 0.05, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(Options{})
+	e.RegisterDataset("grqc", g)
+	ops := []Op{
+		{Op: OpSpectrum},
+		{Op: OpMCC, Item: 0},
+		{Op: OpComponentOf, Item: 1, Alpha: 1},
+		{Op: OpAlphaCut, Alpha: 2},
+	}
+	for _, key := range []Key{
+		{Dataset: "grqc", Measure: "clustering", Color: "degree"},
+		{Dataset: "grqc", Measure: "ktruss"},
+	} {
+		snap, err := e.Snapshot(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeSnapshot(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "snap")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		heap, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := DecodeSnapshotFileMapped(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Release()
+		// The fewest allocations of several fresh builds: other
+		// goroutines' allocations can only add to one build's count.
+		build := uint64(math.MaxUint64)
+		for range 5 {
+			fresh := terrain.NewLayout(snap.Terrain.Tree, terrain.LayoutOptions{})
+			build = min(build, mallocs(func() { fresh.Rects() }))
+		}
+		for name, dec := range map[string]*Snapshot{"heap": heap, "mapped": mapped} {
+			e.Resolve(dec, ops)
+			if got := mallocs(func() { dec.Terrain.Layout.Rects() }); got < build {
+				t.Errorf("%v %s: first Rects made %d allocs, a fresh build makes %d: decode or resolve built the geometry",
+					key, name, got, build)
+			}
+			if got := testing.AllocsPerRun(100, func() { dec.Terrain.Layout.Rects() }); got != 0 {
+				t.Errorf("%v %s: a built layout's Rects made %.0f allocs, want 0", key, name, got)
+			}
+		}
 	}
 }

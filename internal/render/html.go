@@ -17,8 +17,9 @@ import (
 // paper's rotate/zoom interactions in a file that can be mailed to a
 // collaborator with no server or dependencies.
 func TerrainHTML(w io.Writer, l *terrain.Layout, nodeColors []color.RGBA, title string) error {
-	if len(nodeColors) != len(l.Rects) {
-		return fmt.Errorf("render: %d colors for %d boundaries", len(nodeColors), len(l.Rects))
+	rects, height := l.Rects(), l.ST.Scalar
+	if len(nodeColors) != len(rects) {
+		return fmt.Errorf("render: %d colors for %d boundaries", len(nodeColors), len(rects))
 	}
 	type node struct {
 		X0, Y0, X1, Y1 float64
@@ -26,9 +27,9 @@ func TerrainHTML(w io.Writer, l *terrain.Layout, nodeColors []color.RGBA, title 
 		C              string
 		P              int32
 	}
-	nodes := make([]node, len(l.Rects))
-	minH, maxH := l.Height[0], l.Height[0]
-	for _, h := range l.Height {
+	nodes := make([]node, len(rects))
+	minH, maxH := height[0], height[0]
+	for _, h := range height {
 		if h < minH {
 			minH = h
 		}
@@ -36,11 +37,11 @@ func TerrainHTML(w io.Writer, l *terrain.Layout, nodeColors []color.RGBA, title 
 			maxH = h
 		}
 	}
-	for s, r := range l.Rects {
+	for s, r := range rects {
 		c := nodeColors[s]
 		nodes[s] = node{
 			X0: r.X0, Y0: r.Y0, X1: r.X1, Y1: r.Y1,
-			H: l.Height[s],
+			H: height[s],
 			C: fmt.Sprintf("#%02x%02x%02x", c.R, c.G, c.B),
 			P: l.ST.Parent[s],
 		}

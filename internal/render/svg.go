@@ -24,15 +24,14 @@ func BoundarySVG(w io.Writer, l *terrain.Layout, nodeColor []color.RGBA, size in
 		size, size, size, size)
 	fmt.Fprintf(bw, `<rect width="%d" height="%d" fill="#ebe9e4"/>`+"\n", size, size)
 	s := float64(size)
-	for node := 0; node < l.ST.Len(); node++ {
-		r := l.Rects[node]
+	for node, r := range l.Rects() {
 		col := color.RGBA{160, 160, 160, 255}
 		if node < len(nodeColor) {
 			col = nodeColor[node]
 		}
 		fmt.Fprintf(bw,
 			`<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#%02x%02x%02x" stroke="#333" stroke-width="0.8"><title>node %d scalar %.4g</title></rect>`+"\n",
-			r.X0*s, r.Y0*s, r.W()*s, r.H()*s, col.R, col.G, col.B, node, l.Height[node])
+			r.X0*s, r.Y0*s, r.W()*s, r.H()*s, col.R, col.G, col.B, node, l.ST.Scalar[node])
 	}
 	fmt.Fprintln(bw, `</svg>`)
 	return bw.Flush()

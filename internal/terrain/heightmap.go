@@ -30,8 +30,8 @@ func (l *Layout) Rasterize(w, h int) *Heightmap {
 		hm.Node[i] = -1
 		hm.Height[i] = base
 	}
-	for s := 0; s < l.ST.Len(); s++ {
-		r := l.Rects[s]
+	height := l.ST.Scalar
+	for s, r := range l.Rects() {
 		x0 := clampInt(int(r.X0*float64(w)), 0, w)
 		x1 := clampInt(int(r.X1*float64(w)+0.9999), 0, w)
 		y0 := clampInt(int(r.Y0*float64(h)), 0, h)
@@ -46,7 +46,7 @@ func (l *Layout) Rasterize(w, h int) *Heightmap {
 		for y := y0; y < y1; y++ {
 			row := y * w
 			for x := x0; x < x1; x++ {
-				hm.Height[row+x] = l.Height[s]
+				hm.Height[row+x] = height[s]
 				hm.Node[row+x] = int32(s)
 			}
 		}
@@ -57,11 +57,12 @@ func (l *Layout) Rasterize(w, h int) *Heightmap {
 // baseHeight returns the height used for cells outside every boundary:
 // slightly below the minimum scalar so root plateaus are visible.
 func (l *Layout) baseHeight() float64 {
-	if len(l.Height) == 0 {
+	height := l.ST.Scalar
+	if len(height) == 0 {
 		return 0
 	}
-	min, max := l.Height[0], l.Height[0]
-	for _, v := range l.Height {
+	min, max := height[0], height[0]
+	for _, v := range height {
 		if v < min {
 			min = v
 		}

@@ -14,6 +14,7 @@ package terrain
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -61,29 +62,45 @@ func (o *LayoutOptions) fill() {
 	}
 }
 
-// Layout is the 2D nested-boundary layout of a super scalar tree.
-// Rects[s] is super node s's boundary; children boundaries are fully
-// contained in their parent's. Height[s] is the node's scalar value.
+// Layout is the 2D nested-boundary layout of a super tree: super
+// node s's boundary is Rects()[s], children's boundaries lie fully
+// inside their parent's, and the boundary is lifted to the height
+// ST.Scalar[s]. The rectangles are built on the first Rects call, so a
+// layout nobody draws costs nothing; a Layout is safe for concurrent
+// use and must not be copied.
 type Layout struct {
-	ST     *core.SuperTree
-	Rects  []Rect
-	Height []float64
+	ST *core.SuperTree
+
+	opts  LayoutOptions
+	once  sync.Once
+	rects []Rect
 }
 
-// NewLayout lays out the super tree in the unit square [0,1]².
-// Each root's boundary area is proportional to its subtree size;
-// within a boundary, child boundaries (laid along the longer axis,
-// largest first) receive shares proportional to their subtree sizes,
-// with a share for the node's own members left as exposed plateau.
+// NewLayout returns the layout of the super tree in the unit square
+// [0,1]² under opts. It records its arguments only; the geometry is
+// built by the first Rects call.
 func NewLayout(st *core.SuperTree, opts LayoutOptions) *Layout {
 	opts.fill()
-	l := &Layout{
-		ST:     st,
-		Rects:  make([]Rect, st.Len()),
-		Height: make([]float64, st.Len()),
-	}
-	copy(l.Height, st.Scalar)
+	return &Layout{ST: st, opts: opts}
+}
 
+// Rects returns every super node's boundary, building them once. Each
+// root's boundary area is proportional to its subtree size; within a
+// boundary, child boundaries (largest first) receive shares
+// proportional to their subtree sizes, with a share for the node's own
+// members left as exposed plateau. The slice is shared: callers must
+// not modify it.
+func (l *Layout) Rects() []Rect {
+	l.once.Do(l.build)
+	return l.rects
+}
+
+func (l *Layout) build() {
+	st := l.ST
+	if st == nil {
+		return // the zero Layout has no boundaries
+	}
+	l.rects = make([]Rect, st.Len())
 	sizes := st.SubtreeSize()
 	roots := st.Roots()
 	// Partition the unit square among roots by binary subdivision.
@@ -91,24 +108,23 @@ func NewLayout(st *core.SuperTree, opts LayoutOptions) *Layout {
 	for i, r := range roots {
 		shares[i] = float64(sizes[r])
 	}
-	cells := partitionWith(Rect{0, 0, 1, 1}, floorShares(shares, opts.MinShare), opts.Strategy)
+	cells := partitionWith(Rect{0, 0, 1, 1}, floorShares(shares, l.opts.MinShare), l.opts.Strategy)
 	for i, r := range roots {
-		l.Rects[r] = cells[i]
-		l.layoutChildren(r, opts, sizes)
+		l.rects[r] = cells[i]
+		l.layoutChildren(r, sizes)
 	}
-	return l
 }
 
 // layoutChildren recursively places node s's children inside its
 // boundary using binary area partition, which keeps cells close to
 // square instead of degenerating into thin strips.
-func (l *Layout) layoutChildren(s int32, opts LayoutOptions, sizes []int32) {
+func (l *Layout) layoutChildren(s int32, sizes []int32) {
 	ch := l.ST.Children()[s]
 	if len(ch) == 0 {
 		return
 	}
-	outer := l.Rects[s]
-	m := opts.Margin * minf(outer.W(), outer.H())
+	outer := l.rects[s]
+	m := l.opts.Margin * minf(outer.W(), outer.H())
 	inner := Rect{outer.X0 + m, outer.Y0 + m, outer.X1 - m, outer.Y1 - m}
 	if inner.W() <= 0 || inner.H() <= 0 {
 		// Degenerate: give children the (tiny) outer rect directly.
@@ -127,10 +143,10 @@ func (l *Layout) layoutChildren(s int32, opts LayoutOptions, sizes []int32) {
 	}
 	shares[len(order)] = float64(len(l.ST.Members[s]))
 
-	cells := partitionWith(inner, floorShares(shares, opts.MinShare), opts.Strategy)
+	cells := partitionWith(inner, floorShares(shares, l.opts.MinShare), l.opts.Strategy)
 	for i, c := range order {
-		l.Rects[c] = cells[i]
-		l.layoutChildren(c, opts, sizes)
+		l.rects[c] = cells[i]
+		l.layoutChildren(c, sizes)
 	}
 }
 
@@ -294,6 +310,7 @@ type Peak struct {
 func (l *Layout) PeaksAt(alpha float64) []Peak {
 	st := l.ST
 	sizes := st.SubtreeSize()
+	rects := l.Rects()
 	var peaks []Peak
 	for _, s := range st.ComponentRootsAt(alpha) {
 		top := st.Scalar[s]
@@ -304,7 +321,7 @@ func (l *Layout) PeaksAt(alpha float64) []Peak {
 		}
 		peaks = append(peaks, Peak{
 			Node:   s,
-			Bounds: l.Rects[s],
+			Bounds: rects[s],
 			Alpha:  alpha,
 			Top:    top,
 			Items:  int(sizes[s]),
@@ -324,13 +341,14 @@ func (l *Layout) PeaksAt(alpha float64) []Peak {
 func (l *Layout) Validate() error {
 	const eps = 1e-9
 	st := l.ST
+	rects := l.Rects()
 	for s := 0; s < st.Len(); s++ {
-		r := l.Rects[s]
+		r := rects[s]
 		if r.X0 < -eps || r.Y0 < -eps || r.X1 > 1+eps || r.Y1 > 1+eps || r.W() < -eps || r.H() < -eps {
 			return fmt.Errorf("terrain: rect %d = %+v out of unit square", s, r)
 		}
 		if p := st.Parent[s]; p >= 0 {
-			pr := l.Rects[p]
+			pr := rects[p]
 			if r.X0 < pr.X0-eps || r.Y0 < pr.Y0-eps || r.X1 > pr.X1+eps || r.Y1 > pr.Y1+eps {
 				return fmt.Errorf("terrain: rect %d = %+v escapes parent %d = %+v", s, r, p, pr)
 			}
@@ -341,7 +359,7 @@ func (l *Layout) Validate() error {
 	for s := 0; s < st.Len(); s++ {
 		for i := 0; i < len(ch[s]); i++ {
 			for j := i + 1; j < len(ch[s]); j++ {
-				a, b := l.Rects[ch[s][i]], l.Rects[ch[s][j]]
+				a, b := rects[ch[s][i]], rects[ch[s][j]]
 				if a.X0 < b.X1-eps && b.X0 < a.X1-eps && a.Y0 < b.Y1-eps && b.Y0 < a.Y1-eps {
 					return fmt.Errorf("terrain: sibling rects %d and %d overlap", ch[s][i], ch[s][j])
 				}

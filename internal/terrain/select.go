@@ -19,8 +19,8 @@ func (l *Layout) NodeAtPoint(x, y float64) int32 {
 	// is not necessarily the deepest; track by nesting depth instead.
 	bestDepth := -1
 	depth := l.depths()
-	for s := range l.Rects {
-		if l.Rects[s].Contains(x, y) && depth[s] > bestDepth {
+	for s, r := range l.Rects() {
+		if r.Contains(x, y) && depth[s] > bestDepth {
 			best, bestDepth = int32(s), depth[s]
 		}
 	}
@@ -36,9 +36,10 @@ func (l *Layout) NodeAtPoint(x, y float64) int32 {
 // returned sorted and deduplicated.
 func (l *Layout) ItemsInRect(sel Rect) []int32 {
 	ch := l.ST.Children()
+	rects := l.Rects()
 	seen := map[int32]bool{}
-	for s := range l.Rects {
-		clipped, ok := intersect(l.Rects[s], sel)
+	for s, r := range rects {
+		clipped, ok := intersect(r, sel)
 		if !ok {
 			continue
 		}
@@ -46,7 +47,7 @@ func (l *Layout) ItemsInRect(sel Rect) []int32 {
 		// covered by this node's children boundaries.
 		covered := 0.0
 		for _, c := range ch[s] {
-			if cc, ok := intersect(l.Rects[c], clipped); ok {
+			if cc, ok := intersect(rects[c], clipped); ok {
 				covered += cc.Area()
 			}
 		}

@@ -164,7 +164,7 @@ func placeRow(remaining Rect, areas []float64, rowSum float64, out []Rect) Rect 
 // strategies trade off.
 func (l *Layout) AspectStats() (mean, worst float64) {
 	count := 0
-	for _, r := range l.Rects {
+	for _, r := range l.Rects() {
 		if r.W() <= 0 || r.H() <= 0 {
 			continue
 		}

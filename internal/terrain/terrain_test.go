@@ -3,6 +3,7 @@ package terrain
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,7 +68,7 @@ func TestLayoutAreasMonotoneWithSubtreeSize(t *testing.T) {
 		for i := 0; i < len(sib); i++ {
 			for j := 0; j < len(sib); j++ {
 				if sizes[sib[i]] > sizes[sib[j]] {
-					ai, aj := l.Rects[sib[i]].Area(), l.Rects[sib[j]].Area()
+					ai, aj := l.Rects()[sib[i]].Area(), l.Rects()[sib[j]].Area()
 					if ai+1e-12 < aj {
 						t.Errorf("subtree %d (size %d, area %g) smaller than %d (size %d, area %g)",
 							sib[i], sizes[sib[i]], ai, sib[j], sizes[sib[j]], aj)
@@ -78,13 +79,24 @@ func TestLayoutAreasMonotoneWithSubtreeSize(t *testing.T) {
 	}
 }
 
+// TestLayoutHeightsAreScalars: every boundary is lifted to its node's
+// scalar, and the ground outside all boundaries lies below them all.
 func TestLayoutHeightsAreScalars(t *testing.T) {
 	st := paperFigure4Tree()
-	l := NewLayout(st, LayoutOptions{})
-	for s := 0; s < st.Len(); s++ {
-		if l.Height[s] != st.Scalar[s] {
-			t.Errorf("height[%d] = %g, want scalar %g", s, l.Height[s], st.Scalar[s])
+	hm := NewLayout(st, LayoutOptions{}).Rasterize(256, 256)
+	lifted := make([]bool, st.Len())
+	for i, n := range hm.Node {
+		switch {
+		case n >= 0 && hm.Height[i] == st.Scalar[n]:
+			lifted[n] = true
+		case n >= 0:
+			t.Fatalf("cell %d of node %d at height %g, want scalar %g", i, n, hm.Height[i], st.Scalar[n])
+		case hm.Height[i] >= slices.Min(st.Scalar):
+			t.Fatalf("ground cell %d at height %g, not below every scalar", i, hm.Height[i])
 		}
+	}
+	if i := slices.Index(lifted, false); i >= 0 {
+		t.Errorf("node %d owns no cell at its scalar", i)
 	}
 }
 
@@ -95,8 +107,8 @@ func TestLayoutSingleNode(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Rects[0].Area() < 0.9 {
-		t.Errorf("single node should fill the square, got %+v", l.Rects[0])
+	if l.Rects()[0].Area() < 0.9 {
+		t.Errorf("single node should fill the square, got %+v", l.Rects()[0])
 	}
 }
 
@@ -123,9 +135,9 @@ func TestLayoutForest(t *testing.T) {
 	if sizes[big] < sizes[small] {
 		big, small = small, big
 	}
-	if l.Rects[big].Area() <= l.Rects[small].Area() {
+	if l.Rects()[big].Area() <= l.Rects()[small].Area() {
 		t.Errorf("larger component area %g <= smaller %g",
-			l.Rects[big].Area(), l.Rects[small].Area())
+			l.Rects()[big].Area(), l.Rects()[small].Area())
 	}
 }
 

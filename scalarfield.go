@@ -140,9 +140,10 @@ type Terrain struct {
 	// Tree is the super scalar tree: every subtree is a maximal
 	// α-connected component.
 	Tree *core.SuperTree
-	// Layout holds the nested boundary rectangles and heights.
+	// Layout is the nested-boundary geometry, built on its first read.
 	Layout *terrain.Layout
 
+	// nodeColors is the explicit coloring; nil renders by height.
 	nodeColors []color.RGBA
 }
 
@@ -171,7 +172,7 @@ func NewVertexTerrain(g *Graph, values []float64, opts ...TerrainOptions) (*Terr
 	if o.SimplifyBins > 0 {
 		f = core.SimplifyVertexField(f, o.SimplifyBins)
 	}
-	return newTerrain(core.VertexSuperTree(f), o)
+	return newTerrain(core.VertexSuperTree(f), o), nil
 }
 
 // NewEdgeTerrain builds the terrain of an edge-based scalar graph
@@ -188,7 +189,7 @@ func NewEdgeTerrain(g *Graph, values []float64, opts ...TerrainOptions) (*Terrai
 	if o.SimplifyBins > 0 {
 		f = core.SimplifyEdgeField(f, o.SimplifyBins)
 	}
-	return newTerrain(core.EdgeSuperTree(f), o)
+	return newTerrain(core.EdgeSuperTree(f), o), nil
 }
 
 // NewTerrainFromTree builds a terrain directly from a previously
@@ -204,7 +205,7 @@ func NewTerrainFromTree(tree *core.SuperTree, opts ...TerrainOptions) (*Terrain,
 	if err := tree.Validate(); err != nil {
 		return nil, err
 	}
-	return newTerrain(tree, o)
+	return newTerrain(tree, o), nil
 }
 
 // SaveTree serializes the terrain's super scalar tree in the compact
@@ -217,13 +218,12 @@ func (t *Terrain) SaveTree(w io.Writer) error {
 // LoadTree deserializes a super scalar tree written by SaveTree.
 func LoadTree(r io.Reader) (*core.SuperTree, error) { return core.ReadSuperTree(r) }
 
-func newTerrain(st *core.SuperTree, o TerrainOptions) (*Terrain, error) {
-	t := &Terrain{
-		Tree:   st,
-		Layout: terrain.NewLayout(st, o.Layout),
-	}
-	t.colorByIntensity(terrain.Normalize(st.Scalar))
-	return t, nil
+// newTerrain wraps a valid super tree. It does O(1) work: the layout
+// builds its geometry on first read and the default coloring is
+// computed at render time, so analyses and snapshot decodes that only
+// answer queries never pay for either.
+func newTerrain(st *core.SuperTree, o TerrainOptions) *Terrain {
+	return &Terrain{Tree: st, Layout: terrain.NewLayout(st, o.Layout)}
 }
 
 // ColorByValues colors the terrain by a second per-item measure
@@ -234,7 +234,7 @@ func (t *Terrain) ColorByValues(itemValues []float64) error {
 		return fmt.Errorf("scalarfield: %d color values for %d items",
 			len(itemValues), t.Tree.NumItems())
 	}
-	t.colorByIntensity(terrain.NodeIntensity(t.Tree, itemValues))
+	t.nodeColors = intensityColors(terrain.NodeIntensity(t.Tree, itemValues))
 	return nil
 }
 
@@ -254,17 +254,29 @@ func (t *Terrain) ColorByCategory(itemCategory []int) error {
 	return nil
 }
 
-func (t *Terrain) colorByIntensity(intensity []float64) {
-	t.nodeColors = make([]color.RGBA, len(intensity))
+func intensityColors(intensity []float64) []color.RGBA {
+	out := make([]color.RGBA, len(intensity))
 	for s, v := range intensity {
-		t.nodeColors[s] = terrain.Colormap(v)
+		out[s] = terrain.Colormap(v)
 	}
+	return out
+}
+
+// colors returns the explicit coloring, or else colors by the
+// terrain's own heights (red = high, blue = low). The height coloring
+// is computed per call rather than stored, so a terrain shared between
+// goroutines is never written after construction.
+func (t *Terrain) colors() []color.RGBA {
+	if t.nodeColors != nil {
+		return t.nodeColors
+	}
+	return intensityColors(terrain.Normalize(t.Tree.Scalar))
 }
 
 // Render produces the isometric 3D terrain image.
 func (t *Terrain) Render(opts RenderOptions) *image.RGBA {
 	hm := t.Layout.Rasterize(rasterRes(opts.Width), rasterRes(opts.Height))
-	return render.TerrainPNG(hm, t.nodeColors, opts)
+	return render.TerrainPNG(hm, t.colors(), opts)
 }
 
 // RenderPNG renders and writes the terrain to a PNG file.
@@ -275,26 +287,26 @@ func (t *Terrain) RenderPNG(path string, opts RenderOptions) error {
 // RenderTreemap produces the linked 2D treemap view (Figure 5(a)).
 func (t *Terrain) RenderTreemap(size int) *image.RGBA {
 	hm := t.Layout.Rasterize(rasterRes(size), rasterRes(size))
-	return render.TreemapPNG(hm, t.nodeColors, size, size)
+	return render.TreemapPNG(hm, t.colors(), size, size)
 }
 
 // WriteSVG writes the nested boundaries as an SVG.
 func (t *Terrain) WriteSVG(w io.Writer, size int) error {
-	return render.BoundarySVG(w, t.Layout, t.nodeColors, size)
+	return render.BoundarySVG(w, t.Layout, t.colors(), size)
 }
 
 // WriteAnnotatedSVG writes the nested-boundary SVG with the top-K
 // peaks at cut height alpha labeled K1, K2, … (the paper's figure
 // annotations), each with its top scalar and component size.
 func (t *Terrain) WriteAnnotatedSVG(w io.Writer, size int, alpha float64, topK int) error {
-	return render.AnnotatedBoundarySVG(w, t.Layout, t.nodeColors, size, alpha, topK)
+	return render.AnnotatedBoundarySVG(w, t.Layout, t.colors(), size, alpha, topK)
 }
 
 // WriteHTML writes a self-contained interactive HTML page rendering
 // the terrain with mouse-drag rotation and wheel zoom — a shareable
 // stand-in for the paper's interactive viewer.
 func (t *Terrain) WriteHTML(w io.Writer, title string) error {
-	return render.TerrainHTML(w, t.Layout, t.nodeColors, title)
+	return render.TerrainHTML(w, t.Layout, t.colors(), title)
 }
 
 // WriteOBJ writes the terrain as a Wavefront OBJ mesh.

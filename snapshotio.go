@@ -96,7 +96,7 @@ type SnapshotRecord struct {
 	// reconstruction matches the original. The zero value (the engine's
 	// default) round-trips as zero.
 	Layout terrain.LayoutOptions
-	// Terrain is the laid-out, colored terrain. SaveSnapshot reads only
+	// Terrain is the analyzed terrain. SaveSnapshot reads only
 	// its tree; LoadSnapshot reconstructs it deterministically from the
 	// decoded tree, Layout, and color field.
 	Terrain *Terrain
@@ -270,10 +270,10 @@ func (d *snapshotDecoder) section(tag string, payload *wire.Payload) error {
 }
 
 // finish verifies cross-field consistency and reconstructs the
-// terrain exactly as the analyzer built it: NewTerrainFromTree
-// validates the tree, lays it out with the stored options, and colors
-// by the tree's own heights; a stored color field then recolors,
-// mirroring AnalyzeAll's ColorBy path.
+// terrain exactly as the analyzer built it: the tree (already
+// validated by core.ReadSuperTree) is wrapped with the stored layout
+// options, whose geometry builds lazily on first read; a stored color
+// field then recolors, mirroring AnalyzeAll's ColorBy path.
 func (d *snapshotDecoder) finish() (*SnapshotRecord, error) {
 	rec, tree := d.rec, d.tree
 	switch {
@@ -301,10 +301,7 @@ func (d *snapshotDecoder) finish() (*SnapshotRecord, error) {
 		return nil, fmt.Errorf("scalarfield: snapshot tree spans %d items for a %d-item field", tree.NumItems(), items)
 	}
 
-	t, err := NewTerrainFromTree(tree, TerrainOptions{Layout: rec.Layout})
-	if err != nil {
-		return nil, fmt.Errorf("scalarfield: snapshot terrain reconstruction: %w", err)
-	}
+	t := newTerrain(tree, TerrainOptions{Layout: rec.Layout})
 	if rec.Color != "" && rec.ColorValues != nil {
 		if err := t.ColorByValues(rec.ColorValues); err != nil {
 			return nil, fmt.Errorf("scalarfield: snapshot terrain recoloring: %w", err)

@@ -97,10 +97,10 @@ func assertRecordsDeepEqual(t testing.TB, want, got *SnapshotRecord) {
 		!reflect.DeepEqual(gt.Tree.Members, wt.Tree.Members) {
 		t.Fatal("super tree mismatch after round trip")
 	}
-	if !reflect.DeepEqual(gt.Layout, wt.Layout) {
+	if !reflect.DeepEqual(gt.Layout.Rects(), wt.Layout.Rects()) {
 		t.Fatal("reconstructed layout differs from original")
 	}
-	if !reflect.DeepEqual(gt.nodeColors, wt.nodeColors) {
+	if !reflect.DeepEqual(gt.colors(), wt.colors()) {
 		t.Fatal("reconstructed coloring differs from original")
 	}
 }
