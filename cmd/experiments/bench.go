@@ -2,27 +2,36 @@ package main
 
 // The perf-trajectory experiment: a fixed set of hot-path kernels —
 // tree construction with the default and pooled sweep drivers, the
-// distance-based centrality kernels on the batched MS-BFS engine
-// (closeness, harmonic, eccentricity, k-hop, and the early-cutoff
-// diameter fold), the betweenness kernels on the batched MS-Brandes
-// engine (vertex, edge, and sampled), one row per kernel, the
-// snapshot-cache hit/miss paths of internal/query, and the
+// triangle measures (clustering and k-truss) on the oriented triangle
+// listing, the distance-based centrality kernels on the batched MS-BFS
+// engine (closeness, harmonic, eccentricity, k-hop, and the
+// early-cutoff diameter fold), the betweenness kernels on the batched
+// MS-Brandes engine (vertex, edge, and sampled), one row per kernel,
+// the snapshot-cache hit/miss paths of internal/query, and the
 // snapshot wire codec (encode and decode throughput for the disk
 // store and the shard fabric) — timed with allocation counts and
-// written as machine-readable JSON (-benchout, BENCH_7.json by
+// written as machine-readable JSON (-benchout, BENCH_8.json by
 // default), so the effect of each PR on the hot path is tracked as
 // checked-in evidence rather than folklore. CI runs it with
 // -benchiters 1 as a smoke test; locally, higher iteration counts
 // give stable numbers.
 //
-// BENCH_7.json methodology: generated with
+// BENCH_8.json methodology: generated with
 //
-//	GOMAXPROCS=4 go run ./cmd/experiments -exp bench -scale 2 \
-//	    -benchiters 3 -out . -benchout BENCH_7.json
+//	go build -o experiments ./cmd/experiments
+//	GOMAXPROCS=2 ./experiments -exp bench -scale 2 -benchiters 3 \
+//	    -out . -benchout BENCH_8.json
 //
-// i.e. the GrQc stand-in at twice the published size (~10k vertices).
+// i.e. the GrQc stand-in at twice the published size (~10k vertices),
+// built with go build so the file's host block carries the commit
+// (go run leaves vcs_revision empty). The host block also records the
+// core count, OS/architecture and Go version; BENCH_4–7.json were taken
+// at GOMAXPROCS=4 on a host whose core count was not recorded, so their
+// msbfs/* and msbrandes/* rows are not comparable with BENCH_8's.
 // Every measure kernel picks its own worker count (par.Workers), so
-// GOMAXPROCS sets the core count of the msbfs/* and msbrandes/* rows.
+// GOMAXPROCS sets the core count of the msbfs/* and msbrandes/* rows;
+// the triangles/* rows are serial. Each row is one mean over
+// -benchiters runs after a warm-up call, with no spread.
 // BENCH_4–7.json also carry per-source baseline, *-1worker, and
 // vertex-tree/serial-sort rows; those kernels now live only in test
 // code as oracles, and the checked-in files keep their numbers as
@@ -40,6 +49,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	scalarfield "repro"
@@ -54,7 +64,7 @@ import (
 var benchIters = flag.Int("benchiters", 10,
 	"iterations per kernel in -exp bench (1 = smoke run)")
 
-var benchOut = flag.String("benchout", "BENCH_7.json",
+var benchOut = flag.String("benchout", "BENCH_8.json",
 	"output file for -exp bench results (joined to -out unless absolute)")
 
 func init() {
@@ -70,6 +80,42 @@ type benchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
+}
+
+// benchHost records where a bench file was taken, so rows from
+// different hosts, toolchains and commits are not compared as if alike.
+type benchHost struct {
+	NumCPU    int    `json:"num_cpu"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	GoVersion string `json:"go_version"`
+	// Revision and Modified are the vcs.revision and vcs.modified build
+	// settings: the commit the binary was built from and whether the
+	// tree had uncommitted changes. Both are empty when the build
+	// carries no VCS stamp (go run does not stamp; go build inside the
+	// checkout does).
+	Revision string `json:"vcs_revision"`
+	Modified string `json:"vcs_modified"`
+}
+
+func currentHost() benchHost {
+	h := benchHost{
+		NumCPU:    runtime.NumCPU(),
+		GOOS:      runtime.GOOS,
+		GOARCH:    runtime.GOARCH,
+		GoVersion: runtime.Version(),
+	}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range info.Settings {
+			switch kv.Key {
+			case "vcs.revision":
+				h.Revision = kv.Value
+			case "vcs.modified":
+				h.Modified = kv.Value
+			}
+		}
+	}
+	return h
 }
 
 // measureKernel times fn over iters runs after one warm-up call,
@@ -225,6 +271,11 @@ func runBench(cfg config) error {
 		// Rects call: analyses and snapshot decodes defer it, so the
 		// viewer pays it on a terrain's first render.
 		{"terrain/layout", ok(func() { terrain.NewLayout(clusteringTree, terrain.LayoutOptions{}).Rects() })},
+		// The triangle measures on the oriented listing: clustering is
+		// one counting pass; ktruss adds a second pass filling the
+		// per-edge triangle CSR and the bucket peel over it.
+		{"triangles/clustering", ok(func() { measures.ClusteringCoefficients(g) })},
+		{"triangles/ktruss", ok(func() { measures.TrussNumbers(g) })},
 		// Distance-based centralities on the batched MS-BFS engine; the
 		// shared row computes both fields from one traversal, the
 		// Analyzer's multi-field fast path.
@@ -348,8 +399,9 @@ func runBench(cfg config) error {
 		Edges    int           `json:"edges"`
 		Iters    int           `json:"iters"`
 		MaxProcs int           `json:"gomaxprocs"`
+		Host     benchHost     `json:"host"`
 		Results  []benchResult `json:"results"`
-	}{"GrQc", cfg.scale, g.NumVertices(), g.NumEdges(), *benchIters, runtime.GOMAXPROCS(0), results}
+	}{"GrQc", cfg.scale, g.NumVertices(), g.NumEdges(), *benchIters, runtime.GOMAXPROCS(0), currentHost(), results}
 
 	path := *benchOut
 	if !filepath.IsAbs(path) {

@@ -3,6 +3,7 @@ package measures
 import (
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/graph"
 )
 
@@ -79,4 +80,30 @@ func BenchmarkBFSScratchVsFresh(b *testing.B) {
 			s.Distances(g, int32(i%g.NumVertices()))
 		}
 	})
+}
+
+// BenchmarkTriangleKernels times the triangle measures on the GrQc
+// stand-in at scale 2, the serving benchmark's graph; the *-merge
+// rows time the merge oracles the oriented listing replaced.
+func BenchmarkTriangleKernels(b *testing.B) {
+	g, err := datasets.Generate("GrQc", 2, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []struct {
+		name string
+		fn   func(*graph.Graph)
+	}{
+		{"clustering", func(g *graph.Graph) { ClusteringCoefficients(g) }},
+		{"clustering-merge", func(g *graph.Graph) { clusteringMerge(g) }},
+		{"ktruss", func(g *graph.Graph) { TrussNumbers(g) }},
+		{"ktruss-merge", func(g *graph.Graph) { trussNumbersMerge(g) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k.fn(g)
+			}
+		})
+	}
 }

@@ -19,7 +19,30 @@ func TrussNumbers(g *graph.Graph) []int32 {
 	if m == 0 {
 		return truss
 	}
-	sup := EdgeTriangles(g)
+	o := orient(g)
+	sup := o.edgeTriangles()
+	// Per-edge triangle CSR (Wang & Cheng's in-memory truss
+	// decomposition, VLDB 2012): triangles of edge e are the ID pairs
+	// pairs[triOff[e]:triOff[e+1]], each the triangle's other two
+	// edges, so the peel walks a list instead of re-intersecting
+	// neighbor lists. triOff[e+1] starts at e's first slot and is
+	// advanced past each pair written, ending at e's end.
+	triOff := make([]int, m+1)
+	for e := 1; e < m; e++ {
+		triOff[e+1] = triOff[e] + 2*int(sup[e-1])
+	}
+	pairs := make([]int32, triOff[m]+2*int(sup[m-1]))
+	add := func(e, a, b int32) {
+		p := triOff[e+1]
+		pairs[p], pairs[p+1] = a, b
+		triOff[e+1] = p + 2
+	}
+	o.forEachTriangle(func(_, _, _, uv, vw, uw int32) {
+		add(uv, vw, uw)
+		add(vw, uv, uw)
+		add(uw, uv, vw)
+	})
+
 	maxSup := int32(0)
 	for _, s := range sup {
 		if s > maxSup {
@@ -70,16 +93,14 @@ func TrussNumbers(g *graph.Graph) []int32 {
 		e := edgeOrder[i]
 		truss[e] = sup[e]
 		alive[e] = false
-		ed := g.Edge(e)
-		commonNeighbors(g.Neighbors(ed.U), g.Neighbors(ed.V), func(w int32) {
-			e1 := g.EdgeID(ed.U, w)
-			e2 := g.EdgeID(ed.V, w)
+		for p := triOff[e]; p < triOff[e+1]; p += 2 {
+			e1, e2 := pairs[p], pairs[p+1]
 			if !alive[e1] || !alive[e2] {
-				return // triangle already destroyed by an earlier peel
+				continue // triangle already destroyed by an earlier peel
 			}
 			demote(e1, sup[e])
 			demote(e2, sup[e])
-		})
+		}
 	}
 	return truss
 }

@@ -3,10 +3,9 @@ package query
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"log"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -287,20 +286,35 @@ func (e *Engine) generation(dataset string) uint64 {
 // generation): an FNV-1a hash, never zero so clients can treat zero as
 // "no snapshot". Determinism is what makes fleet responses and
 // disk-restored snapshots indistinguishable from locally analyzed
-// ones.
+// ones. It runs on every cache hit, so it hashes key.ShardString()'s
+// bytes in place, then the generation's 8 little-endian bytes, without
+// building the string or a hash.Hash.
 func snapshotSeq(key Key, gen uint64) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, key.ShardString())
-	var genBytes [8]byte
-	for i := range genBytes {
-		genBytes[i] = byte(gen >> (8 * i))
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	str := func(s string) {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime64
+		}
+		h *= prime64 // the \x00 separator: h ^ 0 == h
 	}
-	h.Write(genBytes[:])
-	seq := h.Sum64()
-	if seq == 0 {
-		seq = 1
+	str(key.Dataset)
+	str(key.Measure)
+	str(key.Color)
+	var bins [20]byte
+	for _, b := range strconv.AppendInt(bins[:0], int64(key.Bins), 10) {
+		h = (h ^ uint64(b)) * prime64
 	}
-	return seq
+	for i := 0; i < 8; i++ {
+		h = (h ^ (gen>>(8*i))&0xff) * prime64
+	}
+	if h == 0 {
+		h = 1
+	}
+	return h
 }
 
 // RegisterDataset makes a graph queryable under the given name,
