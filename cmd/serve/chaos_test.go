@@ -24,7 +24,6 @@ import (
 	scalarfield "repro"
 	"repro/internal/query"
 	"repro/internal/resilience"
-	"repro/internal/shard"
 )
 
 // chaosSeed pins the whole fault schedule: every run of this test
@@ -94,12 +93,9 @@ func TestChaosFleetSurvivesFaultsAndNodeDeath(t *testing.T) {
 	tsRef := httptest.NewServer(srvRef.routes())
 	defer tsRef.Close()
 
-	ring := shard.New([]string{"a", "b"}, 0)
-	peerURLs := map[string]string{"a": tsA.URL, "b": tsB.URL}
-	srvA.setShard("a", ring, peerURLs)
-	srvB.setShard("b", ring, peerURLs)
-	stopProbes := srvA.startHealthProbes(resilience.ProbeOptions{Interval: 100 * time.Millisecond})
-	defer stopProbes()
+	foundFleet(t, resilience.ProbeOptions{Interval: 100 * time.Millisecond},
+		map[string]*server{"a": srvA, "b": srvB},
+		map[string]string{"a": tsA.URL, "b": tsB.URL})
 
 	// A dedicated client for the test's own requests, so its idle
 	// connections can be torn down before the goroutine-leak check.
@@ -167,10 +163,12 @@ func TestChaosFleetSurvivesFaultsAndNodeDeath(t *testing.T) {
 			}
 		}
 		if rep == 0 {
-			// Kill node b mid-run: node a must keep answering correctly
-			// through refused forwards, an opening breaker, and local
+			// Kill node b mid-run — a crash, so its gossip probes stop
+			// too: node a must keep answering correctly through refused
+			// forwards, an opening breaker, b's eviction, and local
 			// fallbacks.
 			bDead = true
+			srvB.fleetRuntime().stop()
 			tsB.Close()
 		}
 	}
@@ -191,7 +189,8 @@ func TestChaosFleetSurvivesFaultsAndNodeDeath(t *testing.T) {
 	// Teardown everything, then require the goroutine count to settle
 	// back near the baseline: probe loops, detached analyses, and relay
 	// paths must all have exited.
-	stopProbes()
+	srvA.fleetRuntime().stop()
+	srvB.fleetRuntime().stop()
 	tsA.Close()
 	tsB.Close()
 	tsRef.Close()
@@ -211,13 +210,13 @@ func TestChaosFleetSurvivesFaultsAndNodeDeath(t *testing.T) {
 	}
 }
 
-// TestHealthzReportsShardIdentity: the probe endpoint answers 200 with
-// this node's shard name — the contract the active health probes and
-// operators rely on.
+// TestHealthzReportsShardIdentity: the liveness endpoint answers 200
+// with this node's shard name — the contract operators and the serving
+// benchmark's trace rely on.
 func TestHealthzReportsShardIdentity(t *testing.T) {
 	counter := newAnalysisCounter()
 	srv, ts := fleetNode(t, counter)
-	srv.setShard("a", shard.New([]string{"a", "b"}, 0),
+	foundFleet(t, fixedRing, map[string]*server{"a": srv},
 		map[string]string{"a": ts.URL, "b": "http://127.0.0.1:1"})
 
 	resp, err := http.Get(ts.URL + "/healthz")

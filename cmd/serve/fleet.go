@@ -48,9 +48,6 @@ type fleetConfig struct {
 	seeds []fleet.Member
 	// probeOpts paces the per-peer gossip probes.
 	probeOpts resilience.ProbeOptions
-	// suspicionThreshold is the consecutive probe failures before this
-	// node evicts a peer (<= 0: fleet's default of 3).
-	suspicionThreshold int
 }
 
 // fleetRuntime owns the I/O around a fleet.Manager for one server.
@@ -67,8 +64,8 @@ type fleetRuntime struct {
 
 	// applyMu serializes view application end to end. OnChange
 	// callbacks may arrive concurrently and out of order; the epoch
-	// guard under this mutex ensures the server's ring only ever moves
-	// forward, and holding it across the ring swap keeps a stale
+	// guard under this mutex ensures the server's routing only ever
+	// moves forward, and holding it across the swap keeps a stale
 	// callback from installing an older ring over a newer one.
 	applyMu      sync.Mutex
 	applied      bool
@@ -127,27 +124,18 @@ func (s *server) startFleet(cfg fleetConfig) error {
 	}
 	rt.ctx, rt.cancel = context.WithCancel(context.Background())
 	mgr, err := fleet.NewManager(fleet.Config{
-		Self:               cfg.self,
-		Seeds:              cfg.seeds,
-		SuspicionThreshold: cfg.suspicionThreshold,
-		OnChange:           rt.applyView,
+		Self:     cfg.self,
+		Seeds:    cfg.seeds,
+		OnChange: rt.applyView,
 	})
 	if err != nil {
 		rt.cancel()
 		return err
 	}
 	rt.manager = mgr
-	s.mu.Lock()
-	s.shardSelf = cfg.self.ID
-	s.fleet = rt
-	s.mu.Unlock()
+	s.fleet.Store(rt)
 	s.peerStore.Self = cfg.self.ID
 	rt.applyView(mgr.View())
-	if _, founding := mgr.View().Find(cfg.self.ID); !founding {
-		// Unreachable — a joiner's bootstrap view contains self — but
-		// cheap to keep honest.
-		return fmt.Errorf("fleet: bootstrap view lost self %q", cfg.self.ID)
-	}
 	joiner := true
 	for _, seed := range cfg.seeds {
 		if seed.ID == cfg.self.ID {
@@ -160,30 +148,22 @@ func (s *server) startFleet(cfg fleetConfig) error {
 	return nil
 }
 
-// fleetRuntime returns the dynamic-membership runtime, nil when
-// membership is static or the node is unsharded.
+// fleetRuntime returns the membership runtime, nil when the node is
+// unsharded.
 func (s *server) fleetRuntime() *fleetRuntime {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.fleet
+	return s.fleet.Load()
 }
 
 // ringOwnerID is the PeerStore Owner hook: the ring owner's member ID
 // for a key ("" when unsharded).
 func (s *server) ringOwnerID(k query.Key) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.ring == nil {
-		return ""
-	}
-	return s.ring.Owner(k.ShardString())
+	return s.routing.Load().owner(k)
 }
 
 // peerFetchCandidates is the PeerStore Peers hook: every current
 // member's base URL (Leaving included — a drainer still answers
-// fetches while its keys move). Nil without dynamic membership, which
-// disables peer backfill entirely: static fleets keep the pre-fleet
-// behavior where forwarding alone shares work.
+// fetches while its keys move). Nil when the node is unsharded, which
+// disables peer backfill.
 func (s *server) peerFetchCandidates() map[string]string {
 	rt := s.fleetRuntime()
 	if rt == nil {
@@ -193,8 +173,9 @@ func (s *server) peerFetchCandidates() map[string]string {
 }
 
 // applyView is the manager's OnChange hook (also called once at
-// startup): install the new ring and peer URLs, reconcile probe
-// loops, and hand off snapshots whose ownership moved away from us.
+// startup) and the only place a ring is installed: swap in the new
+// routing value, reconcile probe loops, and hand off snapshots whose
+// ownership moved away from us.
 func (rt *fleetRuntime) applyView(v fleet.View) {
 	rt.applyMu.Lock()
 	defer rt.applyMu.Unlock()
@@ -209,16 +190,13 @@ func (rt *fleetRuntime) applyView(v fleet.View) {
 		ring = shard.New(members, 0)
 	}
 	urls := v.URLs()
-	s := rt.s
-	s.mu.Lock()
-	oldRing := s.ring
-	s.ring = ring
-	s.peerURLs = urls
-	s.mu.Unlock()
+	old := rt.s.routing.Swap(&routing{self: rt.manager.Self().ID, ring: ring, urls: urls})
 	log.Printf("fleet: applied view %v", v)
 
 	rt.reconcileProbes(v)
-	rt.scheduleHandoff(oldRing, ring, urls)
+	if old != nil {
+		rt.scheduleHandoff(old.ring, ring, urls)
+	}
 }
 
 // reconcileProbes aligns the probe-loop registry with a view: one

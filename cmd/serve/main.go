@@ -119,7 +119,7 @@ func main() {
 		breakerCooldown = flag.Duration("breaker-cooldown", 2*time.Second,
 			"base cooldown of an open peer breaker before a half-open probe (doubles per repeated trip)")
 		probeInterval = flag.Duration("probe-interval", 5*time.Second,
-			"active /healthz probe period per peer (backs off exponentially while a peer is down)")
+			"membership-gossip probe period per peer: a GET of its /api/v1/fleet/view (backs off exponentially while a peer is down)")
 	)
 	flag.Parse()
 	par.SetPartitionBytes(*partitionBytes)
@@ -251,19 +251,14 @@ type server struct {
 	// request or a successful swap clears it.
 	bgErr string
 
-	// Shard-fleet state (nil/"" when not sharded), guarded by mu like
-	// the selection: the ring decides each batch-query key's owner, and
-	// non-owned keys are forwarded to peerURLs[owner]. Only the batch
-	// API routes; the viewer endpoints always serve the local
-	// selection. With dynamic membership (startFleet) the ring and
-	// peerURLs are rebuilt on every adopted view change; with setShard
-	// (tests, static fleets) they are fixed.
-	shardSelf string
-	ring      *shard.Ring
-	peerURLs  map[string]string
-	// fleet is the dynamic-membership runtime (nil when static or
-	// unsharded); assigned once by startFleet before traffic.
-	fleet *fleetRuntime
+	// routing is what the batch API routes by, installed whole by
+	// fleetRuntime.applyView on every adopted view change; nil when the
+	// node is unsharded. Only the batch API routes; the viewer
+	// endpoints always serve the local selection.
+	routing atomic.Pointer[routing]
+	// fleet is the membership runtime (nil when unsharded); stored once
+	// by startFleet before traffic.
+	fleet atomic.Pointer[fleetRuntime]
 
 	// draining flips when a graceful drain begins: /readyz answers 503
 	// so probes and load balancers steer new work away, while /healthz
@@ -277,26 +272,29 @@ type server struct {
 	peerStore *query.PeerStore
 
 	// breakers holds one circuit breaker per peer base URL, shared by
-	// the forwarding path (passive outcomes) and the active health-probe
-	// loops, so either signal can open a peer and either can close it.
+	// the forwarding path (passive outcomes) and the membership-gossip
+	// probe loops, so either signal can open a peer and either can
+	// close it.
 	breakers *resilience.BreakerSet
 	// forwardClient is the HTTP client for forwarded batch queries
 	// (fault-injectable in tests); probeClient is a short-timeout
-	// client for health/membership probes, kept separate so probe
+	// client for membership probes, kept separate so probe
 	// traffic never consumes fault-injection schedule entries meant for
 	// forwards; fetchClient performs snapshot hydration fetches and
 	// handoff pushes, separate for the same reason.
 	forwardClient *http.Client
 	probeClient   *http.Client
 	fetchClient   *http.Client
+	// snapshots serves the snapshot-exchange endpoint (peer fetches
+	// and handoff pushes).
+	snapshots *query.SnapshotHandler
 
 	// epochMismatches counts forwarded requests that arrived stamped
 	// with a view epoch different from ours — the detector for two
 	// nodes routing one key by different rings during a membership
 	// transition.
 	epochMismatches atomic.Int64
-	// onPush and onEpochMismatch are test/metrics hooks (serverConfig).
-	onPush          func(query.Key)
+	// onEpochMismatch is a test/metrics hook (serverConfig).
 	onEpochMismatch func(remote, local uint64)
 }
 
@@ -318,7 +316,7 @@ type serverConfig struct {
 
 	// forwardTimeout bounds forwarded batch queries and snapshot
 	// fetches end-to-end (0 = 15 minutes, matching the -forward-timeout
-	// flag); probeTimeout bounds one health/membership probe (0 = 2s,
+	// flag); probeTimeout bounds one membership probe (0 = 2s,
 	// matching -probe-timeout).
 	forwardTimeout time.Duration
 	probeTimeout   time.Duration
@@ -345,28 +343,34 @@ type serverConfig struct {
 	onEpochMismatch func(remote, local uint64)
 }
 
-// setShard joins the server to a shard fleet: self's name, the
-// consistent-hash ring over all member names, and each member's base
-// URL. Call before serving traffic (main does; tests do too).
-func (s *server) setShard(self string, ring *shard.Ring, peerURLs map[string]string) {
-	s.mu.Lock()
-	s.shardSelf, s.ring, s.peerURLs = self, ring, peerURLs
-	s.mu.Unlock()
+// routing is one adopted membership view as the request paths see it:
+// this node's member ID, the ring over the view's active members (nil
+// when none is active, as when a lone node drains) and every member's
+// base URL. Immutable once installed.
+type routing struct {
+	self string
+	ring *shard.Ring
+	urls map[string]string
+}
+
+// owner returns the ring owner's member ID for a key ("" when the
+// node is unsharded or no member is active).
+func (r *routing) owner(k query.Key) string {
+	if r == nil || r.ring == nil {
+		return ""
+	}
+	return r.ring.Owner(k.ShardString())
 }
 
 // route is the query.Handler Route hook: resolve the key's owner on
 // the ring; forward when it is another member.
 func (s *server) route(k query.Key) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.ring == nil {
+	r := s.routing.Load()
+	owner := r.owner(k)
+	if owner == "" || owner == r.self {
 		return "", false
 	}
-	owner := s.ring.Owner(k.ShardString())
-	if owner == s.shardSelf {
-		return "", false
-	}
-	return s.peerURLs[owner], true
+	return r.urls[owner], true
 }
 
 func newServer(cfg serverConfig) (*server, error) {
@@ -447,7 +451,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		forwardClient:   forwardClient,
 		probeClient:     &http.Client{Timeout: probeTimeout},
 		fetchClient:     &http.Client{Timeout: forwardTimeout},
-		onPush:          cfg.onPush,
 		onEpochMismatch: cfg.onEpochMismatch,
 	}
 	s.peerStore = &query.PeerStore{
@@ -480,6 +483,13 @@ func newServer(cfg serverConfig) (*server, error) {
 	// The fetch-verification hooks close over the engine, which closes
 	// over the store: assign after both exist. Traffic starts later.
 	s.peerStore.Generation = s.engine.DatasetGeneration
+	s.snapshots = &query.SnapshotHandler{
+		Engine: s.engine,
+		// LocalGet, not Get: answering a peer's fetch must never fan
+		// out into fetching.
+		Local:  s.peerStore.LocalGet,
+		OnPush: cfg.onPush,
+	}
 	s.engine.RegisterDataset(name, g)
 	s.current = query.Key{Dataset: name, Bins: cfg.bins}
 	s.want = s.current
@@ -626,13 +636,7 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("/api/v1/fleet/join", s.handleFleetJoin)
 	mux.HandleFunc("/api/v1/fleet/gossip", s.handleFleetGossip)
 	mux.Handle("/api/v1/invalidate", &query.InvalidationHandler{Engine: s.engine})
-	mux.Handle("/api/v1/snapshot/", &query.SnapshotHandler{
-		Engine: s.engine,
-		// LocalGet, not Get: answering a peer's fetch must never fan
-		// out into fetching.
-		Local:  s.peerStore.LocalGet,
-		OnPush: s.handleSnapshotPush,
-	})
+	mux.Handle("/api/v1/snapshot/", s.snapshots)
 	mux.Handle("/api/v1/query", &query.Handler{
 		Engine: s.engine, Defaults: s.currentKey, Route: s.route,
 		Client:   s.forwardClient,
@@ -650,16 +654,8 @@ func (s *server) routes() *http.ServeMux {
 	return mux
 }
 
-// handleSnapshotPush is the OnPush hook of the snapshot-exchange
-// endpoint: a handoff push was verified and adopted.
-func (s *server) handleSnapshotPush(key query.Key) {
-	if s.onPush != nil {
-		s.onPush(key)
-	}
-}
-
 // viewEpoch reports the membership view epoch stamped onto forwarded
-// requests; 0 (matching every static fleet) when membership is static.
+// requests; 0 when the node is unsharded.
 func (s *server) viewEpoch() uint64 {
 	if rt := s.fleetRuntime(); rt != nil {
 		return rt.manager.Epoch()
@@ -698,48 +694,15 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // purposes; admission control sheds load, the breaker layer handles
 // nodes that stop answering at all.
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	self := s.shardSelf
-	s.mu.RUnlock()
+	var self string
+	if r := s.routing.Load(); r != nil {
+		self = r.self
+	}
 	writeJSON(w, struct {
 		Status string                             `json:"status"`
 		Shard  string                             `json:"shard,omitempty"`
 		Peers  map[string]resilience.BreakerState `json:"peers,omitempty"`
 	}{Status: "ok", Shard: self, Peers: s.breakers.States()})
-}
-
-// startHealthProbes launches one active probe loop per static fleet
-// peer (excluding self), each reporting into the same per-peer breaker
-// the forwarding path uses: a down peer is discovered within a probe
-// interval even with no traffic, and — more importantly — a recovered
-// peer is rediscovered without burning a live request on the half-open
-// probe. Probes target /readyz, not /healthz: a draining peer is alive
-// but must stop receiving forwards, and readiness is exactly that
-// signal. Returns a stop function that halts the loops and waits for
-// them to exit. Call after setShard. (Dynamic fleets instead run
-// membership-gossip probes — see fleetRuntime.reconcileProbes.)
-func (s *server) startHealthProbes(opts resilience.ProbeOptions) (stop func()) {
-	s.mu.RLock()
-	self, peerURLs := s.shardSelf, s.peerURLs
-	s.mu.RUnlock()
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	for id, base := range peerURLs {
-		if id == self {
-			continue
-		}
-		b := s.breakers.For(base)
-		probe := resilience.HTTPProbe(s.probeClient, base+"/readyz")
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resilience.ProbeLoop(ctx, b, probe, opts)
-		}()
-	}
-	return func() {
-		cancel()
-		wg.Wait()
-	}
 }
 
 // handleMeasure switches the served measure and/or dataset:

@@ -15,10 +15,12 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	scalarfield "repro"
+	"repro/internal/fleet"
 	"repro/internal/query"
-	"repro/internal/shard"
+	"repro/internal/resilience"
 )
 
 // analysisCounter counts analyses per key, for exactly-once assertions.
@@ -67,6 +69,33 @@ func fleetNode(t *testing.T, counter *analysisCounter) (*server, *httptest.Serve
 	return srv, ts
 }
 
+// fixedRing paces gossip probes so slowly that none fires during a
+// test: the founding view, and with it the ring, never changes.
+var fixedRing = resilience.ProbeOptions{Interval: time.Hour}
+
+// foundFleet starts each node as a founding member of one fleet whose
+// seed list is urls (member ID → base URL, members without a node —
+// a dead peer — included), so every node begins from the same view and
+// ring. Each node's fleet runtime stops at cleanup.
+func foundFleet(t *testing.T, probeOpts resilience.ProbeOptions, nodes map[string]*server, urls map[string]string) {
+	t.Helper()
+	seeds := make([]fleet.Member, 0, len(urls))
+	for id, url := range urls {
+		seeds = append(seeds, fleet.Member{ID: id, URL: url})
+	}
+	for id, srv := range nodes {
+		err := srv.startFleet(fleetConfig{
+			self:      fleet.Member{ID: id, URL: urls[id]},
+			seeds:     seeds,
+			probeOpts: probeOpts,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.fleetRuntime().stop)
+	}
+}
+
 func postQueryRaw(t *testing.T, url, body string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Post(url+"/api/v1/query", "application/json", bytes.NewReader([]byte(body)))
@@ -107,10 +136,8 @@ func TestShardFleetMatchesSingleNode(t *testing.T) {
 	srvB, tsB := fleetNode(t, countB)
 	_, tsS := fleetNode(t, countS)
 
-	ring := shard.New([]string{"a", "b"}, 0)
-	peerURLs := map[string]string{"a": tsA.URL, "b": tsB.URL}
-	srvA.setShard("a", ring, peerURLs)
-	srvB.setShard("b", ring, peerURLs)
+	foundFleet(t, fixedRing, map[string]*server{"a": srvA, "b": srvB},
+		map[string]string{"a": tsA.URL, "b": tsB.URL})
 
 	// Each node analyzed the startup selection locally before joining
 	// the ring; those analyses are construction cost, not query cost.
@@ -119,7 +146,7 @@ func TestShardFleetMatchesSingleNode(t *testing.T) {
 	owners := map[string]int{}
 	for _, measure := range scalarfield.Measures() {
 		key := query.Key{Dataset: "GrQc", Measure: measure}
-		owners[ring.Owner(key.ShardString())]++
+		owners[srvA.ringOwnerID(key)]++
 		body := queryBody(measure)
 
 		// Hit both fleet nodes concurrently while the key is uncached:
@@ -175,16 +202,24 @@ func TestShardFleetMatchesSingleNode(t *testing.T) {
 func TestShardForwardingLoopProtection(t *testing.T) {
 	counter := newAnalysisCounter()
 	srv, ts := fleetNode(t, counter)
-	// Misconfigure the node to believe an unreachable peer owns
-	// everything.
-	srv.setShard("self", shard.New([]string{"ghost"}, 0),
-		map[string]string{"ghost": "http://127.0.0.1:1"})
+	// Found the node into a fleet with an unreachable peer that owns
+	// part of the ring and is never probed, so never evicted.
+	foundFleet(t, fixedRing, map[string]*server{"self": srv},
+		map[string]string{"self": ts.URL, "ghost": "http://127.0.0.1:1"})
+	for measure, want := range map[string]string{"degree": "self", "clustering": "ghost", "triangles": "ghost"} {
+		if got := srv.ringOwnerID(query.Key{Dataset: "GrQc", Measure: measure}); got != want {
+			t.Fatalf("measure %s hashes to %q on the {ghost, self} ring, want %q", measure, got, want)
+		}
+	}
 
-	// A direct request: routing points at the dead peer, forwarding
-	// fails, the node falls back to serving locally.
-	st, body := postQueryRaw(t, ts.URL, queryBody("degree"))
-	if st != http.StatusOK {
-		t.Fatalf("status %d with dead peer, want 200 local fallback: %s", st, body)
+	// Direct requests: a self-owned key is served locally; for a
+	// ghost-owned key routing points at the dead peer, forwarding
+	// fails, and the node falls back to serving locally.
+	for _, measure := range []string{"degree", "clustering"} {
+		st, body := postQueryRaw(t, ts.URL, queryBody(measure))
+		if st != http.StatusOK {
+			t.Fatalf("measure %s: status %d with dead peer, want 200 local fallback: %s", measure, st, body)
+		}
 	}
 
 	// A request already marked forwarded must not be re-forwarded even

@@ -94,7 +94,7 @@ type Handler struct {
 	// whose owner's breaker is open skips the forward entirely (no
 	// dial, no timeout stall) and serves locally, and every forward
 	// outcome feeds the breaker. The same set is fed by cmd/serve's
-	// active /healthz probes, so a dead peer is usually discovered
+	// membership-gossip probes, so a dead peer is usually discovered
 	// before any request pays for the discovery.
 	Breakers *resilience.BreakerSet
 	// Retry tunes the bounded, jittered-backoff retry of failed

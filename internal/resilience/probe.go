@@ -2,10 +2,7 @@ package resilience
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"time"
 )
 
@@ -61,30 +58,5 @@ func ProbeLoop(ctx context.Context, b *Breaker, probe func(context.Context) erro
 		}
 		b.Success()
 		delay = opts.Interval
-	}
-}
-
-// HTTPProbe returns a probe function that GETs url and treats any
-// 2xx answer as healthy. The response body is drained (bounded) so
-// connections are reused.
-func HTTPProbe(client *http.Client, url string) func(context.Context) error {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	return func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		resp.Body.Close()
-		if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-			return fmt.Errorf("probe %s: status %d", url, resp.StatusCode)
-		}
-		return nil
 	}
 }
