@@ -200,30 +200,10 @@ func runBench(cfg config) error {
 	fmt.Printf("snapshot wire size: %d bytes (%d vertices, %d edges, %d super nodes)\n",
 		encodedSnap.Len(), g.NumVertices(), g.NumEdges(), warmSnap.Terrain.Tree.Len())
 
-	// The same record in the version 1 container (edge-list grph
-	// section) for the decode-v1 row: the O(V+E) CSR rebuild the csr2
-	// zero-copy path replaces.
-	warmRec := &scalarfield.SnapshotRecord{
-		Dataset: warmSnap.Key.Dataset, Measure: warmSnap.Key.Measure,
-		Color: warmSnap.Key.Color, Bins: warmSnap.Key.Bins,
-		Seq: warmSnap.Seq, Edge: warmSnap.Edge, Graph: warmSnap.Graph,
-		Values: warmSnap.Values, ColorValues: warmSnap.ColorValues,
-		Terrain: warmSnap.Terrain,
-	}
-	var encodedSnapV1 bytes.Buffer
-	if err := scalarfield.SaveSnapshotV1(&encodedSnapV1, warmRec); err != nil {
-		return err
-	}
-
-	// The raw graph codecs: v1 edge-list stream against the csr2 arena.
-	// decode-v1 is the full CSR rebuild (parse + sort + prefix sums);
-	// decode-csr2 is header-validate + one O(V+E) panic-safety scan over
-	// an aliased arena (no allocation per edge); decode-csr2-trusted is
-	// the O(header) alias for already-verified local bytes.
-	var encodedGraphV1 bytes.Buffer
-	if err := graph.WriteBinary(&encodedGraphV1, g); err != nil {
-		return err
-	}
+	// The raw graph codec: decode-csr2 is header-validate + one O(V+E)
+	// panic-safety scan over an aliased arena (no allocation per edge);
+	// decode-csr2-trusted is the O(header) alias for already-verified
+	// local bytes.
 	arenaWire := graph.ArenaWireBytes(g)
 
 	// On-disk artifacts for the cold-hit rows: one snapshot directory
@@ -327,19 +307,9 @@ func runBench(cfg config) error {
 			_, err := query.DecodeSnapshot(bytes.NewReader(encodedSnap.Bytes()))
 			return err
 		}},
-		// The codec trajectory this PR exists for: decode-v1 rebuilds the
-		// CSR from the version 1 edge list; decode-zerocopy serves the
-		// same record from a file with the graph section mapped in place
-		// (verify scan, zero per-edge heap traffic). At the graph layer,
-		// graph-codec/decode-v1 ÷ decode-csr2-trusted is the ≥10×
-		// acceptance ratio — trusted is the true zero-copy O(header)
-		// decode (header-validate + alias); the plain decode-csr2 row
-		// adds the untrusted-input verification scan, which is O(V+E)
-		// reads but still allocation-free.
-		{"snapshot-codec/decode-v1", func() error {
-			_, err := query.DecodeSnapshot(bytes.NewReader(encodedSnapV1.Bytes()))
-			return err
-		}},
+		// decode-zerocopy serves the same record from a file with the
+		// graph section mapped in place (verify scan, zero per-edge heap
+		// traffic).
 		{"snapshot-codec/decode-zerocopy", func() error {
 			snap, err := query.DecodeSnapshotFileMapped(snapPath)
 			if err != nil {
@@ -348,17 +318,11 @@ func runBench(cfg config) error {
 			snap.Release()
 			return nil
 		}},
-		// The raw graph codecs beneath the container, same wire bytes
+		// The raw graph codec beneath the container, same wire bytes
 		// every iteration.
-		{"graph-codec/encode-v1", func() error {
-			return graph.WriteBinary(io.Discard, g)
-		}},
-		{"graph-codec/decode-v1", func() error {
-			_, err := graph.ReadBinary(bytes.NewReader(encodedGraphV1.Bytes()))
-			return err
-		}},
 		{"graph-codec/encode-csr2", func() error {
-			return graph.WriteArena(io.Discard, g)
+			_, err := io.Discard.Write(graph.ArenaWireBytes(g))
+			return err
 		}},
 		{"graph-codec/decode-csr2", func() error {
 			_, err := graph.GraphFromArena(arenaWire)
@@ -370,8 +334,8 @@ func runBench(cfg config) error {
 		}},
 		// Disk-store cold hits: a fresh store per iteration (index scan
 		// included, identical in both rows) decodes the stored snapshot
-		// from disk. The copy row rebuilds the graph on the heap; the
-		// mmap row aliases the file mapping — compare BytesPerOp for the
+		// from disk. The copy row reads the graph section onto the heap;
+		// the mmap row aliases the file mapping — compare BytesPerOp for the
 		// resident-set difference and NsPerOp for the latency gap.
 		{"diskstore/cold-hit-copy", func() error {
 			return benchColdHit(benchDir, warmKey, false)

@@ -811,8 +811,8 @@ func (s *server) handleTerrain(w http.ResponseWriter, r *http.Request) {
 	opts := render.Options{
 		Angle:  floatParam(r, "angle", 0.6),
 		Zoom:   floatParam(r, "zoom", 1),
-		Width:  intParam(r, "w", 960),
-		Height: intParam(r, "h", 720),
+		Width:  intParam(r, "w", 960, 64, 2048),
+		Height: intParam(r, "h", 720, 64, 2048),
 	}
 	img := snap.Terrain.Render(opts)
 	w.Header().Set("Content-Type", "image/png")
@@ -827,14 +827,7 @@ func (s *server) handleTreemap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer snap.Release()
-	size := intParam(r, "size", 480)
-	if size < 64 {
-		size = 64
-	}
-	if size > 1024 {
-		size = 1024
-	}
-	img := snap.Terrain.RenderTreemap(size)
+	img := snap.Terrain.RenderTreemap(intParam(r, "size", 480, 64, 1024))
 	w.Header().Set("Content-Type", "image/png")
 	if err := render.EncodePNG(w, img); err != nil {
 		log.Printf("treemap.png: %v", err)
@@ -881,7 +874,7 @@ func (s *server) handleLinked(w http.ResponseWriter, r *http.Request) {
 		colors[v] = terrain.Colormap(c)
 	}
 	img := baselines.DrawNodeLink(sub, pos, colors, baselines.DrawOptions{
-		Size: intParam(r, "size", 480),
+		Size: intParam(r, "size", 480, 64, 1024),
 	})
 	w.Header().Set("Content-Type", "image/png")
 	if err := render.EncodePNG(w, img); err != nil {
@@ -1104,11 +1097,15 @@ func floatParam(r *http.Request, name string, def float64) float64 {
 	return def
 }
 
-func intParam(r *http.Request, name string, def int) int {
+// intParam reads an integer query parameter, def when absent or
+// malformed, clamped to [lo, hi]: image sizes come from the client and
+// size the raster allocation.
+func intParam(r *http.Request, name string, def, lo, hi int) int {
+	v := def
 	if s := r.URL.Query().Get(name); s != "" {
-		if v, err := strconv.Atoi(s); err == nil {
-			return v
+		if n, err := strconv.Atoi(s); err == nil {
+			v = n
 		}
 	}
-	return def
+	return min(max(v, lo), hi)
 }

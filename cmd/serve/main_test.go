@@ -111,6 +111,40 @@ func TestTerrainAndTreemapArePNG(t *testing.T) {
 	}
 }
 
+// TestImageSizesAreClamped: client-chosen image sizes size the raster
+// allocation, so oversize and negative values are clamped into each
+// view's bounds instead of allocating what the client asked for.
+func TestImageSizesAreClamped(t *testing.T) {
+	ts := testServer(t, "kcore", "")
+	for _, tc := range []struct {
+		path   string
+		lo, hi int
+	}{
+		// One dimension oversize, one negative: each clamps to its own
+		// end of the range without rendering a 2048² raster.
+		{"/terrain.png?w=100000&h=-1", 64, 2048},
+		{"/terrain.png?w=-5&h=100000", 64, 2048},
+		{"/linked.png?x=0.5&y=0.5&size=100000", 64, 1024},
+		{"/linked.png?x=0.5&y=0.5&size=-7", 64, 1024},
+		{"/treemap.png?size=100000", 64, 1024},
+		{"/treemap.png?size=-7", 64, 1024},
+	} {
+		resp := get(t, ts.URL+tc.path)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status %d", tc.path, resp.StatusCode)
+		}
+		cfg, err := png.DecodeConfig(resp.Body)
+		if err != nil {
+			t.Fatalf("%s is not a PNG: %v", tc.path, err)
+		}
+		for _, d := range []int{cfg.Width, cfg.Height} {
+			if d < tc.lo || d > tc.hi {
+				t.Errorf("%s: image %dx%d outside [%d, %d]", tc.path, cfg.Width, cfg.Height, tc.lo, tc.hi)
+			}
+		}
+	}
+}
+
 func TestPeaksJSON(t *testing.T) {
 	ts := testServer(t, "kcore", "")
 	resp := get(t, ts.URL+"/peaks?alpha=2")

@@ -31,10 +31,9 @@ import (
 //
 // Why one buffer: the arena IS the wire form. The snapshot codec's
 // csr2 section writes these bytes verbatim, and decoding is
-// header-validate + alias — O(header) instead of the O(V+E)
-// edge-by-edge rebuild of the v1 edge-list codec — which is also what
-// lets a disk-served snapshot map the graph section straight off the
-// file (internal/mmapio) with no resident heap copy. On little-endian
+// header-validate + alias — O(header), no edge-by-edge rebuild — which
+// is also what lets a disk-served snapshot map the graph section
+// straight off the file (internal/mmapio) with no resident heap copy. On little-endian
 // hosts (every supported platform today) the in-memory views read the
 // wire bytes directly; a big-endian host converts once at decode and
 // at encode, so the file format stays portable.

@@ -7,8 +7,19 @@ import (
 	"testing"
 )
 
-// arenaTestGraph builds a reproducible random graph for arena tests,
-// reusing the randomGraph helper from binary_test.go.
+func randomGraph(t *testing.T, rng *rand.Rand, n, attempts int) *Graph {
+	t.Helper()
+	b := NewBuilder(n)
+	for i := 0; i < attempts; i++ {
+		u, v := rng.Int31n(int32(n)), rng.Int31n(int32(n))
+		if u != v {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.Build()
+}
+
+// arenaTestGraph builds a reproducible random graph for arena tests.
 func arenaTestGraph(t *testing.T, n, attempts int, seed int64) *Graph {
 	t.Helper()
 	if n == 0 {
@@ -191,22 +202,6 @@ func TestArenaSizeOverflow(t *testing.T) {
 	}
 }
 
-func TestWriteArenaMatchesWireBytes(t *testing.T) {
-	g := arenaTestGraph(t, 60, 250, 23)
-	var buf bytes.Buffer
-	if err := WriteArena(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), ArenaWireBytes(g)) {
-		t.Fatal("WriteArena output differs from ArenaWireBytes")
-	}
-	dec, err := GraphFromArena(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameGraph(t, g, dec)
-}
-
 func TestSwapArenaInvolution(t *testing.T) {
 	g := arenaTestGraph(t, 35, 140, 29)
 	n, m := g.NumVertices(), g.NumEdges()
@@ -214,50 +209,5 @@ func TestSwapArenaInvolution(t *testing.T) {
 	twice := swapArena(once, n, m)
 	if !bytes.Equal(twice, g.Arena()) {
 		t.Fatal("swapArena applied twice does not restore the arena")
-	}
-}
-
-func TestCheckBinarySizes(t *testing.T) {
-	if err := checkBinarySizes(100, 200); err != nil {
-		t.Fatalf("small sizes rejected: %v", err)
-	}
-	if err := checkBinarySizes(math.MaxUint32, math.MaxUint32); err != nil {
-		t.Fatalf("MaxUint32 boundary rejected: %v", err)
-	}
-	if err := checkBinarySizes(math.MaxUint32+1, 0); err == nil {
-		t.Fatal("vertex count beyond u32 accepted")
-	}
-	if err := checkBinarySizes(0, math.MaxUint32+1); err == nil {
-		t.Fatal("edge count beyond u32 accepted")
-	}
-}
-
-func TestDecodeLimits(t *testing.T) {
-	g := arenaTestGraph(t, 64, 200, 31)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	wire := buf.Bytes()
-
-	// Tighter-than-actual limits reject the read.
-	if _, err := ReadBinaryLimits(bytes.NewReader(wire), DecodeLimits{MaxVertices: 10}); err == nil {
-		t.Fatal("vertex limit not enforced")
-	}
-	if _, err := ReadBinaryLimits(bytes.NewReader(wire), DecodeLimits{MaxEdges: 1}); err == nil {
-		t.Fatal("edge limit not enforced")
-	}
-	// Generous explicit limits and the zero-value defaults both accept it.
-	for _, lim := range []DecodeLimits{{}, {MaxVertices: 1 << 30, MaxEdges: 1 << 31}} {
-		dec, err := ReadBinaryLimits(bytes.NewReader(wire), lim)
-		if err != nil {
-			t.Fatalf("limits %+v rejected valid graph: %v", lim, err)
-		}
-		assertSameGraph(t, g, dec)
-	}
-	// The zero value resolves to the historical defaults.
-	def := DecodeLimits{}.withDefaults()
-	if def.MaxVertices != DefaultMaxVertices || def.MaxEdges != DefaultMaxEdges {
-		t.Fatalf("defaults = %+v", def)
 	}
 }

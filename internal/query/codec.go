@@ -72,10 +72,15 @@ func snapshotFromRecord(rec *scalarfield.SnapshotRecord) *Snapshot {
 // heap: the adjacency of a cold-served graph stays backed by clean
 // file pages the kernel can reclaim. The returned snapshot carries a
 // reference count wired to the mapping — the caller owns the creation
-// reference and must balance it with Release (for files without a
-// mappable graph section, e.g. version 1 snapshots, Release is a
-// no-op and the graph lives on the heap as before).
+// reference and must balance it with Release.
 func DecodeSnapshotFileMapped(path string) (*Snapshot, error) {
+	return decodeSnapshotFile(path, true)
+}
+
+// decodeSnapshotFile decodes a snapshot file, mapping its graph
+// section when mapped is set and reading it onto the heap otherwise.
+// Heap-backed snapshots carry no reference count; Release is a no-op.
+func decodeSnapshotFile(path string, mapped bool) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -87,21 +92,22 @@ func DecodeSnapshotFileMapped(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	var m *mmapio.Mapping
-	rec, release, err := scalarfield.LoadSnapshotFile(f, st.Size(),
-		func(off, length int64) ([]byte, func(), error) {
-			mm, err := mmapio.MapFile(f, off, length)
+	var mapGraph scalarfield.GraphSectionMapper
+	if mapped {
+		mapGraph = func(off, length int64) ([]byte, func(), error) {
+			m, err := mmapio.MapFile(f, off, length)
 			if err != nil {
 				return nil, nil, err
 			}
-			m = mm
-			return mm.Data(), func() { mm.Close() }, nil
-		})
+			return m.Data(), func() { m.Close() }, nil
+		}
+	}
+	rec, release, err := scalarfield.LoadSnapshotFile(f, st.Size(), mapGraph)
 	if err != nil {
 		return nil, fmt.Errorf("query: decoding snapshot file %s: %w", path, err)
 	}
 	snap := snapshotFromRecord(rec)
-	if m != nil {
+	if mapped {
 		snap.ref = newMappedSnapshotRef(release)
 	}
 	return snap, nil

@@ -1,8 +1,10 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
@@ -105,9 +107,8 @@ type DiskStoreOptions struct {
 	// DefaultOpenSnapshots.
 	MaxOpen int
 	// MmapGraphs serves cold hits with the graph section mmap'd in
-	// place instead of rebuilt on the heap: decode cost drops to a
-	// header check plus a read-only verification scan, and the
-	// adjacency stays backed by reclaimable file pages. The mapping is
+	// place instead of read onto the heap: the adjacency stays backed
+	// by reclaimable file pages. The mapping is
 	// released when the entry leaves the open LRU and every caller has
 	// Released its snapshot.
 	MmapGraphs bool
@@ -243,31 +244,14 @@ func (s *DiskStore) Get(key Key) (*Snapshot, bool) {
 // decode is quarantined, not re-decoded on the next lookup; a file
 // that fails to open (deleted behind our back) is simply forgotten.
 func (s *DiskStore) decodeFile(key Key, name string) (*Snapshot, bool) {
-	path := filepath.Join(s.dir, name)
-	var snap *Snapshot
-	if s.mmapGraphs {
-		var err error
-		snap, err = DecodeSnapshotFileMapped(path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				s.drop(key, name)
-			} else {
-				s.quarantine(key, name, err)
-			}
-			return nil, false
-		}
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
+	snap, err := decodeSnapshotFile(filepath.Join(s.dir, name), s.mmapGraphs)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
 			s.drop(key, name)
-			return nil, false
-		}
-		snap, err = DecodeSnapshot(f)
-		f.Close()
-		if err != nil {
+		} else {
 			s.quarantine(key, name, err)
-			return nil, false
 		}
+		return nil, false
 	}
 	if snap.Key != key {
 		snap.Release()

@@ -293,6 +293,62 @@ func TestDiskStoreCorruptFileIsAMiss(t *testing.T) {
 	}
 }
 
+// TestDiskStoreQuarantinesOtherVersions: a stored file whose container
+// version is not 2 (a leftover version 1 file) is quarantined on its
+// first cold hit and costs one re-analysis, whose version 2 file then
+// serves the next cold hit.
+func TestDiskStoreQuarantinesOtherVersions(t *testing.T) {
+	for _, mmap := range []bool{false, true} {
+		dir := t.TempDir()
+		key := Key{Dataset: "tiny", Measure: "kcore", Color: "degree"}
+		opts := DiskStoreOptions{MmapGraphs: mmap}
+		// restart opens a fresh store over dir behind a fresh engine
+		// and serves key from it, returning that engine.
+		restart := func() *Engine {
+			t.Helper()
+			store, err := NewDiskStoreOptions(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(Options{Store: store})
+			e.RegisterDataset("tiny", testGraph())
+			snap, err := e.Snapshot(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap.Release()
+			return e
+		}
+		restart()
+		path := filepath.Join(dir, SnapshotFileName(key))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[4] = 1
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		if got := restart().AnalysisCount(); got != 1 {
+			t.Fatalf("mmap=%v: %d analyses over a version 1 file, want 1", mmap, got)
+		}
+		quarantined, err := os.ReadFile(filepath.Join(dir, corruptPrefix+SnapshotFileName(key)))
+		if err != nil {
+			t.Fatalf("mmap=%v: version 1 file was not quarantined: %v", mmap, err)
+		}
+		if quarantined[4] != 1 {
+			t.Fatalf("mmap=%v: quarantined file has version %d, want 1", mmap, quarantined[4])
+		}
+		if got := restart().AnalysisCount(); got != 0 {
+			t.Fatalf("mmap=%v: %d analyses after re-analysis, want 0 (disk hit)", mmap, got)
+		}
+		if data, err := os.ReadFile(path); err != nil || data[4] != 2 {
+			t.Fatalf("mmap=%v: re-analysis did not store a version 2 file (err %v)", mmap, err)
+		}
+	}
+}
+
 // blockingMeasure is registered once for the invalidation-race test:
 // it parks inside the analysis until the test releases the gate, and
 // reports when an analysis has entered the measure.

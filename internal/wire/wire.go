@@ -188,17 +188,6 @@ func (p *Payload) Remaining() int { return len(p.data) - p.off }
 // codecs (e.g. the super-tree format) embedded as a section payload.
 func (p *Payload) Reader() io.Reader { return bytes.NewReader(p.data[p.off:]) }
 
-// Rest consumes and returns the unread remainder without copying. The
-// returned slice aliases the payload's backing bytes for as long as
-// they live — it is the zero-copy handoff for sections whose payload
-// IS a nested format's wire image (e.g. the snapshot codec's csr2
-// graph arena), where a Reader round-trip would force a rebuild.
-func (p *Payload) Rest() []byte {
-	b := p.data[p.off:]
-	p.off = len(p.data)
-	return b
-}
-
 func (p *Payload) need(n int) error {
 	if p.Remaining() < n {
 		return fmt.Errorf("wire: payload truncated: need %d bytes, have %d", n, p.Remaining())

@@ -19,19 +19,19 @@ package scalarfield
 //	colr — raw color field (present only when colored)
 //	tree — the super scalar tree (internal/core codec, reused as-is)
 //
-// Version 1 containers carried the graph as a "grph" section in the
-// v1 edge-list codec; LoadSnapshot still decodes them. Version 2
-// writes "csr2" instead: the graph's contiguous arena written
-// verbatim, so decoding is header-validate + alias — O(header) plus
-// one read-only verification scan instead of the O(V+E) edge-by-edge
-// CSR rebuild — and the graph section of a snapshot file can be
-// mmap'd and served in place (LoadSnapshotFile). The "pad0" section
-// exists only so the csr2 payload starts at a file offset that is a
-// multiple of 8: a page-aligned mapping of the section then yields an
-// 8-aligned buffer the graph views can alias directly.
+// The csr2 section is the graph's contiguous arena written verbatim,
+// so decoding it is header-validate + alias — O(header) plus one
+// read-only verification scan, no per-edge rebuild — and the graph
+// section of a snapshot file can be mmap'd and served in place
+// (LoadSnapshotFile). The "pad0" section exists only so the csr2
+// payload starts at a file offset that is a multiple of 8: a
+// page-aligned mapping of the section (or an in-memory copy of the
+// whole container) then yields an 8-aligned buffer the graph views can
+// alias directly. Version 2 is the only container version a decoder
+// accepts.
 //
 // Alias lifetime: a graph decoded from a csr2 section ALIASES the
-// section bytes — the payload buffer on the stream path, the mapping
+// section bytes — the container buffer LoadSnapshot read, the mapping
 // on the mmap path — for its whole lifetime. Callers must not mutate
 // those bytes and must keep any backing mapping alive (see the release
 // callback of LoadSnapshotFile and query.Snapshot.Release) until the
@@ -46,6 +46,7 @@ package scalarfield
 // fraction of the bytes.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -57,9 +58,8 @@ import (
 )
 
 const (
-	snapshotMagic     = "SFSN"
-	snapshotVersion   = 2
-	snapshotVersionV1 = 1
+	snapshotMagic   = "SFSN"
+	snapshotVersion = 2
 )
 
 // snapshotHeaderLen is the container prologue: 4-byte magic + 1
@@ -102,30 +102,14 @@ type SnapshotRecord struct {
 	Terrain *Terrain
 }
 
-// SaveSnapshot writes one analysis in the snapshot wire format above
-// (version 2, arena graph section). The graph bytes go out verbatim
-// from the graph's own arena — encoding does no per-edge work.
+// SaveSnapshot writes one analysis in the snapshot wire format above.
+// The graph bytes go out verbatim from the graph's own arena —
+// encoding does no per-edge work.
 func SaveSnapshot(w io.Writer, rec *SnapshotRecord) error {
-	return saveSnapshot(w, rec, false)
-}
-
-// SaveSnapshotV1 writes the version 1 container with the edge-list
-// graph section, byte-compatible with files produced before the arena
-// format existed. It exists for compatibility tests and for measuring
-// the old decode path; new code should use SaveSnapshot.
-func SaveSnapshotV1(w io.Writer, rec *SnapshotRecord) error {
-	return saveSnapshot(w, rec, true)
-}
-
-func saveSnapshot(w io.Writer, rec *SnapshotRecord, legacyV1 bool) error {
 	if rec.Graph == nil || rec.Terrain == nil || rec.Terrain.Tree == nil {
 		return fmt.Errorf("scalarfield: SaveSnapshot needs a graph and a terrain with a tree")
 	}
-	version := byte(snapshotVersion)
-	if legacyV1 {
-		version = snapshotVersionV1
-	}
-	ww, err := wire.NewWriter(w, snapshotMagic, version)
+	ww, err := wire.NewWriter(w, snapshotMagic, snapshotVersion)
 	if err != nil {
 		return err
 	}
@@ -149,31 +133,20 @@ func saveSnapshot(w io.Writer, rec *SnapshotRecord, legacyV1 bool) error {
 		return err
 	}
 
-	if legacyV1 {
-		var gp payloadWriter
-		if err := graph.WriteBinary(&gp, rec.Graph); err != nil {
-			return err
-		}
-		if err := ww.Section("grph", gp.p.Bytes()); err != nil {
-			return err
-		}
-	} else {
-		// Align the csr2 payload to a multiple of 8 bytes from the start
-		// of the file, so a page-aligned mapping (or a straight read of
-		// the whole file into an aligned buffer at offset 0... which the
-		// stream path does not guarantee, but the mmap path does) hands
-		// the decoder an 8-aligned arena it can alias with no copy.
-		off := int64(snapshotHeaderLen) +
-			int64(sectionHeaderLen+len(meta.Bytes())) +
-			int64(sectionHeaderLen+len(layo.Bytes()))
-		csr2PayloadOff := off + 2*sectionHeaderLen // after pad0 and csr2 headers
-		pad := int((8 - csr2PayloadOff%8) % 8)
-		if err := ww.Section("pad0", make([]byte, pad)); err != nil {
-			return err
-		}
-		if err := ww.Section("csr2", graph.ArenaWireBytes(rec.Graph)); err != nil {
-			return err
-		}
+	// Align the csr2 payload to a multiple of 8 bytes from the start of
+	// the container, so a page-aligned mapping of the file, or the whole
+	// container read into one heap buffer, hands the decoder an
+	// 8-aligned arena it can alias with no copy.
+	off := int64(snapshotHeaderLen) +
+		int64(sectionHeaderLen+len(meta.Bytes())) +
+		int64(sectionHeaderLen+len(layo.Bytes()))
+	csr2PayloadOff := off + 2*sectionHeaderLen // after pad0 and csr2 headers
+	pad := int((8 - csr2PayloadOff%8) % 8)
+	if err := ww.Section("pad0", make([]byte, pad)); err != nil {
+		return err
+	}
+	if err := ww.Section("csr2", graph.ArenaWireBytes(rec.Graph)); err != nil {
+		return err
 	}
 
 	var hght wire.Payload
@@ -200,7 +173,7 @@ func saveSnapshot(w io.Writer, rec *SnapshotRecord, legacyV1 bool) error {
 }
 
 // payloadWriter adapts a wire.Payload to io.Writer for the nested
-// graph and tree codecs.
+// tree codec.
 type payloadWriter struct{ p wire.Payload }
 
 func (w *payloadWriter) Write(b []byte) (int, error) {
@@ -208,10 +181,9 @@ func (w *payloadWriter) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// snapshotDecoder accumulates sections from either container walker
-// (the stream Reader of LoadSnapshot or the offset walker of
-// LoadSnapshotFile) and finishes with the cross-field verification and
-// terrain reconstruction both share.
+// snapshotDecoder accumulates the sections LoadSnapshotFile's walker
+// reads and finishes with the cross-field verification and terrain
+// reconstruction.
 type snapshotDecoder struct {
 	rec        *SnapshotRecord
 	tree       *core.SuperTree
@@ -219,7 +191,8 @@ type snapshotDecoder struct {
 	haveValues bool
 }
 
-// section decodes one tagged payload. Unknown tags are skipped — the
+// section decodes one tagged payload other than csr2, which the walker
+// hands to its GraphSectionMapper. Unknown tags are skipped — the
 // appended-field compatibility path.
 func (d *snapshotDecoder) section(tag string, payload *wire.Payload) error {
 	var err error
@@ -241,17 +214,6 @@ func (d *snapshotDecoder) section(tag string, payload *wire.Payload) error {
 			return fmt.Errorf("scalarfield: snapshot layo section: %w", err)
 		}
 		d.rec.Layout.Strategy = terrain.Strategy(strategy)
-	case "grph":
-		if d.rec.Graph, err = graph.ReadBinary(payload.Reader()); err != nil {
-			return fmt.Errorf("scalarfield: snapshot graph section: %w", err)
-		}
-	case "csr2":
-		// Zero-copy: the graph aliases the payload bytes from here on.
-		// Verification is the read-only arena scan — corrupt bytes are
-		// an error here, never a panic in a later traversal.
-		if d.rec.Graph, err = graph.GraphFromArena(payload.Rest()); err != nil {
-			return fmt.Errorf("scalarfield: snapshot csr2 section: %w", err)
-		}
 	case "hght":
 		if d.rec.Values, err = payload.Float64s(); err != nil {
 			return fmt.Errorf("scalarfield: snapshot height section: %w", err)
@@ -311,73 +273,76 @@ func (d *snapshotDecoder) finish() (*SnapshotRecord, error) {
 	return rec, nil
 }
 
-// LoadSnapshot decodes a snapshot written by SaveSnapshot (or a
-// version 1 file written before the arena format) and reconstructs its
-// terrain. Corrupt or truncated input returns an error; nothing
-// panics. Cross-field consistency (field lengths vs graph size vs tree
-// items, tree validity) is verified before anything is returned.
+// LoadSnapshot decodes a snapshot written by SaveSnapshot and
+// reconstructs its terrain. Corrupt or truncated input returns an
+// error; nothing panics. Cross-field consistency (field lengths vs
+// graph size vs tree items, tree validity) is verified before anything
+// is returned.
 //
-// A version 2 snapshot's graph aliases the csr2 section's payload
-// buffer rather than copying out of it; the buffer is owned by the
-// returned record's graph and must not be reused by the caller.
+// The container is read into one buffer and decoded by
+// LoadSnapshotFile's walker; the graph aliases the csr2 range of that
+// buffer rather than copying out of it, so the buffer lives as long as
+// the returned record's graph.
 func LoadSnapshot(r io.Reader) (*SnapshotRecord, error) {
-	wr, err := wire.NewReader(r, snapshotMagic, snapshotVersion)
-	if err != nil {
-		return nil, err
+	// io.Copy reads an in-memory source (bytes.Reader's WriteTo) in
+	// one exact-size allocation, and grows geometrically otherwise.
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return nil, fmt.Errorf("scalarfield: reading snapshot: %w", err)
 	}
-	d := &snapshotDecoder{rec: &SnapshotRecord{}}
-	for {
-		tag, payload, err := wr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := d.section(tag, payload); err != nil {
-			return nil, err
-		}
-	}
-	return d.finish()
+	data := buf.Bytes()
+	rec, _, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)),
+		func(off, length int64) ([]byte, func(), error) {
+			return data[off : off+length : off+length], func() {}, nil
+		})
+	return rec, err
 }
 
-// GraphSectionMapper supplies the graph section's bytes by file range
-// instead of through the section reader: given the payload's absolute
-// offset and length within the snapshot file, it returns a buffer
-// holding (or mapping) exactly those bytes plus a release callback for
-// when the buffer is no longer referenced. internal/mmapio provides
-// the canonical implementation; tests substitute heap readers.
+// GraphSectionMapper supplies the csr2 graph section's bytes: given
+// the payload's absolute offset and length within the snapshot file,
+// it returns a buffer holding (or mapping) exactly those bytes plus a
+// release callback for when the buffer is no longer referenced.
+// internal/mmapio provides the canonical implementation; tests
+// substitute heap readers.
 type GraphSectionMapper func(offset, length int64) (data []byte, release func(), err error)
 
 // LoadSnapshotFile decodes a snapshot from a random-access file image,
-// handing the graph section to mapGraph instead of reading it through
-// the stream — the zero-copy path for disk-served snapshots, where the
-// mapping becomes the graph's storage and no heap copy of the
-// adjacency ever exists.
+// handing the graph section to mapGraph — the zero-copy path for
+// disk-served snapshots, where the mapping becomes the graph's storage
+// and no heap copy of the adjacency ever exists. A nil mapGraph reads
+// the section onto the heap.
 //
 // The returned release callback frees the graph mapping; the caller
 // must invoke it exactly once, after the record's graph is no longer
-// in use (query.Snapshot ties it to a reference count). On error, or
-// when mapGraph is nil or the file predates csr2 (its graph decodes
-// through the heap), the returned release is a no-op but still
-// non-nil.
+// in use (query.Snapshot ties it to a reference count). On error the
+// returned release is a no-op but still non-nil.
 //
 // size is the file's total length in bytes; r must serve reads
 // anywhere below it.
 func LoadSnapshotFile(r io.ReaderAt, size int64, mapGraph GraphSectionMapper) (*SnapshotRecord, func(), error) {
 	release := func() {}
-	var head [snapshotHeaderLen]byte
+	readRange := func(off, length int64) ([]byte, func(), error) {
+		buf := make([]byte, length)
+		if _, err := r.ReadAt(buf, off); err != nil {
+			return nil, nil, err
+		}
+		return buf, func() {}, nil
+	}
+	if mapGraph == nil {
+		mapGraph = readRange
+	}
 	if size < snapshotHeaderLen {
 		return nil, release, fmt.Errorf("scalarfield: snapshot file truncated: %d bytes", size)
 	}
+	var head [snapshotHeaderLen]byte
 	if _, err := r.ReadAt(head[:], 0); err != nil {
 		return nil, release, fmt.Errorf("scalarfield: reading snapshot header: %w", err)
 	}
 	if string(head[:4]) != snapshotMagic {
 		return nil, release, fmt.Errorf("scalarfield: bad snapshot magic %q", head[:4])
 	}
-	if v := head[4]; v > snapshotVersion {
-		return nil, release, fmt.Errorf("scalarfield: unsupported snapshot version %d (max %d)", v, snapshotVersion)
+	if v := head[4]; v != snapshotVersion {
+		return nil, release, fmt.Errorf("scalarfield: unsupported snapshot version %d (want %d)", v, snapshotVersion)
 	}
 
 	d := &snapshotDecoder{rec: &SnapshotRecord{}}
@@ -387,10 +352,10 @@ func LoadSnapshotFile(r io.ReaderAt, size int64, mapGraph GraphSectionMapper) (*
 	}
 	off := int64(snapshotHeaderLen)
 	for off < size {
-		var sh [sectionHeaderLen]byte
 		if size-off < sectionHeaderLen {
 			return fail(fmt.Errorf("scalarfield: snapshot torn mid-section at offset %d", off))
 		}
+		var sh [sectionHeaderLen]byte
 		if _, err := r.ReadAt(sh[:], off); err != nil {
 			return fail(fmt.Errorf("scalarfield: reading section header: %w", err))
 		}
@@ -400,11 +365,17 @@ func LoadSnapshotFile(r io.ReaderAt, size int64, mapGraph GraphSectionMapper) (*
 		if length > uint64(size-payloadOff) {
 			return fail(fmt.Errorf("scalarfield: section %q declares %d bytes, only %d remain", tag, length, size-payloadOff))
 		}
-		if tag == "csr2" && mapGraph != nil {
+		if tag == "csr2" {
+			if d.rec.Graph != nil {
+				return fail(fmt.Errorf("scalarfield: snapshot has two csr2 sections"))
+			}
 			data, rel, err := mapGraph(payloadOff, int64(length))
 			if err != nil {
 				return fail(fmt.Errorf("scalarfield: mapping csr2 section: %w", err))
 			}
+			// Zero-copy: the graph aliases data from here on.
+			// Verification is the read-only arena scan — corrupt bytes
+			// are an error here, never a panic in a later traversal.
 			g, err := graph.GraphFromArena(data)
 			if err != nil {
 				rel()
@@ -413,8 +384,8 @@ func LoadSnapshotFile(r io.ReaderAt, size int64, mapGraph GraphSectionMapper) (*
 			d.rec.Graph = g
 			release = rel
 		} else {
-			buf := make([]byte, length)
-			if _, err := r.ReadAt(buf, payloadOff); err != nil {
+			buf, _, err := readRange(payloadOff, int64(length))
+			if err != nil {
 				return fail(fmt.Errorf("scalarfield: reading %q payload: %w", tag, err))
 			}
 			if err := d.section(tag, wire.NewPayload(buf)); err != nil {
@@ -464,7 +435,9 @@ func decodeSnapshotMeta(p *wire.Payload, rec *SnapshotRecord) error {
 // DecodeSnapshotMeta reads only the identity block of a stored
 // snapshot — dataset, measure, color, bins, seq, edge basis — without
 // decoding the graph, fields, or tree. Disk-backed snapshot stores use
-// it to index a directory of snapshot files cheaply at startup.
+// it to index a directory of snapshot files cheaply at startup. It
+// accepts any version up to the current one, so a leftover older file
+// is indexed and then quarantined by its first full decode.
 func DecodeSnapshotMeta(r io.Reader) (*SnapshotRecord, error) {
 	wr, err := wire.NewReader(r, snapshotMagic, snapshotVersion)
 	if err != nil {

@@ -2,6 +2,8 @@ package scalarfield
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"math/rand"
 	"reflect"
@@ -200,22 +202,8 @@ func FuzzSnapshotCodec(f *testing.F) {
 		}
 		assertRecordsDeepEqual(t, rec, got)
 
-		// The legacy v1 container must keep round-tripping too (derived
-		// from seed parity so the corpus signature stays stable).
-		if seed%2 == 0 {
-			var v1 bytes.Buffer
-			if err := SaveSnapshotV1(&v1, rec); err != nil {
-				t.Fatal(err)
-			}
-			gotV1, err := LoadSnapshot(bytes.NewReader(v1.Bytes()))
-			if err != nil {
-				t.Fatalf("v1 round trip failed: %v", err)
-			}
-			assertRecordsDeepEqual(t, rec, gotV1)
-		}
-
-		// The offset-walking file loader must agree with the stream
-		// decode, through the mapper (csr2, misaligned copies included —
+		// The file loader must agree with the in-memory decode, through
+		// the mapper (csr2, misaligned copies included —
 		// the +1 offset defeats any natural alignment).
 		misalign := func(off, length int64) ([]byte, func(), error) {
 			buf := make([]byte, length+1)
@@ -250,40 +238,43 @@ func FuzzSnapshotCodec(f *testing.F) {
 	})
 }
 
-// TestSnapshotV1Compat: the version 1 container (edge-list graph
-// section) still decodes, through both the stream and the file loader,
-// deep-equal to what a version 2 decode of the same record yields.
-func TestSnapshotV1Compat(t *testing.T) {
-	rec := randomSnapshotRecord(t, 21, 50, 200, false, true)
-	var buf bytes.Buffer
-	if err := SaveSnapshotV1(&buf, rec); err != nil {
-		t.Fatal(err)
+// TestSnapshotRejectsOtherVersions: version 2 is the only container
+// version; both decoders refuse an otherwise valid container carrying
+// any other version byte.
+func TestSnapshotRejectsOtherVersions(t *testing.T) {
+	data := encodeRecord(t, randomSnapshotRecord(t, 21, 50, 200, false, true))
+	for _, v := range []byte{0, 1, 3} {
+		evil := append([]byte(nil), data...)
+		evil[4] = v
+		if _, err := LoadSnapshot(bytes.NewReader(evil)); err == nil {
+			t.Errorf("LoadSnapshot accepted version %d", v)
+		}
+		if _, rel, err := LoadSnapshotFile(bytes.NewReader(evil), int64(len(evil)), nil); err == nil {
+			rel()
+			t.Errorf("LoadSnapshotFile accepted version %d", v)
+		}
 	}
-	if buf.Bytes()[4] != 1 {
-		t.Fatalf("SaveSnapshotV1 wrote container version %d, want 1", buf.Bytes()[4])
-	}
-	got, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRecordsDeepEqual(t, rec, got)
+}
 
-	// The file loader must fall back to the heap path (no csr2 section
-	// to map) and never call the mapper.
-	mapped := false
-	fileRec, release, err := LoadSnapshotFile(bytes.NewReader(buf.Bytes()), int64(buf.Len()),
-		func(off, length int64) ([]byte, func(), error) {
-			mapped = true
-			return nil, nil, nil
-		})
-	if err != nil {
-		t.Fatal(err)
+// TestSnapshotBytesGolden pins the SFSN container bytes of fixed
+// records, so stored and peer-held snapshots keep decoding and
+// answering identically.
+func TestSnapshotBytesGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name               string
+		edgeBased, colored bool
+		want               string
+	}{
+		{"vertex", false, false, "f35e19cac3f308c22ef4ef3bce7ba31ea4ac1c48269241178e0bb7f411f683db"},
+		{"vertex-colored", false, true, "215f6867c2a1f02ee0601c24afc20fecbb31fee89f2f282b282fd1ce232a4d99"},
+		{"edge", true, false, "1e7db652852ce1d0e8b1f03c511b59088bee5b67dc5fd070066c59db860c3598"},
+		{"edge-colored", true, true, "a041d8ec081989e39d6c8bbdaf49ee1a260b131a82990d572f4ea7faad0507d0"},
+	} {
+		sum := sha256.Sum256(encodeRecord(t, randomSnapshotRecord(t, 7, 40, 160, tc.edgeBased, tc.colored)))
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: SFSN sha256 %s, want %s", tc.name, got, tc.want)
+		}
 	}
-	defer release()
-	if mapped {
-		t.Fatal("mapper called for a v1 container with no csr2 section")
-	}
-	assertRecordsDeepEqual(t, rec, fileRec)
 }
 
 // TestSnapshotCsr2PayloadAligned: whatever the (variable-length) meta
@@ -358,6 +349,14 @@ func TestLoadSnapshotFile(t *testing.T) {
 		t.Fatalf("release fired %d times, want 1", released)
 	}
 
+	// A nil mapper reads the section onto the heap.
+	heap, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	assertRecordsDeepEqual(t, rec, heap)
+
 	// A decode that fails after mapping must release the mapping itself.
 	released = 0
 	evil := append([]byte(nil), data...)
@@ -368,6 +367,22 @@ func TestLoadSnapshotFile(t *testing.T) {
 	}
 	if released != 1 {
 		t.Fatalf("failed decode released mapping %d times, want 1", released)
+	}
+
+	// A second csr2 section is refused before it is mapped, and the
+	// first mapping is released: only one can be handed to the caller.
+	csrOff, csrLen := findSection(t, data, "csr2")
+	twice := append(append([]byte(nil), data...), data[csrOff-sectionHeaderLen:csrOff+csrLen]...)
+	mapped, released := 0, 0
+	_, _, err = LoadSnapshotFile(bytes.NewReader(twice), int64(len(twice)), func(off, length int64) ([]byte, func(), error) {
+		mapped++
+		return append([]byte(nil), twice[off:off+length]...), func() { released++ }, nil
+	})
+	if err == nil {
+		t.Fatal("container with two csr2 sections accepted")
+	}
+	if mapped != 1 || released != 1 {
+		t.Fatalf("two csr2 sections: mapped %d, released %d; want 1, 1", mapped, released)
 	}
 }
 
