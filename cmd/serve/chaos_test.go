@@ -50,6 +50,18 @@ func chaosStore(t *testing.T, inj *resilience.Injector, channel, dir string) que
 	}
 }
 
+// forwardsOnly sends forwarded queries through its faulty transport and
+// every other peer call (gossip probes, fetches, pushes) through the
+// default one, so the fault schedule lands on forwards alone.
+type forwardsOnly struct{ faulty http.RoundTripper }
+
+func (t forwardsOnly) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/api/v1/query" {
+		return t.faulty.RoundTrip(req)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
 func TestChaosFleetSurvivesFaultsAndNodeDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos fleet run is not short")
@@ -65,15 +77,15 @@ func TestChaosFleetSurvivesFaultsAndNodeDeath(t *testing.T) {
 	storeB := chaosStore(t, inj, "storeB", t.TempDir())
 	faultyForward := &resilience.FaultTransport{Inj: inj, Channel: "forwardA", Latency: 10 * time.Millisecond}
 
-	nodeConfig := func(store query.SnapshotStore, client *http.Client) serverConfig {
+	nodeConfig := func(store query.SnapshotStore, transport http.RoundTripper) serverConfig {
 		return serverConfig{
 			dataset: "GrQc", scale: 0.02, seed: 42, measure: "kcore",
-			store: store, forwardClient: client,
+			store: store, transport: transport,
 			forwardTimeout:   5 * time.Second,
 			breakerThreshold: 2, breakerCooldown: 200 * time.Millisecond,
 		}
 	}
-	srvA, err := newServer(nodeConfig(storeA, &http.Client{Transport: faultyForward, Timeout: 5 * time.Second}))
+	srvA, err := newServer(nodeConfig(storeA, forwardsOnly{faultyForward}))
 	if err != nil {
 		t.Fatal(err)
 	}

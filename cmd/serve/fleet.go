@@ -233,7 +233,7 @@ func (rt *fleetRuntime) reconcileProbes(v fleet.View) {
 		rt.spawn(func() {
 			breaker := rt.s.breakers.For(base)
 			resilience.ProbeLoop(ctx, breaker, func(ctx context.Context) error {
-				err := rt.probeOnce(ctx, base)
+				err := rt.mergeView(ctx, http.MethodGet, base+fleetViewPath, nil)
 				rt.manager.ObserveProbe(id, err)
 				return err
 			}, rt.probeOpts)
@@ -241,26 +241,29 @@ func (rt *fleetRuntime) reconcileProbes(v fleet.View) {
 	}
 }
 
-// probeOnce is one gossip probe: fetch the peer's membership view and
-// merge it. Any failure — transport, status, decode — counts against
-// the peer.
-func (rt *fleetRuntime) probeOnce(ctx context.Context, base string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+fleetViewPath, nil)
+// octetStream is the header of every wire-format request body.
+var octetStream = http.Header{"Content-Type": {"application/octet-stream"}}
+
+// shortCall is a peer call bounded like a gossip probe: each attempt
+// gets probeTimeout, and the answer is capped at one wire view.
+func (s *server) shortCall(method, target string, body []byte) resilience.Call {
+	call := resilience.Call{Method: method, URL: target, Body: body, Timeout: s.probeTimeout, MaxBytes: fleet.MaxViewBytes}
+	if body != nil {
+		call.Header = octetStream
+	}
+	return call
+}
+
+// mergeView is one membership call whose answer is a wire-format view
+// (a gossip probe or a join): send it once and merge the view. Any
+// failure — transport, status, decode — is returned.
+func (rt *fleetRuntime) mergeView(ctx context.Context, method, target string, body []byte) error {
+	resp, data, err := resilience.Exchange(ctx, rt.s.client, rt.s.shortCall(method, target, body))
 	if err != nil {
 		return err
 	}
-	resp, err := rt.s.probeClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return fmt.Errorf("fleet: probe status %d from %s", resp.StatusCode, base)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, fleet.MaxViewBytes+1))
-	if err != nil {
-		return err
+		return fmt.Errorf("fleet: %s %s: status %d", method, target, resp.StatusCode)
 	}
 	v, err := fleet.DecodeView(data)
 	if err != nil {
@@ -270,11 +273,13 @@ func (rt *fleetRuntime) probeOnce(ctx context.Context, base string) error {
 	return nil
 }
 
-// joinLoop runs until some seed admits us (we then adopt its view via
-// the join response) or the runtime stops. Seeds are retried in order
-// with a backoff: at boot the seeds themselves may still be starting.
+// joinLoop runs until some seed admits us — we POST our member record
+// to its join endpoint and merge the admitted view it returns — or the
+// runtime stops. Seeds are retried in order with a backoff: at boot
+// the seeds themselves may still be starting.
 func (rt *fleetRuntime) joinLoop(seeds []fleet.Member) {
 	self := rt.manager.Self()
+	body := fleet.EncodeView(fleet.View{Members: []fleet.Member{self}})
 	backoff := rt.probeOpts.Interval
 	if backoff <= 0 {
 		backoff = time.Second
@@ -284,7 +289,7 @@ func (rt *fleetRuntime) joinLoop(seeds []fleet.Member) {
 			if seed.ID == self.ID {
 				continue
 			}
-			if err := rt.joinVia(seed.URL); err != nil {
+			if err := rt.mergeView(rt.ctx, http.MethodPost, seed.URL+fleetJoinPath, body); err != nil {
 				log.Printf("fleet: join via %s: %v", seed.ID, err)
 				continue
 			}
@@ -297,37 +302,6 @@ func (rt *fleetRuntime) joinLoop(seeds []fleet.Member) {
 		case <-time.After(backoff):
 		}
 	}
-}
-
-// joinVia POSTs our member record to one seed's join endpoint and
-// merges the admitted view it returns.
-func (rt *fleetRuntime) joinVia(base string) error {
-	self := rt.manager.Self()
-	body := fleet.EncodeView(fleet.View{Members: []fleet.Member{self}})
-	req, err := http.NewRequestWithContext(rt.ctx, http.MethodPost, base+fleetJoinPath, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := rt.s.probeClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return fmt.Errorf("join status %d", resp.StatusCode)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, fleet.MaxViewBytes+1))
-	if err != nil {
-		return err
-	}
-	v, err := fleet.DecodeView(data)
-	if err != nil {
-		return err
-	}
-	rt.manager.Merge(v)
-	return nil
 }
 
 // scheduleHandoff diffs ownership between two rings and pushes every
@@ -391,31 +365,18 @@ func (rt *fleetRuntime) pushSnapshot(key query.Key, base string) {
 		log.Printf("fleet: encoding snapshot %v for handoff: %v", key, err)
 		return
 	}
-	breaker := rt.s.breakers.For(base)
-	err = resilience.Do(rt.ctx, resilience.RetryConfig{Attempts: 3}, func() error {
-		if !breaker.Allow() {
-			return fmt.Errorf("breaker open for %s", base)
-		}
-		req, err := http.NewRequestWithContext(rt.ctx, http.MethodPut,
-			query.SnapshotFetchURL(base, key), bytes.NewReader(buf.Bytes()))
+	call := resilience.Call{Method: http.MethodPut, URL: query.SnapshotFetchURL(base, key),
+		Body: buf.Bytes(), Header: octetStream, MaxBytes: query.MaxPeerBytes}
+	err = resilience.Do(rt.ctx, resilience.RetryConfig{Attempts: 3}, rt.s.breakers.For(base), func() error {
+		resp, _, err := resilience.Exchange(rt.ctx, rt.s.client, call)
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := rt.s.fetchClient.Do(req)
-		if err != nil {
-			breaker.Failure()
-			return err
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		resp.Body.Close()
 		if resp.StatusCode >= 500 {
-			breaker.Failure()
 			return fmt.Errorf("handoff status %d", resp.StatusCode)
 		}
 		// Any answer below 500 is a live peer: adopted (204), diverged
 		// (409), or confused (4xx) — none retryable.
-		breaker.Success()
 		if resp.StatusCode != http.StatusNoContent {
 			log.Printf("fleet: handoff of %v to %s answered %d", key, base, resp.StatusCode)
 		}
@@ -440,30 +401,17 @@ func (s *server) broadcastInvalidation(dataset string, gen uint64) {
 	for _, peer := range rt.manager.Peers() {
 		peer := peer
 		rt.spawn(func() {
-			target := peer.URL + invalidatePath +
-				"?dataset=" + url.QueryEscape(dataset) +
-				"&gen=" + strconv.FormatUint(gen, 10)
-			breaker := s.breakers.For(peer.URL)
-			err := resilience.Do(rt.ctx, resilience.RetryConfig{Attempts: 3}, func() error {
-				if !breaker.Allow() {
-					return fmt.Errorf("breaker open for %s", peer.URL)
-				}
-				req, err := http.NewRequestWithContext(rt.ctx, http.MethodPost, target, nil)
+			call := s.shortCall(http.MethodPost, peer.URL+invalidatePath+
+				"?dataset="+url.QueryEscape(dataset)+
+				"&gen="+strconv.FormatUint(gen, 10), nil)
+			err := resilience.Do(rt.ctx, resilience.RetryConfig{Attempts: 3}, s.breakers.For(peer.URL), func() error {
+				resp, _, err := resilience.Exchange(rt.ctx, s.client, call)
 				if err != nil {
 					return err
 				}
-				resp, err := s.probeClient.Do(req)
-				if err != nil {
-					breaker.Failure()
-					return err
-				}
-				io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-				resp.Body.Close()
 				if resp.StatusCode != http.StatusOK {
-					breaker.Failure()
 					return fmt.Errorf("invalidate status %d", resp.StatusCode)
 				}
-				breaker.Success()
 				return nil
 			})
 			if err != nil {
@@ -512,18 +460,9 @@ func (rt *fleetRuntime) broadcastView(ctx context.Context, v fleet.View) {
 		if m.ID == self {
 			continue
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, m.URL+fleetGossipPath, bytes.NewReader(body))
-		if err != nil {
-			continue
-		}
-		req.Header.Set("Content-Type", "application/octet-stream")
-		resp, err := rt.s.probeClient.Do(req)
-		if err != nil {
+		if _, _, err := resilience.Exchange(ctx, rt.s.client, rt.s.shortCall(http.MethodPost, m.URL+fleetGossipPath, body)); err != nil {
 			log.Printf("fleet: announcing departure to %s: %v", m.ID, err)
-			continue
 		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		resp.Body.Close()
 	}
 }
 

@@ -107,7 +107,7 @@ func main() {
 		forwardTimeout = flag.Duration("forward-timeout", 15*time.Minute,
 			"end-to-end timeout for requests forwarded to the owning shard; generous because an owner analyzing a big dataset legitimately holds forwards for minutes")
 		probeTimeout = flag.Duration("probe-timeout", 2*time.Second,
-			"per-request timeout for health/membership probes of peers; short because a probe that takes longer than this is indistinguishable from a dead peer")
+			"per-attempt timeout for peer membership calls (gossip probe, join, drain announcement) and invalidation broadcasts; short because a peer that takes longer than this is indistinguishable from a dead one")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second,
 			"graceful-drain deadline on SIGTERM/SIGINT: in-flight requests finish and owned snapshots hand off to their new owners within this budget before the process exits")
 		maxAnalyses = flag.Int("max-analyses", 4,
@@ -276,15 +276,13 @@ type server struct {
 	// probe loops, so either signal can open a peer and either can
 	// close it.
 	breakers *resilience.BreakerSet
-	// forwardClient is the HTTP client for forwarded batch queries
-	// (fault-injectable in tests); probeClient is a short-timeout
-	// client for membership probes, kept separate so probe
-	// traffic never consumes fault-injection schedule entries meant for
-	// forwards; fetchClient performs snapshot hydration fetches and
-	// handoff pushes, separate for the same reason.
-	forwardClient *http.Client
-	probeClient   *http.Client
-	fetchClient   *http.Client
+	// client carries every outbound peer call. Its Timeout is
+	// forwardTimeout, which bounds forwards, hydration fetches and
+	// handoff pushes; membership calls (probe, join, drain
+	// announcement) and invalidation broadcasts bound each attempt by
+	// the shorter probeTimeout.
+	client       *http.Client
+	probeTimeout time.Duration
 	// snapshots serves the snapshot-exchange endpoint (peer fetches
 	// and handoff pushes).
 	snapshots *query.SnapshotHandler
@@ -314,9 +312,10 @@ type serverConfig struct {
 	// onAnalyze is a test/metrics hook forwarded to the engine.
 	onAnalyze func(query.Key)
 
-	// forwardTimeout bounds forwarded batch queries and snapshot
-	// fetches end-to-end (0 = 15 minutes, matching the -forward-timeout
-	// flag); probeTimeout bounds one membership probe (0 = 2s,
+	// forwardTimeout bounds one attempt of a forwarded batch query, a
+	// snapshot fetch or a handoff push end-to-end (0 = 15 minutes,
+	// matching the -forward-timeout flag); probeTimeout bounds one
+	// attempt of a membership call or invalidation broadcast (0 = 2s,
 	// matching -probe-timeout).
 	forwardTimeout time.Duration
 	probeTimeout   time.Duration
@@ -331,10 +330,9 @@ type serverConfig struct {
 	// store overrides the snapshot store (tests wrap a DiskStore in a
 	// fault injector); when set, storeDir is ignored.
 	store query.SnapshotStore
-	// forwardClient overrides the forwarding HTTP client (tests inject
-	// a faulty transport). The probe client is always built from
-	// probeTimeout, never overridden, so probes stay deterministic.
-	forwardClient *http.Client
+	// transport overrides the peer client's RoundTripper (tests inject
+	// faults); nil means http.DefaultTransport.
+	transport http.RoundTripper
 	// onFetch/onPush/onEpochMismatch are test/metrics hooks: a snapshot
 	// hydrated from a peer, a handoff push adopted, and a forwarded
 	// request whose view-epoch stamp disagreed with ours.
@@ -437,10 +435,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	if probeTimeout <= 0 {
 		probeTimeout = 2 * time.Second
 	}
-	forwardClient := cfg.forwardClient
-	if forwardClient == nil {
-		forwardClient = &http.Client{Timeout: forwardTimeout}
-	}
 	scale, seed := cfg.scale, cfg.seed
 	s := &server{
 		bins: cfg.bins,
@@ -448,16 +442,15 @@ func newServer(cfg serverConfig) (*server, error) {
 			Threshold: cfg.breakerThreshold,
 			Cooldown:  cfg.breakerCooldown,
 		}),
-		forwardClient:   forwardClient,
-		probeClient:     &http.Client{Timeout: probeTimeout},
-		fetchClient:     &http.Client{Timeout: forwardTimeout},
+		client:          &http.Client{Transport: cfg.transport, Timeout: forwardTimeout},
+		probeTimeout:    probeTimeout,
 		onEpochMismatch: cfg.onEpochMismatch,
 	}
 	s.peerStore = &query.PeerStore{
 		Inner:    store,
 		Owner:    s.ringOwnerID,
 		Peers:    s.peerFetchCandidates,
-		Client:   s.fetchClient,
+		Client:   s.client,
 		Breakers: s.breakers,
 		OnFetch:  cfg.onFetch,
 	}
@@ -639,7 +632,7 @@ func (s *server) routes() *http.ServeMux {
 	mux.Handle("/api/v1/snapshot/", s.snapshots)
 	mux.Handle("/api/v1/query", &query.Handler{
 		Engine: s.engine, Defaults: s.currentKey, Route: s.route,
-		Client:   s.forwardClient,
+		Client:   s.client,
 		Breakers: s.breakers,
 		// Serving a marked-stale snapshot beats a 500 when a re-analysis
 		// fails under load or injected faults.

@@ -1,12 +1,10 @@
 package query
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -22,11 +20,12 @@ const MaxOps = 256
 // maxRequestBytes bounds the request body.
 const maxRequestBytes = 1 << 20
 
-// DefaultMaxRelayBytes caps a relayed peer response when the Handler
-// does not set its own bound: large enough for any real batch answer
-// (spectra over big stand-ins run to a few MB), small enough that a
-// corrupt or hostile peer cannot balloon the relay.
-const DefaultMaxRelayBytes = 64 << 20
+// MaxPeerBytes caps every snapshot-sized peer body: a relayed query
+// answer, a fetched snapshot and a pushed one. It is large enough for
+// any real answer (spectra over big stand-ins run to a few MB, encoded
+// snapshots more), small enough that a corrupt or hostile peer cannot
+// balloon memory.
+const MaxPeerBytes = 64 << 20
 
 // DefaultRetryAfter is the Retry-After hint on shed (503) responses.
 const DefaultRetryAfter = time.Second
@@ -86,9 +85,9 @@ type Handler struct {
 	// single-analysis strictness.
 	Route func(Key) (peerURL string, ok bool)
 	// Client performs forwarded requests; nil means
-	// http.DefaultClient. Analyses can take minutes on large datasets,
-	// so any timeout should be generous — cmd/serve's -forward-timeout
-	// flag sets it.
+	// http.DefaultClient. Its Timeout bounds each attempt. Analyses can
+	// take minutes on large datasets, so any timeout should be
+	// generous — cmd/serve's -forward-timeout flag sets it.
 	Client *http.Client
 	// Breakers, when set, gates forwarding per peer URL: a request
 	// whose owner's breaker is open skips the forward entirely (no
@@ -102,13 +101,6 @@ type Handler struct {
 	// has been relayed when an attempt fails). The zero value means 2
 	// attempts, 50ms base backoff.
 	Retry resilience.RetryConfig
-	// MaxRelayBytes caps a buffered peer response; <= 0 means
-	// DefaultMaxRelayBytes. A peer answer over the cap counts as a
-	// failed attempt (the local fallback still answers correctly).
-	MaxRelayBytes int64
-	// RetryAfter is the Retry-After hint written on 503 responses;
-	// <= 0 means DefaultRetryAfter.
-	RetryAfter time.Duration
 	// AllowStale enables stale-if-error serving: when the fresh path
 	// fails or is shed and the engine still holds a previously
 	// analyzed snapshot for the key, answer from it with Degraded:
@@ -262,38 +254,22 @@ func (h *Handler) writeSnapshotError(w http.ResponseWriter, err error) {
 		errors.Is(err, context.DeadlineExceeded),
 		errors.Is(err, context.Canceled):
 		status = http.StatusServiceUnavailable
-		retryAfter := h.RetryAfter
-		if retryAfter <= 0 {
-			retryAfter = DefaultRetryAfter
-		}
-		secs := int(retryAfter.Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", strconv.Itoa(int(DefaultRetryAfter/time.Second)))
 	}
 	http.Error(w, err.Error(), status)
 }
 
 // forward relays the batch to the owning peer with the key fully
-// pinned. The peer's response is read completely (size-capped) before
-// a byte is relayed, so every failure mode — dial error, mid-body
-// reset, slow-loris timeout, oversized answer — leaves the
-// ResponseWriter untouched and retriable: failed attempts retry with
-// jittered backoff, and exhausting them returns false so the caller
-// falls back to local service. Any complete HTTP response from the
-// peer, including an error status, counts as delivered and is relayed
-// as-is (a 400 is the client's mistake wherever it surfaces). Each
-// attempt's outcome feeds the peer's breaker when one is configured,
-// and an open breaker skips the whole forward without dialing.
+// pinned. resilience.Exchange reads the peer's response completely
+// (capped at MaxPeerBytes) before a byte is relayed, so every failure
+// mode — dial error, mid-body reset, slow-loris timeout, oversized
+// answer — leaves the ResponseWriter untouched and retriable:
+// resilience.Do retries failed attempts with jittered backoff under
+// the peer's breaker, and giving up returns false so the caller falls
+// back to local service. Any complete HTTP response from the peer,
+// including an error status, counts as delivered and is relayed as-is
+// (a 400 is the client's mistake wherever it surfaces).
 func (h *Handler) forward(w http.ResponseWriter, r *http.Request, peer string, key Key, ops []Op) bool {
-	var breaker *resilience.Breaker
-	if h.Breakers != nil {
-		breaker = h.Breakers.For(peer)
-		if !breaker.Allow() {
-			return false
-		}
-	}
 	body, err := json.Marshal(Request{
 		Dataset: key.Dataset,
 		Measure: key.Measure,
@@ -304,92 +280,38 @@ func (h *Handler) forward(w http.ResponseWriter, r *http.Request, peer string, k
 	if err != nil {
 		return false
 	}
-	retry := h.Retry
-	attempts := retry.Attempts
-	if attempts <= 0 {
-		attempts = 2
+	call := resilience.Call{
+		Method:   http.MethodPost,
+		URL:      peer + "/api/v1/query",
+		Body:     body,
+		Header:   http.Header{"Content-Type": {"application/json"}, ForwardedHeader: {"1"}},
+		MaxBytes: MaxPeerBytes,
 	}
-	for attempt := 1; ; attempt++ {
-		status, contentType, payload, err := h.tryForward(r.Context(), peer, body)
-		if err == nil {
-			if breaker != nil {
-				breaker.Success()
-			}
-			if contentType != "" {
-				w.Header().Set("Content-Type", contentType)
-			}
-			w.WriteHeader(status)
-			if _, err := w.Write(payload); err != nil {
-				log.Printf("query: relaying response from %s: %v", peer, err)
-			}
-			return true
-		}
-		if breaker != nil {
-			breaker.Failure()
-			// A half-open probe gets exactly one attempt; retrying
-			// against a peer the breaker just re-opened only stalls
-			// the fallback.
-			if !breaker.Allow() {
-				log.Printf("query: forwarding %v to %s failed (breaker open), serving locally: %v", key, peer, err)
-				return false
-			}
-		}
-		if attempt >= attempts {
-			log.Printf("query: forwarding %v to %s failed after %d attempts, serving locally: %v", key, peer, attempt, err)
-			return false
-		}
-		if serr := sleepBackoff(r.Context(), retry, attempt); serr != nil {
-			return false
-		}
-	}
-}
-
-// tryForward performs one forward attempt: POST the pinned batch,
-// read the full response up to the relay cap, and return it. The peer
-// response body is closed on every path. Errors mean nothing was
-// relayed, so the attempt is safely retriable.
-func (h *Handler) tryForward(ctx context.Context, peer string, body []byte) (status int, contentType string, payload []byte, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/api/v1/query", bytes.NewReader(body))
-	if err != nil {
-		return 0, "", nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(ForwardedHeader, "1")
 	if h.ViewEpoch != nil {
-		req.Header.Set(ViewEpochHeader, strconv.FormatUint(h.ViewEpoch(), 10))
+		call.Header.Set(ViewEpochHeader, strconv.FormatUint(h.ViewEpoch(), 10))
 	}
-	client := h.Client
-	if client == nil {
-		client = http.DefaultClient
+	var breaker *resilience.Breaker
+	if h.Breakers != nil {
+		breaker = h.Breakers.For(peer)
 	}
-	resp, err := client.Do(req)
+	var resp *http.Response
+	var payload []byte
+	err = resilience.Do(r.Context(), h.Retry, breaker, func() (err error) {
+		resp, payload, err = resilience.Exchange(r.Context(), h.Client, call)
+		return err
+	})
 	if err != nil {
-		return 0, "", nil, err
+		if !errors.Is(err, resilience.ErrBreakerOpen) {
+			log.Printf("query: forwarding %v to %s failed, serving locally: %v", key, peer, err)
+		}
+		return false
 	}
-	defer resp.Body.Close()
-	max := h.MaxRelayBytes
-	if max <= 0 {
-		max = DefaultMaxRelayBytes
+	if ct := resp.Header.Get("Content-Type"); ct != "" {
+		w.Header().Set("Content-Type", ct)
 	}
-	payload, err = io.ReadAll(io.LimitReader(resp.Body, max+1))
-	if err != nil {
-		return 0, "", nil, fmt.Errorf("reading peer response: %w", err)
+	w.WriteHeader(resp.StatusCode)
+	if _, err := w.Write(payload); err != nil {
+		log.Printf("query: relaying response from %s: %v", peer, err)
 	}
-	if int64(len(payload)) > max {
-		return 0, "", nil, fmt.Errorf("peer response exceeds relay cap (%d bytes)", max)
-	}
-	return resp.StatusCode, resp.Header.Get("Content-Type"), payload, nil
-}
-
-// sleepBackoff sleeps the attempt's jittered backoff, bounded by ctx.
-func sleepBackoff(ctx context.Context, cfg resilience.RetryConfig, attempt int) error {
-	d := cfg.Backoff(attempt)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return true
 }

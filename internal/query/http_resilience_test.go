@@ -159,6 +159,45 @@ func TestForwardPeerHangFallsBackLocally(t *testing.T) {
 	}
 }
 
+// TestForwardRetrySleepsThroughRetryConfig: the backoff between
+// forward attempts goes through Retry.Sleep like every other retry, so
+// an injected sleeper sees exactly one Backoff(1) and no real timer
+// runs.
+func TestForwardRetrySleepsThroughRetryConfig(t *testing.T) {
+	tr := &scriptedTransport{fail: true}
+	var mu sync.Mutex
+	var slept []time.Duration
+	retry := resilience.RetryConfig{
+		Attempts: 2,
+		Base:     time.Second,
+		Jitter:   func() float64 { return 0 },
+		Sleep: func(_ context.Context, d time.Duration) error {
+			mu.Lock()
+			slept = append(slept, d)
+			mu.Unlock()
+			return nil
+		},
+	}
+	e := testEngine(t, Options{})
+	ts := httptest.NewServer(&Handler{
+		Engine: e,
+		Route:  func(Key) (string, bool) { return "http://peer.example", true },
+		Client: &http.Client{Transport: tr},
+		Retry:  retry,
+	})
+	defer ts.Close()
+
+	expectLocalAnswer(t, ts)
+	if n := tr.count(); n != 2 {
+		t.Fatalf("forward made %d dials, want 2", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(slept) != 1 || slept[0] != retry.Backoff(1) {
+		t.Fatalf("recorded sleeps %v, want [%v]", slept, retry.Backoff(1))
+	}
+}
+
 // TestForwardedRequestIsServedLocallyWithoutDialing: a request that
 // already crossed one shard hop is always served locally — even when
 // the ring says another node owns the key — so a misconfigured ring

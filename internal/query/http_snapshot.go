@@ -40,9 +40,6 @@ type SnapshotHandler struct {
 	// the caller, without any peer fetch or analysis (PeerStore's
 	// LocalGet). Required for GET; nil makes every GET a 404.
 	Local func(Key) (*Snapshot, bool)
-	// MaxBytes caps an accepted PUT body; <= 0 means
-	// DefaultMaxFetchBytes.
-	MaxBytes int64
 	// OnPush, when set, fires after a successfully adopted push (test
 	// and metrics hook).
 	OnPush func(Key)
@@ -124,17 +121,13 @@ func (h *SnapshotHandler) serveGet(w http.ResponseWriter, key Key) {
 }
 
 func (h *SnapshotHandler) servePut(w http.ResponseWriter, r *http.Request, key Key) {
-	max := h.MaxBytes
-	if max <= 0 {
-		max = DefaultMaxFetchBytes
-	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, max+1))
+	data, err := io.ReadAll(io.LimitReader(r.Body, MaxPeerBytes+1))
 	if err != nil {
 		http.Error(w, fmt.Sprintf("reading push body: %v", err), http.StatusBadRequest)
 		return
 	}
-	if int64(len(data)) > max {
-		http.Error(w, fmt.Sprintf("push body exceeds %d bytes", max), http.StatusRequestEntityTooLarge)
+	if len(data) > MaxPeerBytes {
+		http.Error(w, fmt.Sprintf("push body exceeds %d bytes", MaxPeerBytes), http.StatusRequestEntityTooLarge)
 		return
 	}
 	snap, err := decodeRemoteSnapshot(data, key, h.Engine.DatasetGeneration(key.Dataset))

@@ -5,24 +5,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
 	"strings"
-
 	"sync"
 
 	"repro/internal/resilience"
 )
-
-// DefaultMaxFetchBytes caps a peer snapshot body (fetch response or
-// handoff push) when no explicit bound is set: the same ceiling as the
-// forwarding relay cap — large enough for any real snapshot, small
-// enough that a corrupt or hostile peer cannot balloon memory.
-const DefaultMaxFetchBytes int64 = 64 << 20
 
 // snapshotPathPrefix is the fleet snapshot-exchange route.
 const snapshotPathPrefix = "/api/v1/snapshot/"
@@ -100,7 +92,8 @@ type PeerStore struct {
 	// Generation returns a dataset's local invalidation generation;
 	// nil means generation zero.
 	Generation func(dataset string) uint64
-	// Client performs fetches; nil means http.DefaultClient.
+	// Client performs fetches; nil means http.DefaultClient. Its
+	// Timeout bounds each attempt.
 	Client *http.Client
 	// Breakers, when set, gates fetches per peer URL: an open breaker
 	// skips the candidate without dialing, and every fetch outcome
@@ -110,9 +103,6 @@ type PeerStore struct {
 	// Retry tunes per-candidate fetch retries (zero value: 2 attempts,
 	// 50ms jittered base backoff).
 	Retry resilience.RetryConfig
-	// MaxFetchBytes caps a fetched body; <= 0 means
-	// DefaultMaxFetchBytes.
-	MaxFetchBytes int64
 	// OnFetch, when set, fires after a successful hydration with the
 	// key and the peer ID that supplied it (test and metrics hook).
 	OnFetch func(key Key, peer string)
@@ -248,73 +238,28 @@ func (p *PeerStore) fetchFrom(base string, key Key, gen uint64) (*Snapshot, erro
 	if p.Breakers != nil {
 		breaker = p.Breakers.For(base)
 	}
-	fetchURL := SnapshotFetchURL(base, key)
+	call := resilience.Call{Method: http.MethodGet, URL: SnapshotFetchURL(base, key), MaxBytes: MaxPeerBytes}
 	var snap *Snapshot
-	miss := false
-	err := resilience.Do(context.Background(), p.Retry, func() error {
-		if breaker != nil && !breaker.Allow() {
-			return fmt.Errorf("query: breaker open for %s", base)
-		}
-		s, notFound, err := p.fetchOnce(fetchURL, key, gen)
-		if err != nil {
-			if breaker != nil {
-				breaker.Failure()
-			}
+	err := resilience.Do(context.Background(), p.Retry, breaker, func() error {
+		resp, data, err := resilience.Exchange(context.Background(), p.Client, call)
+		switch {
+		case err != nil:
 			return err
+		case resp.StatusCode == http.StatusNotFound:
+			return nil
+		case resp.StatusCode != http.StatusOK:
+			return fmt.Errorf("peer snapshot fetch: status %d", resp.StatusCode)
 		}
-		if breaker != nil {
-			breaker.Success()
-		}
-		snap, miss = s, notFound
-		return nil
+		snap, err = decodeRemoteSnapshot(data, key, gen)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if miss {
+	if snap == nil {
 		return nil, errPeerSnapshotMiss
 	}
 	return snap, nil
-}
-
-// fetchOnce is one GET: notFound reports a clean 404.
-func (p *PeerStore) fetchOnce(fetchURL string, key Key, gen uint64) (snap *Snapshot, notFound bool, err error) {
-	req, err := http.NewRequest(http.MethodGet, fetchURL, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	client := p.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return nil, true, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("peer snapshot fetch: status %d", resp.StatusCode)
-	}
-	max := p.MaxFetchBytes
-	if max <= 0 {
-		max = DefaultMaxFetchBytes
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, max+1))
-	if err != nil {
-		return nil, false, fmt.Errorf("reading peer snapshot: %w", err)
-	}
-	if int64(len(data)) > max {
-		return nil, false, fmt.Errorf("peer snapshot exceeds fetch cap (%d bytes)", max)
-	}
-	snap, err = decodeRemoteSnapshot(data, key, gen)
-	if err != nil {
-		return nil, false, err
-	}
-	return snap, false, nil
 }
 
 // decodeRemoteSnapshot decodes and verifies a snapshot received from a

@@ -2,12 +2,14 @@ package query
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/resilience"
 )
@@ -140,6 +142,34 @@ func TestPeerStoreRejectsDivergedGeneration(t *testing.T) {
 	}
 	if snapB.Seq == snapA.Seq {
 		t.Fatal("post-invalidation snapshot reused the pre-invalidation seq")
+	}
+}
+
+// TestPeerStoreOpenBreakerSkipsWithoutSleeping: a candidate whose
+// breaker is open costs nothing — no dial and no backoff sleep — so a
+// hydration miss against a dead peer falls through to analysis at once.
+func TestPeerStoreOpenBreakerSkipsWithoutSleeping(t *testing.T) {
+	const peerURL = "http://peer.example"
+	tr := &scriptedTransport{fail: true}
+	breakers := resilience.NewBreakerSet(resilience.BreakerConfig{Threshold: 1, Now: newTestClock().Now})
+	breakers.For(peerURL).Failure()
+	var sleeps int
+	ps := &PeerStore{
+		Inner:    NewMemorySnapshotStore(4),
+		Self:     "b",
+		Peers:    func() map[string]string { return map[string]string{"a": peerURL} },
+		Client:   &http.Client{Transport: tr},
+		Breakers: breakers,
+		Retry: resilience.RetryConfig{
+			Attempts: 3,
+			Sleep:    func(context.Context, time.Duration) error { sleeps++; return nil },
+		},
+	}
+	if _, ok := ps.Get(Key{Dataset: "tiny", Measure: "kcore"}); ok {
+		t.Fatal("fetch through an open breaker hydrated a snapshot")
+	}
+	if n := tr.count(); n != 0 || sleeps != 0 {
+		t.Fatalf("open breaker cost %d dials and %d sleeps, want 0 and 0", n, sleeps)
 	}
 }
 

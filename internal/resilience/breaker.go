@@ -1,8 +1,10 @@
 // Package resilience is the fault-tolerance toolkit of the serving
 // stack: a per-peer circuit breaker with half-open probing, a bounded
 // admission gate that sheds load instead of queueing unboundedly,
-// jittered exponential backoff for retries and health probes, and a
-// deterministic fault injector for reproducible chaos tests.
+// jittered exponential backoff for retries and health probes, the one
+// peer exchange and breaker-gated retry loop every fleet call goes
+// through, and a deterministic fault injector for reproducible chaos
+// tests.
 //
 // The package is deliberately free of repo-internal imports: it speaks
 // net/http, context, and a tiny generic KV interface, so the query

@@ -229,7 +229,7 @@ func TestRetryDoBoundedAttemptsAndBackoff(t *testing.T) {
 		},
 	}
 	calls := 0
-	err := Do(context.Background(), cfg, func() error {
+	err := Do(context.Background(), cfg, nil, func() error {
 		calls++
 		return errors.New("nope")
 	})
@@ -241,7 +241,7 @@ func TestRetryDoBoundedAttemptsAndBackoff(t *testing.T) {
 	}
 
 	calls = 0
-	if err := Do(context.Background(), cfg, func() error {
+	if err := Do(context.Background(), cfg, nil, func() error {
 		calls++
 		if calls < 2 {
 			return errors.New("transient")

@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"time"
 )
@@ -58,18 +59,37 @@ func (c RetryConfig) Backoff(retry int) time.Duration {
 	return d/2 + time.Duration(c.Jitter()*float64(d/2))
 }
 
+// ErrBreakerOpen is Do's answer when the breaker refused the first
+// attempt: nothing was dialed.
+var ErrBreakerOpen = errors.New("resilience: breaker open")
+
 // Do runs op up to cfg.Attempts times, sleeping a jittered exponential
 // backoff between tries, until op succeeds, the attempts run out (the
 // last error is returned), or ctx ends (its error is returned). Only
 // use Do for idempotent operations — it offers no dedup.
-func Do(ctx context.Context, cfg RetryConfig, op func() error) error {
+//
+// A non-nil breaker gates every attempt: Do asks it before the first
+// (a refusal returns ErrBreakerOpen) and before each retry's backoff,
+// and reports every outcome to it. Once it refuses, Do returns the
+// last error without dialing or sleeping again, so a half-open trial
+// gets exactly one attempt: its failure re-opens the breaker.
+func Do(ctx context.Context, cfg RetryConfig, b *Breaker, op func() error) error {
 	cfg = cfg.withDefaults()
-	var err error
+	if b != nil && !b.Allow() {
+		return ErrBreakerOpen
+	}
 	for attempt := 1; ; attempt++ {
-		if err = op(); err == nil {
+		err := op()
+		if err == nil {
+			if b != nil {
+				b.Success()
+			}
 			return nil
 		}
-		if attempt >= cfg.Attempts {
+		if b != nil {
+			b.Failure()
+		}
+		if attempt >= cfg.Attempts || (b != nil && !b.Allow()) {
 			return err
 		}
 		if serr := cfg.Sleep(ctx, cfg.Backoff(attempt)); serr != nil {
