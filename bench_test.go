@@ -76,12 +76,12 @@ func BenchmarkTable2VertexTree(b *testing.B) {
 }
 
 // BenchmarkTable2VertexTreeParallel times the sweep drivers on the
-// Table II vertex rows: "parallel" is the production default (which
+// Table II vertex rows: "parallel" is the package-level default (which
 // takes the linear-time counting path on these integer K-core fields),
 // and "pooled" additionally reuses all sweep state through a
 // core.TreeBuilder — run with -benchmem to see its allocs/op collapse
-// to O(1). The serial-sort ablation lives in internal/core
-// (BenchmarkAblationTreeSerialVsParallelSort).
+// to O(1). The sort ablations live in internal/core
+// (BenchmarkAblationSweepOrder, BenchmarkAblationCountingSort).
 func BenchmarkTable2VertexTreeParallel(b *testing.B) {
 	for _, name := range []string{"Wikipedia", "Cit-Patent"} {
 		g := benchGraph(b, name)

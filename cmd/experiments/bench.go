@@ -2,6 +2,7 @@ package main
 
 // The perf-trajectory experiment: a fixed set of hot-path kernels —
 // tree construction with the default and pooled sweep drivers, the
+// radix sweep order and contour spectrum of a fractional field, the
 // triangle measures (clustering and k-truss) on the oriented triangle
 // listing, the distance-based centrality kernels on the batched MS-BFS
 // engine (closeness, harmonic, eccentricity, k-hop, and the
@@ -53,6 +54,7 @@ import (
 	"time"
 
 	scalarfield "repro"
+	"repro/internal/contour"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/graph"
@@ -179,7 +181,8 @@ func runBench(cfg config) error {
 	kc := measures.CoreNumbersFloat(g)
 	vf := core.MustVertexField(g, kc)
 	ef := core.MustEdgeField(g, measures.TrussNumbersFloat(g))
-	clusteringTree := core.VertexSuperTree(core.MustVertexField(g, measures.ClusteringCoefficients(g)))
+	cc := measures.ClusteringCoefficients(g)
+	clusteringTree := core.VertexSuperTree(core.MustVertexField(g, cc))
 	var pool core.TreeBuilder
 	analyzer := scalarfield.NewAnalyzer()
 	warmEngine := query.NewEngine(query.Options{})
@@ -247,6 +250,11 @@ func runBench(cfg config) error {
 		{"edge-tree/parallel-default", ok(func() { core.BuildEdgeTree(ef) })},
 		{"edge-tree/pooled", ok(func() { pool.BuildEdgeTree(ef) })},
 		{"supertree/pooled", ok(func() { pool.VertexSuperTree(vf) })},
+		// The rows above sweep integer fields (counting sort); these two
+		// time the fractional path: the radix sweep order of the
+		// clustering field and the contour spectrum of its super tree.
+		{"sweep-order/clustering", ok(func() { core.SweepOrder(cc) })},
+		{"contour/spectrum", ok(func() { contour.NewSpectrum(clusteringTree) })},
 		// The terrain geometry of the clustering tree, built by the first
 		// Rects call: analyses and snapshot decodes defer it, so the
 		// viewer pays it on a terrain's first render.

@@ -95,35 +95,38 @@ type Spectrum struct {
 // Each super node roots a maximal α-component exactly for α in
 // (parent's scalar, its own scalar], so B0 accumulates one interval
 // per super node; survivor counts accumulate one histogram entry per
-// item. Runs in O(nodes + items + levels) after an O(n log n) sort of
-// the distinct levels.
+// item. The super nodes are ranked by core.SweepOrder — linear time —
+// and each run of equal scalars becomes one level, represented by its
+// lowest-ID super node's value (which decides the sign of a zero
+// level). Runs in O(nodes + items + levels) after that sort.
 func NewSpectrum(st *core.SuperTree) *Spectrum {
 	n := st.Len()
+	order := core.SweepOrder(st.Scalar)
+	// idx[s] is the index of s's level. Walking the sweep order
+	// backwards visits the scalars in increasing order and each run of
+	// equal ones highest ID first, so the run's last write leaves the
+	// lowest ID's value.
+	idx := make([]int32, n)
 	levels := make([]float64, 0, n)
-	seen := make(map[float64]struct{}, n)
-	for s := 0; s < n; s++ {
+	for i := n - 1; i >= 0; i-- {
+		s := order[i]
 		v := st.Scalar[s]
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
+		if len(levels) == 0 || v != levels[len(levels)-1] {
 			levels = append(levels, v)
 		}
-	}
-	sort.Float64s(levels)
-	idx := make(map[float64]int, len(levels))
-	for i, v := range levels {
-		idx[v] = i
+		levels[len(levels)-1] = v
+		idx[s] = int32(len(levels) - 1)
 	}
 
 	// Difference array over level indices for B0.
 	diff := make([]int, len(levels)+1)
 	for s := 0; s < n; s++ {
-		lo := 0
+		lo := int32(0)
 		if p := st.Parent[s]; p >= 0 {
-			lo = idx[st.Scalar[p]] + 1
+			lo = idx[p] + 1
 		}
-		hi := idx[st.Scalar[s]]
 		diff[lo]++
-		diff[hi+1]--
+		diff[idx[s]+1]--
 	}
 	comps := make([]int, len(levels))
 	run := 0
@@ -135,7 +138,7 @@ func NewSpectrum(st *core.SuperTree) *Spectrum {
 	// Histogram + suffix sum for survivor counts.
 	items := make([]int, len(levels))
 	for s := 0; s < n; s++ {
-		items[idx[st.Scalar[s]]] += len(st.Members[s])
+		items[idx[s]] += len(st.Members[s])
 	}
 	for i := len(levels) - 2; i >= 0; i-- {
 		items[i] += items[i+1]

@@ -10,9 +10,9 @@ package core
 // Union-find tracks subtree membership, so the total cost is
 // O(|E|·α(|V|) + |V|·log|V|), dominated by the initial sort —
 // exactly the bound stated in Section II-B. Because the sort is the
-// asymptotic bottleneck, the sweep order is computed by parallel merge
-// sort by default (serial below par.SerialCutoff); the output is
-// bit-identical to a serial comparison sort either way.
+// asymptotic bottleneck, SweepOrder computes it in linear time, by
+// counting sort or radix sort; the output is bit-identical to a
+// comparison sort on the sweep order.
 func BuildVertexTree(f *VertexField) *Tree {
-	return buildTree(f.Values, parallelSweepOrder(f.Values), f.G.Neighbors)
+	return buildTree(f.Values, SweepOrder(f.Values), f.G.Neighbors)
 }

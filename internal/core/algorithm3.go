@@ -16,9 +16,9 @@ import (
 // has already been merged into that edge's subtree (Proposition 3).
 // That incidence rule is all this function supplies; the sweep itself
 // is the shared engine of sweep.go, with the order computed by
-// parallel merge sort by default (serial below par.SerialCutoff).
+// SweepOrder.
 func BuildEdgeTree(f *EdgeField) *Tree {
-	order := parallelSweepOrder(f.Values)
+	order := SweepOrder(f.Values)
 	return buildTree(f.Values, order, prop3Adjacency(f, order))
 }
 

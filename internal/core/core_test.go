@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -382,6 +383,59 @@ func TestDiscretizePreservesOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// requireOrderPreserved fails unless v1 <= v2 implies q(v1) <= q(v2).
+func requireOrderPreserved(t *testing.T, name string, vals, q []float64) {
+	t.Helper()
+	for i := range vals {
+		for j := range vals {
+			if vals[i] <= vals[j] && !(q[i] <= q[j]) {
+				t.Fatalf("%s(%v) = %v: %g <= %g but %g > %g", name, vals, q, vals[i], vals[j], q[i], q[j])
+			}
+		}
+	}
+}
+
+func TestDiscretizePreservesOrderWithInfinities(t *testing.T) {
+	special := []float64{math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64,
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64}
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 500; trial++ {
+		vals := make([]float64, 1+rng.Intn(8))
+		for i := range vals {
+			if rng.Intn(2) == 0 {
+				vals[i] = special[rng.Intn(len(special))]
+			} else {
+				vals[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(600)-300))
+			}
+		}
+		bins := 1 + rng.Intn(9)
+		requireOrderPreserved(t, "Discretize", vals, Discretize(vals, bins))
+		requireOrderPreserved(t, "DiscretizeLog", vals, DiscretizeLog(vals, bins))
+	}
+}
+
+func TestDiscretizeInfiniteSpanRegressions(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		name      string
+		got, want []float64
+	}{
+		// Infinities no longer stretch the bins: the finite values are
+		// binned over [1, 2] and +Inf stays on top.
+		{"Discretize", Discretize([]float64{1, 2, inf}, 4), []float64{1.125, 1.875, inf}},
+		// A span wider than MaxFloat64 no longer overflows the width.
+		{"Discretize", Discretize([]float64{-math.MaxFloat64, math.MaxFloat64}, 4),
+			[]float64{-0.75 * math.MaxFloat64, 0.75 * math.MaxFloat64}},
+		{"DiscretizeLog", DiscretizeLog([]float64{1, 2, inf}, 4),
+			[]float64{math.Exp(math.Ln2 / 8), math.Exp(7 * math.Ln2 / 8), inf}},
+	}
+	for _, c := range cases {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 

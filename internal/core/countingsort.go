@@ -15,8 +15,9 @@ import (
 // O(|V| + K), where K is the value span: bucket by integer value,
 // emit buckets from the highest value down, and within each bucket
 // emit item IDs in their natural increasing order. That is exactly the
-// total order of sweepLess, so the result is bit-identical to the
-// comparison sorts and the downstream trees are unchanged.
+// sweep order, so the result is bit-identical to the radix sort of
+// sweeporder.go, which takes every other field; on integer fields the
+// counting sort is the faster of the two.
 
 // maxCountingValue bounds the magnitude of values eligible for the
 // counting path so the int64 bucket arithmetic cannot overflow.
@@ -111,7 +112,7 @@ func tryCountingOrder(values []float64, order []int32, counts []int32) ([]int32,
 		pos += c
 	}
 	// Placing IDs in increasing order keeps each bucket internally
-	// sorted by ID — the sweepLess tie-break.
+	// sorted by ID — the sweep order's tie-break.
 	for c0 := 0; c0 < len(values); c0 += chunk {
 		c1 := c0 + chunk
 		if c1 > len(values) {

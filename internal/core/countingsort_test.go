@@ -19,7 +19,7 @@ func requireCountingOrder(t *testing.T, values []float64, label string) {
 	if _, ok := tryCountingOrder(values, order, nil); !ok {
 		t.Fatalf("%s: counting path rejected an eligible field", label)
 	}
-	if want := sweepOrder(values); !reflect.DeepEqual(want, order) {
+	if want := oracleSweepOrder(values); !reflect.DeepEqual(want, order) {
 		t.Fatalf("%s: counting order diverges from comparison sort", label)
 	}
 }
@@ -81,7 +81,7 @@ func TestCountingOrderScratchReuse(t *testing.T) {
 		if counts, ok = tryCountingOrder(values, order, counts); !ok {
 			t.Fatalf("span %d rejected", span)
 		}
-		if want := sweepOrder(values); !reflect.DeepEqual(want, order) {
+		if want := oracleSweepOrder(values); !reflect.DeepEqual(want, order) {
 			t.Fatalf("span %d: reused-scratch counting order diverges", span)
 		}
 	}
@@ -89,8 +89,9 @@ func TestCountingOrderScratchReuse(t *testing.T) {
 
 // TestCountingOrderOnRegistryMeasures is the acceptance oracle: on
 // every registered measure whose field is integer-valued, the counting
-// path must reproduce sweepOrder exactly. Fractional measures
-// (pagerank, clustering, …) must be declined, not mis-sorted.
+// path must reproduce the comparison sort exactly. Fractional measures
+// (pagerank, clustering, …) must be declined, not mis-sorted, and
+// SweepOrder must reproduce it on every measure.
 func TestCountingOrderOnRegistryMeasures(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	edges := make([]graph.Edge, 0, 900)
@@ -111,12 +112,16 @@ func TestCountingOrderOnRegistryMeasures(t *testing.T) {
 		if _, _, eligible := integerSpan(values); eligible != ok {
 			t.Fatalf("%s: integerSpan and tryCountingOrder disagree", name)
 		}
+		want := oracleSweepOrder(values)
+		if !reflect.DeepEqual(want, SweepOrder(values)) {
+			t.Fatalf("%s: SweepOrder diverges from the comparison sort", name)
+		}
 		if !ok {
 			continue
 		}
 		integerEligible++
-		if want := sweepOrder(values); !reflect.DeepEqual(want, order) {
-			t.Fatalf("%s: counting sweep order diverges from sweepOrder", name)
+		if !reflect.DeepEqual(want, order) {
+			t.Fatalf("%s: counting sweep order diverges from the comparison sort", name)
 		}
 	}
 	// kcore, onion, degree, triangles, and ktruss at minimum are
@@ -128,34 +133,29 @@ func TestCountingOrderOnRegistryMeasures(t *testing.T) {
 
 func BenchmarkAblationCountingSort(b *testing.B) {
 	// Integer small-range field at sort-bound scale: counting vs the
-	// comparison sorts.
+	// radix and comparison sorts.
 	rng := rand.New(rand.NewSource(7))
 	values := make([]float64, 200000)
 	for i := range values {
 		values[i] = float64(rng.Intn(64))
 	}
+	order := make([]int32, len(values))
 	b.Run("counting", func(b *testing.B) {
-		order := make([]int32, len(values))
 		var counts []int32
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			counts, _ = tryCountingOrder(values, order, counts)
 		}
 	})
-	b.Run("serial-comparison", func(b *testing.B) {
+	b.Run("radix", func(b *testing.B) {
+		// Bypass the fast-path dispatch to time the radix sort itself.
+		var r radixSorter
 		for i := 0; i < b.N; i++ {
-			sweepOrder(values)
+			r.sort(values, order)
 		}
 	})
-	b.Run("parallel-merge", func(b *testing.B) {
-		// Bypass the fast-path dispatch to time the merge sort itself.
-		order := make([]int32, len(values))
-		b.ResetTimer()
+	b.Run("comparison", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			for j := range order {
-				order[j] = int32(j)
-			}
-			parallelSortOrder(order, values)
+			oracleSweepOrder(values)
 		}
 	})
 }
@@ -170,7 +170,7 @@ func TestCountingOrderPartitionBudgetBitwise(t *testing.T) {
 	for i := range values {
 		values[i] = float64(rng.Intn(50))
 	}
-	want := sweepOrder(values)
+	want := oracleSweepOrder(values)
 	for _, budget := range []int{0, 1, 4 << 10, 1 << 30} {
 		prev := par.PartitionBytes()
 		par.SetPartitionBytes(budget)

@@ -1,40 +1,61 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/unionfind"
 )
 
-// Serial and ablation tree builders, kept as test oracles: the
-// production builders (parallel or counting sweep-order sort, pooled
+// Comparison-sort and ablation tree builders, kept as test oracles:
+// the production builders (counting or radix sweep-order sort, pooled
 // state, CSR adjacency, path-compressed union-find) must produce
 // bit-identical trees.
 
-// sweepOrder returns item IDs sorted by the sweep comparator with the
-// serial driver: the reference every production sort driver must
+// sweepCmp is the definition of the sweep total order: decreasing
+// scalar, ties broken by increasing item ID. -0 and +0 compare equal,
+// so they tie by ID. Values must be NaN-free.
+func sweepCmp(values []float64, a, b int32) int {
+	va, vb := values[a], values[b]
+	switch {
+	case va > vb:
+		return -1
+	case va < vb:
+		return 1
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// oracleSweepOrder returns item IDs sorted by sweepCmp with a
+// comparison sort: the reference the counting and radix sorts must
 // match bit for bit.
-func sweepOrder(values []float64) []int32 {
+func oracleSweepOrder(values []float64) []int32 {
 	order := make([]int32, len(values))
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sortChunk(order, values)
+	slices.SortFunc(order, func(a, b int32) int {
+		return sweepCmp(values, a, b)
+	})
 	return order
 }
 
 // BuildVertexTreeSerial is BuildVertexTree with the sweep order
-// computed by the serial sort regardless of input size: the oracle for
-// the parallel-by-default path, which must build a bit-identical tree.
+// computed by the comparison-sort oracle: the production path must
+// build a bit-identical tree.
 func BuildVertexTreeSerial(f *VertexField) *Tree {
-	return buildTree(f.Values, sweepOrder(f.Values), f.G.Neighbors)
+	return buildTree(f.Values, oracleSweepOrder(f.Values), f.G.Neighbors)
 }
 
-// BuildEdgeTreeSerial is BuildEdgeTree with the serial sweep-order
-// sort regardless of input size — the oracle for the
-// parallel-by-default path, which must build a bit-identical tree.
+// BuildEdgeTreeSerial is BuildEdgeTree with the sweep order computed
+// by the comparison-sort oracle: the production path must build a
+// bit-identical tree.
 func BuildEdgeTreeSerial(f *EdgeField) *Tree {
-	order := sweepOrder(f.Values)
+	order := oracleSweepOrder(f.Values)
 	return buildTree(f.Values, order, prop3Adjacency(f, order))
 }
 
@@ -42,7 +63,7 @@ func BuildEdgeTreeSerial(f *EdgeField) *Tree {
 // on the adjacency-map representation, for the CSR layout benchmark
 // and the cross-representation oracle test.
 func buildTreeOnMapGraph(adj map[int32][]int32, values []float64) *Tree {
-	return buildTree(values, sweepOrder(values), func(v int32) []int32 { return adj[v] })
+	return buildTree(values, oracleSweepOrder(values), func(v int32) []int32 { return adj[v] })
 }
 
 // buildVertexTreeNaiveUF is the ablation twin of BuildVertexTree using
@@ -53,7 +74,7 @@ func buildVertexTreeNaiveUF(f *VertexField) *Tree {
 	t := &Tree{
 		Parent: make([]int32, n),
 		Scalar: make([]float64, n),
-		Order:  sweepOrder(f.Values),
+		Order:  oracleSweepOrder(f.Values),
 	}
 	copy(t.Scalar, f.Values)
 	for i := range t.Parent {

@@ -1,8 +1,8 @@
 package core
 
 // TreeBuilder pools every transient buffer of the measure→sweep→tree
-// hot path — the sweep order, the counting-sort buckets, the
-// union-find sweep state, the raw tree arrays, the edge-tree
+// hot path — the sweep order, the counting-sort buckets, the radix-sort
+// keys, the union-find sweep state, the raw tree arrays, the edge-tree
 // incidence scratch, and Algorithm 2's worklists — so repeated tree
 // constructions (the serve command's per-request analyses, experiment
 // sweeps) stop paying O(n) allocations per build. The zero value is ready to use; buffers are
@@ -15,6 +15,7 @@ type TreeBuilder struct {
 	sweep   treeSweep
 	order   []int32
 	counts  []int32
+	radix   radixSorter
 	parent  []int32
 	scalar  []float64
 	rank    []int32 // edge-tree sweep ranks
@@ -24,7 +25,7 @@ type TreeBuilder struct {
 
 // sweepOrderInto computes the sweep order of values into the pooled
 // order buffer: the counting fast path when the field qualifies, the
-// parallel comparison sort otherwise.
+// radix sort otherwise.
 func (b *TreeBuilder) sweepOrderInto(values []float64) []int32 {
 	n := len(values)
 	if cap(b.order) < n {
@@ -33,13 +34,9 @@ func (b *TreeBuilder) sweepOrderInto(values []float64) []int32 {
 	order := b.order[:n]
 	b.order = order
 	var ok bool
-	if b.counts, ok = tryCountingOrder(values, order, b.counts); ok {
-		return order
+	if b.counts, ok = tryCountingOrder(values, order, b.counts); !ok {
+		b.radix.sort(values, order)
 	}
-	for i := range order {
-		order[i] = int32(i)
-	}
-	parallelSortOrder(order, values)
 	return order
 }
 

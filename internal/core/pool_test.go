@@ -77,3 +77,24 @@ func TestTreeBuilderAllocationBound(t *testing.T) {
 		t.Fatalf("warm pooled BuildEdgeTree allocates %v objects per build, want <= 3", allocs)
 	}
 }
+
+// TestTreeBuilderPoolsRadixBuffers checks that the radix sort's
+// buffers live in the builder: after warm-up, a super tree over a
+// fractional field (radix sort) allocates exactly as often as one over
+// an integer field (counting sort), whose only allocations are the
+// returned SuperTree's own storage.
+func TestTreeBuilderPoolsRadixBuffers(t *testing.T) {
+	integer := randomTieField(5, 3000, 5, 8)
+	fractional := MustVertexField(integer.G, append([]float64(nil), integer.Values...))
+	for i := range fractional.Values {
+		fractional.Values[i] += 0.5
+	}
+	var b TreeBuilder
+	allocs := func(f *VertexField) float64 {
+		b.VertexSuperTree(f)
+		return testing.AllocsPerRun(10, func() { b.VertexSuperTree(f) })
+	}
+	if got, want := allocs(fractional), allocs(integer); got != want {
+		t.Fatalf("warm pooled super tree: %v allocations on a fractional field, %v on an integer one", got, want)
+	}
+}

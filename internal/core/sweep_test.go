@@ -23,7 +23,7 @@ func refBuildVertexTree(f *VertexField) *Tree {
 	t := &Tree{
 		Parent: make([]int32, n),
 		Scalar: make([]float64, n),
-		Order:  sweepOrder(f.Values),
+		Order:  oracleSweepOrder(f.Values),
 	}
 	copy(t.Scalar, f.Values)
 	for i := range t.Parent {
@@ -62,7 +62,7 @@ func refBuildEdgeTree(f *EdgeField) *Tree {
 	t := &Tree{
 		Parent: make([]int32, m),
 		Scalar: make([]float64, m),
-		Order:  sweepOrder(f.Values),
+		Order:  oracleSweepOrder(f.Values),
 	}
 	copy(t.Scalar, f.Values)
 	for i := range t.Parent {
@@ -164,8 +164,8 @@ func randomTieField(seed int64, n, avgDeg, levels int) *VertexField {
 }
 
 func TestSweepEngineVertexMatchesPreRefactor(t *testing.T) {
-	// Sizes straddle the par.SerialCutoff threshold so both the serial
-	// fallback and the sharded parallel sort are exercised.
+	// Few levels take the counting sort; values drawn from 1<<20
+	// levels span too wide for it, so those fields take the radix sort.
 	for seed := int64(0); seed < 5; seed++ {
 		for _, n := range []int{1, 2, 50, 300, 5000} {
 			for _, levels := range []int{1, 3, 1 << 20} {
@@ -230,7 +230,7 @@ func TestSweepEngineDoesNotRetainCandidateSlices(t *testing.T) {
 				values[i] = float64(rng.Intn(4))
 			}
 			f := MustEdgeField(g, values)
-			order := sweepOrder(f.Values)
+			order := oracleSweepOrder(f.Values)
 
 			// Oracle: the same Proposition-3 candidates, but every result
 			// is an independent copy, immune to scratch reuse.

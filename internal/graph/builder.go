@@ -52,8 +52,7 @@ func (b *Builder) Build() *Graph {
 	edges := make([]Edge, len(b.edges))
 	copy(edges, b.edges)
 	// slices.SortFunc over sort.Slice: no interface boxing and no
-	// closure capturing the slice header, matching the sortChunk idiom
-	// in internal/core.
+	// closure capturing the slice header.
 	slices.SortFunc(edges, func(a, b Edge) int {
 		if a.U != b.U {
 			return int(a.U) - int(b.U)

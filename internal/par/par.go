@@ -1,8 +1,9 @@
-// Package par centralizes the parallelism policy shared by the scalar
-// tree sweep (internal/core), the measure kernels (internal/measures),
-// and the correlation indexes (internal/correlation): one cutoff below
-// which kernels run on a single worker, and one helper that turns an
-// input size into a worker count. Every kernel is one function that
+// Package par centralizes the parallelism policy shared by the measure
+// kernels (internal/measures) and the correlation indexes
+// (internal/correlation): one cutoff below which kernels run on a
+// single worker, and one helper that turns an input size into a worker
+// count. The partition budget below is also read by the scalar tree
+// sweep's counting sort (internal/core). Every kernel is one function that
 // calls Workers and returns the same bits for any worker count.
 //
 // Keeping the policy in one place means every "is this input big
@@ -17,8 +18,8 @@ import (
 
 // SerialCutoff is the input size below which kernels run on one
 // worker: under ~4k items, goroutine startup and merge overhead
-// exceeds the sharded work itself (measured by the sort ablations in
-// internal/core and the worker gating in internal/measures).
+// exceeds the sharded work itself (measured by the worker gating in
+// internal/measures).
 const SerialCutoff = 4096
 
 // Workers returns the worker count for an input of n items: 1 below
