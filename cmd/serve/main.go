@@ -73,7 +73,6 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/fleet"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/query"
 	"repro/internal/render"
 	"repro/internal/resilience"
@@ -96,8 +95,6 @@ func main() {
 			"persist snapshots to this directory (served across restarts); empty = in-memory LRU")
 		mmapGraphs = flag.Bool("mmap-graphs", false,
 			"serve disk-store cold hits with the graph section mmap'd in place instead of copied to the heap (requires -store-dir)")
-		partitionBytes = flag.Int("partition-bytes", 0,
-			"cache-locality budget per analysis partition in bytes of CSR data (0 = no partitioning); outputs are bitwise identical for any value")
 		shardID = flag.String("shard-id", "",
 			"this node's name in a shard fleet; requires -peers")
 		peers = flag.String("peers", "",
@@ -122,7 +119,6 @@ func main() {
 			"membership-gossip probe period per peer: a GET of its /api/v1/fleet/view (backs off exponentially while a peer is down)")
 	)
 	flag.Parse()
-	par.SetPartitionBytes(*partitionBytes)
 	srv, err := newServer(serverConfig{
 		input: *input, dataset: *dataset, scale: *scale, seed: *seed,
 		measure: *measure, colorBy: *colorBy, bins: *bins, storeDir: *storeDir,

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/par"
-)
+import "math"
 
 // The linear-time sweep-order fast path. Section II-B makes the sort
 // the asymptotic bottleneck of Algorithm 1 — O(|V|·log|V|) against the
@@ -81,27 +77,8 @@ func tryCountingOrder(values []float64, order []int32, counts []int32) ([]int32,
 			counts[i] = 0
 		}
 	}
-	// The histogram and placement passes stream values in ascending
-	// chunks sized by the partition budget (par.SetPartitionBytes):
-	// each chunk's slice of values stays page-local — the useful shape
-	// when the field was computed over an mmap-served arena and its
-	// pages are cold — while the hot counts array stays resident
-	// between chunks. Chunking cannot change the output: histogram
-	// increments commute, and the placement pass visits IDs in the same
-	// globally ascending order chunked or not, preserving the stable
-	// tie-break.
-	chunk := par.SpanForBudget(8*len(values), len(values))
-	if chunk <= 0 {
-		chunk = len(values)
-	}
-	for c0 := 0; c0 < len(values); c0 += chunk {
-		c1 := c0 + chunk
-		if c1 > len(values) {
-			c1 = len(values)
-		}
-		for _, v := range values[c0:c1] {
-			counts[int64(v)-lo]++
-		}
+	for _, v := range values {
+		counts[int64(v)-lo]++
 	}
 	// Turn counts into descending-value bucket offsets: the highest
 	// value's bucket starts at position 0.
@@ -113,16 +90,10 @@ func tryCountingOrder(values []float64, order []int32, counts []int32) ([]int32,
 	}
 	// Placing IDs in increasing order keeps each bucket internally
 	// sorted by ID — the sweep order's tie-break.
-	for c0 := 0; c0 < len(values); c0 += chunk {
-		c1 := c0 + chunk
-		if c1 > len(values) {
-			c1 = len(values)
-		}
-		for i := c0; i < c1; i++ {
-			b := int64(values[i]) - lo
-			order[counts[b]] = int32(i)
-			counts[b]++
-		}
+	for i, v := range values {
+		b := int64(v) - lo
+		order[counts[b]] = int32(i)
+		counts[b]++
 	}
 	return counts, true
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/measures"
-	"repro/internal/par"
 )
 
 // requireCountingOrder asserts that the counting path accepts values
@@ -158,30 +157,4 @@ func BenchmarkAblationCountingSort(b *testing.B) {
 			oracleSweepOrder(values)
 		}
 	})
-}
-
-// TestCountingOrderPartitionBudgetBitwise pins the partition contract:
-// the chunked histogram/placement passes produce the identical order
-// for any partition budget, including one so small every chunk is a
-// single value.
-func TestCountingOrderPartitionBudgetBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	values := make([]float64, 3000)
-	for i := range values {
-		values[i] = float64(rng.Intn(50))
-	}
-	want := oracleSweepOrder(values)
-	for _, budget := range []int{0, 1, 4 << 10, 1 << 30} {
-		prev := par.PartitionBytes()
-		par.SetPartitionBytes(budget)
-		order := make([]int32, len(values))
-		_, ok := tryCountingOrder(values, order, nil)
-		par.SetPartitionBytes(prev)
-		if !ok {
-			t.Fatalf("budget %d: counting path rejected an eligible field", budget)
-		}
-		if !reflect.DeepEqual(want, order) {
-			t.Fatalf("budget %d: chunked counting order diverges", budget)
-		}
-	}
 }

@@ -80,9 +80,8 @@ func Lookup(name string) (Spec, error) {
 // 16·2^k edge samples at the Graph500 parameters, the edge count
 // scaled by the scale factor. rmat20 and up produce arenas of
 // hundreds of megabytes — the sizes where the copy-vs-mmap gap of the
-// disk store's cold-hit path (and the partition budget's locality win
-// over mapped arenas) becomes visible, without shipping any dataset
-// file.
+// disk store's cold-hit path becomes visible, without shipping any
+// dataset file.
 func Generate(name string, scale float64, seed int64) (*graph.Graph, error) {
 	if k, ok := rmatScale(name); ok {
 		edges := scaleCount(16<<k, scale, 400)

@@ -2,7 +2,6 @@ package measures
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -128,15 +127,6 @@ func closenessScore(reach, sumDist int64, n int) float64 {
 // ranges, so the sweep needs no locks and performs O(1) allocations per
 // worker once warm. Results are identical for any worker count; the
 // exported kernels pass par.Workers(|V|).
-//
-// With a partition budget set (par.SetPartitionBytes), workers instead
-// claim contiguous runs of batches sized so each run's share of the
-// CSR arena fits the budget: consecutive batches start from adjacent
-// source IDs and write adjacent output ranges, so a run's working set
-// stays page-local over an mmap-served arena instead of striding
-// across it. Scheduling only — every batch's fold is independent of
-// which worker runs it and batches own disjoint output ranges, so the
-// fields are bitwise identical for any partition size (and for none).
 func msbfsFields(g *graph.Graph, sel distSel, workers int) distFields {
 	n := g.NumVertices()
 	// Single-assignment locals, deliberately: the run closure captures
@@ -154,84 +144,60 @@ func msbfsFields(g *graph.Graph, sel distSel, workers int) distFields {
 		return out
 	}
 	numBatches := (n + graph.MSBFSBatch - 1) / graph.MSBFSBatch
-	if workers > numBatches {
-		workers = numBatches
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	span := par.SpanForBudget(graph.ArenaBytes(n, g.NumEdges()), numBatches)
-	var claim *atomic.Int64 // allocated only on the partitioned path
-	if span > 0 {
-		claim = new(atomic.Int64)
-	}
+	workers = max(1, min(workers, numBatches))
 	run := func(w int) {
 		var scratch graph.MSBFSScratch
 		var sources [graph.MSBFSBatch]int32
 		acc := &distAccum{sel: sel}
 		visit := acc.visit
-		next := w // next strided batch (span == 0 path)
-		for {
-			// Pick the worker's next batch range: a claimed contiguous
-			// run under a partition budget, a single strided batch
-			// otherwise.
-			var bLo, bHi int
-			if span > 0 {
-				bLo = int(claim.Add(int64(span))) - span
-				bHi = bLo + span
-				if bHi > numBatches {
-					bHi = numBatches
-				}
-			} else {
-				bLo, bHi = next, next+1
-				next += workers
+		for b := w; b < numBatches; b += workers {
+			lo := b * graph.MSBFSBatch
+			hi := lo + graph.MSBFSBatch
+			if hi > n {
+				hi = n
 			}
-			if bLo >= numBatches {
-				return
+			batch := sources[:hi-lo]
+			for i := range batch {
+				batch[i] = int32(lo + i)
 			}
-			for b := bLo; b < bHi; b++ {
-				lo := b * graph.MSBFSBatch
-				hi := lo + graph.MSBFSBatch
-				if hi > n {
-					hi = n
+			acc.reset()
+			scratch.RunBatch(g, batch, visit)
+			for i := 0; i < hi-lo; i++ {
+				if sel.close {
+					out.clo[lo+i] = closenessScore(acc.reach[i], acc.sumDist[i], n)
 				}
-				batch := sources[:hi-lo]
-				for i := range batch {
-					batch[i] = int32(lo + i)
+				if sel.harm {
+					out.har[lo+i] = acc.harm[i]
 				}
-				acc.reset()
-				scratch.RunBatch(g, batch, visit)
-				for i := 0; i < hi-lo; i++ {
-					if sel.close {
-						out.clo[lo+i] = closenessScore(acc.reach[i], acc.sumDist[i], n)
-					}
-					if sel.harm {
-						out.har[lo+i] = acc.harm[i]
-					}
-					if sel.ecc {
-						out.ecc[lo+i] = float64(acc.ecc[i])
-					}
-					if sel.khop {
-						out.khop[lo+i] = float64(acc.khop[i])
-					}
+				if sel.ecc {
+					out.ecc[lo+i] = float64(acc.ecc[i])
+				}
+				if sel.khop {
+					out.khop[lo+i] = float64(acc.khop[i])
 				}
 			}
 		}
 	}
+	runWorkers(workers, run)
+	return out
+}
+
+// runWorkers calls run(w) for every w in [0, workers): inline for one
+// worker, otherwise on one goroutine each, returning when all are done.
+func runWorkers(workers int, run func(w int)) {
 	if workers == 1 {
 		run(0)
-		return out
+		return
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			run(w)
-		}(w)
+		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // makeIf allocates an n-value field only when it is wanted.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/par"
 )
 
 // disconnectedGraph returns a graph with several components and
@@ -123,22 +124,52 @@ func TestHarmonicMSBFSMatchesLevelFoldExactly(t *testing.T) {
 // closeness and harmonic from one shared traversal are bit-identical
 // to the fields computed alone, and non-distance measures are refused.
 func TestSharedDistanceFieldsOneTraversal(t *testing.T) {
+	single := map[string]func(*graph.Graph) []float64{
+		"closeness":    ClosenessCentrality,
+		"harmonic":     HarmonicCentrality,
+		"eccentricity": Eccentricity,
+		"khop":         KHopSize,
+	}
+	for _, tc := range []struct {
+		g     *graph.Graph
+		names []string
+	}{
+		{randomGraph(21, 300, 2.5), []string{"closeness", "harmonic"}},
+		// Above par.SerialCutoff, so the shared pass runs multi-worker
+		// wherever GOMAXPROCS allows.
+		{randomGraph(11, par.SerialCutoff+700, 2.2), []string{"closeness", "harmonic", "eccentricity", "khop"}},
+	} {
+		fields, ok := SharedDistanceFields(tc.g, tc.names)
+		if !ok {
+			t.Fatalf("%v must be computable in one shared pass", tc.names)
+		}
+		for _, name := range tc.names {
+			if !reflect.DeepEqual(fields[name], single[name](tc.g)) {
+				t.Fatalf("|V|=%d: shared-pass %s diverges from the standalone kernel", tc.g.NumVertices(), name)
+			}
+		}
+	}
 	g := randomGraph(21, 300, 2.5)
-	fields, ok := SharedDistanceFields(g, []string{"closeness", "harmonic"})
-	if !ok {
-		t.Fatal("closeness+harmonic must be computable in one shared pass")
-	}
-	if !reflect.DeepEqual(fields["closeness"], ClosenessCentrality(g)) {
-		t.Fatal("shared-pass closeness diverges from the standalone kernel")
-	}
-	if !reflect.DeepEqual(fields["harmonic"], HarmonicCentrality(g)) {
-		t.Fatal("shared-pass harmonic diverges from the standalone kernel")
-	}
 	if _, ok := SharedDistanceFields(g, []string{"closeness", "kcore"}); ok {
 		t.Fatal("kcore is not distance-based; the shared pass must refuse it")
 	}
 	if !DistanceBased("closeness") || !DistanceBased("harmonic") || DistanceBased("kcore") {
 		t.Fatal("DistanceBased misclassifies the registry")
+	}
+}
+
+// TestPartitionBudgetDistanceFieldsBitwise pins that scheduling never
+// changes bits: the four-field shared MS-BFS pass on a graph above
+// par.SerialCutoff returns the same closeness, harmonic, eccentricity
+// and khop fields for every worker count as for one worker.
+func TestPartitionBudgetDistanceFieldsBitwise(t *testing.T) {
+	g := randomGraph(11, par.SerialCutoff+700, 2.2)
+	all := distSel{close: true, harm: true, ecc: true, khop: true}
+	want := msbfsFields(g, all, 1)
+	for _, w := range []int{2, 3, 4, 7, 16} {
+		if got := msbfsFields(g, all, w); !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d: shared distance fields diverge bitwise from one worker", w)
+		}
 	}
 }
 

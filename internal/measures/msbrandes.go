@@ -1,12 +1,6 @@
 package measures
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/graph"
-	"repro/internal/par"
-)
+import "repro/internal/graph"
 
 // The betweenness kernels ride the batched MS-Brandes engine of
 // internal/graph: sources are grouped into word-wide batches, each
@@ -46,19 +40,11 @@ func msBrandesFields(g *graph.Graph, sources []int32, wantBC, wantEBC bool, work
 		ebc = make([]float64, m)
 	}
 	numBatches := (len(sources) + graph.MSBFSBatch - 1) / graph.MSBFSBatch
-	stripes := brandesStripeCount
-	if stripes > numBatches {
-		stripes = numBatches
-	}
+	stripes := min(brandesStripeCount, numBatches)
 	if stripes == 0 {
 		return bc, ebc
 	}
-	if workers > stripes {
-		workers = stripes
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, stripes))
 	// Stripe-major accumulators: one backing allocation per field, with
 	// stripe j's vector at rows[j*n:(j+1)*n].
 	var bcStripes, ebcStripes []float64
@@ -68,76 +54,27 @@ func msBrandesFields(g *graph.Graph, sources []int32, wantBC, wantEBC bool, work
 	if wantEBC {
 		ebcStripes = make([]float64, stripes*m)
 	}
-	// Partition-aware stripe claiming: the accumulators are stripe-major,
-	// so a worker that owns consecutive stripes writes one contiguous
-	// region of the backing array. With a budget set, workers claim runs
-	// of stripes sized so each run's accumulator rows fit the budget —
-	// scheduling only: stripe composition (which batches feed stripe j,
-	// in which order) and the ascending merge below are fixed by the
-	// input alone, so the fields are bitwise identical for any partition
-	// size (and for none).
-	stripeBytes := 0
-	if wantBC {
-		stripeBytes += 8 * n
-	}
-	if wantEBC {
-		stripeBytes += 8 * m
-	}
-	span := par.SpanForBudget(stripes*stripeBytes, stripes)
-	var claim *atomic.Int64
-	if span > 0 {
-		claim = new(atomic.Int64)
-	}
 	run := func(w int) {
 		var scratch graph.MSBrandesScratch
-		next := w // next strided stripe (span == 0 path)
-		for {
-			var jLo, jHi int
-			if span > 0 {
-				jLo = int(claim.Add(int64(span))) - span
-				jHi = jLo + span
-				if jHi > stripes {
-					jHi = stripes
-				}
-			} else {
-				jLo, jHi = next, next+1
-				next += workers
+		for j := w; j < stripes; j += workers {
+			var sb, se []float64
+			if wantBC {
+				sb = bcStripes[j*n : (j+1)*n]
 			}
-			if jLo >= stripes {
-				return
+			if wantEBC {
+				se = ebcStripes[j*m : (j+1)*m]
 			}
-			for j := jLo; j < jHi; j++ {
-				var sb, se []float64
-				if wantBC {
-					sb = bcStripes[j*n : (j+1)*n]
+			for b := j; b < numBatches; b += stripes {
+				lo := b * graph.MSBFSBatch
+				hi := lo + graph.MSBFSBatch
+				if hi > len(sources) {
+					hi = len(sources)
 				}
-				if wantEBC {
-					se = ebcStripes[j*m : (j+1)*m]
-				}
-				for b := j; b < numBatches; b += stripes {
-					lo := b * graph.MSBFSBatch
-					hi := lo + graph.MSBFSBatch
-					if hi > len(sources) {
-						hi = len(sources)
-					}
-					scratch.AccumulateBatch(g, sources[lo:hi], sb, se)
-				}
+				scratch.AccumulateBatch(g, sources[lo:hi], sb, se)
 			}
 		}
 	}
-	if workers == 1 {
-		run(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				run(w)
-			}(w)
-		}
-		wg.Wait()
-	}
+	runWorkers(workers, run)
 	// Canonical merge: ascending stripe order, fixed by n alone.
 	for j := 0; j < stripes; j++ {
 		if wantBC {

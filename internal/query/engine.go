@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -376,7 +377,7 @@ func (e *Engine) Graph(dataset string) (*graph.Graph, error) {
 // shares its result. Errors are returned to every waiter and not
 // cached.
 func (e *Engine) Snapshot(key Key) (*Snapshot, error) {
-	return e.snaps.Do(key, func() (*Snapshot, error) { return e.analyze(key) })
+	return e.SnapshotCtx(context.Background(), key)
 }
 
 // SnapshotCtx is Snapshot with a bounded wait: when ctx ends first,
@@ -387,6 +388,9 @@ func (e *Engine) Snapshot(key Key) (*Snapshot, error) {
 // an analysis goroutine; analysis concurrency is bounded by the
 // admission gate, not by request lifetimes.
 func (e *Engine) SnapshotCtx(ctx context.Context, key Key) (*Snapshot, error) {
+	if err := ValidateKey(key); err != nil {
+		return nil, err
+	}
 	return e.snaps.DoCtx(ctx, key, func() (*Snapshot, error) { return e.analyze(key) })
 }
 
@@ -423,7 +427,11 @@ func (e *Engine) AnalysisCount() int64 { return e.analyses.Load() }
 // already holding the old snapshot.)
 func (e *Engine) Invalidate(dataset string) {
 	e.genMu.Lock()
-	e.gens[dataset]++
+	// Saturate rather than wrap: a peer may broadcast the maximal
+	// generation, and wrapping to 0 would move it backwards.
+	if e.gens[dataset] < math.MaxUint64 {
+		e.gens[dataset]++
+	}
 	gen := e.gens[dataset]
 	e.genMu.Unlock()
 	// Persist before evicting: if the process dies between the two, a
@@ -531,10 +539,15 @@ func (e *Engine) WatchStream(dataset string, m *stream.Monitor) {
 }
 
 // ValidateKey checks the request-shaped parts of a key — measure and
-// color must be registered and share a basis — returning a ClientError
-// on violation. Snapshot runs it before analyzing, so key mistakes
-// surface as 400s while genuine pipeline failures stay 500s.
+// color must be registered and share a basis, and bins must lie in
+// [0, scalarfield.MaxSimplifyBins] — returning a ClientError on
+// violation. Snapshot runs it before consulting the store, so key
+// mistakes surface as 400s without a peer fetch or an analysis, while
+// genuine pipeline failures stay 500s.
 func ValidateKey(key Key) error {
+	if key.Bins < 0 || key.Bins > scalarfield.MaxSimplifyBins {
+		return badRequest("query: bins %d outside [0, %d]", key.Bins, scalarfield.MaxSimplifyBins)
+	}
 	info, ok := scalarfield.LookupMeasure(key.Measure)
 	if !ok {
 		return badRequest("query: unknown measure %q", key.Measure)
@@ -555,9 +568,6 @@ func ValidateKey(key Key) error {
 // analyze is the cache-miss path: resolve the graph, run the pooled
 // pipeline, bundle the products into an immutable Snapshot.
 func (e *Engine) analyze(key Key) (*Snapshot, error) {
-	if err := ValidateKey(key); err != nil {
-		return nil, err
-	}
 	// Admission control: claim an analysis slot (or a bounded queue
 	// position) before touching the graph — the expensive part of a
 	// flight is everything from graph resolution on. A shed flight

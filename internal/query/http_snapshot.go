@@ -64,6 +64,9 @@ func snapshotKeyFromRequest(r *http.Request) (Key, error) {
 		}
 		key.Bins = bins
 	}
+	if err := ValidateKey(key); err != nil {
+		return Key{}, err
+	}
 	wantPath := SnapshotPath(key)
 	if got := r.URL.Path; got != wantPath {
 		return Key{}, fmt.Errorf("path %s does not match key %v (want %s)", got, key, wantPath)

@@ -116,6 +116,8 @@ func TestBatchRequestErrors(t *testing.T) {
 		"empty ops":       `{"dataset": "tiny", "measure": "kcore", "ops": []}`,
 		"unknown dataset": `{"dataset": "nope", "measure": "kcore", "ops": [{"op": "spectrum"}]}`,
 		"unknown measure": `{"dataset": "tiny", "measure": "nope", "ops": [{"op": "spectrum"}]}`,
+		"negative bins":   `{"dataset": "tiny", "measure": "kcore", "bins": -1, "ops": [{"op": "spectrum"}]}`,
+		"bins over bound": `{"dataset": "tiny", "measure": "kcore", "bins": 1073741825, "ops": [{"op": "spectrum"}]}`,
 		"oversized batch": `{"dataset": "tiny", "measure": "kcore", "ops": [` +
 			strings.Repeat(`{"op": "spectrum"},`, MaxOps) + `{"op": "spectrum"}]}`,
 	} {

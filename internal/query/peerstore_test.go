@@ -240,20 +240,33 @@ func TestSnapshotPushAdoptsAndConflicts(t *testing.T) {
 
 // TestSnapshotHandlerRejectsMismatchedPath: the path hash is
 // self-verifying — a URL whose hash does not match its own query
-// parameters is a 400.
+// parameters is a 400. So is a bins count the snapshot codec could not
+// carry, on GET and PUT alike.
 func TestSnapshotHandlerRejectsMismatchedPath(t *testing.T) {
 	e := testEngine(t, Options{})
 	srv := snapshotServer(t, e, func(Key) (*Snapshot, bool) { return nil, false })
 	wrong := strings.Replace(
 		SnapshotFetchURL(srv.URL, Key{Dataset: "tiny", Measure: "kcore"}),
 		"measure=kcore", "measure=degree", 1)
-	resp, err := http.Get(wrong)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("mismatched path status %d, want 400", resp.StatusCode)
+	for _, url := range []string{
+		wrong,
+		SnapshotFetchURL(srv.URL, Key{Dataset: "tiny", Measure: "kcore", Bins: -1}),
+		SnapshotFetchURL(srv.URL, Key{Dataset: "tiny", Measure: "kcore", Bins: 1<<30 + 1}),
+	} {
+		for _, method := range []string{http.MethodGet, http.MethodPut} {
+			req, err := http.NewRequest(method, url, strings.NewReader("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s: status %d, want 400", method, url, resp.StatusCode)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package query
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -129,6 +130,60 @@ func TestDiskStorePersistsAcrossRestart(t *testing.T) {
 	}
 	if snap3 != snap2 {
 		t.Fatal("second disk-store hit did not reuse the open entry")
+	}
+}
+
+// TestDiskStoreBinsBound: a bins count outside the snapshot codec's
+// range is a ClientError before the store is consulted, so it neither
+// asks peers (which would answer 400 and count against their breakers)
+// nor writes a file the store could not index after a restart. The
+// largest admitted count round-trips through a restart as a disk hit.
+func TestDiskStoreBinsBound(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := NewDiskStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerLookups := 0
+	store1 := &PeerStore{Inner: disk, Self: "a", Peers: func() map[string]string {
+		peerLookups++
+		return nil
+	}}
+	e1 := NewEngine(Options{Store: store1})
+	e1.RegisterDataset("tiny", testGraph())
+	for _, bins := range []int{-1, scalarfield.MaxSimplifyBins + 1} {
+		_, err := e1.Snapshot(Key{Dataset: "tiny", Measure: "kcore", Bins: bins})
+		var ce *ClientError
+		if !errors.As(err, &ce) {
+			t.Fatalf("bins %d: err %v, want a ClientError", bins, err)
+		}
+	}
+	if got := e1.AnalysisCount(); got != 0 || peerLookups != 0 {
+		t.Fatalf("out-of-range bins ran %d analyses and %d peer lookups, want 0 and 0", got, peerLookups)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("out-of-range bins wrote %d files, want 0", len(files))
+	}
+
+	key := Key{Dataset: "tiny", Measure: "kcore", Bins: scalarfield.MaxSimplifyBins}
+	snap, err := e1.Snapshot(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	store2, err := NewDiskStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2 := NewEngine(Options{Store: store2})
+	e2.RegisterDataset("tiny", testGraph())
+	snap, err = e2.Snapshot(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	if got := e2.AnalysisCount(); got != 0 {
+		t.Fatalf("restarted engine ran %d analyses for bins %d, want 0 (disk hit)", got, key.Bins)
 	}
 }
 

@@ -157,6 +157,12 @@ type TerrainOptions struct {
 	Layout terrain.LayoutOptions
 }
 
+// MaxSimplifyBins bounds the bins count a snapshot may carry: the
+// snapshot codec rejects bins outside [0, MaxSimplifyBins], and
+// query.ValidateKey refuses such keys before analysis, so no snapshot
+// is stored that could not be read back.
+const MaxSimplifyBins = 1 << 30
+
 // NewVertexTerrain builds the terrain of a vertex-based scalar graph:
 // Algorithm 1, Algorithm 2, 2D layout. By default the terrain is
 // colored by its own heights (red = high, blue = low).

@@ -419,7 +419,7 @@ func decodeSnapshotMeta(p *wire.Payload, rec *SnapshotRecord) error {
 	if err != nil {
 		return fail(err)
 	}
-	if bins < 0 || bins > 1<<30 {
+	if bins < 0 || bins > MaxSimplifyBins {
 		return fail(fmt.Errorf("implausible bins %d", bins))
 	}
 	rec.Bins = int(bins)
