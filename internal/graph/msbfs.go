@@ -32,60 +32,163 @@ const MSBFSBatch = 64
 // Direction-switch policy. Top-down work is Σ deg(v) over the frontier;
 // bottom-up work is bounded by Σ deg(v) over vertices not yet seen by
 // the whole batch, with early exit once a vertex has found all its
-// sources. Switching when the frontier's edge budget exceeds 1/msbfsAlpha
-// of the remaining unseen edge budget follows Beamer's m_f > m_u/α rule;
-// the small-frontier floor keeps tiny graphs and sparse tails on the
-// exact-cost top-down path. The choice affects only speed, never
-// results: both directions compute the same next-frontier sets.
+// sources. A batch starts with every unreachable (source, vertex) pair
+// already seen (see batchState.seed), so that bound covers only the
+// components the batch's sources live in, and vertices elsewhere never
+// join the bottom-up pending list. Switching when the frontier's edge
+// budget exceeds 1/msbfsAlpha of the remaining unseen edge budget
+// follows Beamer's m_f > m_u/α rule; the small-frontier floor keeps
+// tiny graphs and sparse tails on the exact-cost top-down path. The
+// choice affects only speed, never results: both directions compute
+// the same next-frontier sets.
 const (
 	msbfsAlpha       = 8
 	msbfsMinFrontier = 32
 )
 
-// Test hook values for MSBFSScratch.forceDir.
+// Test hook values for batchState.forceDir.
 const (
 	msbfsAuto int8 = iota
 	msbfsForceTopDown
 	msbfsForceBottomUp
 )
 
-// MSBFSScratch holds the pooled state of batched traversals: the three
-// per-vertex bit-field arrays and the frontier/pending vertex lists. A
-// zero MSBFSScratch is ready to use; buffers are sized on first use and
-// grown only when a larger graph arrives, so a scratch held per worker
-// makes every warm batch allocation-free. Scratches are not safe for
-// concurrent use — give each goroutine its own.
-type MSBFSScratch struct {
-	// words backs seen/frontier/next: one allocation, three views.
+// batchState is the bit-parallel frontier machine both batched engines
+// (MS-BFS and MS-Brandes) run on: per-vertex seen/frontier/next words
+// with one bit per source, a per-component mask buffer, and the
+// frontier/pending vertex lists.
+type batchState struct {
+	// words backs comp/seen/frontier/next: one allocation, four views.
 	words []uint64
 	// lists backs cur/nxt/pending the same way.
 	lists []int32
 
+	// comp[c] holds, during seed only, the bits of the batch's sources
+	// in component c; it is all-zero between batches.
+	comp                 []uint64
 	seen, frontier, next []uint64
 	cur, nxt, pending    []int32
+
+	// forceDir pins the traversal direction for tests (msbfsAuto in
+	// production): oracle tests force both directions and require
+	// identical results.
+	forceDir int8
+}
+
+// resize points the views at backing storage for an n-vertex graph,
+// reusing the existing arrays when they are large enough.
+func (s *batchState) resize(n int) {
+	if cap(s.words) < 4*n {
+		s.words = make([]uint64, 4*n)
+		s.lists = make([]int32, 3*n)
+	} else if len(s.comp) != n {
+		// A view of another size overlaps words the old seen/frontier/
+		// next views left dirty; comp must start all-zero.
+		clear(s.words[:n])
+	}
+	w := s.words
+	s.comp, s.seen = w[0:n:n], w[n:2*n:2*n]
+	s.frontier, s.next = w[2*n:3*n:3*n], w[3*n:4*n:4*n]
+	l := s.lists
+	s.cur, s.nxt, s.pending = l[0:0:n], l[n:n:2*n], l[2*n:2*n:3*n]
+}
+
+// seed starts a batch of 1 to MSBFSBatch sources (sources[i] owns bit
+// i) on a graph whose connected components are labeled by labels. It
+// returns the mask of all the batch's bits, the first frontier, and
+// the degree sum over vertices some source has not yet seen.
+//
+// A source never reaches a vertex outside its own component, so seed
+// marks those pairs seen up front: one O(|V|) pass sets seen[v] to the
+// bits of the sources outside v's component. A vertex in no source's
+// component starts complete, costs the traversal nothing, and leaves
+// the direction switch's unseen budget.
+//
+// Every invariant the traversal relies on is re-established here
+// rather than assumed, so a panic in a previous batch cannot poison
+// this one.
+func (s *batchState) seed(g *Graph, labels, sources []int32) (full uint64, cur []int32, incompleteDeg int64) {
+	n := g.NumVertices()
+	if len(labels) != n {
+		panic("graph: component labels do not match the graph")
+	}
+	s.resize(n)
+	full = ^uint64(0)
+	if k := len(sources); k < MSBFSBatch {
+		full = 1<<uint(k) - 1
+	}
+
+	// The zeroing loop range-checks every source before comp gains a
+	// bit, so a bad source cannot leave comp dirty.
+	comp := s.comp
+	for _, src := range sources {
+		comp[labels[src]] = 0
+	}
+	for i, src := range sources {
+		comp[labels[src]] |= uint64(1) << uint(i)
+	}
+	seen := s.seen
+	for v, c := range labels {
+		m := comp[c]
+		seen[v] = full &^ m
+		if m != 0 {
+			incompleteDeg += int64(g.Degree(int32(v)))
+		}
+	}
+	for _, src := range sources {
+		comp[labels[src]] = 0
+	}
+	clear(s.frontier)
+	clear(s.next)
+
+	cur = s.cur[:0]
+	for i, src := range sources {
+		bit := uint64(1) << uint(i)
+		if s.frontier[src] == 0 {
+			cur = append(cur, src)
+		}
+		s.frontier[src] |= bit
+		seen[src] |= bit
+	}
+	for _, v := range cur {
+		if seen[v] == full {
+			incompleteDeg -= int64(g.Degree(v))
+		}
+	}
+	return full, cur, incompleteDeg
+}
+
+// bottomUp reports whether the next level expands bottom-up.
+func (s *batchState) bottomUp(g *Graph, cur []int32, incompleteDeg int64) bool {
+	switch s.forceDir {
+	case msbfsForceTopDown:
+		return false
+	case msbfsForceBottomUp:
+		return true
+	}
+	if len(cur) < msbfsMinFrontier {
+		return false
+	}
+	frontierDeg := int64(0)
+	for _, v := range cur {
+		frontierDeg += int64(g.Degree(v))
+	}
+	return frontierDeg*msbfsAlpha > incompleteDeg
+}
+
+// MSBFSScratch holds the pooled state of batched traversals: the
+// bit-field arrays and vertex lists of the frontier machine. A zero
+// MSBFSScratch is ready to use; buffers are sized on first use and
+// grown only when a larger graph arrives, so a scratch held per worker
+// makes every warm batch allocation-free. Scratches are not safe for
+// concurrent use — give each goroutine its own.
+type MSBFSScratch struct {
+	batchState
 
 	// counts is the per-level report buffer handed to the visitor; it
 	// lives on the scratch (not the stack) so passing its address to an
 	// arbitrary visitor does not force a per-batch heap allocation.
 	counts [MSBFSBatch]int32
-
-	// forceDir pins the traversal direction for tests (msbfsAuto in
-	// production): oracle tests force both directions and require
-	// identical level counts.
-	forceDir int8
-}
-
-// resize points the scratch views at backing storage for an n-vertex
-// graph, reusing the existing arrays when they are large enough.
-func (s *MSBFSScratch) resize(n int) {
-	if cap(s.words) < 3*n {
-		s.words = make([]uint64, 3*n)
-		s.lists = make([]int32, 3*n)
-	}
-	w := s.words
-	s.seen, s.frontier, s.next = w[0:n:n], w[n:2*n:2*n], w[2*n:3*n:3*n]
-	l := s.lists
-	s.cur, s.nxt, s.pending = l[0:0:n], l[n:n:2*n], l[2*n:2*n:3*n]
 }
 
 // RunBatch runs one batched BFS from up to MSBFSBatch sources
@@ -96,71 +199,31 @@ func (s *MSBFSScratch) resize(n int) {
 // d > 0 guard of the distance folds). The counts array is reused
 // between levels and must not be retained.
 //
-// Vertices unreachable from a source simply never appear in its
+// labels are g's connected-component labels, as ConnectedComponents
+// returns them; the batch starts with every pair they prove
+// unreachable already seen. Any sources are legal, from one component
+// or many, but a batch whose sources share a component shares the most
+// work. Vertices unreachable from a source simply never appear in its
 // counts, so disconnected graphs and isolated vertices need no special
 // casing in the fold. Duplicate sources are legal and traverse
-// identically. RunBatch panics if len(sources) exceeds MSBFSBatch or a
-// source is out of range.
-func (s *MSBFSScratch) RunBatch(g *Graph, sources []int32, visit func(level int32, counts *[MSBFSBatch]int32)) {
-	k := len(sources)
-	if k == 0 {
+// identically. RunBatch panics if len(sources) exceeds MSBFSBatch, a
+// source is out of range, or labels do not have one entry per vertex.
+func (s *MSBFSScratch) RunBatch(g *Graph, labels, sources []int32, visit func(level int32, counts *[MSBFSBatch]int32)) {
+	if len(sources) == 0 {
 		return
 	}
-	if k > MSBFSBatch {
+	if len(sources) > MSBFSBatch {
 		panic("graph: MS-BFS batch exceeds MSBFSBatch sources")
 	}
 	n := g.NumVertices()
-	s.resize(n)
-	full := ^uint64(0)
-	if k < MSBFSBatch {
-		full = 1<<uint(k) - 1
-	}
-
-	// The frontier/next invariant (zero outside the current lists) is
-	// re-established here rather than assumed, so a visitor panic in a
-	// previous batch cannot poison this one. Three memsets are linear,
-	// like the traversal itself.
-	clear(s.seen)
-	clear(s.frontier)
-	clear(s.next)
-
-	cur, nxt, pending := s.cur[:0], s.nxt[:0], s.pending[:0]
-	for i, src := range sources {
-		bit := uint64(1) << uint(i)
-		if s.frontier[src] == 0 {
-			cur = append(cur, src)
-		}
-		s.frontier[src] |= bit
-		s.seen[src] |= bit
-	}
-	// incompleteDeg tracks Σ deg(v) over vertices some source has not
-	// yet seen — the bottom-up cost bound the direction switch compares
-	// against.
-	incompleteDeg := int64(2 * g.NumEdges())
-	for _, v := range cur {
-		if s.seen[v] == full {
-			incompleteDeg -= int64(g.Degree(v))
-		}
-	}
+	full, cur, incompleteDeg := s.seed(g, labels, sources)
+	nxt, pending := s.nxt[:0], s.pending[:0]
 
 	pendingBuilt := false
 	counts := &s.counts
 	for level := int32(1); len(cur) > 0; level++ {
-		frontierDeg := int64(0)
-		for _, v := range cur {
-			frontierDeg += int64(g.Degree(v))
-		}
-		bottomUp := false
-		switch s.forceDir {
-		case msbfsForceTopDown:
-		case msbfsForceBottomUp:
-			bottomUp = true
-		default:
-			bottomUp = len(cur) >= msbfsMinFrontier && frontierDeg*msbfsAlpha > incompleteDeg
-		}
-
 		nxt = nxt[:0]
-		if bottomUp {
+		if s.bottomUp(g, cur, incompleteDeg) {
 			// Bottom-up: every vertex still missing sources scans its
 			// own neighborhood for frontier bits, with early exit once
 			// all missing bits are found. The pending list is built on

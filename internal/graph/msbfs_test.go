@@ -19,12 +19,46 @@ func msbfsRandomGraph(seed int64, n int, density float64) *Graph {
 	return b.Build()
 }
 
+// componentBatch is the multi-component engine input: a dense random
+// blob, a path, a star and a triangle as separate components, plus
+// isolated vertices, with a batch whose sources span all of them and
+// repeat one source. Only the blob's and path's sources share a
+// component with other sources, so most (source, vertex) pairs start
+// the batch already seen.
+func componentBatch() (*Graph, []int32) {
+	const blob, pathLen, star = 120, 30, 12
+	b := NewBuilder(blob + pathLen + star + 3 + 4)
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 5*blob; i++ {
+		b.AddEdge(int32(rng.Intn(blob)), int32(rng.Intn(blob)))
+	}
+	p := int32(blob)
+	for i := int32(0); i < pathLen-1; i++ {
+		b.AddEdge(p+i, p+i+1)
+	}
+	c := p + pathLen
+	for i := int32(1); i < star; i++ {
+		b.AddEdge(c, c+i)
+	}
+	t := c + star
+	b.AddEdge(t, t+1)
+	b.AddEdge(t+1, t+2)
+	b.AddEdge(t, t+2)
+	iso := t + 3 // iso..iso+3 stay isolated
+	sources := []int32{iso, 3, p + 29, c + 4, 77, t + 1, iso + 2, c, 3, p, 15, p + 14, t, 100, iso + 3}
+	for v := int32(20); len(sources) < MSBFSBatch-1; v++ {
+		sources = append(sources, v)
+	}
+	return b.Build(), sources
+}
+
 // levelCounts runs one MS-BFS batch and collects, per source, the
 // count of vertices first reached at each level (index = level-1).
 func levelCounts(t *testing.T, s *MSBFSScratch, g *Graph, sources []int32) [][]int32 {
 	t.Helper()
 	out := make([][]int32, len(sources))
-	s.RunBatch(g, sources, func(level int32, counts *[MSBFSBatch]int32) {
+	labels, _ := ConnectedComponents(g)
+	s.RunBatch(g, labels, sources, func(level int32, counts *[MSBFSBatch]int32) {
 		if int(level) != len(out[0])+1 && len(sources) > 0 {
 			// Levels must arrive consecutively starting at 1.
 			for i := range out {
@@ -102,31 +136,84 @@ func TestMSBFSMatchesNaiveBFS(t *testing.T) {
 			s.forceDir = msbfsAuto
 		}
 	}
+	g, sources := componentBatch()
+	for _, dir := range []int8{msbfsAuto, msbfsForceTopDown, msbfsForceBottomUp} {
+		s.forceDir = dir
+		assertCountsMatch(t, g, sources, levelCounts(t, &s, g, sources), "components")
+	}
+}
+
+// FuzzMSBFSComponents checks both batched engines against naive
+// per-source traversals on fuzzed graphs: the first byte sizes the
+// graph (1–96 vertices), the second the batch (1–64 sources over
+// consecutive IDs, wrapping into duplicates), and each later byte pair
+// is an edge. Sparse inputs leave many components and isolated
+// vertices, so batches span components. RunBatch level counts and
+// AccumulateBatch sigma, distances and dependencies must match the
+// oracles under both forced directions. One scratch per engine serves
+// every input, so graph-size changes between batches are covered too.
+func FuzzMSBFSComponents(f *testing.F) {
+	f.Add([]byte{40, 63, 0, 1, 1, 2, 2, 0, 5, 6, 9, 9, 20, 21, 21, 22, 30, 5})
+	f.Add([]byte{5, 9})
+	f.Add([]byte{95, 64, 1, 2, 3, 4, 5, 6, 7, 8, 2, 3, 4, 5, 90, 91, 91, 92, 10, 60})
+	f.Add([]byte{12, 3, 0, 11, 11, 5, 5, 0, 3, 3})
+	var bfs MSBFSScratch
+	var brandes MSBrandesScratch
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])%96
+		b := NewBuilder(n)
+		for i := 2; i+1 < len(data); i += 2 {
+			b.AddEdge(int32(int(data[i])%n), int32(int(data[i+1])%n))
+		}
+		g := b.Build()
+		sources := make([]int32, 1+int(data[1])%MSBFSBatch)
+		for i := range sources {
+			sources[i] = int32(i % n)
+		}
+		for _, dir := range []int8{msbfsForceTopDown, msbfsForceBottomUp} {
+			bfs.forceDir = dir
+			assertCountsMatch(t, g, sources, levelCounts(t, &bfs, g, sources), "fuzz")
+			checkBatchAgainstReference(t, &brandes, g, sources, dir, "fuzz")
+		}
+	})
 }
 
 // TestMSBFSDirectionsAgree pins the direction-optimization contract
 // directly: forced top-down and forced bottom-up produce identical
 // counts on a graph dense enough that the automatic heuristic actually
-// switches.
+// switches, and on a batch spanning several components.
 func TestMSBFSDirectionsAgree(t *testing.T) {
-	g := msbfsRandomGraph(7, 300, 6.0)
-	sources := make([]int32, MSBFSBatch)
-	for i := range sources {
-		sources[i] = int32(i)
+	dense := msbfsRandomGraph(7, 300, 6.0)
+	denseSources := make([]int32, MSBFSBatch)
+	for i := range denseSources {
+		denseSources[i] = int32(i)
 	}
-	var td, bu MSBFSScratch
-	td.forceDir = msbfsForceTopDown
-	bu.forceDir = msbfsForceBottomUp
-	a := levelCounts(t, &td, g, sources)
-	b := levelCounts(t, &bu, g, sources)
-	for i := range a {
-		ta, tb := trimZeros(a[i]), trimZeros(b[i])
-		if len(ta) != len(tb) {
-			t.Fatalf("source %d: %d levels top-down, %d bottom-up", i, len(ta), len(tb))
-		}
-		for l := range ta {
-			if ta[l] != tb[l] {
-				t.Fatalf("source %d level %d: top-down %d, bottom-up %d", i, l+1, ta[l], tb[l])
+	comps, compSources := componentBatch()
+	for _, tc := range []struct {
+		name    string
+		g       *Graph
+		sources []int32
+	}{
+		{"dense", dense, denseSources},
+		{"components", comps, compSources},
+	} {
+		var td, bu MSBFSScratch
+		td.forceDir = msbfsForceTopDown
+		bu.forceDir = msbfsForceBottomUp
+		a := levelCounts(t, &td, tc.g, tc.sources)
+		b := levelCounts(t, &bu, tc.g, tc.sources)
+		for i := range a {
+			ta, tb := trimZeros(a[i]), trimZeros(b[i])
+			if len(ta) != len(tb) {
+				t.Fatalf("%s: source %d: %d levels top-down, %d bottom-up", tc.name, i, len(ta), len(tb))
+			}
+			for l := range ta {
+				if ta[l] != tb[l] {
+					t.Fatalf("%s: source %d level %d: top-down %d, bottom-up %d", tc.name, i, l+1, ta[l], tb[l])
+				}
 			}
 		}
 	}
@@ -168,7 +255,8 @@ func TestMSBFSShapes(t *testing.T) {
 func TestMSBFSEmptyBatch(t *testing.T) {
 	var s MSBFSScratch
 	g := msbfsRandomGraph(1, 10, 2)
-	s.RunBatch(g, nil, func(int32, *[MSBFSBatch]int32) {
+	labels, _ := ConnectedComponents(g)
+	s.RunBatch(g, labels, nil, func(int32, *[MSBFSBatch]int32) {
 		t.Fatal("visitor called for an empty batch")
 	})
 }
@@ -182,11 +270,12 @@ func TestMSBFSWarmBatchAllocationFree(t *testing.T) {
 	for i := range sources {
 		sources[i] = int32(i * 7)
 	}
+	labels, _ := ConnectedComponents(g)
 	var s MSBFSScratch
 	visit := func(int32, *[MSBFSBatch]int32) {}
-	s.RunBatch(g, sources, visit) // warm up
+	s.RunBatch(g, labels, sources, visit) // warm up
 	if a := testing.AllocsPerRun(10, func() {
-		s.RunBatch(g, sources, visit)
+		s.RunBatch(g, labels, sources, visit)
 	}); a != 0 {
 		t.Fatalf("warm RunBatch allocates %v objects per batch, want 0", a)
 	}

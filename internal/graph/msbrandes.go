@@ -39,25 +39,19 @@ import "math/bits"
 // and therefore every accumulated float are fully deterministic.
 
 // MSBrandesScratch holds the pooled state of batched Brandes passes:
-// the three per-vertex bit-field arrays and vertex lists of the MS-BFS
-// forward phase, the batch-contiguous sigma/delta lanes, and the
-// level-chunked discovery events consumed by the reverse sweep. A zero
-// MSBrandesScratch is ready to use; buffers are sized on first use and
-// grown only when a larger graph arrives, so a scratch held per worker
-// makes every warm batch allocation-free. Scratches are not safe for
-// concurrent use — give each goroutine its own.
+// the frontier machine of the MS-BFS forward phase, the
+// batch-contiguous sigma/delta lanes, and the level-chunked discovery
+// events consumed by the reverse sweep. A zero MSBrandesScratch is
+// ready to use; buffers are sized on first use and grown only when a
+// larger graph arrives, so a scratch held per worker makes every warm
+// batch allocation-free. Scratches are not safe for concurrent use —
+// give each goroutine its own.
 //
 // Memory: the lane arrays cost 2·8·MSBFSBatch bytes per vertex (1 KiB)
 // per scratch, the price of batching 64 dependency vectors; callers
 // sharding batches across workers pay it once per worker.
 type MSBrandesScratch struct {
-	// words backs seen/frontier/next: one allocation, three views.
-	words []uint64
-	// lists backs cur/nxt/pending the same way.
-	lists []int32
-
-	seen, frontier, next []uint64
-	cur, nxt, pending    []int32
+	batchState
 
 	// lanes backs sigma and delta: sigma[v*MSBFSBatch+s] is the
 	// shortest-path count of source s at v, delta likewise for the
@@ -72,26 +66,15 @@ type MSBrandesScratch struct {
 	evVert   []int32
 	evBits   []uint64
 	levelEnd []int32
-
-	// forceDir pins the traversal direction for tests (msbfsAuto in
-	// production): oracle tests force both directions and require
-	// identical sigma counts and events.
-	forceDir int8
 }
 
-// resize points the scratch views at backing storage for an n-vertex
-// graph, reusing the existing arrays when they are large enough.
-func (s *MSBrandesScratch) resize(n int) {
-	if cap(s.words) < 3*n {
-		s.words = make([]uint64, 3*n)
-		s.lists = make([]int32, 3*n)
-		s.lanes = make([]float64, 2*n*MSBFSBatch)
-	}
-	w := s.words
-	s.seen, s.frontier, s.next = w[0:n:n], w[n:2*n:2*n], w[2*n:3*n:3*n]
-	l := s.lists
-	s.cur, s.nxt, s.pending = l[0:0:n], l[n:n:2*n], l[2*n:2*n:3*n]
+// resizeLanes points sigma and delta at lane storage for an n-vertex
+// graph, reusing the existing array when it is large enough.
+func (s *MSBrandesScratch) resizeLanes(n int) {
 	k := n * MSBFSBatch
+	if cap(s.lanes) < 2*k {
+		s.lanes = make([]float64, 2*k)
+	}
 	s.sigma = s.lanes[0:k:k]
 	s.delta = s.lanes[k : 2*k : 2*k]
 }
@@ -104,56 +87,34 @@ func (s *MSBrandesScratch) resize(n int) {
 // non-nil, indexed by edge ID). Callers apply the undirected 0.5 factor
 // and any sampling scale themselves, after all batches.
 //
-// Sources contribute independently per lane, so duplicate sources are
-// legal and accumulate twice, and vertices unreachable from a source
-// contribute nothing for it. AccumulateBatch panics if len(sources)
-// exceeds MSBFSBatch or a source is out of range.
-func (s *MSBrandesScratch) AccumulateBatch(g *Graph, sources []int32, bc, ebc []float64) {
-	k := len(sources)
-	if k == 0 {
+// labels are g's connected-component labels, as ConnectedComponents
+// returns them: the batch starts with every pair they prove
+// unreachable already seen. Sources contribute independently per lane,
+// so duplicate sources are legal and accumulate twice, and vertices
+// unreachable from a source contribute nothing for it. AccumulateBatch
+// panics if len(sources) exceeds MSBFSBatch, a source is out of range,
+// or labels do not have one entry per vertex.
+func (s *MSBrandesScratch) AccumulateBatch(g *Graph, labels, sources []int32, bc, ebc []float64) {
+	if len(sources) == 0 {
 		return
 	}
-	if k > MSBFSBatch {
+	if len(sources) > MSBFSBatch {
 		panic("graph: MS-Brandes batch exceeds MSBFSBatch sources")
 	}
-	n := g.NumVertices()
-	s.resize(n)
-	full := ^uint64(0)
-	if k < MSBFSBatch {
-		full = 1<<uint(k) - 1
-	}
-
-	// Re-establish every invariant rather than assuming it, as RunBatch
-	// does: the memsets are linear in n, like the traversal itself.
-	// (The lane clears are 64 words per vertex — the constant the
-	// batching trades for its shared adjacency scans.)
-	clear(s.seen)
-	clear(s.frontier)
-	clear(s.next)
+	full, cur, incompleteDeg := s.seed(g, labels, sources)
+	// The lane clears are 64 words per vertex — the constant the
+	// batching trades for its shared adjacency scans.
+	s.resizeLanes(g.NumVertices())
 	clear(s.sigma)
 	clear(s.delta)
 	s.evVert = s.evVert[:0]
 	s.evBits = s.evBits[:0]
 	s.levelEnd = s.levelEnd[:0]
-
-	cur, nxt, pending := s.cur[:0], s.nxt[:0], s.pending[:0]
 	for i, src := range sources {
-		bit := uint64(1) << uint(i)
-		if s.frontier[src] == 0 {
-			cur = append(cur, src)
-		}
-		s.frontier[src] |= bit
-		s.seen[src] |= bit
 		s.sigma[int(src)*MSBFSBatch+i] = 1
 	}
-	incompleteDeg := int64(2 * g.NumEdges())
-	for _, v := range cur {
-		if s.seen[v] == full {
-			incompleteDeg -= int64(g.Degree(v))
-		}
-	}
 
-	s.forward(g, n, full, incompleteDeg, cur, nxt, pending)
+	s.forward(g, full, incompleteDeg, cur, s.nxt[:0], s.pending[:0])
 	s.backward(g, sources, bc, ebc)
 }
 
@@ -161,24 +122,12 @@ func (s *MSBrandesScratch) AccumulateBatch(g *Graph, sources []int32, bc, ebc []
 // advancement plus per-lane sigma accumulation, recording one
 // level-chunked event list for the reverse sweep. On return, frontier
 // and next are all-zero again.
-func (s *MSBrandesScratch) forward(g *Graph, n int, full uint64, incompleteDeg int64, cur, nxt, pending []int32) {
+func (s *MSBrandesScratch) forward(g *Graph, full uint64, incompleteDeg int64, cur, nxt, pending []int32) {
+	n := g.NumVertices()
 	pendingBuilt := false
 	for level := int32(1); len(cur) > 0; level++ {
-		frontierDeg := int64(0)
-		for _, v := range cur {
-			frontierDeg += int64(g.Degree(v))
-		}
-		bottomUp := false
-		switch s.forceDir {
-		case msbfsForceTopDown:
-		case msbfsForceBottomUp:
-			bottomUp = true
-		default:
-			bottomUp = len(cur) >= msbfsMinFrontier && frontierDeg*msbfsAlpha > incompleteDeg
-		}
-
 		nxt = nxt[:0]
-		if bottomUp {
+		if s.bottomUp(g, cur, incompleteDeg) {
 			// Bottom-up: every vertex still missing sources scans its
 			// own neighborhood for frontier bits. Unlike plain MS-BFS
 			// there is no early exit — sigma must sum over every parent,

@@ -74,23 +74,23 @@ func batchDistances(s *MSBrandesScratch, n, k int, sources []int32) [][]int32 {
 	return dist
 }
 
-// checkBatchAgainstReference runs one MS-Brandes batch and pins, per
-// source lane: sigma exactly equal to the reference pass, distances
-// (from the event record) exactly equal, and the accumulated bc/ebc
-// equal to the summed reference dependencies up to floating-point
-// summation order.
-func checkBatchAgainstReference(t *testing.T, g *Graph, sources []int32, dir int8, label string) {
+// checkBatchAgainstReference runs one MS-Brandes batch on s and pins,
+// per source lane: sigma exactly equal to the reference pass,
+// distances (from the event record) exactly equal, and the accumulated
+// bc/ebc equal to the summed reference dependencies up to
+// floating-point summation order.
+func checkBatchAgainstReference(t *testing.T, s *MSBrandesScratch, g *Graph, sources []int32, dir int8, label string) {
 	t.Helper()
 	n := g.NumVertices()
-	var s MSBrandesScratch
 	s.forceDir = dir
 	bc := make([]float64, n)
 	ebc := make([]float64, g.NumEdges())
-	s.AccumulateBatch(g, sources, bc, ebc)
+	labels, _ := ConnectedComponents(g)
+	s.AccumulateBatch(g, labels, sources, bc, ebc)
 
 	wantBC := make([]float64, n)
 	wantEBC := make([]float64, g.NumEdges())
-	dist := batchDistances(&s, n, len(sources), sources)
+	dist := batchDistances(s, n, len(sources), sources)
 	for i, src := range sources {
 		sigma, rdist, delta, edelta := refBrandesSource(g, src)
 		for v := 0; v < n; v++ {
@@ -138,9 +138,13 @@ func TestMSBrandesMatchesReference(t *testing.T) {
 				sources = append(sources, int32(v))
 			}
 			for _, dir := range []int8{msbfsAuto, msbfsForceTopDown, msbfsForceBottomUp} {
-				checkBatchAgainstReference(t, g, sources, dir, "fuzz")
+				checkBatchAgainstReference(t, new(MSBrandesScratch), g, sources, dir, "fuzz")
 			}
 		}
+	}
+	g, sources := componentBatch()
+	for _, dir := range []int8{msbfsAuto, msbfsForceTopDown, msbfsForceBottomUp} {
+		checkBatchAgainstReference(t, new(MSBrandesScratch), g, sources, dir, "components")
 	}
 }
 
@@ -178,37 +182,50 @@ func TestMSBrandesShapes(t *testing.T) {
 		{"duplicate-sources", msbfsRandomGraph(4, 64, 2), []int32{9, 9, 30}},
 	}
 	for _, tc := range cases {
-		checkBatchAgainstReference(t, tc.g, tc.sources, msbfsAuto, tc.name)
+		checkBatchAgainstReference(t, new(MSBrandesScratch), tc.g, tc.sources, msbfsAuto, tc.name)
 	}
 }
 
 // TestMSBrandesDirectionsAgree pins the direction contract on a graph
-// dense enough that the automatic heuristic actually flips bottom-up:
-// sigma lanes are bitwise identical between forced directions (integer
-// counts, order-free), and bc agrees within summation-order slack.
+// dense enough that the automatic heuristic actually flips bottom-up,
+// and on a batch spanning several components: sigma lanes are bitwise
+// identical between forced directions (integer counts, order-free),
+// and bc agrees within summation-order slack.
 func TestMSBrandesDirectionsAgree(t *testing.T) {
-	g := msbfsRandomGraph(7, 300, 6.0)
-	sources := make([]int32, MSBFSBatch)
-	for i := range sources {
-		sources[i] = int32(i)
+	dense := msbfsRandomGraph(7, 300, 6.0)
+	denseSources := make([]int32, MSBFSBatch)
+	for i := range denseSources {
+		denseSources[i] = int32(i)
 	}
-	n := g.NumVertices()
-	var td, bu MSBrandesScratch
-	td.forceDir = msbfsForceTopDown
-	bu.forceDir = msbfsForceBottomUp
-	bcTD := make([]float64, n)
-	bcBU := make([]float64, n)
-	td.AccumulateBatch(g, sources, bcTD, nil)
-	bu.AccumulateBatch(g, sources, bcBU, nil)
-	for v := 0; v < n; v++ {
-		for i := range sources {
-			if td.sigma[v*MSBFSBatch+i] != bu.sigma[v*MSBFSBatch+i] {
-				t.Fatalf("sigma[%d] lane %d: top-down %g, bottom-up %g",
-					v, i, td.sigma[v*MSBFSBatch+i], bu.sigma[v*MSBFSBatch+i])
+	comps, compSources := componentBatch()
+	for _, tc := range []struct {
+		name    string
+		g       *Graph
+		sources []int32
+	}{
+		{"dense", dense, denseSources},
+		{"components", comps, compSources},
+	} {
+		g, sources := tc.g, tc.sources
+		n := g.NumVertices()
+		labels, _ := ConnectedComponents(g)
+		var td, bu MSBrandesScratch
+		td.forceDir = msbfsForceTopDown
+		bu.forceDir = msbfsForceBottomUp
+		bcTD := make([]float64, n)
+		bcBU := make([]float64, n)
+		td.AccumulateBatch(g, labels, sources, bcTD, nil)
+		bu.AccumulateBatch(g, labels, sources, bcBU, nil)
+		for v := 0; v < n; v++ {
+			for i := range sources {
+				if td.sigma[v*MSBFSBatch+i] != bu.sigma[v*MSBFSBatch+i] {
+					t.Fatalf("%s: sigma[%d] lane %d: top-down %g, bottom-up %g",
+						tc.name, v, i, td.sigma[v*MSBFSBatch+i], bu.sigma[v*MSBFSBatch+i])
+				}
 			}
-		}
-		if diff := math.Abs(bcTD[v] - bcBU[v]); diff > 1e-9*math.Max(1, math.Abs(bcBU[v])) {
-			t.Fatalf("bc[%d]: top-down %g, bottom-up %g", v, bcTD[v], bcBU[v])
+			if diff := math.Abs(bcTD[v] - bcBU[v]); diff > 1e-9*math.Max(1, math.Abs(bcBU[v])) {
+				t.Fatalf("%s: bc[%d]: top-down %g, bottom-up %g", tc.name, v, bcTD[v], bcBU[v])
+			}
 		}
 	}
 }
@@ -218,24 +235,26 @@ func TestMSBrandesDirectionsAgree(t *testing.T) {
 func TestMSBrandesAccumulates(t *testing.T) {
 	g := msbfsRandomGraph(9, 80, 2.0)
 	n := g.NumVertices()
+	labels, _ := ConnectedComponents(g)
 	var s MSBrandesScratch
 	one := make([]float64, n)
-	s.AccumulateBatch(g, []int32{3}, one, nil)
+	s.AccumulateBatch(g, labels, []int32{3}, one, nil)
 	twice := make([]float64, n)
-	s.AccumulateBatch(g, []int32{3}, twice, nil)
-	s.AccumulateBatch(g, []int32{3}, twice, nil)
+	s.AccumulateBatch(g, labels, []int32{3}, twice, nil)
+	s.AccumulateBatch(g, labels, []int32{3}, twice, nil)
 	for v := range twice {
 		if diff := math.Abs(twice[v] - 2*one[v]); diff > 1e-12*math.Max(1, one[v]) {
 			t.Fatalf("accumulation not additive at %d: %g vs 2·%g", v, twice[v], one[v])
 		}
 	}
-	s.AccumulateBatch(g, []int32{5}, nil, nil) // both sides nil: traversal only, must not panic
+	s.AccumulateBatch(g, labels, []int32{5}, nil, nil) // both sides nil: traversal only, must not panic
 }
 
 func TestMSBrandesEmptyBatch(t *testing.T) {
 	g := msbfsRandomGraph(1, 10, 2)
+	labels, _ := ConnectedComponents(g)
 	var s MSBrandesScratch
-	s.AccumulateBatch(g, nil, nil, nil)
+	s.AccumulateBatch(g, labels, nil, nil, nil)
 	if len(s.levelEnd) != 0 {
 		t.Fatal("empty batch recorded levels")
 	}
@@ -252,10 +271,11 @@ func TestMSBrandesWarmBatchAllocationFree(t *testing.T) {
 	}
 	bc := make([]float64, g.NumVertices())
 	ebc := make([]float64, g.NumEdges())
+	labels, _ := ConnectedComponents(g)
 	var s MSBrandesScratch
-	s.AccumulateBatch(g, sources, bc, ebc) // warm up
+	s.AccumulateBatch(g, labels, sources, bc, ebc) // warm up
 	if a := testing.AllocsPerRun(10, func() {
-		s.AccumulateBatch(g, sources, bc, ebc)
+		s.AccumulateBatch(g, labels, sources, bc, ebc)
 	}); a != 0 {
 		t.Fatalf("warm AccumulateBatch allocates %v objects per batch, want 0", a)
 	}

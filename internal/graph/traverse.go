@@ -3,14 +3,18 @@ package graph
 // ConnectedComponents labels every vertex with a component ID in
 // [0, count) and returns the labels plus the component count.
 // Labels are assigned in order of first discovery by vertex ID, so the
-// labeling is deterministic.
+// labeling is deterministic. The labels are the batched traversal
+// engines' input (MSBFSScratch.RunBatch, MSBrandesScratch.
+// AccumulateBatch), so the pass makes one allocation: every vertex is
+// pushed once, and the work stack shares the labels' backing array.
 func ConnectedComponents(g *Graph) (labels []int32, count int) {
 	n := g.NumVertices()
-	labels = make([]int32, n)
+	buf := make([]int32, 2*n)
+	labels = buf[:n:n]
 	for i := range labels {
 		labels[i] = -1
 	}
-	queue := make([]int32, 0, 64)
+	queue := buf[n:n]
 	for s := int32(0); s < int32(n); s++ {
 		if labels[s] >= 0 {
 			continue

@@ -38,7 +38,9 @@ func BetweennessCentrality(g *graph.Graph) []float64 {
 // on millions of vertices is out of reach on one machine. Pivots are
 // drawn by a seeded O(samples) partial Fisher–Yates shuffle and the
 // accumulation runs on the batched MS-Brandes engine, bitwise
-// identical for any worker count.
+// identical for any worker count. samples >= |V| computes exact
+// betweenness; samples <= 0 draws no pivots and returns the all-zero
+// field.
 func ApproxBetweennessCentrality(g *graph.Graph, samples int, seed int64) []float64 {
 	return approxBetweenness(g, samples, seed, par.Workers(g.NumVertices()))
 }

@@ -68,7 +68,7 @@ func ComponentDiameter(g *graph.Graph) []float64 {
 			break
 		}
 		clear(ecc[:k])
-		scratch.RunBatch(g, batch[:k], visit)
+		scratch.RunBatch(g, labels, batch[:k], visit)
 		for i := 0; i < k; i++ {
 			c := labels[batch[i]]
 			e := ecc[i]

@@ -33,8 +33,15 @@ import (
 // Σ 1/d_v; the two agree up to floating-point summation order (last
 // ulp). Every kernel in this package — single-measure and shared-pass
 // — uses the level-count fold, so they agree with each other bitwise
-// for any worker count: batch boundaries are fixed by vertex ID, and
-// each batch's fold is independent of scheduling.
+// for any worker count: each source's fold depends on its own BFS
+// alone, so neither the batch a source lands in nor the schedule can
+// change a bit.
+//
+// Batch order. Sources are batched in component order (see
+// componentOrder): batches stay inside one component where they can,
+// and the engine starts each batch with every pair in different
+// components already seen. Isolated vertices are never traversed;
+// every fold scores them 0.
 
 // KHopRadius is the hop radius of the "khop" neighborhood-size
 // measure: |{u : 1 ≤ d(v,u) ≤ KHopRadius}| per vertex. Three hops is
@@ -121,12 +128,13 @@ func closenessScore(reach, sumDist int64, n int) float64 {
 }
 
 // msbfsFields computes the selected distance-based fields in one
-// shared MS-BFS sweep over all vertices. Batches (64 consecutive vertex
-// IDs each) are strided across workers; each worker holds one pooled
-// scratch and one accumulator, and batches write disjoint output
-// ranges, so the sweep needs no locks and performs O(1) allocations per
-// worker once warm. Results are identical for any worker count; the
-// exported kernels pass par.Workers(|V|).
+// shared MS-BFS sweep over all vertices. Batches (64 consecutive
+// sources of the component order each) are strided across workers;
+// each worker holds one pooled scratch and one accumulator, and each
+// source writes only its own output slot, so the sweep needs no locks
+// and performs O(1) allocations per worker once warm. Results are
+// identical for any worker count; the exported kernels pass
+// par.Workers(|V|).
 func msbfsFields(g *graph.Graph, sel distSel, workers int) distFields {
 	n := g.NumVertices()
 	// Single-assignment locals, deliberately: the run closure captures
@@ -143,43 +151,69 @@ func msbfsFields(g *graph.Graph, sel distSel, workers int) distFields {
 	if n == 0 {
 		return out
 	}
-	numBatches := (n + graph.MSBFSBatch - 1) / graph.MSBFSBatch
+	labels, order := componentOrder(g)
+	numBatches := (len(order) + graph.MSBFSBatch - 1) / graph.MSBFSBatch
 	workers = max(1, min(workers, numBatches))
 	run := func(w int) {
 		var scratch graph.MSBFSScratch
-		var sources [graph.MSBFSBatch]int32
 		acc := &distAccum{sel: sel}
 		visit := acc.visit
 		for b := w; b < numBatches; b += workers {
-			lo := b * graph.MSBFSBatch
-			hi := lo + graph.MSBFSBatch
-			if hi > n {
-				hi = n
-			}
-			batch := sources[:hi-lo]
-			for i := range batch {
-				batch[i] = int32(lo + i)
-			}
+			batch := order[b*graph.MSBFSBatch : min((b+1)*graph.MSBFSBatch, len(order))]
 			acc.reset()
-			scratch.RunBatch(g, batch, visit)
-			for i := 0; i < hi-lo; i++ {
+			scratch.RunBatch(g, labels, batch, visit)
+			for i, src := range batch {
 				if sel.close {
-					out.clo[lo+i] = closenessScore(acc.reach[i], acc.sumDist[i], n)
+					out.clo[src] = closenessScore(acc.reach[i], acc.sumDist[i], n)
 				}
 				if sel.harm {
-					out.har[lo+i] = acc.harm[i]
+					out.har[src] = acc.harm[i]
 				}
 				if sel.ecc {
-					out.ecc[lo+i] = float64(acc.ecc[i])
+					out.ecc[src] = float64(acc.ecc[i])
 				}
 				if sel.khop {
-					out.khop[lo+i] = float64(acc.khop[i])
+					out.khop[src] = float64(acc.khop[i])
 				}
 			}
 		}
 	}
 	runWorkers(workers, run)
 	return out
+}
+
+// componentOrder labels g's connected components and returns the
+// labels plus every non-isolated vertex sorted by (component label,
+// vertex ID), by one counting pass over the labels. Consecutive
+// 64-source chunks of that order are the batches of both engines:
+// sources that share a component share a batch, so most of a batch's
+// (source, vertex) pairs are reachable, and the engines' seeding
+// (graph.MSBFSScratch.RunBatch) marks the rest seen before the first
+// level. An isolated vertex reaches nothing, so every fold scores it 0
+// with no traversal. The order depends on the graph alone, never on
+// the worker count.
+func componentOrder(g *graph.Graph) (labels, order []int32) {
+	labels, count := graph.ConnectedComponents(g)
+	n := len(labels)
+	// One allocation: the order, then count+1 component offsets.
+	buf := make([]int32, n+count+1)
+	next := buf[n:]
+	for v, c := range labels {
+		if g.Degree(int32(v)) > 0 {
+			next[c+1]++
+		}
+	}
+	for c := 1; c <= count; c++ {
+		next[c] += next[c-1]
+	}
+	order = buf[:next[count]:next[count]]
+	for v, c := range labels {
+		if g.Degree(int32(v)) > 0 {
+			order[next[c]] = int32(v)
+			next[c]++
+		}
+	}
+	return labels, order
 }
 
 // runWorkers calls run(w) for every w in [0, workers): inline for one

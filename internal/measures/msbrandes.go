@@ -9,16 +9,21 @@ import "repro/internal/graph"
 //
 // Merge contract. Floating-point dependency sums are not associative,
 // so the reduction shape — not just the set of batches — decides the
-// final bits. To make every betweenness field independent of the
-// worker count (the property the MS-BFS kernels get for free from
-// their disjoint outputs), batches are assigned to a fixed number of
-// accumulation stripes determined only by the input size: stripe j
-// owns batches j, j+S, j+2S, … in ascending order, and the stripe
-// vectors are merged in ascending stripe order. Workers claim whole
-// stripes, so scheduling moves stripes between workers without ever
-// reordering a single addition: the vertex, edge, and sampled fields
-// are bitwise identical for any worker count, one included, and hence
-// for any GOMAXPROCS.
+// final bits. Batches are consecutive 64-source chunks of the
+// component order (componentOrder, distance.go), which depends on the
+// graph and the source set alone. To make every betweenness field
+// independent of the worker count (the property the MS-BFS kernels
+// get for free from their disjoint outputs), batches are assigned to a
+// fixed number of accumulation stripes determined only by the batch
+// count: stripe j owns batches j, j+S, j+2S, … in ascending order, and
+// the stripe vectors are merged in ascending stripe order. Workers
+// claim whole stripes, so scheduling moves stripes between workers
+// without ever reordering a single addition: the vertex, edge, and
+// sampled fields are bitwise identical for any worker count, one
+// included, and hence for any GOMAXPROCS. Which sources share a batch
+// does decide the bits, so a change to the order is a one-time field
+// change within the per-source oracle's tolerance, re-pinned by
+// TestBatchedFieldGolden.
 
 // brandesStripeCount is the fixed accumulation-stripe count of the
 // merge contract: enough stripes to feed every realistic core count,
@@ -27,10 +32,12 @@ const brandesStripeCount = 64
 
 // msBrandesFields accumulates Brandes dependencies from the given
 // sources on the batched engine and returns the unscaled vertex field
-// (when wantBC) and edge field (when wantEBC). Callers halve for the
-// undirected convention and apply any sampling scale. Results are
-// identical for any worker count; see the merge contract above.
-func msBrandesFields(g *graph.Graph, sources []int32, wantBC, wantEBC bool, workers int) (bc, ebc []float64) {
+// (when wantBC) and edge field (when wantEBC). labels and sources come
+// from componentOrder: sources is its order or a subsequence of it.
+// Callers halve for the undirected convention and apply any sampling
+// scale. Results are identical for any worker count; see the merge
+// contract above.
+func msBrandesFields(g *graph.Graph, labels, sources []int32, wantBC, wantEBC bool, workers int) (bc, ebc []float64) {
 	n := g.NumVertices()
 	m := g.NumEdges()
 	if wantBC {
@@ -65,12 +72,8 @@ func msBrandesFields(g *graph.Graph, sources []int32, wantBC, wantEBC bool, work
 				se = ebcStripes[j*m : (j+1)*m]
 			}
 			for b := j; b < numBatches; b += stripes {
-				lo := b * graph.MSBFSBatch
-				hi := lo + graph.MSBFSBatch
-				if hi > len(sources) {
-					hi = len(sources)
-				}
-				scratch.AccumulateBatch(g, sources[lo:hi], sb, se)
+				batch := sources[b*graph.MSBFSBatch : min((b+1)*graph.MSBFSBatch, len(sources))]
+				scratch.AccumulateBatch(g, labels, batch, sb, se)
 			}
 		}
 	}
@@ -93,20 +96,12 @@ func msBrandesFields(g *graph.Graph, sources []int32, wantBC, wantEBC bool, work
 	return bc, ebc
 }
 
-// allVertexSources returns the full source list {0, …, n-1} of an
-// exact betweenness pass.
-func allVertexSources(n int) []int32 {
-	sources := make([]int32, n)
-	for i := range sources {
-		sources[i] = int32(i)
-	}
-	return sources
-}
-
-// msBrandesBetweenness is the shared exact-betweenness body: all
-// sources, batched engine, halved for the undirected convention.
+// msBrandesBetweenness is the shared exact-betweenness body: every
+// non-isolated source in component order, batched engine, halved for
+// the undirected convention.
 func msBrandesBetweenness(g *graph.Graph, workers int) []float64 {
-	bc, _ := msBrandesFields(g, allVertexSources(g.NumVertices()), true, false, workers)
+	labels, order := componentOrder(g)
+	bc, _ := msBrandesFields(g, labels, order, true, false, workers)
 	for v := range bc {
 		bc[v] *= 0.5
 	}
@@ -114,13 +109,30 @@ func msBrandesBetweenness(g *graph.Graph, workers int) []float64 {
 }
 
 // approxBetweenness is the shared sampled-pivot body; see
-// ApproxBetweennessCentrality for the estimator.
+// ApproxBetweennessCentrality for the estimator. The drawn pivots run
+// in component order, isolated ones skipped, while the scale stays
+// n/samples over every drawn pivot. With no pivots there are no
+// dependencies, so samples <= 0 yields the all-zero field.
 func approxBetweenness(g *graph.Graph, samples int, seed int64, workers int) []float64 {
 	n := g.NumVertices()
+	if samples <= 0 {
+		return make([]float64, n)
+	}
 	if samples >= n {
 		return msBrandesBetweenness(g, workers)
 	}
-	bc, _ := msBrandesFields(g, sampleSources(n, samples, seed), true, false, workers)
+	pivot := make([]bool, n)
+	for _, v := range sampleSources(n, samples, seed) {
+		pivot[v] = true
+	}
+	labels, order := componentOrder(g)
+	sources := order[:0]
+	for _, v := range order {
+		if pivot[v] {
+			sources = append(sources, v)
+		}
+	}
+	bc, _ := msBrandesFields(g, labels, sources, true, false, workers)
 	scale := 0.5 * float64(n) / float64(samples)
 	for v := range bc {
 		bc[v] *= scale
@@ -130,7 +142,8 @@ func approxBetweenness(g *graph.Graph, samples int, seed int64, workers int) []f
 
 // msBrandesEdgeBetweenness is the shared edge-betweenness body.
 func msBrandesEdgeBetweenness(g *graph.Graph, workers int) []float64 {
-	_, ebc := msBrandesFields(g, allVertexSources(g.NumVertices()), false, true, workers)
+	labels, order := componentOrder(g)
+	_, ebc := msBrandesFields(g, labels, order, false, true, workers)
 	for e := range ebc {
 		ebc[e] *= 0.5
 	}

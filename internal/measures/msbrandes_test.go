@@ -81,9 +81,10 @@ func TestParallelEdgeBetweennessMatchesSerial(t *testing.T) {
 // per-update floats either way.
 func TestBatchedVertexAndEdgeFieldsShareOnePass(t *testing.T) {
 	g := randomGraph(63, 300, 2.5)
-	bc, ebc := msBrandesFields(g, allVertexSources(g.NumVertices()), true, true, 3)
-	bcOnly, _ := msBrandesFields(g, allVertexSources(g.NumVertices()), true, false, 1)
-	_, ebcOnly := msBrandesFields(g, allVertexSources(g.NumVertices()), false, true, 2)
+	labels, order := componentOrder(g)
+	bc, ebc := msBrandesFields(g, labels, order, true, true, 3)
+	bcOnly, _ := msBrandesFields(g, labels, order, true, false, 1)
+	_, ebcOnly := msBrandesFields(g, labels, order, false, true, 2)
 	if !reflect.DeepEqual(bc, bcOnly) {
 		t.Fatal("combined pass vertex field diverges from bc-only pass")
 	}
@@ -109,8 +110,11 @@ func TestParallelApproxBitwiseMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestApproxSaturatesToExact pins the samples >= n escape hatch: the
-// sampled kernel degrades to the exact one rather than oversampling.
+// TestApproxSaturatesToExact pins the sample-count edges: samples >= n
+// degrades to the exact kernel rather than oversampling, and
+// samples <= 0 draws no pivots and returns the all-zero field (once
+// all-NaN from a division by zero samples, and a makeslice panic for
+// negative counts).
 func TestApproxSaturatesToExact(t *testing.T) {
 	g := randomGraph(65, 150, 2.0)
 	want := BetweennessCentrality(g)
@@ -119,6 +123,12 @@ func TestApproxSaturatesToExact(t *testing.T) {
 	}
 	if got := ApproxBetweennessCentrality(g, 400, 3); !reflect.DeepEqual(want, got) {
 		t.Fatal("samples > n sampled kernel diverges from exact")
+	}
+	zero := make([]float64, g.NumVertices())
+	for _, samples := range []int{0, -1} {
+		if got := ApproxBetweennessCentrality(g, samples, 3); !reflect.DeepEqual(zero, got) {
+			t.Fatalf("samples = %d: want the all-zero field, got %v", samples, got[:5])
+		}
 	}
 }
 

@@ -84,7 +84,9 @@ func DegreeCentrality(g *Graph) []float64 { return measures.DegreeCentrality(g) 
 func BetweennessCentrality(g *Graph) []float64 { return measures.BetweennessCentrality(g) }
 
 // ApproxBetweennessCentrality estimates betweenness from sampled
-// sources; use it when exact O(|V|·|E|) is too slow.
+// sources; use it when exact O(|V|·|E|) is too slow. samples >= |V|
+// computes exact betweenness; samples <= 0 draws no pivots and returns
+// the all-zero field.
 func ApproxBetweennessCentrality(g *Graph, samples int, seed int64) []float64 {
 	return measures.ApproxBetweennessCentrality(g, samples, seed)
 }
