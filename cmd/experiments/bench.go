@@ -227,6 +227,23 @@ func runBench(cfg config) error {
 	if !seedStore.Contains(warmKey) {
 		return fmt.Errorf("bench: disk store did not persist the warm snapshot")
 	}
+	// A second key of the dataset for the adopting cold-hit row: a
+	// one-entry open LRU alternating between the two keys makes every
+	// Get a cold hit with the other key open as its donor.
+	adoptKey := query.Key{Dataset: "GrQc", Measure: "degree"}
+	adoptSnap, err := warmEngine.Snapshot(adoptKey)
+	if err != nil {
+		return err
+	}
+	seedStore.Add(adoptKey, adoptSnap)
+	adoptStore, err := query.NewDiskStoreOptions(benchDir, query.DiskStoreOptions{MaxOpen: 1, MmapGraphs: true})
+	if err != nil {
+		return err
+	}
+	defer adoptStore.DropOpen()
+	adoptKeys := [2]query.Key{warmKey, adoptKey}
+	adoptHits := 0
+	var adoptGraph *graph.Graph
 	// Kept out of benchDir so the store's directory index never sees it.
 	fileDir, err := os.MkdirTemp("", "bench-snap-*")
 	if err != nil {
@@ -350,6 +367,24 @@ func runBench(cfg config) error {
 		}},
 		{"diskstore/cold-hit-mmap", func() error {
 			return benchColdHit(benchDir, warmKey, true)
+		}},
+		// The steady state of a restarted mmap store: a cold hit while
+		// another key of the dataset is open compares its graph section
+		// with the open graph and adopts it, skipping the verify scan.
+		// No store is built per iteration; the warm-up call is the one
+		// full decode that maps the graph.
+		{"diskstore/cold-hit-adopt", func() error {
+			snap, ok := adoptStore.Get(adoptKeys[adoptHits%2])
+			if !ok {
+				return fmt.Errorf("diskstore cold hit beside a donor: snapshot missing")
+			}
+			defer snap.Release()
+			if adoptHits++; adoptGraph == nil {
+				adoptGraph = snap.Graph
+			} else if snap.Graph != adoptGraph {
+				return fmt.Errorf("diskstore cold hit beside a donor did not adopt its graph")
+			}
+			return nil
 		}},
 	}
 

@@ -368,6 +368,9 @@ func (s *server) route(k query.Key) (string, bool) {
 }
 
 func newServer(cfg serverConfig) (*server, error) {
+	if cfg.mmapGraphs && cfg.storeDir == "" {
+		return nil, fmt.Errorf("-mmap-graphs requires -store-dir")
+	}
 	var (
 		g    *graph.Graph
 		name string

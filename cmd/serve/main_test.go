@@ -418,6 +418,9 @@ func TestUnknownMeasureRejected(t *testing.T) {
 	if _, err := newServer(serverConfig{dataset: "GrQc", scale: 0.03, seed: 42, measure: "kcore", bins: -1}); err == nil {
 		t.Fatal("negative -bins must be rejected at startup")
 	}
+	if _, err := newServer(serverConfig{dataset: "GrQc", scale: 0.03, seed: 42, measure: "kcore", mmapGraphs: true}); err == nil {
+		t.Fatal("-mmap-graphs without -store-dir must be rejected at startup")
+	}
 }
 
 func postQuery(t *testing.T, url, body string) (*http.Response, []byte) {

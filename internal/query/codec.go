@@ -7,6 +7,7 @@ import (
 
 	scalarfield "repro"
 	"repro/internal/contour"
+	"repro/internal/graph"
 	"repro/internal/mmapio"
 )
 
@@ -70,17 +71,35 @@ func snapshotFromRecord(rec *scalarfield.SnapshotRecord) *Snapshot {
 // DecodeSnapshotFileMapped decodes a snapshot file with its graph
 // section mmap'd in place (internal/mmapio) instead of copied to the
 // heap: the adjacency of a cold-served graph stays backed by clean
-// file pages the kernel can reclaim. The returned snapshot carries a
-// reference count wired to the mapping — the caller owns the creation
-// reference and must balance it with Release.
+// file pages the kernel can reclaim. The graph section is always
+// verified in full. The returned snapshot carries a reference count
+// wired to the mapping — the caller owns the creation reference and
+// must balance it with Release.
 func DecodeSnapshotFileMapped(path string) (*Snapshot, error) {
-	return decodeSnapshotFile(path, true)
+	return decodeSnapshotFile(path, true, nil)
 }
 
 // decodeSnapshotFile decodes a snapshot file, mapping its graph
 // section when mapped is set and reading it onto the heap otherwise.
 // Heap-backed snapshots carry no reference count; Release is a no-op.
-func decodeSnapshotFile(path string, mapped bool) (*Snapshot, error) {
+//
+// donor, when non-nil, is an open snapshot the caller has retained
+// once for this call. If the file's graph section is byte-identical to
+// the donor's graph, the decoded snapshot adopts that graph and the
+// donor's mappingRef, and the caller's retained reference becomes the
+// new snapshot's creation reference. Otherwise (and on error) the
+// donor is released here.
+func decodeSnapshotFile(path string, mapped bool, donor *Snapshot) (*Snapshot, error) {
+	var have *graph.Graph
+	if donor != nil {
+		have = donor.Graph
+	}
+	adopted := false
+	defer func() {
+		if donor != nil && !adopted {
+			donor.Release()
+		}
+	}()
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -102,12 +121,16 @@ func decodeSnapshotFile(path string, mapped bool) (*Snapshot, error) {
 			return m.Data(), func() { m.Close() }, nil
 		}
 	}
-	rec, release, err := scalarfield.LoadSnapshotFile(f, st.Size(), mapGraph)
+	rec, release, err := scalarfield.LoadSnapshotFile(f, st.Size(), mapGraph, have)
 	if err != nil {
 		return nil, fmt.Errorf("query: decoding snapshot file %s: %w", path, err)
 	}
 	snap := snapshotFromRecord(rec)
-	if mapped {
+	switch {
+	case have != nil && rec.Graph == have:
+		adopted = true
+		snap.ref = donor.ref
+	case mapped:
 		snap.ref = newMappedSnapshotRef(release)
 	}
 	return snap, nil

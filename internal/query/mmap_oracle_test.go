@@ -12,21 +12,33 @@ import (
 // the concurrent section also proves the mapped arena is safe to read
 // from many resolver goroutines at once.
 
-// mappedColdHit stores snap in a fresh directory, then serves it back
-// through a second store with MmapGraphs enabled — a guaranteed cold
-// hit through DecodeSnapshotFileMapped.
-func mappedColdHit(t *testing.T, key Key, snap *Snapshot) (*DiskStore, *Snapshot) {
+// mmapStoreOver persists snaps in a fresh directory and opens a
+// second store over it with MmapGraphs enabled, so the first Get of
+// each key is a cold hit.
+func mmapStoreOver(t *testing.T, snaps ...*Snapshot) *DiskStore {
 	t.Helper()
 	dir := t.TempDir()
 	seed, err := NewDiskStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed.Add(key, snap)
+	for _, snap := range snaps {
+		seed.Add(snap.Key, snap)
+	}
 	store, err := NewDiskStoreOptions(dir, DiskStoreOptions{MmapGraphs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return store
+}
+
+// mappedColdHit stores snap in a fresh directory, then serves it back
+// through a second store with MmapGraphs enabled — a guaranteed cold
+// hit that maps and verifies the graph section, since no open
+// snapshot can donate a graph.
+func mappedColdHit(t *testing.T, key Key, snap *Snapshot) (*DiskStore, *Snapshot) {
+	t.Helper()
+	store := mmapStoreOver(t, snap)
 	mapped, ok := store.Get(key)
 	if !ok {
 		t.Fatal("mmap store misses the persisted snapshot")
@@ -35,6 +47,7 @@ func mappedColdHit(t *testing.T, key Key, snap *Snapshot) (*DiskStore, *Snapshot
 }
 
 func TestMmapSnapshotServesIdenticalResults(t *testing.T) {
+	donorKey := Key{Dataset: "tiny", Measure: "degree"}
 	for _, key := range []Key{
 		{Dataset: "tiny", Measure: "kcore", Color: "degree"},
 		{Dataset: "tiny", Measure: "ktruss"},
@@ -55,6 +68,32 @@ func TestMmapSnapshotServesIdenticalResults(t *testing.T) {
 			t.Fatalf("key %+v: mmap-served snapshot answers differently:\nwant %s\ngot  %s", key, want, got)
 		}
 		mapped.Release()
+
+		// The adopting input: served cold while another key of the
+		// dataset is open, the key's identical graph section is
+		// compared, not verified, and the donor's graph is served.
+		donorSnap, err := e.Snapshot(donorKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := mmapStoreOver(t, donorSnap, snap)
+		donor, ok := store.Get(donorKey)
+		if !ok {
+			t.Fatal("mmap store misses the donor snapshot")
+		}
+		adopted, ok := store.Get(key)
+		if !ok {
+			t.Fatalf("key %+v: mmap store misses the persisted snapshot beside a donor", key)
+		}
+		if adopted.Graph != donor.Graph || adopted.ref != donor.ref {
+			t.Fatalf("key %+v: cold hit beside an open donor did not adopt its graph and mapping", key)
+		}
+		if got := resolveJSON(t, e, adopted); !bytes.Equal(want, got) {
+			t.Fatalf("key %+v: adopting snapshot answers differently:\nwant %s\ngot  %s", key, want, got)
+		}
+		adopted.Release()
+		donor.Release()
+		store.DropOpen()
 	}
 }
 
@@ -94,11 +133,14 @@ func TestMmapSnapshotConcurrentResolves(t *testing.T) {
 }
 
 // TestDiskStoreMappedRefcounting pins the reference protocol end to
-// end using the package-internal counter: the LRU owns one reference,
-// every Get hands the caller one more, DropOpen releases the LRU's,
-// and the count reaches zero only after the last caller balances.
+// end using the package-internal counter: the LRU owns one reference
+// per entry, every Get hands the caller one more, a cold hit that
+// adopts an open snapshot's graph counts on that snapshot's mapping,
+// DropOpen releases the LRU's, and the mapping is released exactly
+// once, after the last caller balances.
 func TestDiskStoreMappedRefcounting(t *testing.T) {
 	key := Key{Dataset: "tiny", Measure: "kcore"}
+	adoptKey := Key{Dataset: "tiny", Measure: "degree"}
 	e := testEngine(t, Options{})
 	snap, err := e.Snapshot(key)
 	if err != nil {
@@ -107,7 +149,15 @@ func TestDiskStoreMappedRefcounting(t *testing.T) {
 	if snap.ref != nil {
 		t.Fatal("fresh analysis snapshot unexpectedly carries a mapping reference")
 	}
-	store, mapped := mappedColdHit(t, key, snap)
+	adoptSnap, err := e.Snapshot(adoptKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := mmapStoreOver(t, snap, adoptSnap)
+	mapped, ok := store.Get(key)
+	if !ok {
+		t.Fatal("mmap store misses the persisted snapshot")
+	}
 	if got := mapped.ref.refs.Load(); got != 2 {
 		t.Fatalf("after cold hit: %d references, want 2 (LRU + caller)", got)
 	}
@@ -125,12 +175,29 @@ func TestDiskStoreMappedRefcounting(t *testing.T) {
 	}
 	again.Release()
 
-	// Dropping the open LRU releases its reference but must not unmap
-	// while the first caller still holds one: the graph must stay
-	// readable.
+	// A cold hit on a second key of the dataset adopts the open
+	// snapshot's graph and shares its reference count: the LRU and the
+	// caller each hold one more on the same mapping.
+	fired := 0
+	unmap := mapped.ref.release
+	mapped.ref.release = func() { fired++; unmap() }
+	adopted, ok := store.Get(adoptKey)
+	if !ok {
+		t.Fatal("adopting cold hit missed")
+	}
+	if adopted.Graph != mapped.Graph || adopted.ref != mapped.ref {
+		t.Fatal("adopting cold hit did not share the open snapshot's graph and reference")
+	}
+	if got := mapped.ref.refs.Load(); got != 4 {
+		t.Fatalf("after adopting hit: %d references, want 4 (2 LRU entries + 2 callers)", got)
+	}
+
+	// Dropping the open LRU releases both entries' references but must
+	// not unmap while either caller still holds one: the graph must
+	// stay readable.
 	store.DropOpen()
-	if got := mapped.ref.refs.Load(); got != 1 {
-		t.Fatalf("after DropOpen: %d references, want 1 (caller)", got)
+	if got := mapped.ref.refs.Load(); got != 2 {
+		t.Fatalf("after DropOpen: %d references, want 2 (callers)", got)
 	}
 	if mapped.Graph.NumVertices() != testGraph().NumVertices() {
 		t.Fatal("mapped graph unreadable after LRU drop")
@@ -140,8 +207,18 @@ func TestDiskStoreMappedRefcounting(t *testing.T) {
 		t.Fatalf("mapped graph degree(0) = %d after LRU drop, want %d", deg, testGraph().Degree(0))
 	}
 	mapped.Release()
+	if fired != 0 {
+		t.Fatal("mapping released while the adopting caller still holds it")
+	}
+	if adopted.Graph.Degree(0) != deg {
+		t.Fatal("adopted graph unreadable after the first caller released")
+	}
+	adopted.Release()
 	if got := mapped.ref.refs.Load(); got != 0 {
 		t.Fatalf("after final Release: %d references, want 0", got)
+	}
+	if fired != 1 {
+		t.Fatalf("mapping released %d times, want exactly 1", fired)
 	}
 
 	// The next Get re-decodes: a fresh snapshot with a fresh mapping.
@@ -152,7 +229,7 @@ func TestDiskStoreMappedRefcounting(t *testing.T) {
 	if fresh == mapped {
 		t.Fatal("store served the released snapshot again")
 	}
-	if fresh.ref == nil || fresh.ref.refs.Load() != 2 {
+	if fresh.ref == nil || fresh.ref == mapped.ref || fresh.ref.refs.Load() != 2 {
 		t.Fatal("re-decoded snapshot reference bookkeeping wrong")
 	}
 	fresh.Release()

@@ -108,16 +108,19 @@ type Snapshot struct {
 
 	// ref counts references to the graph's backing file mapping, when
 	// there is one (a DiskStore in mmap mode decodes the graph section
-	// in place — see mmapSnapshotRef). nil for heap-backed snapshots,
-	// which is every snapshot a fresh analysis produces: their Retain
-	// and Release are no-ops, so callers follow one contract
-	// everywhere.
+	// in place). A snapshot that adopted another's graph on a cold hit
+	// shares that snapshot's ref, so one count covers every snapshot
+	// reading the mapping. nil for heap-backed graphs, which is every
+	// snapshot a fresh analysis produces: their Retain and Release are
+	// no-ops, so callers follow one contract everywhere.
 	ref *mappingRef
 }
 
-// mappingRef counts the holders of a snapshot whose graph aliases a
-// file mapping: the disk store's open-entry LRU owns the creation
-// reference, and every Get hands its caller one more. When the count
+// mappingRef counts the holders of one file mapping that a graph
+// aliases, across every snapshot serving that graph: the snapshot
+// whose decode mapped it and each later cold hit that adopted its
+// graph. The disk store's open-entry LRU owns one reference per such
+// snapshot, and every Get hands its caller one more. When the count
 // reaches zero the mapping is released (munmap on linux). A holder
 // that forgets Release leaks a mapping — deliberately the failure
 // mode, since the alternative (eager unmap) would turn a forgotten

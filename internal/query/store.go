@@ -52,6 +52,12 @@ func NewMemorySnapshotStore(max int) SnapshotStore {
 // construction the directory is scanned and indexed by each file's
 // meta section, which is what lets a restarted process serve
 // yesterday's analyses without re-running them.
+//
+// Every key of a dataset stores the same graph, and the store verifies
+// each distinct graph once while any snapshot serving it stays open: a
+// cold hit whose graph section is byte-identical to the graph of an
+// open snapshot of the same dataset adopts that graph (and, in mmap
+// mode, its mapping) instead of verifying a copy of its own.
 type DiskStore struct {
 	dir string
 	// mmapGraphs switches cold-hit decodes to the mapped path: the
@@ -63,9 +69,10 @@ type DiskStore struct {
 	// mu guards index, open, and decoding. Encode/decode run outside
 	// it, so one key's disk traffic does not serialize other keys'
 	// probes. Reference bookkeeping for mapped snapshots runs UNDER it:
-	// a Get retains before unlocking, and the open LRU's eviction hook
-	// releases while still locked, so a snapshot can never be unmapped
-	// between being found and being retained.
+	// a Get (and a cold decode, for its donor) retains before
+	// unlocking, and the open LRU's eviction hook releases while still
+	// locked, so a snapshot can never be unmapped between being found
+	// and being retained.
 	mu    sync.Mutex
 	index map[Key]string // key -> filename (within dir)
 	open  *lru[Key, *Snapshot]
@@ -108,9 +115,10 @@ type DiskStoreOptions struct {
 	MaxOpen int
 	// MmapGraphs serves cold hits with the graph section mmap'd in
 	// place instead of read onto the heap: the adjacency stays backed
-	// by reclaimable file pages. The mapping is
-	// released when the entry leaves the open LRU and every caller has
-	// Released its snapshot.
+	// by reclaimable file pages. The mapping is released when every
+	// entry serving it (the one that mapped it and those that adopted
+	// its graph) has left the open LRU and every caller has Released
+	// its snapshot.
 	MmapGraphs bool
 }
 
@@ -243,8 +251,21 @@ func (s *DiskStore) Get(key Key) (*Snapshot, bool) {
 // read as a miss, not as the wrong analysis. A file that fails to
 // decode is quarantined, not re-decoded on the next lookup; a file
 // that fails to open (deleted behind our back) is simply forgotten.
+//
+// The most recently used open snapshot of the key's dataset is the
+// decode's donor: retained under s.mu (so the eviction hook cannot
+// unmap it first), its graph is offered to the decoder, and a file
+// whose graph section repeats it byte for byte adopts it unverified —
+// the donor's reference then becomes the new snapshot's creation
+// reference (see decodeSnapshotFile).
 func (s *DiskStore) decodeFile(key Key, name string) (*Snapshot, bool) {
-	snap, err := decodeSnapshotFile(filepath.Join(s.dir, name), s.mmapGraphs)
+	s.mu.Lock()
+	donor := s.donor(key.Dataset)
+	if donor != nil {
+		donor.Retain()
+	}
+	s.mu.Unlock()
+	snap, err := decodeSnapshotFile(filepath.Join(s.dir, name), s.mmapGraphs, donor)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			s.drop(key, name)
@@ -259,6 +280,17 @@ func (s *DiskStore) decodeFile(key Key, name string) (*Snapshot, bool) {
 		return nil, false
 	}
 	return snap, true
+}
+
+// donor returns the most recently used open snapshot of dataset, or
+// nil, without promoting it. Callers hold s.mu.
+func (s *DiskStore) donor(dataset string) *Snapshot {
+	for el := s.open.order.Front(); el != nil; el = el.Next() {
+		if entry := el.Value.(*lruEntry[Key, *Snapshot]); entry.key.Dataset == dataset {
+			return entry.val
+		}
+	}
+	return nil
 }
 
 // drop forgets an index entry (if it still names the same file) and
@@ -345,9 +377,12 @@ func (s *DiskStore) Evict(pred func(Key) bool) {
 // DropOpen evicts every decoded entry from the open LRU without
 // touching the index or the files on disk: resident heap copies become
 // collectable and file mappings unmap once outstanding callers Release
-// theirs. The next Get re-decodes from disk — the cache stays warm on
-// disk, cold in memory. Use it to shed memory under pressure or to
-// force the cold-hit path deterministically (benchmarks, tests).
+// theirs (a mapping shared by adopting snapshots unmaps after the last
+// of them). The next Get re-decodes from disk — the cache stays warm
+// on disk, cold in memory — and, with no open snapshot left to donate
+// a graph, verifies its graph section in full. Use it to shed memory
+// under pressure or to force the cold-hit path deterministically
+// (benchmarks, tests).
 func (s *DiskStore) DropOpen() {
 	s.mu.Lock()
 	s.open.evict(func(Key) bool { return true })

@@ -14,6 +14,7 @@ import (
 
 	scalarfield "repro"
 	"repro/internal/datasets"
+	"repro/internal/graph"
 	"repro/internal/terrain"
 )
 
@@ -97,6 +98,12 @@ func TestDiskStorePersistsAcrossRestart(t *testing.T) {
 		t.Fatalf("first engine ran %d analyses, want 1", got)
 	}
 	want := resolveJSON(t, e1, snap1)
+	adoptKey := Key{Dataset: "tiny", Measure: "degree"}
+	adopt1, err := e1.Snapshot(adoptKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAdopt := resolveJSON(t, e1, adopt1)
 
 	// "Restart": fresh store over the same directory, fresh engine.
 	store2, err := NewDiskStore(dir, 0)
@@ -130,6 +137,22 @@ func TestDiskStorePersistsAcrossRestart(t *testing.T) {
 	}
 	if snap3 != snap2 {
 		t.Fatal("second disk-store hit did not reuse the open entry")
+	}
+
+	// A cold hit on a second key of the dataset adopts the open
+	// entry's heap graph instead of reading its own copy.
+	adopt2, err := e2.Snapshot(adoptKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e2.AnalysisCount(); got != 0 {
+		t.Fatalf("restarted engine re-analyzed (%d analyses), want 0 (disk hit)", got)
+	}
+	if adopt2.Graph != snap2.Graph {
+		t.Fatal("cold hit beside an open entry did not adopt its graph")
+	}
+	if got := resolveJSON(t, e2, adopt2); !bytes.Equal(wantAdopt, got) {
+		t.Fatalf("adopting snapshot answers differently:\nwant %s\ngot  %s", wantAdopt, got)
 	}
 }
 
@@ -346,6 +369,51 @@ func TestDiskStoreCorruptFileIsAMiss(t *testing.T) {
 	if _, err := os.Stat(quarantined); err != nil {
 		t.Fatalf("startup scan disturbed the quarantined file: %v", err)
 	}
+
+	// With a donor open, a file whose graph section differs from the
+	// donor's graph by one byte fails the comparison, takes the full
+	// verify, and is quarantined; the donor's reference taken for the
+	// decode is given back.
+	donorKey := Key{Dataset: "tiny", Measure: "degree"}
+	donorSnap, err := e.Snapshot(donorKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := e.Snapshot(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mstore := mmapStoreOver(t, donorSnap, victim)
+	path := filepath.Join(mstore.dir, SnapshotFileName(key))
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := graph.ArenaWireBytes(victim.Graph)
+	at := bytes.Index(data, arena)
+	if at < 0 {
+		t.Fatal("stored snapshot does not hold the graph's arena")
+	}
+	data[at+len(arena)-1] ^= 0x80 // the last edge's endpoint goes negative
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	donor, ok := mstore.Get(donorKey)
+	if !ok {
+		t.Fatal("mmap store misses the donor snapshot")
+	}
+	refs := donor.ref.refs.Load()
+	if _, ok := mstore.Get(key); ok {
+		t.Fatal("graph section one byte off the donor's served as a hit")
+	}
+	if _, err := os.Stat(filepath.Join(mstore.dir, corruptPrefix+SnapshotFileName(key))); err != nil {
+		t.Fatalf("graph section one byte off the donor's was not quarantined: %v", err)
+	}
+	if got := donor.ref.refs.Load(); got != refs {
+		t.Fatalf("donor holds %d references after the failed decode, want %d", got, refs)
+	}
+	donor.Release()
+	mstore.DropOpen()
 }
 
 // TestDiskStoreQuarantinesOtherVersions: a stored file whose container

@@ -30,12 +30,22 @@ package scalarfield
 // alias directly. Version 2 is the only container version a decoder
 // accepts.
 //
+// Every key of a dataset stores the same graph, so a reader that
+// already holds it need not verify it again: LoadSnapshotFile's have
+// argument names such a graph, and a csr2 payload byte-identical to
+// its arena decodes to that graph with no mapping and no verification
+// scan. The bytes are still read and compared in full; only the scan,
+// whose answer is then already known, is skipped. The disk store
+// passes an open snapshot's graph, so it verifies each distinct arena
+// once while a snapshot serving it stays open; peer bytes and the
+// stream decoder pass nil and always verify.
+//
 // Alias lifetime: a graph decoded from a csr2 section ALIASES the
 // section bytes — the container buffer LoadSnapshot read, the mapping
-// on the mmap path — for its whole lifetime. Callers must not mutate
-// those bytes and must keep any backing mapping alive (see the release
-// callback of LoadSnapshotFile and query.Snapshot.Release) until the
-// graph is unreachable.
+// on the mmap path, or the adopted graph's own storage — for its whole
+// lifetime. Callers must not mutate those bytes and must keep any
+// backing mapping alive (see the release callback of LoadSnapshotFile
+// and query.Snapshot.Release) until the graph is unreachable.
 //
 // Unknown sections are skipped on decode, so future writers can append
 // fields without breaking old readers. The terrain layout and the
@@ -294,7 +304,7 @@ func LoadSnapshot(r io.Reader) (*SnapshotRecord, error) {
 	rec, _, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)),
 		func(off, length int64) ([]byte, func(), error) {
 			return data[off : off+length : off+length], func() {}, nil
-		})
+		}, nil)
 	return rec, err
 }
 
@@ -312,14 +322,27 @@ type GraphSectionMapper func(offset, length int64) (data []byte, release func(),
 // and no heap copy of the adjacency ever exists. A nil mapGraph reads
 // the section onto the heap.
 //
+// have, when non-nil, is a graph the caller already holds verified (or
+// built in-process) and expects the file to repeat — the disk store
+// passes the graph of an open snapshot of the same dataset. The csr2
+// payload is then read in fixed-size chunks and compared with
+// graph.ArenaWireBytes(have); if every byte matches, the record's
+// graph is have itself: mapGraph is never called and the verification
+// scan is skipped, because its answer is already known. Any other
+// bytes take the mapGraph + graph.GraphFromArena path, so a corrupt
+// section is rejected exactly as with a nil have. The comparison
+// allocates nothing proportional to the graph (one chunk buffer; on a
+// big-endian host ArenaWireBytes itself converts a copy).
+//
 // The returned release callback frees the graph mapping; the caller
 // must invoke it exactly once, after the record's graph is no longer
-// in use (query.Snapshot ties it to a reference count). On error the
-// returned release is a no-op but still non-nil.
+// in use (query.Snapshot ties it to a reference count). It is a no-op
+// when the graph was adopted from have, and on error it is a no-op
+// but still non-nil.
 //
 // size is the file's total length in bytes; r must serve reads
 // anywhere below it.
-func LoadSnapshotFile(r io.ReaderAt, size int64, mapGraph GraphSectionMapper) (*SnapshotRecord, func(), error) {
+func LoadSnapshotFile(r io.ReaderAt, size int64, mapGraph GraphSectionMapper, have *Graph) (*SnapshotRecord, func(), error) {
 	release := func() {}
 	readRange := func(off, length int64) ([]byte, func(), error) {
 		buf := make([]byte, length)
@@ -369,6 +392,17 @@ func LoadSnapshotFile(r io.ReaderAt, size int64, mapGraph GraphSectionMapper) (*
 			if d.rec.Graph != nil {
 				return fail(fmt.Errorf("scalarfield: snapshot has two csr2 sections"))
 			}
+			if have != nil {
+				same, err := sameBytes(r, payloadOff, int64(length), graph.ArenaWireBytes(have))
+				if err != nil {
+					return fail(fmt.Errorf("scalarfield: reading csr2 payload: %w", err))
+				}
+				if same {
+					d.rec.Graph = have
+					off = payloadOff + int64(length)
+					continue
+				}
+			}
 			data, rel, err := mapGraph(payloadOff, int64(length))
 			if err != nil {
 				return fail(fmt.Errorf("scalarfield: mapping csr2 section: %w", err))
@@ -399,6 +433,32 @@ func LoadSnapshotFile(r io.ReaderAt, size int64, mapGraph GraphSectionMapper) (*
 		return fail(err)
 	}
 	return rec, release, nil
+}
+
+// compareChunk is the read size of sameBytes: a scale-2 arena
+// (~640 KB) takes 20 reads into one fixed-size, cache-resident buffer.
+const compareChunk = 32 << 10
+
+// sameBytes reports whether the length bytes of r at off equal want,
+// reading them in compareChunk pieces and stopping at the first
+// difference.
+func sameBytes(r io.ReaderAt, off, length int64, want []byte) (bool, error) {
+	if length != int64(len(want)) {
+		return false, nil
+	}
+	buf := make([]byte, min(length, compareChunk))
+	for len(want) > 0 {
+		n := min(len(want), len(buf))
+		if _, err := r.ReadAt(buf[:n], off); err != nil {
+			return false, err
+		}
+		if !bytes.Equal(buf[:n], want[:n]) {
+			return false, nil
+		}
+		off += int64(n)
+		want = want[n:]
+	}
+	return true, nil
 }
 
 func decodeSnapshotMeta(p *wire.Payload, rec *SnapshotRecord) error {

@@ -210,7 +210,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 			copy(buf[1:], data[off:off+length])
 			return buf[1:], func() {}, nil
 		}
-		gotFile, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)), misalign)
+		gotFile, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)), misalign, nil)
 		if err != nil {
 			t.Fatalf("file load failed: %v", err)
 		}
@@ -225,15 +225,57 @@ func FuzzSnapshotCodec(f *testing.F) {
 			evil := append([]byte(nil), data...)
 			evil[int(corruptAt)%len(evil)] ^= corruptXor
 			_, _ = LoadSnapshot(bytes.NewReader(evil))
-			if _, rel, err := LoadSnapshotFile(bytes.NewReader(evil), int64(len(evil)), misalignOver(evil)); err == nil {
+			if _, rel, err := LoadSnapshotFile(bytes.NewReader(evil), int64(len(evil)), misalignOver(evil), nil); err == nil {
 				rel()
 			}
 			// Truncation at the corruption point, too.
 			cut := evil[:int(corruptAt)%len(evil)]
 			_, _ = LoadSnapshot(bytes.NewReader(cut))
-			if _, rel, err := LoadSnapshotFile(bytes.NewReader(cut), int64(len(cut)), misalignOver(cut)); err == nil {
+			if _, rel, err := LoadSnapshotFile(bytes.NewReader(cut), int64(len(cut)), misalignOver(cut), nil); err == nil {
 				rel()
 			}
+		}
+	})
+}
+
+// FuzzLoadSnapshotAdoption: decoding with have set to the graph the
+// snapshot was saved from must agree with decoding without it, on any
+// mutated or truncated bytes: both fail, or both succeed with
+// byte-identical arenas, fields and trees. The held graph is adopted
+// exactly when the csr2 payload repeats its arena, so a corrupt arena
+// can never skip the verification scan.
+func FuzzLoadSnapshotAdoption(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint16(60), false, false, uint16(0), byte(0), false)
+	f.Add(int64(2), uint8(50), uint16(300), true, false, uint16(200), byte(7), false)
+	f.Add(int64(3), uint8(5), uint16(4), false, true, uint16(100), byte(255), true)
+	f.Add(int64(4), uint8(80), uint16(500), true, true, uint16(65535), byte(1), false)
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, attempts uint16, edgeBased, colored bool, at uint16, xor byte, truncate bool) {
+		rec := randomSnapshotRecord(t, seed, int(n)+2, int(attempts)%1000, edgeBased, colored)
+		data := encodeRecord(t, rec)
+		i := int(at) % len(data)
+		data[i] ^= xor
+		if truncate {
+			data = data[:i]
+		}
+		decode := func(have *Graph) (*SnapshotRecord, error) {
+			got, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)), nil, have)
+			release()
+			return got, err
+		}
+		adopted, errAdopt := decode(rec.Graph)
+		verified, errVerify := decode(nil)
+		if (errAdopt == nil) != (errVerify == nil) {
+			t.Fatalf("decode with a held graph: %v; without: %v", errAdopt, errVerify)
+		}
+		if errAdopt != nil {
+			return
+		}
+		if !bytes.Equal(encodeRecord(t, adopted), encodeRecord(t, verified)) {
+			t.Fatal("decodes with and without a held graph differ")
+		}
+		same := bytes.Equal(graph.ArenaWireBytes(adopted.Graph), graph.ArenaWireBytes(rec.Graph))
+		if same != (adopted.Graph == rec.Graph) {
+			t.Fatalf("held graph adopted = %v for a csr2 payload identical to it = %v", adopted.Graph == rec.Graph, same)
 		}
 	})
 }
@@ -249,7 +291,7 @@ func TestSnapshotRejectsOtherVersions(t *testing.T) {
 		if _, err := LoadSnapshot(bytes.NewReader(evil)); err == nil {
 			t.Errorf("LoadSnapshot accepted version %d", v)
 		}
-		if _, rel, err := LoadSnapshotFile(bytes.NewReader(evil), int64(len(evil)), nil); err == nil {
+		if _, rel, err := LoadSnapshotFile(bytes.NewReader(evil), int64(len(evil)), nil, nil); err == nil {
 			rel()
 			t.Errorf("LoadSnapshotFile accepted version %d", v)
 		}
@@ -329,7 +371,7 @@ func TestLoadSnapshotFile(t *testing.T) {
 		copy(buf, data[off:off+length])
 		return buf, func() { released++ }, nil
 	}
-	got, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)), mapper)
+	got, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)), mapper, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +392,7 @@ func TestLoadSnapshotFile(t *testing.T) {
 	}
 
 	// A nil mapper reads the section onto the heap.
-	heap, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)), nil)
+	heap, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +404,7 @@ func TestLoadSnapshotFile(t *testing.T) {
 	evil := append([]byte(nil), data...)
 	off, _ := findSection(t, evil, "tree")
 	evil[off] ^= 0xff
-	if _, _, err := LoadSnapshotFile(bytes.NewReader(evil), int64(len(evil)), mapper); err == nil {
+	if _, _, err := LoadSnapshotFile(bytes.NewReader(evil), int64(len(evil)), mapper, nil); err == nil {
 		t.Fatal("corrupt tree section accepted")
 	}
 	if released != 1 {
@@ -377,7 +419,7 @@ func TestLoadSnapshotFile(t *testing.T) {
 	_, _, err = LoadSnapshotFile(bytes.NewReader(twice), int64(len(twice)), func(off, length int64) ([]byte, func(), error) {
 		mapped++
 		return append([]byte(nil), twice[off:off+length]...), func() { released++ }, nil
-	})
+	}, nil)
 	if err == nil {
 		t.Fatal("container with two csr2 sections accepted")
 	}
