@@ -10,12 +10,12 @@ package main
 // MS-Brandes engine (vertex, edge, and sampled), one row per kernel,
 // the snapshot-cache hit/miss paths of internal/query, and the
 // snapshot wire codec (encode and decode throughput for the disk
-// store and the shard fabric) — timed with allocation counts and
-// written as machine-readable JSON (-benchout, BENCH_8.json by
-// default), so the effect of each PR on the hot path is tracked as
-// checked-in evidence rather than folklore. CI runs it with
-// -benchiters 1 as a smoke test; locally, higher iteration counts
-// give stable numbers.
+// store and the shard fabric, and the SFST tree decode beneath it) —
+// timed with allocation counts and written as machine-readable JSON
+// (-benchout, BENCH_8.json by default), so the effect of each PR on
+// the hot path is tracked as checked-in evidence rather than folklore.
+// CI runs it with -benchiters 1 as a smoke test; locally, higher
+// iteration counts give stable numbers.
 //
 // BENCH_8.json methodology: generated with
 //
@@ -202,6 +202,10 @@ func runBench(cfg config) error {
 	}
 	fmt.Printf("snapshot wire size: %d bytes (%d vertices, %d edges, %d super nodes)\n",
 		encodedSnap.Len(), g.NumVertices(), g.NumEdges(), warmSnap.Terrain.Tree.Len())
+	var encodedTree bytes.Buffer
+	if _, err := warmSnap.Terrain.Tree.WriteTo(&encodedTree); err != nil {
+		return err
+	}
 
 	// The raw graph codec: decode-csr2 is header-validate + one O(V+E)
 	// panic-safety scan over an aliased arena (no allocation per edge);
@@ -332,9 +336,15 @@ func runBench(cfg config) error {
 			_, err := query.DecodeSnapshot(bytes.NewReader(encodedSnap.Bytes()))
 			return err
 		}},
-		// decode-zerocopy serves the same record from a file with the
-		// graph section mapped in place (verify scan, zero per-edge heap
-		// traffic).
+		// The snapshot's tree section alone: the SFST decode and
+		// validation every cold hit pays.
+		{"core/tree-decode", func() error {
+			_, err := core.DecodeSuperTree(encodedTree.Bytes())
+			return err
+		}},
+		// decode-zerocopy serves the same record from one mapping of the
+		// whole file, the graph aliasing it in place (verify scan, zero
+		// per-edge heap traffic).
 		{"snapshot-codec/decode-zerocopy", func() error {
 			snap, err := query.DecodeSnapshotFileMapped(snapPath)
 			if err != nil {
@@ -359,9 +369,10 @@ func runBench(cfg config) error {
 		}},
 		// Disk-store cold hits: a fresh store per iteration (index scan
 		// included, identical in both rows) decodes the stored snapshot
-		// from disk. The copy row reads the graph section onto the heap;
-		// the mmap row aliases the file mapping — compare BytesPerOp for the
-		// resident-set difference and NsPerOp for the latency gap.
+		// from disk. The copy row reads the whole file onto the heap and
+		// the graph aliases that buffer; the mmap row maps the file
+		// instead — compare BytesPerOp for the resident-set difference
+		// and NsPerOp for the latency gap.
 		{"diskstore/cold-hit-copy", func() error {
 			return benchColdHit(benchDir, warmKey, false)
 		}},

@@ -52,6 +52,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"html/template"
@@ -1071,12 +1072,19 @@ func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// writeJSON answers v as indented JSON, or 500 when v holds a value
+// JSON cannot carry (a ±Inf from a library field, say): Encode
+// marshals in full before its one write, so nothing is sent yet.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	if err := enc.Encode(v); err != nil {
 		log.Printf("encoding response: %v", err)
+		var unsupported *json.UnsupportedValueError
+		if errors.As(err, &unsupported) {
+			http.Error(w, fmt.Sprintf("encoding response: %v", err), http.StatusInternalServerError)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"image/png"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -592,4 +593,20 @@ func TestBatchQueriesConsistentUnderMeasureSwitches(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestWriteJSONUnencodable: a value with no JSON form (a ±Inf from a
+// library field) is a 500 naming the failure, not an empty 200; an
+// encodable value is written as indented JSON with a trailing newline.
+func TestWriteJSONUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, []float64{1, math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "encoding response") {
+		t.Fatalf("unencodable value: status %d, body %q", rec.Code, rec.Body)
+	}
+	rec = httptest.NewRecorder()
+	writeJSON(rec, map[string][]int{"a": {1, 2}})
+	if want := "{\n \"a\": [\n  1,\n  2\n ]\n}\n"; rec.Code != http.StatusOK || rec.Body.String() != want {
+		t.Fatalf("status %d, body %q; want 200, %q", rec.Code, rec.Body, want)
+	}
 }

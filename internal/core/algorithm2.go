@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -356,13 +357,18 @@ func (st *SuperTree) Validate() error {
 }
 
 // validateLinks checks the invariants index relies on — topological
-// parents and in-range item mapping — plus strict scalar monotonicity.
+// parents and in-range item mapping — plus NaN-free scalars and strict
+// scalar monotonicity. A NaN would slip past the monotonicity test,
+// which no comparison with NaN fails.
 func (st *SuperTree) validateLinks() error {
 	n := len(st.Parent)
 	if len(st.Scalar) != n {
 		return fmt.Errorf("core: super tree slice lengths disagree")
 	}
 	for s, p := range st.Parent {
+		if math.IsNaN(st.Scalar[s]) {
+			return fmt.Errorf("core: super node %d scalar is NaN", s)
+		}
 		if p < -1 || int(p) >= s {
 			return fmt.Errorf("core: super node %d has parent %d, want -1 or a smaller ID", s, p)
 		}

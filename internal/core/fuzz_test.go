@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
 )
 
-// FuzzReadSuperTree asserts the binary reader's contract: arbitrary
-// bytes never panic and never produce an invalid tree — anything
-// accepted passes Validate (the reader validates before returning, so
-// a Validate failure here means that guarantee regressed) and reads
-// back subtrees of the sizes it reports.
+// FuzzReadSuperTree asserts the SFST decoders' contract: arbitrary
+// bytes never panic, ReadSuperTree and DecodeSuperTree accept exactly
+// the inputs the element-at-a-time oracle accepts and decode identical
+// trees, ReadSuperTree consumes exactly the bytes the oracle reads, and
+// anything accepted passes the full Validate (the decoders validate
+// before returning, so a Validate failure here means that guarantee
+// regressed) and reads back subtrees of the sizes it reports.
 func FuzzReadSuperTree(f *testing.F) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	st := VertexSuperTree(MustVertexField(g, []float64{3, 1, 2, 1}))
@@ -26,10 +30,29 @@ func FuzzReadSuperTree(f *testing.F) {
 	f.Add([]byte("SFST\x01\xff\xff\xff\xff\xff\xff\xff\xff")) // hostile header
 	f.Add([]byte{})
 	f.Add(nonTopologicalTree)
+	f.Add(nanTree)
+	f.Add(rawTreeBytes([]int32{-1, 0}, []float64{1, 2}, []int32{0, 0})) // super node 1 has no members
+	f.Add(append(valid.Bytes(), "trailing"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := ReadSuperTree(bytes.NewReader(data))
+		or := bytes.NewReader(data)
+		want, wantErr := readSuperTreeOracle(or)
+		rr := bytes.NewReader(data)
+		st, err := ReadSuperTree(rr)
+		decoded, decErr := DecodeSuperTree(data)
+		if (err == nil) != (wantErr == nil) || (decErr == nil) != (wantErr == nil) {
+			t.Fatalf("oracle err %v; ReadSuperTree err %v; DecodeSuperTree err %v", wantErr, err, decErr)
+		}
 		if err != nil {
 			return
+		}
+		if rr.Len() != or.Len() {
+			t.Fatalf("ReadSuperTree left %d bytes unread, the oracle %d", rr.Len(), or.Len())
+		}
+		for _, got := range []*SuperTree{st, decoded} {
+			if !reflect.DeepEqual(got.Parent, want.Parent) || !reflect.DeepEqual(got.NodeOf, want.NodeOf) ||
+				!reflect.DeepEqual(got.Members, want.Members) || !sameFloatBits(got.Scalar, want.Scalar) {
+				t.Fatal("decoded tree differs from the oracle's")
+			}
 		}
 		if err := st.Validate(); err != nil {
 			t.Fatalf("reader accepted an invalid tree: %v", err)
@@ -42,6 +65,10 @@ func FuzzReadSuperTree(f *testing.F) {
 			}
 		}
 	})
+}
+
+func sameFloatBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // FuzzSweepOrder decodes the input as little-endian float64s, drops

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Scalar trees travel between the construction tool and the
@@ -67,81 +68,111 @@ func (st *SuperTree) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// readAhead bounds the elements of each array allocated before its
-// payload arrives: a hostile header can force at most this many, and
-// trees up to this size decode with one allocation per array.
-const readAhead = 1 << 16
+// treeHeaderLen is the SFST prologue: magic, version, numSuper and
+// numItems.
+const treeHeaderLen = len(treeMagic) + 1 + 8
+
+// readAhead bounds the bytes ReadSuperTree allocates before a tree's
+// arrays arrive: a hostile header can force at most this many, and
+// trees up to this size read into one allocation.
+const readAhead = 1 << 20
+
+// decodeTreeHeader validates the SFST prologue at the start of b and
+// returns the declared counts with the byte length of the whole tree.
+func decodeTreeHeader(b []byte) (numSuper, numItems int, size int64, err error) {
+	if len(b) >= len(treeMagic) && string(b[:len(treeMagic)]) != treeMagic {
+		return 0, 0, 0, fmt.Errorf("core: bad magic %q, want %q", b[:len(treeMagic)], treeMagic)
+	}
+	if len(b) < treeHeaderLen {
+		return 0, 0, 0, fmt.Errorf("core: tree header truncated: %d bytes", len(b))
+	}
+	if v := b[len(treeMagic)]; v != treeVersion {
+		return 0, 0, 0, fmt.Errorf("core: unsupported tree version %d", v)
+	}
+	ns := binary.LittleEndian.Uint32(b[len(treeMagic)+1:])
+	ni := binary.LittleEndian.Uint32(b[len(treeMagic)+5:])
+	const maxReasonable = 1 << 30
+	if ns > maxReasonable || ni > maxReasonable {
+		return 0, 0, 0, fmt.Errorf("core: implausible tree sizes %d/%d", ns, ni)
+	}
+	return int(ns), int(ni), int64(treeHeaderLen) + 12*int64(ns) + 4*int64(ni), nil
+}
 
 // ReadSuperTree deserializes a super tree written by WriteTo and
 // validates it before returning. It reads exactly the tree's bytes
-// from r, and for trees of up to readAhead super nodes and items it
-// makes a constant number of allocations.
+// from r, growing its buffer only as they arrive, so memory stays
+// proportional to the bytes read; trees of up to readAhead bytes
+// decode with a constant number of allocations.
 func ReadSuperTree(r io.Reader) (*SuperTree, error) {
-	scratch := make([]byte, 1<<15)
-	hdr := scratch[:4]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("core: reading tree magic: %w", err)
-	}
-	if string(hdr) != treeMagic {
-		return nil, fmt.Errorf("core: bad magic %q, want %q", hdr, treeMagic)
-	}
-	hdr = scratch[:1]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("core: reading tree version: %w", err)
-	}
-	if hdr[0] != treeVersion {
-		return nil, fmt.Errorf("core: unsupported tree version %d", hdr[0])
-	}
-	hdr = scratch[:8]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	var hdr [treeHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("core: reading tree header: %w", err)
 	}
-	numSuper := binary.LittleEndian.Uint32(hdr)
-	numItems := binary.LittleEndian.Uint32(hdr[4:])
-	const maxReasonable = 1 << 30
-	if numSuper > maxReasonable || numItems > maxReasonable {
-		return nil, fmt.Errorf("core: implausible tree sizes %d/%d", numSuper, numItems)
+	_, _, size, err := decodeTreeHeader(hdr[:])
+	if err != nil {
+		return nil, err
 	}
-	st := &SuperTree{}
-	var err error
-	if st.Parent, err = readArray(r, int(numSuper), scratch, decodeInt32); err != nil {
-		return nil, fmt.Errorf("core: reading parents: %w", err)
+	b := append(make([]byte, 0, min(size, readAhead)), hdr[:]...)
+	for int64(len(b)) < size {
+		n := int(min(size-int64(len(b)), readAhead))
+		b = slices.Grow(b, n)
+		if _, err := io.ReadFull(r, b[len(b):len(b)+n]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("core: reading tree arrays: %w", err)
+		}
+		b = b[:len(b)+n]
 	}
-	if st.Scalar, err = readArray(r, int(numSuper), scratch, decodeFloat64); err != nil {
-		return nil, fmt.Errorf("core: reading scalars: %w", err)
+	return DecodeSuperTree(b)
+}
+
+// DecodeSuperTree deserializes the super tree WriteTo wrote at the
+// start of b and validates it before returning; bytes past the tree
+// are ignored, as ReadSuperTree leaves them unread. The declared
+// counts are checked against len(b) before anything is allocated, the
+// arrays decode in bulk, and the decode makes a constant number of
+// allocations. The tree does not alias b.
+func DecodeSuperTree(b []byte) (*SuperTree, error) {
+	numSuper, numItems, size, err := decodeTreeHeader(b)
+	if err != nil {
+		return nil, err
 	}
-	if st.NodeOf, err = readArray(r, int(numItems), scratch, decodeInt32); err != nil {
-		return nil, fmt.Errorf("core: reading item mapping: %w", err)
+	if int64(len(b)) < size {
+		return nil, fmt.Errorf("core: tree truncated: %d bytes for %d super nodes and %d items", len(b), numSuper, numItems)
 	}
+	// Parent and NodeOf share one allocation; neither ever grows.
+	ints := make([]int32, numSuper+numItems)
+	st := &SuperTree{
+		Parent: ints[:numSuper:numSuper],
+		Scalar: make([]float64, numSuper),
+		NodeOf: ints[numSuper:],
+	}
+	b = decodeInt32s(st.Parent, b[treeHeaderLen:])
+	for i := range st.Scalar {
+		st.Scalar[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	decodeInt32s(st.NodeOf, b[8*numSuper:])
 	if err := st.validateLinks(); err != nil {
 		return nil, fmt.Errorf("core: deserialized tree invalid: %w", err)
 	}
 	st.index()
-	if err := st.Validate(); err != nil {
-		return nil, fmt.Errorf("core: deserialized tree invalid: %w", err)
+	// index places every item under its in-range node, so of Validate's
+	// checks only an empty super node remains possible.
+	for s, m := range st.Members {
+		if len(m) == 0 {
+			return nil, fmt.Errorf("core: deserialized tree invalid: super node %d has no members", s)
+		}
 	}
 	return st, nil
 }
 
-func decodeInt32(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) }
-
-func decodeFloat64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
-
-// readArray reads exactly n little-endian values through scratch,
-// growing the result past readAhead only as data actually arrives, so
-// memory stays proportional to the bytes read rather than the declared
-// count.
-func readArray[T int32 | float64](r io.Reader, n int, scratch []byte, decode func([]byte) T) ([]T, error) {
-	width := binary.Size(T(0))
-	out := make([]T, 0, min(n, readAhead))
-	for len(out) < n {
-		b := scratch[:min(n-len(out), len(scratch)/width)*width]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		for ; len(b) > 0; b = b[width:] {
-			out = append(out, decode(b))
-		}
+// decodeInt32s fills dst with the little-endian words at the start of
+// b and returns the rest of b.
+func decodeInt32s(dst []int32, b []byte) []byte {
+	src := b[:4*len(dst)]
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
 	}
-	return out, nil
+	return b[len(src):]
 }

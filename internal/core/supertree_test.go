@@ -137,6 +137,24 @@ func rawTreeBytes(parent []int32, scalar []float64, nodeOf []int32) []byte {
 // would give the root 2 items instead of 3.
 var nonTopologicalTree = rawTreeBytes([]int32{-1, 2, 0}, []float64{1, 3, 2}, []int32{0, 1, 2})
 
+// nanTree is a valid two-node chain but for a NaN child scalar, which
+// no comparison in the monotonicity check fails.
+var nanTree = rawTreeBytes([]int32{-1, 0}, []float64{1, math.NaN()}, []int32{0, 1})
+
+func TestReadSuperTreeRejectsNaN(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"child": nanTree,
+		"root":  rawTreeBytes([]int32{-1}, []float64{math.NaN()}, []int32{0, 0}),
+	} {
+		if _, err := ReadSuperTree(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: ReadSuperTree accepted a NaN scalar", name)
+		}
+		if _, err := DecodeSuperTree(data); err == nil {
+			t.Errorf("%s: DecodeSuperTree accepted a NaN scalar", name)
+		}
+	}
+}
+
 func TestReadSuperTreeRejectsNonTopologicalParents(t *testing.T) {
 	if st, err := ReadSuperTree(bytes.NewReader(nonTopologicalTree)); err == nil {
 		t.Fatalf("accepted a tree with Parent[1]=2: sizes %v", st.SubtreeSize())
@@ -195,6 +213,29 @@ func TestReadSuperTreeAllocs(t *testing.T) {
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("ReadSuperTree allocs grow with the tree: %v", counts)
+	}
+}
+
+// TestDecodeSuperTreeAllocs is TestReadSuperTreeAllocs for the
+// in-memory decoder.
+func TestDecodeSuperTreeAllocs(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{100, 20000} {
+		st := VertexSuperTree(randomField(8, n, 1.5, 64))
+		var buf bytes.Buffer
+		if _, err := st.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			if _, err := DecodeSuperTree(data); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		t.Logf("%d super nodes: %.0f allocs", st.Len(), counts[len(counts)-1])
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("DecodeSuperTree allocs grow with the tree: %v", counts)
 	}
 }
 

@@ -68,10 +68,10 @@ func snapshotFromRecord(rec *scalarfield.SnapshotRecord) *Snapshot {
 	}
 }
 
-// DecodeSnapshotFileMapped decodes a snapshot file with its graph
-// section mmap'd in place (internal/mmapio) instead of copied to the
-// heap: the adjacency of a cold-served graph stays backed by clean
-// file pages the kernel can reclaim. The graph section is always
+// DecodeSnapshotFileMapped decodes a snapshot file from one
+// read-only mapping of the whole file (internal/mmapio) instead of a
+// heap copy: the adjacency of a cold-served graph stays backed by
+// clean file pages the kernel can reclaim. The graph section is always
 // verified in full. The returned snapshot carries a reference count
 // wired to the mapping — the caller owns the creation reference and
 // must balance it with Release.
@@ -79,16 +79,20 @@ func DecodeSnapshotFileMapped(path string) (*Snapshot, error) {
 	return decodeSnapshotFile(path, true, nil)
 }
 
-// decodeSnapshotFile decodes a snapshot file, mapping its graph
-// section when mapped is set and reading it onto the heap otherwise.
-// Heap-backed snapshots carry no reference count; Release is a no-op.
+// decodeSnapshotFile decodes a snapshot file from one image of the
+// whole file: a single mapping when mapped is set, otherwise a single
+// read into one heap buffer (heap mode never maps). A graph that is
+// not adopted aliases that image; a mapped one keeps the whole-file
+// mapping as its mappingRef. Heap-backed snapshots carry no reference
+// count; Release is a no-op.
 //
 // donor, when non-nil, is an open snapshot the caller has retained
 // once for this call. If the file's graph section is byte-identical to
 // the donor's graph, the decoded snapshot adopts that graph and the
-// donor's mappingRef, and the caller's retained reference becomes the
-// new snapshot's creation reference. Otherwise (and on error) the
-// donor is released here.
+// donor's mappingRef, the file's own mapping is released at once (the
+// fields and the tree never alias it), and the caller's retained
+// reference becomes the new snapshot's creation reference. Otherwise
+// (and on error) the donor is released here.
 func decodeSnapshotFile(path string, mapped bool, donor *Snapshot) (*Snapshot, error) {
 	var have *graph.Graph
 	if donor != nil {
@@ -105,30 +109,36 @@ func decodeSnapshotFile(path string, mapped bool, donor *Snapshot) (*Snapshot, e
 		return nil, err
 	}
 	// The mapping outlives the descriptor (mmapio's contract), so the
-	// file can close as soon as decoding ends, mapped or not.
+	// file can close as soon as the image is in hand, mapped or not.
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	var mapGraph scalarfield.GraphSectionMapper
+	var img []byte
+	release := func() {}
 	if mapped {
-		mapGraph = func(off, length int64) ([]byte, func(), error) {
-			m, err := mmapio.MapFile(f, off, length)
-			if err != nil {
-				return nil, nil, err
-			}
-			return m.Data(), func() { m.Close() }, nil
+		m, err := mmapio.MapFile(f, 0, st.Size())
+		if err != nil {
+			return nil, fmt.Errorf("query: mapping snapshot file %s: %w", path, err)
+		}
+		img, release = m.Data(), func() { m.Close() }
+	} else {
+		img = make([]byte, st.Size())
+		if n, err := f.ReadAt(img, 0); n < len(img) {
+			return nil, fmt.Errorf("query: reading snapshot file %s: %w", path, err)
 		}
 	}
-	rec, release, err := scalarfield.LoadSnapshotFile(f, st.Size(), mapGraph, have)
+	rec, err := scalarfield.DecodeSnapshotImage(img, have)
 	if err != nil {
+		release()
 		return nil, fmt.Errorf("query: decoding snapshot file %s: %w", path, err)
 	}
 	snap := snapshotFromRecord(rec)
 	switch {
 	case have != nil && rec.Graph == have:
 		adopted = true
+		release()
 		snap.ref = donor.ref
 	case mapped:
 		snap.ref = newMappedSnapshotRef(release)

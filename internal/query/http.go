@@ -219,6 +219,13 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
 		log.Printf("query: encoding response: %v", err)
+		// Encode marshals in full before its one write, so a value JSON
+		// cannot carry (a ±Inf from a library field, say) leaves the
+		// response unsent: a 500, not an empty 200.
+		var unsupported *json.UnsupportedValueError
+		if errors.As(err, &unsupported) {
+			http.Error(w, fmt.Sprintf("query: encoding response: %v", err), http.StatusInternalServerError)
+		}
 	}
 }
 

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
+	scalarfield "repro"
 	"repro/internal/graph"
 )
 
@@ -180,5 +183,47 @@ func TestServerFaultsAre500(t *testing.T) {
 	resp, _ = postBatch(t, ts2, `{"dataset": "x", "measure": "kcore", "ops": [{"op": "spectrum"}]}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("loader ClientError: status %d, want 400", resp.StatusCode)
+	}
+}
+
+var infMeasureOnce sync.Once
+
+// TestStoredInfTreeAnswers500: ±Inf is legal in a library field, but a
+// spectrum over a +Inf scalar has no JSON form; a query that needs it
+// answers 500 with a message, from a fresh analysis and from the stored
+// snapshot alike, never an empty 200.
+func TestStoredInfTreeAnswers500(t *testing.T) {
+	infMeasureOnce.Do(func() {
+		scalarfield.RegisterMeasure("test-inf", false, "test-only: degree, +Inf on the last vertex",
+			func(g *scalarfield.Graph) []float64 {
+				vals := make([]float64, g.NumVertices())
+				for v := range vals {
+					vals[v] = float64(g.Degree(int32(v)))
+				}
+				vals[len(vals)-1] = math.Inf(1)
+				return vals
+			})
+	})
+	dir := t.TempDir()
+	for _, stored := range []bool{false, true} {
+		store, err := NewDiskStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(Options{Store: store})
+		e.RegisterDataset("tiny", testGraph())
+		rec := httptest.NewRecorder()
+		body := `{"dataset":"tiny","measure":"test-inf","ops":[{"op":"spectrum"}]}`
+		(&Handler{Engine: e}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/query", strings.NewReader(body)))
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "encoding response") {
+			t.Fatalf("stored=%v: status %d, body %q; want 500 naming the encoding failure", stored, rec.Code, rec.Body)
+		}
+		want := int64(1)
+		if stored {
+			want = 0
+		}
+		if got := e.AnalysisCount(); got != want {
+			t.Fatalf("stored=%v: %d analyses, want %d", stored, got, want)
+		}
 	}
 }

@@ -60,10 +60,11 @@ func NewMemorySnapshotStore(max int) SnapshotStore {
 // mode, its mapping) instead of verifying a copy of its own.
 type DiskStore struct {
 	dir string
-	// mmapGraphs switches cold-hit decodes to the mapped path: the
-	// graph section of a snapshot file is mmap'd and aliased in place
-	// rather than copied to the heap. Lifetimes are reference-counted
-	// (see Snapshot.Release and the retain protocol in Get).
+	// mmapGraphs switches cold-hit decodes to the mapped path: a
+	// snapshot file is mmap'd whole and its graph section aliased in
+	// place rather than the file read onto the heap. Lifetimes are
+	// reference-counted (see Snapshot.Release and the retain protocol
+	// in Get).
 	mmapGraphs bool
 
 	// mu guards index, open, and decoding. Encode/decode run outside
@@ -113,9 +114,9 @@ type DiskStoreOptions struct {
 	// MaxOpen bounds the decoded open-entry LRU; <= 0 means
 	// DefaultOpenSnapshots.
 	MaxOpen int
-	// MmapGraphs serves cold hits with the graph section mmap'd in
-	// place instead of read onto the heap: the adjacency stays backed
-	// by reclaimable file pages. The mapping is released when every
+	// MmapGraphs serves cold hits from one mapping of the whole file
+	// instead of a heap copy of it, the graph section aliased in place:
+	// the adjacency stays backed by reclaimable file pages. The mapping is released when every
 	// entry serving it (the one that mapped it and those that adopted
 	// its graph) has left the open LRU and every caller has Released
 	// its snapshot.

@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"math"
@@ -469,6 +470,71 @@ func TestDiskStoreQuarantinesOtherVersions(t *testing.T) {
 		if data, err := os.ReadFile(path); err != nil || data[4] != 2 {
 			t.Fatalf("mmap=%v: re-analysis did not store a version 2 file (err %v)", mmap, err)
 		}
+	}
+}
+
+// TestDiskStoreQuarantinesNaNTree: a stored file whose tree holds a
+// NaN scalar, which no monotonicity comparison fails, is quarantined on
+// its first cold hit and costs one re-analysis that answers
+// byte-identically to the original, heap and mmap alike.
+func TestDiskStoreQuarantinesNaNTree(t *testing.T) {
+	for _, mmap := range []bool{false, true} {
+		dir := t.TempDir()
+		key := Key{Dataset: "tiny", Measure: "kcore", Color: "degree"}
+		opts := DiskStoreOptions{MmapGraphs: mmap}
+		engine := func() *Engine {
+			t.Helper()
+			store, err := NewDiskStoreOptions(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(Options{Store: store})
+			e.RegisterDataset("tiny", testGraph())
+			return e
+		}
+		e := engine()
+		snap, err := e.Snapshot(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := resolveJSON(t, e, snap)
+		var tree bytes.Buffer
+		if _, err := snap.Terrain.Tree.WriteTo(&tree); err != nil {
+			t.Fatal(err)
+		}
+		// The root's scalar follows the SFST header and the parents;
+		// the tree section ends the file.
+		fromEnd := tree.Len() - 13 - 4*snap.Terrain.Tree.Len()
+		snap.Release()
+
+		path := filepath.Join(dir, SnapshotFileName(key))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasSuffix(data, tree.Bytes()) {
+			t.Fatal("stored snapshot does not end with its tree section")
+		}
+		binary.LittleEndian.PutUint64(data[len(data)-fromEnd:], math.Float64bits(math.NaN()))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		e = engine()
+		got, err := e.Snapshot(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := e.AnalysisCount(); n != 1 {
+			t.Fatalf("mmap=%v: %d analyses over a NaN tree, want 1", mmap, n)
+		}
+		if _, err := os.Stat(filepath.Join(dir, corruptPrefix+SnapshotFileName(key))); err != nil {
+			t.Fatalf("mmap=%v: NaN tree was not quarantined: %v", mmap, err)
+		}
+		if body := resolveJSON(t, e, got); !bytes.Equal(body, want) {
+			t.Fatalf("mmap=%v: re-analysis answers differently:\nwant %s\ngot  %s", mmap, want, body)
+		}
+		got.Release()
 	}
 }
 

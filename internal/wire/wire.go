@@ -27,7 +27,6 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -173,9 +172,9 @@ type Payload struct {
 	off  int
 }
 
-// NewPayload wraps already-read section bytes for decoding, for
-// callers that walk a container by explicit offsets (io.ReaderAt)
-// instead of through Reader. The payload aliases data.
+// NewPayload wraps section bytes for decoding, for callers that walk
+// a container image in memory by explicit offsets instead of through
+// Reader. The payload aliases data.
 func NewPayload(data []byte) *Payload { return &Payload{data: data} }
 
 // Bytes returns the built payload.
@@ -183,10 +182,6 @@ func (p *Payload) Bytes() []byte { return p.data }
 
 // Remaining reports the unread byte count.
 func (p *Payload) Remaining() int { return len(p.data) - p.off }
-
-// Reader returns an io.Reader over the unread remainder, for nested
-// codecs (e.g. the super-tree format) embedded as a section payload.
-func (p *Payload) Reader() io.Reader { return bytes.NewReader(p.data[p.off:]) }
 
 func (p *Payload) need(n int) error {
 	if p.Remaining() < n {
@@ -288,11 +283,11 @@ func (p *Payload) Float64s() ([]float64, error) {
 		return nil, fmt.Errorf("wire: float64 count %d exceeds remaining payload (%d bytes)", n, p.Remaining())
 	}
 	out := make([]float64, n)
+	src := p.data[p.off : p.off+8*len(out)]
 	for i := range out {
-		if out[i], err = p.Float64(); err != nil {
-			return nil, err
-		}
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
+	p.off += len(src)
 	return out, nil
 }
 

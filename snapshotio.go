@@ -21,31 +21,33 @@ package scalarfield
 //
 // The csr2 section is the graph's contiguous arena written verbatim,
 // so decoding it is header-validate + alias — O(header) plus one
-// read-only verification scan, no per-edge rebuild — and the graph
-// section of a snapshot file can be mmap'd and served in place
-// (LoadSnapshotFile). The "pad0" section exists only so the csr2
-// payload starts at a file offset that is a multiple of 8: a
-// page-aligned mapping of the section (or an in-memory copy of the
-// whole container) then yields an 8-aligned buffer the graph views can
+// read-only verification scan, no per-edge rebuild. A snapshot decodes
+// from one in-memory image of the whole container
+// (DecodeSnapshotImage): a heap buffer, or a mapping of a snapshot
+// file that the graph is then served from in place. The "pad0" section
+// exists only so the csr2 payload starts at a container offset that is
+// a multiple of 8: a page-aligned mapping of the file, or an 8-aligned
+// heap copy of it, then yields an 8-aligned arena the graph views can
 // alias directly. Version 2 is the only container version a decoder
 // accepts.
 //
 // Every key of a dataset stores the same graph, so a reader that
-// already holds it need not verify it again: LoadSnapshotFile's have
-// argument names such a graph, and a csr2 payload byte-identical to
-// its arena decodes to that graph with no mapping and no verification
-// scan. The bytes are still read and compared in full; only the scan,
-// whose answer is then already known, is skipped. The disk store
-// passes an open snapshot's graph, so it verifies each distinct arena
-// once while a snapshot serving it stays open; peer bytes and the
-// stream decoder pass nil and always verify.
+// already holds it need not verify it again: DecodeSnapshotImage's
+// have argument names such a graph, and a csr2 payload byte-identical
+// to its arena decodes to that graph with no verification scan. The
+// bytes are still compared in full; only the scan, whose answer is
+// then already known, is skipped. The disk store passes an open
+// snapshot's graph, so it verifies each distinct arena once while a
+// snapshot serving it stays open; peer bytes and the stream decoder
+// pass nil and always verify.
 //
 // Alias lifetime: a graph decoded from a csr2 section ALIASES the
-// section bytes — the container buffer LoadSnapshot read, the mapping
-// on the mmap path, or the adopted graph's own storage — for its whole
-// lifetime. Callers must not mutate those bytes and must keep any
-// backing mapping alive (see the release callback of LoadSnapshotFile
-// and query.Snapshot.Release) until the graph is unreachable.
+// container image — the buffer LoadSnapshot read, or the whole-file
+// mapping on the mmap path — for its whole lifetime, unless it was
+// adopted from have, in which case it is have and aliases whatever
+// have does. The fields and the tree never alias the image. Callers
+// must not mutate the image and must keep any backing mapping alive
+// (see query.Snapshot.Release) until the graph is unreachable.
 //
 // Unknown sections are skipped on decode, so future writers can append
 // fields without breaking old readers. The terrain layout and the
@@ -60,6 +62,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -191,8 +194,8 @@ func (w *payloadWriter) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// snapshotDecoder accumulates the sections LoadSnapshotFile's walker
-// reads and finishes with the cross-field verification and terrain
+// snapshotDecoder accumulates the sections DecodeSnapshotImage walks
+// and finishes with the cross-field verification and terrain
 // reconstruction.
 type snapshotDecoder struct {
 	rec        *SnapshotRecord
@@ -201,49 +204,79 @@ type snapshotDecoder struct {
 	haveValues bool
 }
 
-// section decodes one tagged payload other than csr2, which the walker
-// hands to its GraphSectionMapper. Unknown tags are skipped — the
-// appended-field compatibility path.
-func (d *snapshotDecoder) section(tag string, payload *wire.Payload) error {
+// section decodes one tagged payload, a sub-slice of the container
+// image. have is the graph the caller holds (see DecodeSnapshotImage).
+// Unknown tags are skipped — the appended-field compatibility path.
+func (d *snapshotDecoder) section(tag string, payload []byte, have *Graph) error {
 	var err error
 	switch tag {
 	case "meta":
-		if err := decodeSnapshotMeta(payload, d.rec); err != nil {
+		if err := decodeSnapshotMeta(wire.NewPayload(payload), d.rec); err != nil {
 			return err
 		}
 		d.haveMeta = true
 	case "layo":
-		if d.rec.Layout.Margin, err = payload.Float64(); err != nil {
+		p := wire.NewPayload(payload)
+		if d.rec.Layout.Margin, err = p.Float64(); err != nil {
 			return fmt.Errorf("scalarfield: snapshot layo section: %w", err)
 		}
-		if d.rec.Layout.MinShare, err = payload.Float64(); err != nil {
+		if d.rec.Layout.MinShare, err = p.Float64(); err != nil {
 			return fmt.Errorf("scalarfield: snapshot layo section: %w", err)
 		}
-		strategy, err := payload.Int64()
+		strategy, err := p.Int64()
 		if err != nil {
 			return fmt.Errorf("scalarfield: snapshot layo section: %w", err)
 		}
 		d.rec.Layout.Strategy = terrain.Strategy(strategy)
+	case "csr2":
+		if d.rec.Graph != nil {
+			return fmt.Errorf("scalarfield: snapshot has two csr2 sections")
+		}
+		if have != nil && bytes.Equal(payload, graph.ArenaWireBytes(have)) {
+			d.rec.Graph = have
+			return nil
+		}
+		// Zero-copy: the graph aliases the image from here on.
+		// Verification is the read-only arena scan — corrupt bytes are
+		// an error here, never a panic in a later traversal.
+		if d.rec.Graph, err = graph.GraphFromArena(payload); err != nil {
+			return fmt.Errorf("scalarfield: snapshot csr2 section: %w", err)
+		}
 	case "hght":
-		if d.rec.Values, err = payload.Float64s(); err != nil {
+		if d.rec.Values, err = decodeField(payload); err != nil {
 			return fmt.Errorf("scalarfield: snapshot height section: %w", err)
 		}
 		d.haveValues = true
 	case "colr":
-		if d.rec.ColorValues, err = payload.Float64s(); err != nil {
+		if d.rec.ColorValues, err = decodeField(payload); err != nil {
 			return fmt.Errorf("scalarfield: snapshot color section: %w", err)
 		}
 	case "tree":
-		if d.tree, err = core.ReadSuperTree(payload.Reader()); err != nil {
+		if d.tree, err = core.DecodeSuperTree(payload); err != nil {
 			return fmt.Errorf("scalarfield: snapshot tree section: %w", err)
 		}
 	}
 	return nil
 }
 
+// decodeField decodes a stored scalar field, rejecting NaN as the
+// field constructors (core.NewVertexField, NewEdgeField) do.
+func decodeField(payload []byte) ([]float64, error) {
+	values, err := wire.NewPayload(payload).Float64s()
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range values {
+		if math.IsNaN(v) {
+			return nil, fmt.Errorf("value %d is NaN", i)
+		}
+	}
+	return values, nil
+}
+
 // finish verifies cross-field consistency and reconstructs the
 // terrain exactly as the analyzer built it: the tree (already
-// validated by core.ReadSuperTree) is wrapped with the stored layout
+// validated by core.DecodeSuperTree) is wrapped with the stored layout
 // options, whose geometry builds lazily on first read; a stored color
 // field then recolors, mirroring AnalyzeAll's ColorBy path.
 func (d *snapshotDecoder) finish() (*SnapshotRecord, error) {
@@ -290,9 +323,9 @@ func (d *snapshotDecoder) finish() (*SnapshotRecord, error) {
 // is returned.
 //
 // The container is read into one buffer and decoded by
-// LoadSnapshotFile's walker; the graph aliases the csr2 range of that
-// buffer rather than copying out of it, so the buffer lives as long as
-// the returned record's graph.
+// DecodeSnapshotImage; the graph aliases the csr2 range of that buffer
+// rather than copying out of it, so the buffer lives as long as the
+// returned record's graph.
 func LoadSnapshot(r io.Reader) (*SnapshotRecord, error) {
 	// io.Copy reads an in-memory source (bytes.Reader's WriteTo) in
 	// one exact-size allocation, and grows geometrically otherwise.
@@ -300,165 +333,53 @@ func LoadSnapshot(r io.Reader) (*SnapshotRecord, error) {
 	if _, err := io.Copy(&buf, r); err != nil {
 		return nil, fmt.Errorf("scalarfield: reading snapshot: %w", err)
 	}
-	data := buf.Bytes()
-	rec, _, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)),
-		func(off, length int64) ([]byte, func(), error) {
-			return data[off : off+length : off+length], func() {}, nil
-		}, nil)
-	return rec, err
+	return DecodeSnapshotImage(buf.Bytes(), nil)
 }
 
-// GraphSectionMapper supplies the csr2 graph section's bytes: given
-// the payload's absolute offset and length within the snapshot file,
-// it returns a buffer holding (or mapping) exactly those bytes plus a
-// release callback for when the buffer is no longer referenced.
-// internal/mmapio provides the canonical implementation; tests
-// substitute heap readers.
-type GraphSectionMapper func(offset, length int64) (data []byte, release func(), err error)
-
-// LoadSnapshotFile decodes a snapshot from a random-access file image,
-// handing the graph section to mapGraph — the zero-copy path for
-// disk-served snapshots, where the mapping becomes the graph's storage
-// and no heap copy of the adjacency ever exists. A nil mapGraph reads
-// the section onto the heap.
+// DecodeSnapshotImage decodes a snapshot from img, the whole container
+// in memory — a heap buffer or a mapping of a snapshot file — and
+// reconstructs its terrain. Corrupt or truncated input returns an
+// error, never a panic. Every section decodes in place from img: the fields and the tree are
+// decoded into fresh slices, and the record's graph aliases the csr2
+// range of img, which must stay unmodified and alive as long as that
+// graph is in use.
 //
 // have, when non-nil, is a graph the caller already holds verified (or
-// built in-process) and expects the file to repeat — the disk store
-// passes the graph of an open snapshot of the same dataset. The csr2
-// payload is then read in fixed-size chunks and compared with
-// graph.ArenaWireBytes(have); if every byte matches, the record's
-// graph is have itself: mapGraph is never called and the verification
+// built in-process) and expects img to repeat — the disk store passes
+// the graph of an open snapshot of the same dataset. A csr2 payload
+// equal in full to graph.ArenaWireBytes(have) makes the record's graph
+// have itself, so the graph does not alias img and the verification
 // scan is skipped, because its answer is already known. Any other
-// bytes take the mapGraph + graph.GraphFromArena path, so a corrupt
-// section is rejected exactly as with a nil have. The comparison
-// allocates nothing proportional to the graph (one chunk buffer; on a
-// big-endian host ArenaWireBytes itself converts a copy).
-//
-// The returned release callback frees the graph mapping; the caller
-// must invoke it exactly once, after the record's graph is no longer
-// in use (query.Snapshot ties it to a reference count). It is a no-op
-// when the graph was adopted from have, and on error it is a no-op
-// but still non-nil.
-//
-// size is the file's total length in bytes; r must serve reads
-// anywhere below it.
-func LoadSnapshotFile(r io.ReaderAt, size int64, mapGraph GraphSectionMapper, have *Graph) (*SnapshotRecord, func(), error) {
-	release := func() {}
-	readRange := func(off, length int64) ([]byte, func(), error) {
-		buf := make([]byte, length)
-		if _, err := r.ReadAt(buf, off); err != nil {
-			return nil, nil, err
-		}
-		return buf, func() {}, nil
+// bytes are verified by graph.GraphFromArena, so a corrupt section is
+// rejected exactly as with a nil have.
+func DecodeSnapshotImage(img []byte, have *Graph) (*SnapshotRecord, error) {
+	if len(img) < snapshotHeaderLen {
+		return nil, fmt.Errorf("scalarfield: snapshot truncated: %d bytes", len(img))
 	}
-	if mapGraph == nil {
-		mapGraph = readRange
+	if magic := img[:4]; string(magic) != snapshotMagic {
+		return nil, fmt.Errorf("scalarfield: bad snapshot magic %q", magic)
 	}
-	if size < snapshotHeaderLen {
-		return nil, release, fmt.Errorf("scalarfield: snapshot file truncated: %d bytes", size)
+	if v := img[4]; v != snapshotVersion {
+		return nil, fmt.Errorf("scalarfield: unsupported snapshot version %d (want %d)", v, snapshotVersion)
 	}
-	var head [snapshotHeaderLen]byte
-	if _, err := r.ReadAt(head[:], 0); err != nil {
-		return nil, release, fmt.Errorf("scalarfield: reading snapshot header: %w", err)
-	}
-	if string(head[:4]) != snapshotMagic {
-		return nil, release, fmt.Errorf("scalarfield: bad snapshot magic %q", head[:4])
-	}
-	if v := head[4]; v != snapshotVersion {
-		return nil, release, fmt.Errorf("scalarfield: unsupported snapshot version %d (want %d)", v, snapshotVersion)
-	}
-
 	d := &snapshotDecoder{rec: &SnapshotRecord{}}
-	fail := func(err error) (*SnapshotRecord, func(), error) {
-		release()
-		return nil, func() {}, err
+	for off := snapshotHeaderLen; off < len(img); {
+		if len(img)-off < sectionHeaderLen {
+			return nil, fmt.Errorf("scalarfield: snapshot torn mid-section at offset %d", off)
+		}
+		tag := img[off : off+wire.TagLen]
+		length := binary.LittleEndian.Uint64(img[off+wire.TagLen:])
+		off += sectionHeaderLen
+		if length > uint64(len(img)-off) {
+			return nil, fmt.Errorf("scalarfield: section %q declares %d bytes, only %d remain", tag, length, len(img)-off)
+		}
+		end := off + int(length)
+		if err := d.section(string(tag), img[off:end:end], have); err != nil {
+			return nil, err
+		}
+		off = end
 	}
-	off := int64(snapshotHeaderLen)
-	for off < size {
-		if size-off < sectionHeaderLen {
-			return fail(fmt.Errorf("scalarfield: snapshot torn mid-section at offset %d", off))
-		}
-		var sh [sectionHeaderLen]byte
-		if _, err := r.ReadAt(sh[:], off); err != nil {
-			return fail(fmt.Errorf("scalarfield: reading section header: %w", err))
-		}
-		tag := string(sh[:wire.TagLen])
-		length := binary.LittleEndian.Uint64(sh[wire.TagLen:])
-		payloadOff := off + sectionHeaderLen
-		if length > uint64(size-payloadOff) {
-			return fail(fmt.Errorf("scalarfield: section %q declares %d bytes, only %d remain", tag, length, size-payloadOff))
-		}
-		if tag == "csr2" {
-			if d.rec.Graph != nil {
-				return fail(fmt.Errorf("scalarfield: snapshot has two csr2 sections"))
-			}
-			if have != nil {
-				same, err := sameBytes(r, payloadOff, int64(length), graph.ArenaWireBytes(have))
-				if err != nil {
-					return fail(fmt.Errorf("scalarfield: reading csr2 payload: %w", err))
-				}
-				if same {
-					d.rec.Graph = have
-					off = payloadOff + int64(length)
-					continue
-				}
-			}
-			data, rel, err := mapGraph(payloadOff, int64(length))
-			if err != nil {
-				return fail(fmt.Errorf("scalarfield: mapping csr2 section: %w", err))
-			}
-			// Zero-copy: the graph aliases data from here on.
-			// Verification is the read-only arena scan — corrupt bytes
-			// are an error here, never a panic in a later traversal.
-			g, err := graph.GraphFromArena(data)
-			if err != nil {
-				rel()
-				return fail(fmt.Errorf("scalarfield: snapshot csr2 section: %w", err))
-			}
-			d.rec.Graph = g
-			release = rel
-		} else {
-			buf, _, err := readRange(payloadOff, int64(length))
-			if err != nil {
-				return fail(fmt.Errorf("scalarfield: reading %q payload: %w", tag, err))
-			}
-			if err := d.section(tag, wire.NewPayload(buf)); err != nil {
-				return fail(err)
-			}
-		}
-		off = payloadOff + int64(length)
-	}
-	rec, err := d.finish()
-	if err != nil {
-		return fail(err)
-	}
-	return rec, release, nil
-}
-
-// compareChunk is the read size of sameBytes: a scale-2 arena
-// (~640 KB) takes 20 reads into one fixed-size, cache-resident buffer.
-const compareChunk = 32 << 10
-
-// sameBytes reports whether the length bytes of r at off equal want,
-// reading them in compareChunk pieces and stopping at the first
-// difference.
-func sameBytes(r io.ReaderAt, off, length int64, want []byte) (bool, error) {
-	if length != int64(len(want)) {
-		return false, nil
-	}
-	buf := make([]byte, min(length, compareChunk))
-	for len(want) > 0 {
-		n := min(len(want), len(buf))
-		if _, err := r.ReadAt(buf[:n], off); err != nil {
-			return false, err
-		}
-		if !bytes.Equal(buf[:n], want[:n]) {
-			return false, nil
-		}
-		off += int64(n)
-		want = want[n:]
-	}
-	return true, nil
+	return d.finish()
 }
 
 func decodeSnapshotMeta(p *wire.Payload, rec *SnapshotRecord) error {

@@ -3,11 +3,14 @@ package scalarfield
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -183,10 +186,14 @@ func TestSnapshotCodecRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// FuzzSnapshotCodec is the satellite acceptance test: for random
-// graphs and fields, decode(encode(s)) must be deep-equal to s, and
-// arbitrary corruption of the encoded bytes must never panic the
-// decoder.
+// FuzzSnapshotCodec: for random graphs and fields, decode(encode(s))
+// must be deep-equal to s, and on arbitrary corruption or truncation
+// of the encoded bytes DecodeSnapshotImage must never panic and must
+// accept exactly the inputs the ReaderAt walker oracle accepts,
+// decoding records that re-encode byte-identically to the oracle's.
+// Both decoders see the csr2 payload misaligned (the +1 offset
+// defeats any natural alignment), so the arena copy fallback is
+// exercised too.
 func FuzzSnapshotCodec(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint16(60), false, false, uint16(0), byte(0))
 	f.Add(int64(2), uint8(50), uint16(300), true, false, uint16(9), byte(7))
@@ -201,41 +208,42 @@ func FuzzSnapshotCodec(f *testing.F) {
 			t.Fatalf("round trip failed: %v", err)
 		}
 		assertRecordsDeepEqual(t, rec, got)
+		requireSameAsOracle(t, data)
 
-		// The file loader must agree with the in-memory decode, through
-		// the mapper (csr2, misaligned copies included —
-		// the +1 offset defeats any natural alignment).
-		misalign := func(off, length int64) ([]byte, func(), error) {
-			buf := make([]byte, length+1)
-			copy(buf[1:], data[off:off+length])
-			return buf[1:], func() {}, nil
-		}
-		gotFile, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)), misalign, nil)
-		if err != nil {
-			t.Fatalf("file load failed: %v", err)
-		}
-		release()
-		assertRecordsDeepEqual(t, rec, gotFile)
-
-		// Corruption: flip one byte and decode. Any outcome but a panic
-		// is acceptable; decoded results must still be self-consistent
-		// enough to have passed validation. Both decoders face the same
-		// hostile bytes (short/misaligned/garbage csr2 headers included).
 		if corruptXor != 0 && len(data) > 0 {
 			evil := append([]byte(nil), data...)
 			evil[int(corruptAt)%len(evil)] ^= corruptXor
-			_, _ = LoadSnapshot(bytes.NewReader(evil))
-			if _, rel, err := LoadSnapshotFile(bytes.NewReader(evil), int64(len(evil)), misalignOver(evil), nil); err == nil {
-				rel()
-			}
+			requireSameAsOracle(t, evil)
 			// Truncation at the corruption point, too.
-			cut := evil[:int(corruptAt)%len(evil)]
-			_, _ = LoadSnapshot(bytes.NewReader(cut))
-			if _, rel, err := LoadSnapshotFile(bytes.NewReader(cut), int64(len(cut)), misalignOver(cut), nil); err == nil {
-				rel()
-			}
+			requireSameAsOracle(t, evil[:int(corruptAt)%len(evil)])
 		}
 	})
+}
+
+// requireSameAsOracle decodes data with DecodeSnapshotImage from a
+// misaligned copy and with loadSnapshotFileOracle through a misaligned
+// mapper, and fails unless both reject it or both accept it with
+// byte-identical re-encodings.
+func requireSameAsOracle(t *testing.T, data []byte) {
+	t.Helper()
+	img := misaligned(data)
+	got, err := DecodeSnapshotImage(img, nil)
+	want, release, wantErr := loadSnapshotFileOracle(bytes.NewReader(data), int64(len(data)), misalignOver(data), nil)
+	defer release()
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("DecodeSnapshotImage err %v; oracle err %v", err, wantErr)
+	}
+	if err == nil && !bytes.Equal(encodeRecord(t, got), encodeRecord(t, want)) {
+		t.Fatal("DecodeSnapshotImage and the oracle decode different records")
+	}
+}
+
+// misaligned returns a copy of data whose first byte sits one past an
+// 8-aligned address.
+func misaligned(data []byte) []byte {
+	buf := make([]byte, len(data)+1)
+	copy(buf[1:], data)
+	return buf[1:]
 }
 
 // FuzzLoadSnapshotAdoption: decoding with have set to the graph the
@@ -257,13 +265,8 @@ func FuzzLoadSnapshotAdoption(f *testing.F) {
 		if truncate {
 			data = data[:i]
 		}
-		decode := func(have *Graph) (*SnapshotRecord, error) {
-			got, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)), nil, have)
-			release()
-			return got, err
-		}
-		adopted, errAdopt := decode(rec.Graph)
-		verified, errVerify := decode(nil)
+		adopted, errAdopt := DecodeSnapshotImage(data, rec.Graph)
+		verified, errVerify := DecodeSnapshotImage(data, nil)
 		if (errAdopt == nil) != (errVerify == nil) {
 			t.Fatalf("decode with a held graph: %v; without: %v", errAdopt, errVerify)
 		}
@@ -291,9 +294,8 @@ func TestSnapshotRejectsOtherVersions(t *testing.T) {
 		if _, err := LoadSnapshot(bytes.NewReader(evil)); err == nil {
 			t.Errorf("LoadSnapshot accepted version %d", v)
 		}
-		if _, rel, err := LoadSnapshotFile(bytes.NewReader(evil), int64(len(evil)), nil, nil); err == nil {
-			rel()
-			t.Errorf("LoadSnapshotFile accepted version %d", v)
+		if _, err := DecodeSnapshotImage(evil, nil); err == nil {
+			t.Errorf("DecodeSnapshotImage accepted version %d", v)
 		}
 	}
 }
@@ -356,88 +358,112 @@ func findSection(t testing.TB, data []byte, tag string) (off, length int64) {
 	return 0, 0
 }
 
-// TestLoadSnapshotFile: the mapper path must see an aligned, exact
-// range, the decoded record must deep-equal the stream decode, and the
-// release callback must fire exactly once when the caller releases.
-func TestLoadSnapshotFile(t *testing.T) {
+// TestDecodeSnapshotImage: the graph of a record decoded from an
+// 8-aligned image aliases the image's csr2 range, the fields and the
+// tree do not alias the image, a held graph with identical bytes is
+// adopted, and a second csr2 section is refused.
+func TestDecodeSnapshotImage(t *testing.T) {
 	rec := randomSnapshotRecord(t, 33, 80, 320, true, true)
 	data := encodeRecord(t, rec)
+	words := make([]uint64, (len(data)+7)/8)
+	img := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(data))
+	copy(img, data)
 
-	var gotOff, gotLen int64
-	released := 0
-	mapper := func(off, length int64) ([]byte, func(), error) {
-		gotOff, gotLen = off, length
-		buf := make([]byte, length)
-		copy(buf, data[off:off+length])
-		return buf, func() { released++ }, nil
-	}
-	got, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)), mapper, nil)
+	got, err := DecodeSnapshotImage(img, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if gotOff%8 != 0 {
-		t.Fatalf("mapper offset %d not 8-aligned", gotOff)
-	}
-	wantOff, wantLen := findSection(t, data, "csr2")
-	if gotOff != wantOff || gotLen != wantLen {
-		t.Fatalf("mapper range (%d,%d), want (%d,%d)", gotOff, gotLen, wantOff, wantLen)
 	}
 	assertRecordsDeepEqual(t, rec, got)
-	if released != 0 {
-		t.Fatal("release fired before the caller released")
+	off, length := findSection(t, img, "csr2")
+	inImage := func(p unsafe.Pointer) bool {
+		base := uintptr(unsafe.Pointer(&img[0]))
+		return uintptr(p) >= base && uintptr(p) < base+uintptr(len(img))
 	}
-	release()
-	if released != 1 {
-		t.Fatalf("release fired %d times, want 1", released)
+	arena := graph.ArenaWireBytes(got.Graph)
+	if len(arena) != int(length) || &arena[0] != &img[off] {
+		t.Fatal("decoded graph does not alias the image's csr2 range")
+	}
+	if inImage(unsafe.Pointer(&got.Values[0])) || inImage(unsafe.Pointer(&got.ColorValues[0])) ||
+		inImage(unsafe.Pointer(&got.Terrain.Tree.Parent[0])) || inImage(unsafe.Pointer(&got.Terrain.Tree.Scalar[0])) {
+		t.Fatal("decoded fields or tree alias the image")
 	}
 
-	// A nil mapper reads the section onto the heap.
-	heap, release, err := LoadSnapshotFile(bytes.NewReader(data), int64(len(data)), nil, nil)
+	// A held graph with the same bytes is adopted, not re-decoded.
+	adopted, err := DecodeSnapshotImage(img, got.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	release()
-	assertRecordsDeepEqual(t, rec, heap)
-
-	// A decode that fails after mapping must release the mapping itself.
-	released = 0
-	evil := append([]byte(nil), data...)
-	off, _ := findSection(t, evil, "tree")
-	evil[off] ^= 0xff
-	if _, _, err := LoadSnapshotFile(bytes.NewReader(evil), int64(len(evil)), mapper, nil); err == nil {
-		t.Fatal("corrupt tree section accepted")
-	}
-	if released != 1 {
-		t.Fatalf("failed decode released mapping %d times, want 1", released)
+	if adopted.Graph != got.Graph {
+		t.Fatal("held graph with identical bytes was not adopted")
 	}
 
-	// A second csr2 section is refused before it is mapped, and the
-	// first mapping is released: only one can be handed to the caller.
-	csrOff, csrLen := findSection(t, data, "csr2")
-	twice := append(append([]byte(nil), data...), data[csrOff-sectionHeaderLen:csrOff+csrLen]...)
-	mapped, released := 0, 0
-	_, _, err = LoadSnapshotFile(bytes.NewReader(twice), int64(len(twice)), func(off, length int64) ([]byte, func(), error) {
-		mapped++
-		return append([]byte(nil), twice[off:off+length]...), func() { released++ }, nil
-	}, nil)
-	if err == nil {
+	// Only one csr2 section can become the record's graph.
+	twice := append(append([]byte(nil), data...), data[off-sectionHeaderLen:off+length]...)
+	if _, err := DecodeSnapshotImage(twice, nil); err == nil {
 		t.Fatal("container with two csr2 sections accepted")
 	}
-	if mapped != 1 || released != 1 {
-		t.Fatalf("two csr2 sections: mapped %d, released %d; want 1, 1", mapped, released)
+	if _, err := DecodeSnapshotImage(twice, got.Graph); err == nil {
+		t.Fatal("container with two csr2 sections accepted beside a held graph")
 	}
 }
 
-// misalignOver returns a GraphSectionMapper over data that serves the
+// TestDecodeSnapshotImageAdoptAllocs gates an adopting decode, the
+// disk store's common cold hit, at one allocation count for graphs of
+// very different sizes: nothing is staged per section, and a held
+// graph costs no copy. The ReaderAt walker this decoder replaced made
+// 44 allocations on the same input.
+func TestDecodeSnapshotImageAdoptAllocs(t *testing.T) {
+	const budget = 20
+	var counts []float64
+	for _, n := range []int{200, 5000} {
+		rec := randomSnapshotRecord(t, 11, n, 4*n, false, true)
+		data := encodeRecord(t, rec)
+		counts = append(counts, testing.AllocsPerRun(5, func() {
+			got, err := DecodeSnapshotImage(data, rec.Graph)
+			if err != nil || got.Graph != rec.Graph {
+				t.Fatalf("adopting decode: graph adopted %v, err %v", got != nil && got.Graph == rec.Graph, err)
+			}
+		}))
+	}
+	if counts[0] != counts[1] || counts[0] > budget {
+		t.Errorf("adopting DecodeSnapshotImage allocs %v, want equal and <= %d", counts, budget)
+	}
+}
+
+// TestSnapshotRejectsNaN: a NaN in the height field, the color field
+// or a tree scalar fails the decode, as it fails the field
+// constructors; the oracle walker agrees.
+func TestSnapshotRejectsNaN(t *testing.T) {
+	rec := randomSnapshotRecord(t, 5, 40, 160, false, true)
+	data := encodeRecord(t, rec)
+	nan := math.Float64bits(math.NaN())
+	for tag, at := range map[string]int64{
+		"hght": 8,  // the first value, past the u64 count
+		"colr": 16, // the second value
+		// The root's scalar, past the SFST header and the parents.
+		"tree": 13 + 4*int64(rec.Terrain.Tree.Len()),
+	} {
+		evil := append([]byte(nil), data...)
+		off, _ := findSection(t, evil, tag)
+		binary.LittleEndian.PutUint64(evil[off+at:], nan)
+		if _, err := DecodeSnapshotImage(evil, nil); err == nil {
+			t.Errorf("%s: NaN accepted", tag)
+		}
+		if _, rel, err := loadSnapshotFileOracle(bytes.NewReader(evil), int64(len(evil)), nil, nil); err == nil {
+			rel()
+			t.Errorf("%s: oracle accepted NaN", tag)
+		}
+	}
+}
+
+// misalignOver returns a graphSectionMapper over data that serves the
 // requested range through a deliberately misaligned buffer, forcing
 // the arena decoder's copy fallback under fuzzing.
-func misalignOver(data []byte) GraphSectionMapper {
+func misalignOver(data []byte) graphSectionMapper {
 	return func(off, length int64) ([]byte, func(), error) {
 		if off < 0 || length < 0 || off+length > int64(len(data)) {
 			return nil, nil, io.ErrUnexpectedEOF
 		}
-		buf := make([]byte, length+1)
-		copy(buf[1:], data[off:off+length])
-		return buf[1:], func() {}, nil
+		return misaligned(data[off : off+length]), func() {}, nil
 	}
 }
