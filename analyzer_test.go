@@ -22,10 +22,7 @@ func TestAnalyzerMatchesAnalyze(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(want.Tree.Parent, got.Tree.Parent) ||
-				!reflect.DeepEqual(want.Tree.Scalar, got.Tree.Scalar) ||
-				!reflect.DeepEqual(want.Tree.Members, got.Tree.Members) ||
-				!reflect.DeepEqual(want.Tree.NodeOf, got.Tree.NodeOf) {
+			if !reflect.DeepEqual(want.Tree, got.Tree) {
 				t.Fatalf("round %d measure %q: pooled Analyzer diverges from Analyze", round, name)
 			}
 		}

@@ -183,6 +183,7 @@ func runBench(cfg config) error {
 	ef := core.MustEdgeField(g, measures.TrussNumbersFloat(g))
 	cc := measures.ClusteringCoefficients(g)
 	clusteringTree := core.VertexSuperTree(core.MustVertexField(g, cc))
+	binnedTree := core.VertexSuperTree(core.SimplifyVertexField(vf, 64))
 	var pool core.TreeBuilder
 	analyzer := scalarfield.NewAnalyzer()
 	warmEngine := query.NewEngine(query.Options{})
@@ -276,6 +277,10 @@ func runBench(cfg config) error {
 		// clustering field and the contour spectrum of its super tree.
 		{"sweep-order/clustering", ok(func() { core.SweepOrder(cc) })},
 		{"contour/spectrum", ok(func() { contour.NewSpectrum(clusteringTree) })},
+		// The spectrum of the kcore field binned into 64 levels: a
+		// binned key's cold hit rebuilds a spectrum of this shape,
+		// thousands of super nodes on a few dozen levels.
+		{"contour/spectrum-binned", ok(func() { contour.NewSpectrum(binnedTree) })},
 		// The terrain geometry of the clustering tree, built by the first
 		// Rects call: analyses and snapshot decodes defer it, so the
 		// viewer pays it on a terrain's first render.

@@ -95,8 +95,8 @@ func runFig3(cfg config) error {
 	raw := core.BuildVertexTree(f)
 	st := core.Postprocess(raw)
 	fmt.Printf("raw tree nodes: %d; super tree nodes after Algorithm 2: %d\n", raw.Len(), st.Len())
-	for s := 0; s < st.Len(); s++ {
-		fmt.Printf("super node %d (scalar %g): members %v\n", s, st.Scalar[s], st.Members[s])
+	for s := int32(0); s < int32(st.Len()); s++ {
+		fmt.Printf("super node %d (scalar %g): members %v\n", s, st.Scalar[s], st.Members(s))
 	}
 	return nil
 }

@@ -95,28 +95,13 @@ type Spectrum struct {
 // Each super node roots a maximal α-component exactly for α in
 // (parent's scalar, its own scalar], so B0 accumulates one interval
 // per super node; survivor counts accumulate one histogram entry per
-// item. The super nodes are ranked by core.SweepOrder — linear time —
-// and each run of equal scalars becomes one level, represented by its
+// node. core.SweepLevels ranks the super nodes by distinct scalar
+// without sorting them all; each level is represented by its
 // lowest-ID super node's value (which decides the sign of a zero
-// level). Runs in O(nodes + items + levels) after that sort.
+// level). Runs in O(nodes + levels).
 func NewSpectrum(st *core.SuperTree) *Spectrum {
 	n := st.Len()
-	order := core.SweepOrder(st.Scalar)
-	// idx[s] is the index of s's level. Walking the sweep order
-	// backwards visits the scalars in increasing order and each run of
-	// equal ones highest ID first, so the run's last write leaves the
-	// lowest ID's value.
-	idx := make([]int32, n)
-	levels := make([]float64, 0, n)
-	for i := n - 1; i >= 0; i-- {
-		s := order[i]
-		v := st.Scalar[s]
-		if len(levels) == 0 || v != levels[len(levels)-1] {
-			levels = append(levels, v)
-		}
-		levels[len(levels)-1] = v
-		idx[s] = int32(len(levels) - 1)
-	}
+	levels, idx := core.SweepLevels(st.Scalar)
 
 	// Difference array over level indices for B0.
 	diff := make([]int, len(levels)+1)
@@ -137,8 +122,8 @@ func NewSpectrum(st *core.SuperTree) *Spectrum {
 
 	// Histogram + suffix sum for survivor counts.
 	items := make([]int, len(levels))
-	for s := 0; s < n; s++ {
-		items[idx[s]] += len(st.Members[s])
+	for s := int32(0); s < int32(n); s++ {
+		items[idx[s]] += len(st.Members(s))
 	}
 	for i := len(levels) - 2; i >= 0; i-- {
 		items[i] += items[i+1]

@@ -291,3 +291,34 @@ func TestSublevelDualityWithSuperlevel(t *testing.T) {
 		}
 	}
 }
+
+// TestNewSpectrumAllocs gates NewSpectrum at one allocation count for
+// trees of very different sizes, on a fractional field (the distinct
+// levels go through the radix sort) and an integer one (the counting
+// sort).
+func TestNewSpectrumAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		scale float64
+		want  float64
+	}{{"fractional", 0.25, 10}, {"integer", 1, 8}} {
+		var counts []float64
+		for _, n := range []int{300, 30000} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			b := graph.NewBuilder(n)
+			values := make([]float64, n)
+			for i := range values {
+				if i > 0 {
+					b.AddEdge(int32(i), rng.Int31n(int32(i)))
+				}
+				values[i] = c.scale * float64(rng.Intn(256))
+			}
+			st := core.VertexSuperTree(core.MustVertexField(b.Build(), values))
+			counts = append(counts, testing.AllocsPerRun(5, func() { NewSpectrum(st) }))
+			t.Logf("%s, %d super nodes: %.0f allocs", c.name, st.Len(), counts[len(counts)-1])
+		}
+		if counts[0] != c.want || counts[1] != c.want {
+			t.Errorf("%s: NewSpectrum allocs %v, want %.0f at every size", c.name, counts, c.want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package contour
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -47,13 +48,75 @@ func mapSpectrum(st *core.SuperTree) *Spectrum {
 		comps[i] = run
 	}
 	items := make([]int, len(levels))
-	for s := 0; s < n; s++ {
-		items[idx[st.Scalar[s]]] += len(st.Members[s])
+	for s := int32(0); s < int32(n); s++ {
+		items[idx[st.Scalar[s]]] += len(st.Members(s))
 	}
 	for i := len(levels) - 2; i >= 0; i-- {
 		items[i] += items[i+1]
 	}
 	return &Spectrum{Levels: levels, Components: comps, Items: items}
+}
+
+// sweepOrderSpectrum is the NewSpectrum that ranked every super node
+// by core.SweepOrder, kept as a bit-level oracle for the level ranking
+// that replaced it: walking the sweep order backwards visits the
+// scalars in increasing order and each run of equal ones highest ID
+// first, so the run's last write leaves the lowest ID's value.
+func sweepOrderSpectrum(st *core.SuperTree) *Spectrum {
+	n := st.Len()
+	order := core.SweepOrder(st.Scalar)
+	idx := make([]int32, n)
+	levels := make([]float64, 0, n)
+	for i := n - 1; i >= 0; i-- {
+		s := order[i]
+		v := st.Scalar[s]
+		if len(levels) == 0 || v != levels[len(levels)-1] {
+			levels = append(levels, v)
+		}
+		levels[len(levels)-1] = v
+		idx[s] = int32(len(levels) - 1)
+	}
+	diff := make([]int, len(levels)+1)
+	for s := 0; s < n; s++ {
+		lo := int32(0)
+		if p := st.Parent[s]; p >= 0 {
+			lo = idx[p] + 1
+		}
+		diff[lo]++
+		diff[idx[s]+1]--
+	}
+	comps := make([]int, len(levels))
+	run := 0
+	for i := range levels {
+		run += diff[i]
+		comps[i] = run
+	}
+	items := make([]int, len(levels))
+	for s := int32(0); s < int32(n); s++ {
+		items[idx[s]] += len(st.Members(s))
+	}
+	for i := len(levels) - 2; i >= 0; i-- {
+		items[i] += items[i+1]
+	}
+	return &Spectrum{Levels: levels, Components: comps, Items: items}
+}
+
+// requireSameSpectrum fails unless got and want have bitwise equal
+// levels (sign of zero included) and equal curves.
+func requireSameSpectrum(t *testing.T, got, want *Spectrum, label string) {
+	t.Helper()
+	if len(got.Levels) != len(want.Levels) {
+		t.Fatalf("%s: %d levels, oracle %d", label, len(got.Levels), len(want.Levels))
+	}
+	for i, v := range got.Levels {
+		if math.Float64bits(v) != math.Float64bits(want.Levels[i]) {
+			t.Fatalf("%s: level %d is %g (signbit %v), oracle %g (signbit %v)",
+				label, i, v, math.Signbit(v), want.Levels[i], math.Signbit(want.Levels[i]))
+		}
+	}
+	if !slices.Equal(got.Components, want.Components) || !slices.Equal(got.Items, want.Items) {
+		t.Fatalf("%s: curves %v %v, oracle %v %v", label, got.Components, got.Items, want.Components, want.Items)
+	}
 }
 
 // oracleValues is the pool random fields draw from: ties, both zeros,
@@ -95,23 +158,12 @@ func randomOracleField(rng *rand.Rand, n int) []float64 {
 
 // requireSpectrumMatchesDefinition checks sp against Definition 1 by
 // brute force at every level and at probes between and beyond them,
-// and against the map-based oracle byte for byte.
+// and against the map-based and sweep-order oracles bit for bit.
 func requireSpectrumMatchesDefinition(t *testing.T, st *core.SuperTree, values []float64, components func(alpha float64) int, rng *rand.Rand, label string) {
 	t.Helper()
 	sp := NewSpectrum(st)
-	ref := mapSpectrum(st)
-	if len(sp.Levels) != len(ref.Levels) {
-		t.Fatalf("%s: %d levels, map oracle %d", label, len(sp.Levels), len(ref.Levels))
-	}
-	for i, v := range sp.Levels {
-		if math.Float64bits(v) != math.Float64bits(ref.Levels[i]) {
-			t.Fatalf("%s: level %d is %g (signbit %v), map oracle %g (signbit %v)",
-				label, i, v, math.Signbit(v), ref.Levels[i], math.Signbit(ref.Levels[i]))
-		}
-	}
-	if !slices.Equal(sp.Components, ref.Components) || !slices.Equal(sp.Items, ref.Items) {
-		t.Fatalf("%s: curves %v %v, map oracle %v %v", label, sp.Components, sp.Items, ref.Components, ref.Items)
-	}
+	requireSameSpectrum(t, sp, mapSpectrum(st), label+", map oracle")
+	requireSameSpectrum(t, sp, sweepOrderSpectrum(st), label+", sweep-order oracle")
 	survivors := func(alpha float64) int {
 		c := 0
 		for _, v := range values {
@@ -166,4 +218,52 @@ func TestSpectrumMatchesDefinition(t *testing.T) {
 			return len(core.BruteForceEdgeComponents(ef, alpha))
 		}, rng, "edge")
 	}
+}
+
+// spectrumPool is the value pool of FuzzSpectrumLevels' one-byte
+// vertices: ties, both zeros, both infinities and values a hair apart.
+var spectrumPool = [16]float64{
+	math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, 2, -3.5, 0.25,
+	math.Nextafter(0.25, 1), -math.MaxFloat64, math.MaxFloat64, 1.0 / 3, 2.0 / 3, -1,
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+}
+
+// FuzzSpectrumLevels checks NewSpectrum's level ranking against the
+// sweep-order oracle bit for bit, on two vertex fields per input. In
+// the pooled field each byte adds a vertex whose low four bits pick
+// its value from spectrumPool and whose high four bits h link it to
+// vertex i-h (h = 0 leaves it unlinked). In the raw field each 8-byte
+// word is a value (NaN skipped) on a path, followed by its truncation,
+// which ties with its neighbours' more often.
+func FuzzSpectrumLevels(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x11, 0x12, 0x01, 0x23, 0x14, 0x34, 0x05})
+	f.Add([]byte{0x02, 0x13, 0x10, 0x21, 0x0f, 0x1e, 0x2d, 0x3c, 0x4b, 0x5a})
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil,
+		math.Float64bits(math.Copysign(0, -1))), math.Float64bits(2.5)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b := graph.NewBuilder(len(data))
+		pooled := make([]float64, len(data))
+		for i, c := range data {
+			pooled[i] = spectrumPool[c&15]
+			if h := int(c >> 4); h > 0 && h <= i {
+				b.AddEdge(int32(i), int32(i-h))
+			}
+		}
+		st := core.VertexSuperTree(core.MustVertexField(b.Build(), pooled))
+		requireSameSpectrum(t, NewSpectrum(st), sweepOrderSpectrum(st), "pooled")
+
+		var raw []float64
+		for ; len(data) >= 8; data = data[8:] {
+			if v := math.Float64frombits(binary.LittleEndian.Uint64(data)); !math.IsNaN(v) {
+				raw = append(raw, v, math.Trunc(v))
+			}
+		}
+		path := graph.NewBuilder(len(raw))
+		for i := 1; i < len(raw); i++ {
+			path.AddEdge(int32(i-1), int32(i))
+		}
+		st = core.VertexSuperTree(core.MustVertexField(path.Build(), raw))
+		requireSameSpectrum(t, NewSpectrum(st), sweepOrderSpectrum(st), "raw")
+	})
 }

@@ -31,16 +31,17 @@ type SuperTree struct {
 	Parent []int32
 	// Scalar[s] is the shared scalar value of every member of s.
 	Scalar []float64
-	// Members[s] lists the item IDs (vertices or edges) merged into s,
-	// in increasing ID order.
-	Members [][]int32
 	// NodeOf maps each item ID to its super node.
 	NodeOf []int32
 
-	flat     []int32   // items in super-node preorder
-	start    []int32   // start[s]: offset of s's subtree in flat
-	size     []int32   // size[s]: total items in s's subtree
-	children [][]int32 // views of one CSR child array, ascending
+	// The index: pointer-free views of two allocations, the flat item
+	// array and one int32 slab holding the rest.
+	flat  []int32 // items in super-node preorder
+	start []int32 // start[s]: offset of s's subtree in flat
+	end   []int32 // end[s]: offset just past s's own members in flat
+	size  []int32 // size[s]: total items in s's subtree
+	off   []int32 // s's children are child[off[s]:off[s+1]]
+	child []int32 // child lists in CSR form, each ascending
 }
 
 // Postprocess runs Algorithm 2 on a raw scalar tree: a single pass
@@ -143,9 +144,9 @@ func childCSR(parent, off, child []int32) {
 }
 
 // index lays out the flat preorder item array from Parent and NodeOf
-// in O(#super + #items) and a constant number of allocations, and
-// derives Members, the subtree ranges, and the child lists from it. It
-// requires Parent[s] < s and every NodeOf entry in range.
+// in O(#super + #items) and two allocations, and derives the member
+// and subtree ranges and the child lists from it. It requires
+// Parent[s] < s and every NodeOf entry in range.
 func (st *SuperTree) index() {
 	n, m := len(st.Parent), len(st.NodeOf)
 	ints := make([]int32, 5*n+1)
@@ -183,25 +184,9 @@ func (st *SuperTree) index() {
 		flat[cursor[s]] = int32(item)
 		cursor[s]++
 	}
-	members := make([][]int32, n)
-	for s := range members {
-		members[s] = flat[start[s]:cursor[s]:cursor[s]]
-	}
-	st.Members, st.flat, st.start, st.size = members, flat, start, size
-	st.children = childLists(st.Parent, ints[3*n:])
-}
-
-// childLists returns the child lists of a parent array, each ascending,
-// as views of one CSR laid out in csr (2·len(parent)+1 entries).
-func childLists(parent, csr []int32) [][]int32 {
-	n := len(parent)
-	off, child := csr[:n+1], csr[n+1:2*n+1]
-	childCSR(parent, off, child)
-	ch := make([][]int32, n)
-	for i := range ch {
-		ch[i] = child[off[i]:off[i+1]:off[i+1]]
-	}
-	return ch
+	st.flat, st.start, st.end, st.size = flat, start, cursor, size
+	st.off, st.child = ints[3*n:4*n+1], ints[4*n+1:]
+	childCSR(st.Parent, st.off, st.child)
 }
 
 // Len reports the number of super nodes.
@@ -221,9 +206,19 @@ func (st *SuperTree) Roots() []int32 {
 	return roots
 }
 
-// Children returns the child lists of every super node, each in
-// increasing ID order. Callers must not modify the result.
-func (st *SuperTree) Children() [][]int32 { return st.children }
+// Members returns the item IDs (vertices or edges) merged into super
+// node s, in increasing ID order, as a view of the tree's flat item
+// array. Callers must not modify the result.
+func (st *SuperTree) Members(s int32) []int32 {
+	return st.flat[st.start[s]:st.end[s]:st.end[s]]
+}
+
+// Children returns the children of super node s in increasing ID
+// order, as a view of the tree's child array. Callers must not modify
+// the result.
+func (st *SuperTree) Children(s int32) []int32 {
+	return st.child[st.off[s]:st.off[s+1]:st.off[s+1]]
+}
 
 // SubtreeSize returns the total number of items in the subtree rooted
 // at each super node (including the node's own members). Callers must
@@ -335,20 +330,20 @@ func (st *SuperTree) Validate() error {
 		return err
 	}
 	n := len(st.Parent)
-	if len(st.Members) != n {
-		return fmt.Errorf("core: super tree slice lengths disagree")
+	if len(st.start) != n || len(st.end) != n {
+		return fmt.Errorf("core: super tree is not indexed")
 	}
 	total := 0
-	for s := 0; s < n; s++ {
-		if len(st.Members[s]) == 0 {
+	for s := int32(0); s < int32(n); s++ {
+		if st.start[s] == st.end[s] {
 			return fmt.Errorf("core: super node %d has no members", s)
 		}
-		for _, m := range st.Members[s] {
-			if m < 0 || int(m) >= len(st.NodeOf) || st.NodeOf[m] != int32(s) {
+		for _, m := range st.Members(s) {
+			if m < 0 || int(m) >= len(st.NodeOf) || st.NodeOf[m] != s {
 				return fmt.Errorf("core: item %d in members of %d but not mapped to it", m, s)
 			}
 		}
-		total += len(st.Members[s])
+		total += int(st.end[s] - st.start[s])
 	}
 	if total != len(st.NodeOf) {
 		return fmt.Errorf("core: super tree covers %d items, want %d", total, len(st.NodeOf))

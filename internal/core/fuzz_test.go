@@ -49,8 +49,7 @@ func FuzzReadSuperTree(f *testing.F) {
 			t.Fatalf("ReadSuperTree left %d bytes unread, the oracle %d", rr.Len(), or.Len())
 		}
 		for _, got := range []*SuperTree{st, decoded} {
-			if !reflect.DeepEqual(got.Parent, want.Parent) || !reflect.DeepEqual(got.NodeOf, want.NodeOf) ||
-				!reflect.DeepEqual(got.Members, want.Members) || !sameFloatBits(got.Scalar, want.Scalar) {
+			if !reflect.DeepEqual(got, want) || !sameFloatBits(got.Scalar, want.Scalar) {
 				t.Fatal("decoded tree differs from the oracle's")
 			}
 		}

@@ -38,21 +38,27 @@ func (p PeakPersistence) Persistence() float64 { return p.Birth - p.Death }
 // ancestor whose other children contain a strictly taller (or equal,
 // with lower node ID winning) top.
 func Persistences(st *SuperTree) []PeakPersistence {
+	out, _ := persistences(st)
+	return out
+}
+
+// persistences is Persistences that also returns top, where top[s] is
+// the maximum scalar in the subtree of s.
+func persistences(st *SuperTree) ([]PeakPersistence, []float64) {
 	n := st.Len()
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
 	// top[s] = max scalar in subtree of s; carrier[s] = the leaf
 	// achieving it (ties: smallest leaf ID).
 	top := make([]float64, n)
 	carrier := make([]int32, n)
-	ch := st.Children()
 	// Node IDs are topologically ordered parent-first, so a reverse
 	// scan accumulates subtree maxima.
-	for s := n - 1; s >= 0; s-- {
+	for s := int32(n - 1); s >= 0; s-- {
 		top[s] = st.Scalar[s]
-		carrier[s] = int32(s)
-		for _, c := range ch[s] {
+		carrier[s] = s
+		for _, c := range st.Children(s) {
 			if top[c] > top[s] || (top[c] == top[s] && carrier[c] < carrier[s]) {
 				top[s] = top[c]
 				carrier[s] = carrier[c]
@@ -62,7 +68,7 @@ func Persistences(st *SuperTree) []PeakPersistence {
 	// Leaves are the branch births.
 	var out []PeakPersistence
 	for s := int32(0); s < int32(n); s++ {
-		if len(ch[s]) > 0 {
+		if len(st.Children(s)) > 0 {
 			continue
 		}
 		// Walk rootward until this leaf stops being the carrier.
@@ -86,7 +92,7 @@ func Persistences(st *SuperTree) []PeakPersistence {
 		}
 		return out[i].Node < out[j].Node
 	})
-	return out
+	return out, top
 }
 
 // PersistenceSimplify flattens low-persistence branches of a vertex
@@ -102,8 +108,8 @@ func PersistenceSimplify(f *VertexField, threshold float64) *VertexField {
 	st := VertexSuperTree(f)
 	out := make([]float64, len(f.Values))
 	copy(out, f.Values)
-	ch := st.Children()
-	for _, pp := range Persistences(st) {
+	branches, top := persistences(st)
+	for _, pp := range branches {
 		if pp.Persistence() >= threshold {
 			continue
 		}
@@ -113,7 +119,7 @@ func PersistenceSimplify(f *VertexField, threshold float64) *VertexField {
 		// the leaf down, stop before the merge node.
 		node := pp.Node
 		for {
-			for _, item := range st.Members[node] {
+			for _, item := range st.Members(node) {
 				if out[item] > pp.Death {
 					out[item] = pp.Death
 				}
@@ -125,8 +131,8 @@ func PersistenceSimplify(f *VertexField, threshold float64) *VertexField {
 			// Continue only while the parent still belongs to this
 			// branch (it has no other child with a taller top).
 			taller := false
-			for _, c := range ch[p] {
-				if c != node && maxTopOf(st, c) >= pp.Birth {
+			for _, c := range st.Children(p) {
+				if c != node && top[c] >= pp.Birth {
 					taller = true
 					break
 				}
@@ -138,15 +144,4 @@ func PersistenceSimplify(f *VertexField, threshold float64) *VertexField {
 		}
 	}
 	return &VertexField{G: f.G, Values: out}
-}
-
-// maxTopOf returns the maximum scalar in the subtree of s.
-func maxTopOf(st *SuperTree, s int32) float64 {
-	top := st.Scalar[s]
-	for _, c := range st.Children()[s] {
-		if t := maxTopOf(st, c); t > top {
-			top = t
-		}
-	}
-	return top
 }

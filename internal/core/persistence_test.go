@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -83,9 +84,8 @@ func TestPersistencesCountEqualsLeaves(t *testing.T) {
 		f := randomField(seed, 60, 2.0, 8)
 		st := VertexSuperTree(f)
 		leaves := 0
-		ch := st.Children()
-		for s := 0; s < st.Len(); s++ {
-			if len(ch[s]) == 0 {
+		for s := int32(0); s < int32(st.Len()); s++ {
+			if len(st.Children(s)) == 0 {
 				leaves++
 			}
 		}
@@ -184,13 +184,48 @@ func TestPersistenceSimplifyReducesPeakCount(t *testing.T) {
 	}
 }
 
+// TestMaxTopOf: PersistenceSimplify reads subtree maxima from the
+// array persistences computes.
 func TestMaxTopOf(t *testing.T) {
 	st := VertexSuperTree(twoPeakField())
 	roots := st.Roots()
 	if len(roots) != 1 {
 		t.Fatal("want single root")
 	}
-	if got := maxTopOf(st, roots[0]); math.Abs(got-10) > 1e-12 {
-		t.Errorf("maxTopOf(root) = %g, want 10", got)
+	if _, top := persistences(st); top[roots[0]] != 10 {
+		t.Errorf("subtree top of the root = %g, want 10", top[roots[0]])
+	}
+}
+
+// combField is a spine p_i = i (i = 1..k, vertices 0..k-1) with one
+// pendant leaf of value 2k-i+1 (vertex k+i-1) per spine vertex: every
+// branch walk checks a sibling holding the whole rest of the comb, so
+// recomputing subtree maxima per check would be quadratic.
+func combField(k int) *VertexField {
+	b := graph.NewBuilder(2 * k)
+	values := make([]float64, 2*k)
+	for i := 1; i <= k; i++ {
+		values[i-1] = float64(i)
+		values[k+i-1] = float64(2*k - i + 1)
+		b.AddEdge(int32(i-1), int32(k+i-1))
+		if i > 1 {
+			b.AddEdge(int32(i-2), int32(i-1))
+		}
+	}
+	return MustVertexField(b.Build(), values)
+}
+
+// TestPersistenceSimplifyComb pins the comb's fully simplified field
+// and runs a comb large enough that a quadratic walk would take
+// seconds.
+func TestPersistenceSimplifyComb(t *testing.T) {
+	got := PersistenceSimplify(combField(5), math.Inf(1)).Values
+	want := []float64{1, 1, 2, 3, 4, 1, 1, 2, 3, 4}
+	if !slices.Equal(got, want) {
+		t.Fatalf("comb k=5 simplified to %v, want %v", got, want)
+	}
+	big := PersistenceSimplify(combField(20000), math.Inf(1)).Values
+	if big[0] != 1 || big[20000] != 1 || big[39999] != 19999 {
+		t.Fatalf("comb k=20000: root and leaves simplified to %g, %g, %g, want 1, 1, 19999", big[0], big[20000], big[39999])
 	}
 }

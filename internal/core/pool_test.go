@@ -22,10 +22,7 @@ func TestTreeBuilderMatchesPackageBuilders(t *testing.T) {
 
 			st := b.VertexSuperTree(f)
 			ref := VertexSuperTree(f)
-			if !reflect.DeepEqual(ref.Parent, st.Parent) ||
-				!reflect.DeepEqual(ref.Scalar, st.Scalar) ||
-				!reflect.DeepEqual(ref.Members, st.Members) ||
-				!reflect.DeepEqual(ref.NodeOf, st.NodeOf) {
+			if !reflect.DeepEqual(ref, st) {
 				t.Fatalf("n=%d levels=%d: pooled super tree diverges", n, levels)
 			}
 		}

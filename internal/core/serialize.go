@@ -159,8 +159,8 @@ func DecodeSuperTree(b []byte) (*SuperTree, error) {
 	st.index()
 	// index places every item under its in-range node, so of Validate's
 	// checks only an empty super node remains possible.
-	for s, m := range st.Members {
-		if len(m) == 0 {
+	for s := range st.start {
+		if st.start[s] == st.end[s] {
 			return nil, fmt.Errorf("core: deserialized tree invalid: super node %d has no members", s)
 		}
 	}

@@ -33,8 +33,8 @@ func TestSuperTreeRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.NodeOf, st.NodeOf) {
 			t.Fatal("item mapping differs after round trip")
 		}
-		if !reflect.DeepEqual(got.Members, st.Members) {
-			t.Fatal("members differ after round trip")
+		if !reflect.DeepEqual(got, st) {
+			t.Fatal("member, subtree or child index differs after round trip")
 		}
 		// Behavior equivalence: components at a few α values.
 		for _, alpha := range []float64{0, 2, 4} {

@@ -32,19 +32,18 @@ func equalTrees(t *testing.T, label string, raw *Tree) {
 		!slices.Equal(got.NodeOf, want.NodeOf) {
 		t.Fatalf("%s: Parent/Scalar/NodeOf differ from the oracle", label)
 	}
-	if len(got.Members) != len(want.Members) || len(got.Children()) != len(want.Children()) {
-		t.Fatalf("%s: %d/%d member and %d/%d child lists", label,
-			len(got.Members), len(want.Members), len(got.Children()), len(want.Children()))
+	if got.Len() != len(want.Members) {
+		t.Fatalf("%s: %d super nodes, oracle %d", label, got.Len(), len(want.Members))
 	}
 	if !slices.Equal(got.SubtreeSize(), want.SubtreeSize()) {
 		t.Fatalf("%s: SubtreeSize = %v, want %v", label, got.SubtreeSize(), want.SubtreeSize())
 	}
 	for s := int32(0); s < int32(got.Len()); s++ {
-		if !slices.Equal(got.Members[s], want.Members[s]) {
-			t.Fatalf("%s: Members[%d] = %v, want %v", label, s, got.Members[s], want.Members[s])
+		if !slices.Equal(got.Members(s), want.Members[s]) {
+			t.Fatalf("%s: Members(%d) = %v, want %v", label, s, got.Members(s), want.Members[s])
 		}
-		if !slices.Equal(got.Children()[s], want.Children()[s]) {
-			t.Fatalf("%s: Children()[%d] = %v, want %v", label, s, got.Children()[s], want.Children()[s])
+		if !slices.Equal(got.Children(s), want.Children()[s]) {
+			t.Fatalf("%s: Children(%d) = %v, want %v", label, s, got.Children(s), want.Children()[s])
 		}
 		if g, w := got.SubtreeItems(s), want.SubtreeItems(s); !slices.Equal(g, w) {
 			t.Fatalf("%s: SubtreeItems(%d) = %v, want %v", label, s, g, w)
@@ -160,10 +159,9 @@ func TestReadSuperTreeRejectsNonTopologicalParents(t *testing.T) {
 		t.Fatalf("accepted a tree with Parent[1]=2: sizes %v", st.SubtreeSize())
 	}
 	st := &SuperTree{
-		Parent:  []int32{-1, 2, 0},
-		Scalar:  []float64{1, 3, 2},
-		NodeOf:  []int32{0, 1, 2},
-		Members: [][]int32{{0}, {1}, {2}},
+		Parent: []int32{-1, 2, 0},
+		Scalar: []float64{1, 3, 2},
+		NodeOf: []int32{0, 1, 2},
 	}
 	if err := st.Validate(); err == nil {
 		t.Error("Validate accepted a tree with Parent[1]=2")
@@ -194,8 +192,11 @@ func TestPostprocessAllocs(t *testing.T) {
 }
 
 // TestReadSuperTreeAllocs gates the SFST decoder at the same
-// allocation count for trees of very different super node counts.
+// allocation count for trees of very different super node counts:
+// DecodeSuperTree's (see TestDecodeSuperTreeAllocs) plus the header and
+// byte buffers and the test's bytes.Reader.
 func TestReadSuperTreeAllocs(t *testing.T) {
+	const want = 8
 	var counts []float64
 	for _, n := range []int{100, 20000} {
 		st := VertexSuperTree(randomField(8, n, 1.5, 64))
@@ -211,14 +212,16 @@ func TestReadSuperTreeAllocs(t *testing.T) {
 		}))
 		t.Logf("%d super nodes: %.0f allocs", st.Len(), counts[len(counts)-1])
 	}
-	if counts[0] != counts[1] {
-		t.Errorf("ReadSuperTree allocs grow with the tree: %v", counts)
+	if counts[0] != want || counts[1] != want {
+		t.Errorf("ReadSuperTree allocs %v, want %d at every size", counts, want)
 	}
 }
 
 // TestDecodeSuperTreeAllocs is TestReadSuperTreeAllocs for the
-// in-memory decoder.
+// in-memory decoder: the tree, Parent+NodeOf, Scalar, and index's int32
+// slab and flat item array; the index holds no per-node slices.
 func TestDecodeSuperTreeAllocs(t *testing.T) {
+	const want = 5
 	var counts []float64
 	for _, n := range []int{100, 20000} {
 		st := VertexSuperTree(randomField(8, n, 1.5, 64))
@@ -234,8 +237,8 @@ func TestDecodeSuperTreeAllocs(t *testing.T) {
 		}))
 		t.Logf("%d super nodes: %.0f allocs", st.Len(), counts[len(counts)-1])
 	}
-	if counts[0] != counts[1] {
-		t.Errorf("DecodeSuperTree allocs grow with the tree: %v", counts)
+	if counts[0] != want || counts[1] != want {
+		t.Errorf("DecodeSuperTree allocs %v, want %d at every size", counts, want)
 	}
 }
 

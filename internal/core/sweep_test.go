@@ -128,10 +128,7 @@ func requireSameTree(t *testing.T, want, got *Tree, label string) {
 		t.Fatalf("%s: sweep Order diverges from pre-refactor oracle", label)
 	}
 	ws, gs := Postprocess(want), Postprocess(got)
-	if !reflect.DeepEqual(ws.Parent, gs.Parent) ||
-		!reflect.DeepEqual(ws.Scalar, gs.Scalar) ||
-		!reflect.DeepEqual(ws.Members, gs.Members) ||
-		!reflect.DeepEqual(ws.NodeOf, gs.NodeOf) {
+	if !reflect.DeepEqual(ws, gs) {
 		t.Fatalf("%s: SuperTree diverges from pre-refactor oracle", label)
 	}
 	if err := gs.Validate(); err != nil {

@@ -26,6 +26,64 @@ func SweepOrder(values []float64) []int32 {
 	return b.sweepOrderInto(values)
 }
 
+// SweepLevels ranks values by distinct level without sorting them
+// all: it returns the distinct values in increasing order, and level,
+// where level[i] is the index of values[i] among them. -0 and +0 are
+// one level, whose value is that of the lowest-ID item on it.
+//
+// One pass files every value in an open-addressing table keyed by its
+// sweep key (a power of two of at least 2·len(values) slots, linear
+// probing), keeping the first (lowest-ID) value of each key; only the
+// L distinct values are then put in sweep order. It runs in
+// O(len(values) + L) expected time with a constant number of
+// allocations. Values must be NaN-free, as for SweepOrder.
+func SweepLevels(values []float64) (levels []float64, level []int32) {
+	n := len(values)
+	bits := 1
+	for 1<<bits < 2*n {
+		bits++
+	}
+	// One slab: the table, level, each distinct value's rank, and the
+	// sweep order of the distinct values. A table slot holds 1 + the
+	// index of its value in distinct, 0 when empty.
+	ints := make([]int32, 1<<bits+3*n)
+	table, level := ints[:1<<bits], ints[1<<bits:1<<bits+n]
+	rank, order := ints[1<<bits+n:1<<bits+2*n], ints[1<<bits+2*n:]
+	mask := uint64(1)<<bits - 1
+	distinct := make([]float64, 0, n)
+	for i, v := range values {
+		// Fibonacci hashing: the high bits of the product mix every key
+		// bit.
+		h := sweepKey(v) * 0x9E3779B97F4A7C15 >> (64 - bits)
+		for {
+			d := table[h] - 1
+			if d < 0 {
+				d = int32(len(distinct))
+				table[h] = d + 1
+				distinct = append(distinct, v)
+			} else if distinct[d] != v {
+				h = (h + 1) & mask
+				continue
+			}
+			level[i] = d
+			break
+		}
+	}
+	// The sweep order lists the distinct values decreasing, so the
+	// p-th of them is level L-1-p.
+	b := TreeBuilder{order: order}
+	levels = make([]float64, len(distinct))
+	top := len(distinct) - 1
+	for p, d := range b.sweepOrderInto(distinct) {
+		levels[top-p] = distinct[d]
+		rank[d] = int32(top - p)
+	}
+	for i, d := range level {
+		level[i] = rank[d]
+	}
+	return levels, level
+}
+
 // radixDigitBits is the width of one radix digit: six passes over a
 // 64-bit key, each with a 2048-entry histogram (8 KiB) that stays in
 // L1. On the scale-2 clustering field this is ~25% faster than eight

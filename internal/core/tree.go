@@ -39,7 +39,15 @@ func (t *Tree) Roots() []int32 {
 // Children returns, for every node, its child list (sorted by ID).
 // All lists are views of one CSR array built in a single pass.
 func (t *Tree) Children() [][]int32 {
-	return childLists(t.Parent, make([]int32, 2*len(t.Parent)+1))
+	n := len(t.Parent)
+	csr := make([]int32, 2*n+1)
+	off, child := csr[:n+1], csr[n+1:]
+	childCSR(t.Parent, off, child)
+	ch := make([][]int32, n)
+	for i := range ch {
+		ch[i] = child[off[i]:off[i+1]:off[i+1]]
+	}
+	return ch
 }
 
 // SubtreeItems returns all item IDs in the subtree rooted at node,

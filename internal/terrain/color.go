@@ -78,12 +78,13 @@ func Normalize(values []float64) []float64 {
 // intensity normalized to [0, 1].
 func NodeIntensity(st *core.SuperTree, itemValues []float64) []float64 {
 	raw := make([]float64, st.Len())
-	for s := 0; s < st.Len(); s++ {
+	for s := range raw {
+		members := st.Members(int32(s))
 		var sum float64
-		for _, item := range st.Members[s] {
+		for _, item := range members {
 			sum += itemValues[item]
 		}
-		raw[s] = sum / float64(len(st.Members[s]))
+		raw[s] = sum / float64(len(members))
 	}
 	return Normalize(raw)
 }
@@ -93,10 +94,11 @@ func NodeIntensity(st *core.SuperTree, itemValues []float64) []float64 {
 // dominant role (Figure 9) or plant genus (Figure 11).
 func NodeCategorical(st *core.SuperTree, itemCategory []int) []int {
 	out := make([]int, st.Len())
-	for s := 0; s < st.Len(); s++ {
-		counts := map[int]int{}
+	counts := map[int]int{}
+	for s := range out {
+		clear(counts)
 		best, bestN := -1, -1
-		for _, item := range st.Members[s] {
+		for _, item := range st.Members(int32(s)) {
 			c := itemCategory[item]
 			counts[c]++
 			if counts[c] > bestN || (counts[c] == bestN && c < best) {

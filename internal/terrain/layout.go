@@ -119,7 +119,7 @@ func (l *Layout) build() {
 // boundary using binary area partition, which keeps cells close to
 // square instead of degenerating into thin strips.
 func (l *Layout) layoutChildren(s int32, sizes []int32) {
-	ch := l.ST.Children()[s]
+	ch := l.ST.Children(s)
 	if len(ch) == 0 {
 		return
 	}
@@ -141,7 +141,7 @@ func (l *Layout) layoutChildren(s int32, sizes []int32) {
 	for i, c := range order {
 		shares[i] = float64(sizes[c])
 	}
-	shares[len(order)] = float64(len(l.ST.Members[s]))
+	shares[len(order)] = float64(len(l.ST.Members(s)))
 
 	cells := partitionWith(inner, floorShares(shares, l.opts.MinShare), l.opts.Strategy)
 	for i, c := range order {
@@ -355,13 +355,13 @@ func (l *Layout) Validate() error {
 		}
 	}
 	// Sibling disjointness.
-	ch := st.Children()
-	for s := 0; s < st.Len(); s++ {
-		for i := 0; i < len(ch[s]); i++ {
-			for j := i + 1; j < len(ch[s]); j++ {
-				a, b := rects[ch[s][i]], rects[ch[s][j]]
+	for s := int32(0); s < int32(st.Len()); s++ {
+		ch := st.Children(s)
+		for i := 0; i < len(ch); i++ {
+			for j := i + 1; j < len(ch); j++ {
+				a, b := rects[ch[i]], rects[ch[j]]
 				if a.X0 < b.X1-eps && b.X0 < a.X1-eps && a.Y0 < b.Y1-eps && b.Y0 < a.Y1-eps {
-					return fmt.Errorf("terrain: sibling rects %d and %d overlap", ch[s][i], ch[s][j])
+					return fmt.Errorf("terrain: sibling rects %d and %d overlap", ch[i], ch[j])
 				}
 			}
 		}

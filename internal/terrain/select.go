@@ -35,7 +35,6 @@ func (l *Layout) NodeAtPoint(x, y float64) int32 {
 // touched does not leak its members into the selection. Items are
 // returned sorted and deduplicated.
 func (l *Layout) ItemsInRect(sel Rect) []int32 {
-	ch := l.ST.Children()
 	rects := l.Rects()
 	seen := map[int32]bool{}
 	for s, r := range rects {
@@ -46,13 +45,13 @@ func (l *Layout) ItemsInRect(sel Rect) []int32 {
 		// Exposed check: the clipped selection must not be fully
 		// covered by this node's children boundaries.
 		covered := 0.0
-		for _, c := range ch[s] {
+		for _, c := range l.ST.Children(int32(s)) {
 			if cc, ok := intersect(rects[c], clipped); ok {
 				covered += cc.Area()
 			}
 		}
 		if clipped.Area()-covered > 1e-12 {
-			for _, item := range l.ST.Members[s] {
+			for _, item := range l.ST.Members(int32(s)) {
 				seen[item] = true
 			}
 		}

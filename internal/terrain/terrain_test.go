@@ -61,10 +61,9 @@ func TestLayoutAreasMonotoneWithSubtreeSize(t *testing.T) {
 	// (up to the MinShare floor).
 	st := paperFigure4Tree()
 	l := NewLayout(st, LayoutOptions{})
-	ch := st.Children()
 	sizes := st.SubtreeSize()
-	for s := 0; s < st.Len(); s++ {
-		sib := ch[s]
+	for s := int32(0); s < int32(st.Len()); s++ {
+		sib := st.Children(s)
 		for i := 0; i < len(sib); i++ {
 			for j := 0; j < len(sib); j++ {
 				if sizes[sib[i]] > sizes[sib[j]] {
