@@ -277,9 +277,9 @@ func runBench(cfg config) error {
 		// clustering field and the contour spectrum of its super tree.
 		{"sweep-order/clustering", ok(func() { core.SweepOrder(cc) })},
 		{"contour/spectrum", ok(func() { contour.NewSpectrum(clusteringTree) })},
-		// The spectrum of the kcore field binned into 64 levels: a
-		// binned key's cold hit rebuilds a spectrum of this shape,
-		// thousands of super nodes on a few dozen levels.
+		// The spectrum of the kcore field binned into 64 bins: a binned
+		// key's cold hit rebuilds a spectrum of this shape, thousands of
+		// super nodes on a few fractional levels.
 		{"contour/spectrum-binned", ok(func() { contour.NewSpectrum(binnedTree) })},
 		// The terrain geometry of the clustering tree, built by the first
 		// Rects call: analyses and snapshot decodes defer it, so the
