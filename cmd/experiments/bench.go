@@ -4,12 +4,12 @@ package main
 // tree construction with the default and pooled sweep drivers, the
 // radix sweep order and contour spectrum of a fractional field, the
 // triangle measures (clustering and k-truss) on the oriented triangle
-// listing, the distance-based centrality kernels on the batched MS-BFS
-// engine (closeness, harmonic, eccentricity, k-hop, and the
-// early-cutoff diameter fold), the betweenness kernels on the batched
-// MS-Brandes engine (vertex, edge, and sampled), one row per kernel,
-// the snapshot-cache hit/miss paths of internal/query, and the
-// snapshot wire codec (encode and decode throughput for the disk
+// listing, the onion decomposition, the distance-based centrality
+// kernels on the batched MS-BFS engine (closeness, harmonic,
+// eccentricity, k-hop, and the early-cutoff diameter fold), the
+// betweenness kernels on the batched MS-Brandes engine (vertex, edge,
+// and sampled), one row per kernel, the snapshot-cache hit/miss paths
+// of internal/query, and the snapshot wire codec (encode and decode throughput for the disk
 // store and the shard fabric, and the SFST tree decode beneath it) —
 // timed with allocation counts and written as machine-readable JSON
 // (-benchout, BENCH_8.json by default), so the effect of each PR on
@@ -31,8 +31,8 @@ package main
 // msbfs/* and msbrandes/* rows are not comparable with BENCH_8's.
 // Every measure kernel picks its own worker count (par.Workers), so
 // GOMAXPROCS sets the core count of the msbfs/* and msbrandes/* rows;
-// the triangles/* rows are serial. Each row is one mean over
-// -benchiters runs after a warm-up call, with no spread.
+// the triangles/* and measures/onion rows are serial. Each row is one
+// mean over -benchiters runs after a warm-up call, with no spread.
 // BENCH_4–7.json also carry per-source baseline, *-1worker, and
 // vertex-tree/serial-sort rows; those kernels now live only in test
 // code as oracles, and the checked-in files keep their numbers as
@@ -286,10 +286,14 @@ func runBench(cfg config) error {
 		// viewer pays it on a terrain's first render.
 		{"terrain/layout", ok(func() { terrain.NewLayout(clusteringTree, terrain.LayoutOptions{}).Rects() })},
 		// The triangle measures on the oriented listing: clustering is
-		// one counting pass; ktruss adds a second pass filling the
-		// per-edge triangle CSR and the bucket peel over it.
+		// one counting pass; ktruss lists each triangle once into a
+		// flat array, scatters it into the per-edge triangle CSR by
+		// counting and runs the bucket peel over it.
 		{"triangles/clustering", ok(func() { measures.ClusteringCoefficients(g) })},
 		{"triangles/ktruss", ok(func() { measures.TrussNumbers(g) })},
+		// The onion decomposition's bucket-queue peel, one round per
+		// layer (59 layers on GrQc at scale 2).
+		{"measures/onion", ok(func() { measures.OnionLayers(g) })},
 		// Distance-based centralities on the batched MS-BFS engine; the
 		// shared row computes both fields from one traversal, the
 		// Analyzer's multi-field fast path.

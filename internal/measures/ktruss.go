@@ -19,56 +19,50 @@ func TrussNumbers(g *graph.Graph) []int32 {
 	if m == 0 {
 		return truss
 	}
-	o := orient(g)
-	sup := o.edgeTriangles()
-	// Per-edge triangle CSR (Wang & Cheng's in-memory truss
-	// decomposition, VLDB 2012): triangles of edge e are the ID pairs
-	// pairs[triOff[e]:triOff[e+1]], each the triangle's other two
-	// edges, so the peel walks a list instead of re-intersecting
-	// neighbor lists. triOff[e+1] starts at e's first slot and is
-	// advanced past each pair written, ending at e's end.
-	triOff := make([]int, m+1)
-	for e := 1; e < m; e++ {
-		triOff[e+1] = triOff[e] + 2*int(sup[e-1])
-	}
-	pairs := make([]int32, triOff[m]+2*int(sup[m-1]))
-	add := func(e, a, b int32) {
-		p := triOff[e+1]
-		pairs[p], pairs[p+1] = a, b
-		triOff[e+1] = p + 2
-	}
-	o.forEachTriangle(func(_, _, _, uv, vw, uw int32) {
-		add(uv, vw, uw)
-		add(vw, uv, uw)
-		add(uw, uv, vw)
-	})
-
+	tris, sup := orient(g).listTriangles()
 	maxSup := int32(0)
 	for _, s := range sup {
 		if s > maxSup {
 			maxSup = s
 		}
 	}
+	// The peel's int32 arrays share one slab, sized now that the
+	// listing has fixed T and the largest support.
+	slab := make([]int32, len(tris)+3*m+1+2*int(maxSup)+3)
+	ids, slab := slab[:len(tris)], slab[len(tris):]
+	triOff, slab := slab[:m+1], slab[m+1:]
+	edgeOrder, slab := slab[:m], slab[m:]
+	pos, slab := slab[:m], slab[m:]
+	bin, cursor := slab[:maxSup+2], slab[maxSup+2:]
+	dead := make([]bool, len(tris)/3)
+
+	// Per-edge triangle CSR (Wang & Cheng's in-memory truss
+	// decomposition, VLDB 2012), scattered from the listing by
+	// counting: the IDs of edge e's triangles are
+	// ids[triOff[e]:triOff[e+1]], so the peel walks a list instead of
+	// re-intersecting neighbor lists. triOff[e+1] starts at e's first
+	// slot and is advanced past each ID written, ending at e's end.
+	for e := 1; e < m; e++ {
+		triOff[e+1] = triOff[e] + sup[e-1]
+	}
+	for k, e := range tris {
+		p := triOff[e+1]
+		ids[p] = int32(k / 3)
+		triOff[e+1] = p + 1
+	}
+
 	// Bucket-sort edges by support (same layout as the k-core peel).
-	bin := make([]int32, maxSup+2)
 	for _, s := range sup {
 		bin[s+1]++
 	}
 	for d := int32(1); d <= maxSup+1; d++ {
 		bin[d] += bin[d-1]
 	}
-	edgeOrder := make([]int32, m)
-	pos := make([]int32, m)
-	cursor := make([]int32, maxSup+1)
 	copy(cursor, bin[:maxSup+1])
 	for e := 0; e < m; e++ {
 		pos[e] = cursor[sup[e]]
 		edgeOrder[pos[e]] = int32(e)
 		cursor[sup[e]]++
-	}
-	alive := make([]bool, m)
-	for i := range alive {
-		alive[i] = true
 	}
 
 	demote := func(x int32, floor int32) {
@@ -92,11 +86,16 @@ func TrussNumbers(g *graph.Graph) []int32 {
 	for i := 0; i < m; i++ {
 		e := edgeOrder[i]
 		truss[e] = sup[e]
-		alive[e] = false
-		for p := triOff[e]; p < triOff[e+1]; p += 2 {
-			e1, e2 := pairs[p], pairs[p+1]
-			if !alive[e1] || !alive[e2] {
-				continue // triangle already destroyed by an earlier peel
+		for _, t := range ids[triOff[e]:triOff[e+1]] {
+			if dead[t] {
+				continue // destroyed when one of its other edges peeled
+			}
+			dead[t] = true
+			e1, e2, e3 := tris[3*t], tris[3*t+1], tris[3*t+2]
+			if e1 == e {
+				e1 = e3
+			} else if e2 == e {
+				e2 = e3
 			}
 			demote(e1, sup[e])
 			demote(e2, sup[e])

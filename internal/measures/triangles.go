@@ -76,17 +76,33 @@ func (o orientedGraph) forEachTriangle(fn func(u, v, w, uv, vw, uw int32)) {
 // edge participates in. This is the support function underlying the
 // k-truss decomposition.
 func EdgeTriangles(g *graph.Graph) []int32 {
-	return orient(g).edgeTriangles()
+	_, sup := orient(g).listTriangles()
+	return sup
 }
 
-func (o orientedGraph) edgeTriangles() []int32 {
-	tri := make([]int32, len(o.eid))
+// listTriangles lists every triangle once, writing its edge IDs
+// (uv, vw, uw) to tris[3t:3t+3], and counts each edge's triangles in
+// sup. Every triangle closes a wedge of two forward edges at its
+// lowest-ranked corner, so T <= Σ_u C(|N+(u)|, 2) sizes tris in one
+// allocation on every graph, however triangle-dense; the returned
+// slice is cut to 3T.
+func (o orientedGraph) listTriangles() (tris, sup []int32) {
+	wedges := 0
+	for u := 0; u+1 < len(o.off); u++ {
+		d := int(o.off[u+1] - o.off[u])
+		wedges += d * (d - 1) / 2
+	}
+	tris = make([]int32, 3*wedges)
+	sup = make([]int32, len(o.eid))
+	t := 0
 	o.forEachTriangle(func(_, _, _, uv, vw, uw int32) {
-		tri[uv]++
-		tri[vw]++
-		tri[uw]++
+		tris[t], tris[t+1], tris[t+2] = uv, vw, uw
+		t += 3
+		sup[uv]++
+		sup[vw]++
+		sup[uw]++
 	})
-	return tri
+	return tris[:t], sup
 }
 
 // VertexTriangles counts, for every vertex, the number of triangles

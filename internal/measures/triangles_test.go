@@ -3,6 +3,7 @@ package measures
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/datasets"
@@ -12,7 +13,8 @@ import (
 // triangleCases are the graphs the oriented listing is checked on
 // against the merge oracles: the degenerate shapes, degree ties
 // everywhere (cycles, K_n, K_{a,b}), disconnected parts, random graphs
-// over a range of densities, and the GrQc stand-in at scale 2.
+// over a range of densities, a triangle-dense random graph (T > m)
+// and the GrQc stand-in at scale 2.
 func triangleCases(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	cases := map[string]*graph.Graph{
@@ -22,6 +24,7 @@ func triangleCases(t *testing.T) map[string]*graph.Graph {
 		"cycle":        cycleGraph(12),
 		"K7":           completeGraph(7),
 		"K12":          completeGraph(12),
+		"K40":          completeGraph(40),
 		"star":         starGraph(9),
 		"path":         pathGraph(6),
 		"bipartiteK45": completeBipartite(4, 5),
@@ -44,6 +47,7 @@ func triangleCases(t *testing.T) map[string]*graph.Graph {
 		density := 1 + float64(seed%5)
 		cases[fmt.Sprintf("random-%d", seed)] = randomGraph(seed, n, density)
 	}
+	cases["random-dense"] = randomGraph(20, 120, 20)
 	g, err := datasets.Generate("GrQc", 2, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -90,29 +94,115 @@ func TestTriangleListingMatchesMergeOracle(t *testing.T) {
 	}
 }
 
-// TestTriangleKernelAllocationsConstant pins the listing scratch: the
-// forward CSR and mark array come from one slab and the truss peel's
-// triangle CSR from two more slices, so the allocation count is the
-// same on a 1k-vertex random graph and on the 10k-vertex GrQc stand-in.
-func TestTriangleKernelAllocationsConstant(t *testing.T) {
-	small := randomGraph(5, 1000, 3.0)
-	big, err := datasets.Generate("GrQc", 2, 42)
+// TestOnionLayersMatchRoundsOracle checks the bucket-queue onion peel
+// bit for bit against the round-by-round peel it replaced, on the
+// triangle cases and on the GrQc stand-in at scale 10.
+func TestOnionLayersMatchRoundsOracle(t *testing.T) {
+	cases := triangleCases(t)
+	g, err := datasets.Generate("GrQc", 10, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []struct {
-		name string
-		fn   func(*graph.Graph)
-	}{
-		{"ClusteringCoefficients", func(g *graph.Graph) { ClusteringCoefficients(g) }},
-		{"TrussNumbers", func(g *graph.Graph) { TrussNumbers(g) }},
-	} {
-		a := testing.AllocsPerRun(3, func() { k.fn(small) })
-		b := testing.AllocsPerRun(3, func() { k.fn(big) })
-		t.Logf("%s: %v allocs on %d vertices, %v on %d", k.name, a, small.NumVertices(), b, big.NumVertices())
-		if a != b {
-			t.Errorf("%s allocates %v objects on %d vertices but %v on %d; want a constant count",
-				k.name, a, small.NumVertices(), b, big.NumVertices())
+	cases["GrQc-scale10"] = g
+	for name, g := range cases {
+		if got, want := OnionLayers(g), onionLayersRounds(g); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: OnionLayers differs from the round-by-round oracle", name)
 		}
 	}
+}
+
+// TestTriangleKernelAllocationsConstant pins the kernels' allocation
+// counts on a sparse random graph, the GrQc stand-in at scale 2 and
+// two triangle-dense graphs with T > m, where a triangle buffer grown
+// by append would allocate more. The listing's forward CSR and mark
+// array share one slab; ktruss adds the output, the wedge-bounded
+// triangle array, the support counts, one slab for the peel's int32
+// arrays and the dead-triangle flags; onion allocates its output and
+// one slab.
+func TestTriangleKernelAllocationsConstant(t *testing.T) {
+	grqc, err := datasets.Generate("GrQc", 2, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.Graph{
+		"random-1000":  randomGraph(5, 1000, 3.0),
+		"GrQc-scale2":  grqc,
+		"K40":          completeGraph(40),
+		"random-dense": randomGraph(20, 120, 20),
+	}
+	for _, name := range []string{"K40", "random-dense"} {
+		if g := graphs[name]; TotalTriangles(g) <= int64(g.NumEdges()) {
+			t.Fatalf("%s: %d triangles on %d edges, want T > m", name, TotalTriangles(g), g.NumEdges())
+		}
+	}
+	// The first garbage collection starts the runtime's mark workers,
+	// which allocate; collect once so that it is not counted below.
+	runtime.GC()
+	for _, k := range []struct {
+		name   string
+		fn     func(*graph.Graph)
+		allocs float64
+	}{
+		{"ClusteringCoefficients", func(g *graph.Graph) { ClusteringCoefficients(g) }, 3},
+		{"TrussNumbers", func(g *graph.Graph) { TrussNumbers(g) }, 6},
+		{"OnionLayers", func(g *graph.Graph) { OnionLayers(g) }, 2},
+	} {
+		for name, g := range graphs {
+			a := testing.AllocsPerRun(3, func() { k.fn(g) })
+			if a != k.allocs {
+				t.Errorf("%s allocates %v objects on %s (%d vertices, %d edges), want %v",
+					k.name, a, name, g.NumVertices(), g.NumEdges(), k.allocs)
+			}
+		}
+	}
+}
+
+// FuzzTriangleKernels decodes bytes into a small graph and checks every
+// triangle field bit for bit against its merge oracle and the onion
+// layers against the round-by-round peel. The first byte sets the
+// vertex count; each later byte pair (x, y) adds the edge {x, y}
+// modulo n, or, when x >= 0xf0, a clique on the 3 + x&0xf vertices
+// from y on (wrapping), which makes triangle-dense parts with degree
+// ties. Vertices no pair names stay isolated.
+func FuzzTriangleKernels(f *testing.F) {
+	f.Add([]byte{12, 0, 1, 1, 2, 2, 0, 5, 6, 9, 9})
+	f.Add([]byte{40, 0xf9, 0, 0xf2, 20, 30, 31, 31, 32, 12, 30})
+	f.Add([]byte{24, 0xf4, 0, 0xf4, 3, 0xf1, 10, 15, 2, 16, 17})
+	f.Add([]byte{7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%48
+		b := graph.NewBuilder(n)
+		for i := 1; i+1 < len(data); i += 2 {
+			x, y := int(data[i]), int(data[i+1])
+			if x < 0xf0 {
+				b.AddEdge(int32(x%n), int32(y%n))
+				continue
+			}
+			k := 3 + x&0xf
+			for a := 0; a < k; a++ {
+				for c := a + 1; c < k; c++ {
+					b.AddEdge(int32((y+a)%n), int32((y+c)%n))
+				}
+			}
+		}
+		g := b.Build()
+		if got, want := TrussNumbers(g), trussNumbersMerge(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("TrussNumbers = %v, merge oracle %v", got, want)
+		}
+		if got, want := EdgeTriangles(g), edgeTrianglesMerge(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("EdgeTriangles = %v, merge oracle %v", got, want)
+		}
+		if got, want := VertexTriangles(g), vertexTrianglesMerge(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("VertexTriangles = %v, merge oracle %v", got, want)
+		}
+		if got, want := ClusteringCoefficients(g), clusteringMerge(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ClusteringCoefficients = %v, merge oracle %v", got, want)
+		}
+		if got, want := OnionLayers(g), onionLayersRounds(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("OnionLayers = %v, round-by-round oracle %v", got, want)
+		}
+	})
 }
