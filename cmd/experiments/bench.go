@@ -291,8 +291,8 @@ func runBench(cfg config) error {
 		// counting and runs the bucket peel over it.
 		{"triangles/clustering", ok(func() { measures.ClusteringCoefficients(g) })},
 		{"triangles/ktruss", ok(func() { measures.TrussNumbers(g) })},
-		// The onion decomposition's bucket-queue peel, one round per
-		// layer (59 layers on GrQc at scale 2).
+		// The onion decomposition: the k-core bucket peel, counting its
+		// rounds as layers (59 layers on GrQc at scale 2).
 		{"measures/onion", ok(func() { measures.OnionLayers(g) })},
 		// Distance-based centralities on the batched MS-BFS engine; the
 		// shared row computes both fields from one traversal, the

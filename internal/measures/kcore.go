@@ -18,60 +18,96 @@ import "repro/internal/graph"
 // a vertex of minimum remaining degree; its core number is the maximum
 // over the peel sequence of the minimum degree seen so far.
 func CoreNumbers(g *graph.Graph) []int32 {
+	return peelCores(g, nil)
+}
+
+// peelCores runs the Batagelj–Zaveršnik peel and returns the core
+// numbers. Remaining degrees are never decremented below the current
+// threshold k, so a peeled vertex's degree is its core number and the
+// unpeeled vertices stay sorted by degree in q.order[i:]. The peel
+// therefore runs in onion rounds (OnionLayers): a round is the
+// contiguous run of degree k at the front, a vertex whose degree
+// falls to k moves to the end of that run, where it forms the next
+// round, and when the run is empty k rises to the degree at the front.
+// If layer is non-nil, layer[v] is set to v's round, numbered from 1.
+func peelCores(g *graph.Graph, layer []int32) []int32 {
 	n := g.NumVertices()
-	core := make([]int32, n)
-	if n == 0 {
-		return core
-	}
 	deg := make([]int32, n)
-	maxDeg := int32(0)
-	for v := 0; v < n; v++ {
+	if n == 0 {
+		return deg
+	}
+	for v := range deg {
 		deg[v] = int32(g.Degree(int32(v)))
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
+	}
+	q := newBucketQueue(deg, int32(g.MaxDegree()))
+	k := int32(0)
+	l := int32(0)
+	for i := int32(0); i < int32(n); {
+		if d := deg[q.order[i]]; d > k {
+			k = d
+		}
+		l++
+		for end := q.bin[k+1]; i < end; i++ {
+			v := q.order[i]
+			if layer != nil {
+				layer[v] = l
+			}
+			for _, u := range g.Neighbors(v) {
+				if deg[u] > k {
+					q.decrement(u) // else peeled, in this round, or already next
+				}
+			}
 		}
 	}
-	// Bucket sort vertices by degree: bin[d] is the start offset of
-	// degree-d vertices in pos/vert.
-	bin := make([]int32, maxDeg+2)
-	for v := 0; v < n; v++ {
-		bin[deg[v]+1]++
+	return deg
+}
+
+// bucketQueue is the Batagelj–Zaveršnik bucket layout that the core,
+// onion and truss peels share: order lists the items by nondecreasing
+// key, pos[x] is x's index in order, and bin[k] is where the key-k
+// items start (bin[maxKey+1] is the item count). Each decrement keeps
+// this true in O(1), so a peel walks order front to back while the
+// keys of the items ahead of it fall.
+type bucketQueue struct {
+	key, order, pos, bin []int32
+}
+
+// newBucketQueue sorts the items by key, every key in [0, maxKey], by
+// counting. The queue decrements key in place.
+func newBucketQueue(key []int32, maxKey int32) bucketQueue {
+	n := len(key)
+	slab := make([]int32, 2*n+int(maxKey)+2)
+	order, slab := slab[:n], slab[n:]
+	pos, bin := slab[:n], slab[n:]
+	for _, k := range key {
+		bin[k+1]++
 	}
-	for d := int32(1); d <= maxDeg+1; d++ {
-		bin[d] += bin[d-1]
+	for k := 1; k < len(bin); k++ {
+		bin[k] += bin[k-1]
 	}
-	vert := make([]int32, n) // vertices in degree order
-	pos := make([]int32, n)  // position of each vertex in vert
-	cursor := make([]int32, maxDeg+1)
-	copy(cursor, bin[:maxDeg+1])
-	for v := 0; v < n; v++ {
-		pos[v] = cursor[deg[v]]
-		vert[pos[v]] = int32(v)
-		cursor[deg[v]]++
+	// Place each item at its bucket's cursor bin[k], which then ends at
+	// the next bucket's start; shift bin back by one bucket after.
+	for x, k := range key {
+		p := bin[k]
+		pos[x] = p
+		order[p] = int32(x)
+		bin[k] = p + 1
 	}
-	// Peel in nondecreasing degree order.
-	for i := 0; i < n; i++ {
-		v := vert[i]
-		core[v] = deg[v]
-		for _, u := range g.Neighbors(v) {
-			if deg[u] <= deg[v] {
-				continue // u already peeled or tied
-			}
-			// Move u one bucket down: swap it with the first vertex of
-			// its current bucket, then shrink the bucket boundary.
-			du := deg[u]
-			pu := pos[u]
-			pw := bin[du]
-			w := vert[pw]
-			if u != w {
-				vert[pu], vert[pw] = w, u
-				pos[u], pos[w] = pw, pu
-			}
-			bin[du]++
-			deg[u]--
-		}
-	}
-	return core
+	copy(bin[1:maxKey+1], bin[:maxKey])
+	bin[0] = 0
+	return bucketQueue{key, order, pos, bin}
+}
+
+// decrement lowers key[x] by one: x swaps with the first item of its
+// bucket (itself, possibly), and that bucket's start moves past it.
+func (q *bucketQueue) decrement(x int32) {
+	k := q.key[x]
+	px, pw := q.pos[x], q.bin[k]
+	w := q.order[pw]
+	q.order[px], q.order[pw] = w, x
+	q.pos[x], q.pos[w] = pw, px
+	q.bin[k] = pw + 1
+	q.key[x] = k - 1
 }
 
 // CoreNumbersFloat wraps CoreNumbers as a float64 scalar field.

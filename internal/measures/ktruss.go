@@ -19,22 +19,13 @@ func TrussNumbers(g *graph.Graph) []int32 {
 	if m == 0 {
 		return truss
 	}
-	tris, sup := orient(g).listTriangles()
+	sup, tris := orient(g).listTriangles(true)
 	maxSup := int32(0)
 	for _, s := range sup {
 		if s > maxSup {
 			maxSup = s
 		}
 	}
-	// The peel's int32 arrays share one slab, sized now that the
-	// listing has fixed T and the largest support.
-	slab := make([]int32, len(tris)+3*m+1+2*int(maxSup)+3)
-	ids, slab := slab[:len(tris)], slab[len(tris):]
-	triOff, slab := slab[:m+1], slab[m+1:]
-	edgeOrder, slab := slab[:m], slab[m:]
-	pos, slab := slab[:m], slab[m:]
-	bin, cursor := slab[:maxSup+2], slab[maxSup+2:]
-	dead := make([]bool, len(tris)/3)
 
 	// Per-edge triangle CSR (Wang & Cheng's in-memory truss
 	// decomposition, VLDB 2012), scattered from the listing by
@@ -42,6 +33,8 @@ func TrussNumbers(g *graph.Graph) []int32 {
 	// ids[triOff[e]:triOff[e+1]], so the peel walks a list instead of
 	// re-intersecting neighbor lists. triOff[e+1] starts at e's first
 	// slot and is advanced past each ID written, ending at e's end.
+	slab := make([]int32, len(tris)+m+1)
+	ids, triOff := slab[:len(tris)], slab[len(tris):]
 	for e := 1; e < m; e++ {
 		triOff[e+1] = triOff[e] + sup[e-1]
 	}
@@ -51,54 +44,31 @@ func TrussNumbers(g *graph.Graph) []int32 {
 		triOff[e+1] = p + 1
 	}
 
-	// Bucket-sort edges by support (same layout as the k-core peel).
-	for _, s := range sup {
-		bin[s+1]++
-	}
-	for d := int32(1); d <= maxSup+1; d++ {
-		bin[d] += bin[d-1]
-	}
-	copy(cursor, bin[:maxSup+1])
-	for e := 0; e < m; e++ {
-		pos[e] = cursor[sup[e]]
-		edgeOrder[pos[e]] = int32(e)
-		cursor[sup[e]]++
-	}
-
-	demote := func(x int32, floor int32) {
-		// Decrease sup[x] by one, but never below the current peel
-		// level, keeping the bucket structure consistent.
-		if sup[x] <= floor {
-			return
-		}
-		sx := sup[x]
-		px := pos[x]
-		pw := bin[sx]
-		w := edgeOrder[pw]
-		if x != w {
-			edgeOrder[px], edgeOrder[pw] = w, x
-			pos[x], pos[w] = pw, px
-		}
-		bin[sx]++
-		sup[x]--
-	}
-
+	// Peel on the k-core bucket queue, never decrementing a support
+	// below the current level.
+	q := newBucketQueue(sup, maxSup)
 	for i := 0; i < m; i++ {
-		e := edgeOrder[i]
-		truss[e] = sup[e]
+		e := q.order[i]
+		k := sup[e]
+		truss[e] = k
 		for _, t := range ids[triOff[e]:triOff[e+1]] {
-			if dead[t] {
+			tri := tris[3*t : 3*t+3]
+			if tri[0] < 0 {
 				continue // destroyed when one of its other edges peeled
 			}
-			dead[t] = true
-			e1, e2, e3 := tris[3*t], tris[3*t+1], tris[3*t+2]
+			e1, e2 := tri[0], tri[1]
 			if e1 == e {
-				e1 = e3
+				e1 = tri[2]
 			} else if e2 == e {
-				e2 = e3
+				e2 = tri[2]
 			}
-			demote(e1, sup[e])
-			demote(e2, sup[e])
+			tri[0] = -1
+			if sup[e1] > k {
+				q.decrement(e1)
+			}
+			if sup[e2] > k {
+				q.decrement(e2)
+			}
 		}
 	}
 	return truss

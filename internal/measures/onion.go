@@ -65,70 +65,12 @@ func KatzCentrality(g *graph.Graph, alpha, tol float64, maxIter int) []float64 {
 //
 // Layers are numbered from 1. The companion core numbers equal
 // CoreNumbers(g); each peeling round removes every vertex whose
-// remaining degree is <= the current core threshold.
-//
-// The rounds run in O(n+m) on the Batagelj–Zaveršnik bucket layout of
-// CoreNumbers, with degrees never decremented below the threshold k:
-// the unpeeled vertices stay sorted by degree in vert[i:], so a round
-// is the contiguous run of degree k at its front. A vertex whose degree
-// falls to k moves to the end of that run, where it forms the next
-// round; when that run is empty, k rises to the degree at the front.
+// remaining degree is <= the current core threshold. The rounds are
+// those of the k-core peel itself (peelCores), so the decomposition
+// costs O(n+m).
 func OnionLayers(g *graph.Graph) []int32 {
-	n := g.NumVertices()
-	layer := make([]int32, n)
-	if n == 0 {
-		return layer
-	}
-	maxDeg := int32(g.MaxDegree())
-	slab := make([]int32, 3*n+2*int(maxDeg)+3)
-	deg, slab := slab[:n], slab[n:]
-	vert, slab := slab[:n], slab[n:] // vertices in degree order
-	pos, slab := slab[:n], slab[n:]  // position of each vertex in vert
-	bin, cursor := slab[:maxDeg+2], slab[maxDeg+2:]
-	// bin[d] is the start offset of degree-d vertices in vert.
-	for v := int32(0); v < int32(n); v++ {
-		deg[v] = int32(g.Degree(v))
-		bin[deg[v]+1]++
-	}
-	for d := int32(1); d <= maxDeg+1; d++ {
-		bin[d] += bin[d-1]
-	}
-	copy(cursor, bin[:maxDeg+1])
-	for v := int32(0); v < int32(n); v++ {
-		pos[v] = cursor[deg[v]]
-		vert[pos[v]] = v
-		cursor[deg[v]]++
-	}
-	k := int32(0)
-	l := int32(0)
-	for i := int32(0); i < int32(n); {
-		if d := deg[vert[i]]; d > k {
-			k = d
-		}
-		// One onion round: vert[i:end] holds every unpeeled vertex of
-		// degree <= k; the neighbors it drops to k land at vert[end:].
-		end := bin[k+1]
-		l++
-		for ; i < end; i++ {
-			v := vert[i]
-			layer[v] = l
-			for _, u := range g.Neighbors(v) {
-				du := deg[u]
-				if du <= k {
-					continue // peeled, in this round, or already next
-				}
-				pu := pos[u]
-				pw := bin[du]
-				w := vert[pw]
-				if u != w {
-					vert[pu], vert[pw] = w, u
-					pos[u], pos[w] = pw, pu
-				}
-				bin[du]++
-				deg[u]--
-			}
-		}
-	}
+	layer := make([]int32, g.NumVertices())
+	peelCores(g, layer)
 	return layer
 }
 

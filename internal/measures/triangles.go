@@ -76,33 +76,55 @@ func (o orientedGraph) forEachTriangle(fn func(u, v, w, uv, vw, uw int32)) {
 // edge participates in. This is the support function underlying the
 // k-truss decomposition.
 func EdgeTriangles(g *graph.Graph) []int32 {
-	_, sup := orient(g).listTriangles()
+	sup, _ := orient(g).listTriangles(false)
 	return sup
 }
 
-// listTriangles lists every triangle once, writing its edge IDs
-// (uv, vw, uw) to tris[3t:3t+3], and counts each edge's triangles in
-// sup. Every triangle closes a wedge of two forward edges at its
-// lowest-ranked corner, so T <= Σ_u C(|N+(u)|, 2) sizes tris in one
-// allocation on every graph, however triangle-dense; the returned
-// slice is cut to 3T.
-func (o orientedGraph) listTriangles() (tris, sup []int32) {
-	wedges := 0
-	for u := 0; u+1 < len(o.off); u++ {
-		d := int(o.off[u+1] - o.off[u])
-		wedges += d * (d - 1) / 2
+// listTriangles counts each edge's triangles in sup and, if keep is
+// set, lists every triangle once, writing its edge IDs (uv, vw, uw) to
+// tris[3t:3t+3]. Both share one allocation, sized by triangleBound, so
+// the listing costs one allocation on every graph however
+// triangle-dense, and never more bytes than its own work; tris is cut
+// to 3T.
+func (o orientedGraph) listTriangles(keep bool) (sup, tris []int32) {
+	m := len(o.eid)
+	size := m
+	if keep {
+		size += 3 * o.triangleBound()
 	}
-	tris = make([]int32, 3*wedges)
-	sup = make([]int32, len(o.eid))
+	slab := make([]int32, size)
+	sup, tris = slab[:m], slab[m:]
 	t := 0
 	o.forEachTriangle(func(_, _, _, uv, vw, uw int32) {
-		tris[t], tris[t+1], tris[t+2] = uv, vw, uw
-		t += 3
+		if keep {
+			tris[t], tris[t+1], tris[t+2] = uv, vw, uw
+			t += 3
+		}
 		sup[uv]++
 		sup[vw]++
 		sup[uw]++
 	})
-	return tris[:t], sup
+	return sup, tris[:t]
+}
+
+// triangleBound bounds the triangle count T two ways and takes the
+// smaller. Every triangle closes a wedge of two forward edges at its
+// lowest-ranked corner, so T <= Σ_u C(|N+(u)|, 2); and forEachTriangle
+// finds each triangle once while it scans N+(v) for a forward edge
+// (u, v), so T is at most the listing's own work Σ_(u,v) |N+(v)|. The
+// bound is exact on cliques and 0 on a complete bipartite graph, where
+// one side's forward lists are empty.
+func (o orientedGraph) triangleBound() int {
+	off := o.off
+	wedges, work := 0, 0
+	for u := 1; u < len(off); u++ {
+		d := int(off[u] - off[u-1])
+		wedges += d * (d - 1) / 2
+	}
+	for _, v := range o.adj {
+		work += int(off[v+1] - off[v])
+	}
+	return min(wedges, work)
 }
 
 // VertexTriangles counts, for every vertex, the number of triangles

@@ -112,13 +112,14 @@ func TestOnionLayersMatchRoundsOracle(t *testing.T) {
 }
 
 // TestTriangleKernelAllocationsConstant pins the kernels' allocation
-// counts on a sparse random graph, the GrQc stand-in at scale 2 and
-// two triangle-dense graphs with T > m, where a triangle buffer grown
-// by append would allocate more. The listing's forward CSR and mark
-// array share one slab; ktruss adds the output, the wedge-bounded
-// triangle array, the support counts, one slab for the peel's int32
-// arrays and the dead-triangle flags; onion allocates its output and
-// one slab.
+// counts on a sparse random graph, the GrQc stand-in at scale 2, two
+// triangle-dense graphs with T > m, where a triangle buffer grown by
+// append would allocate more, and a triangle-free complete bipartite
+// graph, whose bytes it also bounds. The listing's forward CSR and
+// mark array share one slab; ktruss adds its output, one slab for the
+// support counts and the triangle array, one for the per-edge triangle
+// CSR and the bucket queue; onion allocates its output, the degrees
+// and the bucket queue.
 func TestTriangleKernelAllocationsConstant(t *testing.T) {
 	grqc, err := datasets.Generate("GrQc", 2, 42)
 	if err != nil {
@@ -129,6 +130,7 @@ func TestTriangleKernelAllocationsConstant(t *testing.T) {
 		"GrQc-scale2":  grqc,
 		"K40":          completeGraph(40),
 		"random-dense": randomGraph(20, 120, 20),
+		"K200,200":     completeBipartite(200, 200),
 	}
 	for _, name := range []string{"K40", "random-dense"} {
 		if g := graphs[name]; TotalTriangles(g) <= int64(g.NumEdges()) {
@@ -144,8 +146,8 @@ func TestTriangleKernelAllocationsConstant(t *testing.T) {
 		allocs float64
 	}{
 		{"ClusteringCoefficients", func(g *graph.Graph) { ClusteringCoefficients(g) }, 3},
-		{"TrussNumbers", func(g *graph.Graph) { TrussNumbers(g) }, 6},
-		{"OnionLayers", func(g *graph.Graph) { OnionLayers(g) }, 2},
+		{"TrussNumbers", func(g *graph.Graph) { TrussNumbers(g) }, 5},
+		{"OnionLayers", func(g *graph.Graph) { OnionLayers(g) }, 3},
 	} {
 		for name, g := range graphs {
 			a := testing.AllocsPerRun(3, func() { k.fn(g) })
@@ -154,6 +156,38 @@ func TestTriangleKernelAllocationsConstant(t *testing.T) {
 					k.name, a, name, g.NumVertices(), g.NumEdges(), k.allocs)
 			}
 		}
+	}
+	// K_{200,200} has no triangles but 200·C(200, 2) forward wedges: a
+	// triangle buffer sized by wedges would zero 47.8 MB here, one
+	// sized by the listing's work zeroes nothing.
+	g := graphs["K200,200"]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	TrussNumbers(g)
+	runtime.ReadMemStats(&after)
+	limit := 64 * uint64(g.NumVertices()+g.NumEdges())
+	if b := after.TotalAlloc - before.TotalAlloc; b > limit {
+		t.Errorf("TrussNumbers allocates %d bytes on K200,200 (%d vertices, %d edges), want at most %d",
+			b, g.NumVertices(), g.NumEdges(), limit)
+	}
+}
+
+// TestTriangleBound checks that the listing buffer's size bound holds
+// on every case, is exact on cliques and is 0 on complete bipartite
+// graphs.
+func TestTriangleBound(t *testing.T) {
+	for name, g := range triangleCases(t) {
+		if b, tri := orient(g).triangleBound(), TotalTriangles(g); int64(b) < tri {
+			t.Errorf("%s: bound %d below %d triangles", name, b, tri)
+		}
+	}
+	for _, n := range []int{3, 7, 40} {
+		if b := orient(completeGraph(n)).triangleBound(); b != n*(n-1)*(n-2)/6 {
+			t.Errorf("K%d: bound %d, want C(%d, 3) = %d", n, b, n, n*(n-1)*(n-2)/6)
+		}
+	}
+	if b := orient(completeBipartite(30, 30)).triangleBound(); b != 0 {
+		t.Errorf("K30,30: bound %d, want 0", b)
 	}
 }
 
