@@ -133,7 +133,8 @@ func (a *Analyzer) AnalyzeAll(g *Graph, measure string, opts AnalyzeOptions) (*A
 	return res, nil
 }
 
-// vertexTerrain is NewVertexTerrain with the tree built on the pool.
+// vertexTerrain builds a vertex terrain with the tree built on the pool;
+// NewVertexTerrain runs it on a zero Analyzer.
 func (a *Analyzer) vertexTerrain(g *Graph, values []float64, o TerrainOptions) (*Terrain, error) {
 	f, err := core.NewVertexField(g, values)
 	if err != nil {
@@ -145,7 +146,8 @@ func (a *Analyzer) vertexTerrain(g *Graph, values []float64, o TerrainOptions) (
 	return newTerrain(a.pool.VertexSuperTree(f), o), nil
 }
 
-// edgeTerrain is NewEdgeTerrain with the tree built on the pool.
+// edgeTerrain builds an edge terrain with the tree built on the pool;
+// NewEdgeTerrain runs it on a zero Analyzer.
 func (a *Analyzer) edgeTerrain(g *Graph, values []float64, o TerrainOptions) (*Terrain, error) {
 	f, err := core.NewEdgeField(g, values)
 	if err != nil {

@@ -342,7 +342,7 @@ func runBench(cfg config) error {
 			return query.EncodeSnapshot(io.Discard, warmSnap)
 		}},
 		{"snapshot-codec/decode", func() error {
-			_, err := query.DecodeSnapshot(bytes.NewReader(encodedSnap.Bytes()))
+			_, err := query.DecodeSnapshot(encodedSnap.Bytes())
 			return err
 		}},
 		// The snapshot's tree section alone: the SFST decode and

@@ -58,6 +58,7 @@ import (
 	"html/template"
 	"image/color"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -1088,9 +1089,12 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
+// floatParam reads a float query parameter, def when absent, malformed
+// or not finite: handlers echo some parameters into JSON, which has no
+// encoding for Inf or NaN.
 func floatParam(r *http.Request, name string, def float64) float64 {
 	if s := r.URL.Query().Get(name); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil {
+		if v, err := strconv.ParseFloat(s, 64); err == nil && !math.IsInf(v, 0) && !math.IsNaN(v) {
 			return v
 		}
 	}

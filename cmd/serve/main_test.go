@@ -173,6 +173,40 @@ func TestPeaksJSON(t *testing.T) {
 	}
 }
 
+// TestNonFiniteParamsFallBackToDefaults: inf and NaN are malformed
+// input like any unparsable number, so each handler answers with the
+// parameter's default instead of failing to encode it.
+func TestNonFiniteParamsFallBackToDefaults(t *testing.T) {
+	ts := testServer(t, "kcore", "")
+	for _, v := range []string{"inf", "-Inf", "NaN"} {
+		resp := get(t, ts.URL+"/peaks?alpha="+v)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("peaks?alpha=%s status %d", v, resp.StatusCode)
+		}
+		var out struct {
+			Alpha float64 `json:"alpha"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || out.Alpha != 0 {
+			t.Fatalf("peaks?alpha=%s echoed alpha %g (%v), want the default 0", v, out.Alpha, err)
+		}
+
+		for _, q := range []string{"x=" + v + "&y=0.5", "x=0.5&y=" + v} {
+			if resp := get(t, ts.URL+"/select?"+q); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("select?%s status %d, want 404 (no point selected)", q, resp.StatusCode)
+			}
+		}
+
+		path := "/terrain.png?w=64&h=64&angle=" + v + "&zoom=" + v
+		resp = get(t, ts.URL+path)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status %d", path, resp.StatusCode)
+		}
+		if _, err := png.Decode(resp.Body); err != nil {
+			t.Fatalf("%s is not a decodable PNG: %v", path, err)
+		}
+	}
+}
+
 func TestSelectAndLinkedView(t *testing.T) {
 	ts := testServer(t, "kcore", "")
 	resp := get(t, ts.URL+"/select?x=0.5&y=0.5")

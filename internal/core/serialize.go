@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -28,44 +27,32 @@ const (
 	treeVersion = 1
 )
 
+// AppendBinary appends the super tree in the binary format above to b
+// and returns the extended slice (encoding.BinaryAppender). It never
+// fails.
+func (st *SuperTree) AppendBinary(b []byte) ([]byte, error) {
+	b = slices.Grow(b, treeHeaderLen+4*len(st.Parent)+8*len(st.Scalar)+4*len(st.NodeOf))
+	b = append(b, treeMagic...)
+	b = append(b, treeVersion)
+	b = binary.LittleEndian.AppendUint32(b, uint32(st.Len()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(st.NumItems()))
+	for _, p := range st.Parent {
+		b = binary.LittleEndian.AppendUint32(b, uint32(p))
+	}
+	for _, v := range st.Scalar {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	for _, s := range st.NodeOf {
+		b = binary.LittleEndian.AppendUint32(b, uint32(s))
+	}
+	return b, nil
+}
+
 // WriteTo serializes the super tree in the binary format above.
 func (st *SuperTree) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	count := func(k int, err error) error {
-		n += int64(k)
-		return err
-	}
-	if err := count(bw.WriteString(treeMagic)); err != nil {
-		return n, err
-	}
-	if err := bw.WriteByte(treeVersion); err != nil {
-		return n, err
-	}
-	n++
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(uint32(st.Len())); err != nil {
-		return n, err
-	}
-	if err := write(uint32(st.NumItems())); err != nil {
-		return n, err
-	}
-	if err := write(st.Parent); err != nil {
-		return n, err
-	}
-	if err := write(st.Scalar); err != nil {
-		return n, err
-	}
-	if err := write(st.NodeOf); err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
+	b, _ := st.AppendBinary(nil)
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
 // treeHeaderLen is the SFST prologue: magic, version, numSuper and

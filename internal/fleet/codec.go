@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"repro/internal/wire"
 )
@@ -67,23 +66,19 @@ func DecodeView(data []byte) (View, error) {
 	if len(data) > MaxViewBytes {
 		return View{}, fmt.Errorf("fleet: encoded view is %d bytes (max %d)", len(data), MaxViewBytes)
 	}
-	r, err := wire.NewReader(bytes.NewReader(data), viewMagic, viewVersion)
+	s, err := wire.Walk(data, viewMagic, viewVersion)
 	if err != nil {
 		return View{}, err
 	}
-	for {
-		tag, payload, err := r.Next()
-		if err == io.EOF {
-			return View{}, fmt.Errorf("fleet: view container has no %q section", viewSection)
+	for s.Next() {
+		if s.Tag() == viewSection { // future sections skip cleanly
+			return decodeViewPayload(wire.NewPayload(s.Payload()))
 		}
-		if err != nil {
-			return View{}, err
-		}
-		if tag != viewSection {
-			continue // future sections skip cleanly
-		}
-		return decodeViewPayload(payload)
 	}
+	if err := s.Err(); err != nil {
+		return View{}, err
+	}
+	return View{}, fmt.Errorf("fleet: view container has no %q section", viewSection)
 }
 
 func decodeViewPayload(p *wire.Payload) (View, error) {

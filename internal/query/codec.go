@@ -37,11 +37,13 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 	})
 }
 
-// DecodeSnapshot reads a snapshot written by EncodeSnapshot,
+// DecodeSnapshot decodes a snapshot EncodeSnapshot wrote into data,
 // reconstructing the terrain and recomputing the contour spectrum from
-// the decoded tree. Corrupt input errors; nothing panics.
-func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	rec, err := scalarfield.LoadSnapshot(r)
+// the decoded tree. Corrupt input errors; nothing panics. The
+// snapshot's graph aliases data, which must stay unmodified while the
+// snapshot is in use.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
+	rec, err := scalarfield.DecodeSnapshotImage(data, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -146,10 +148,11 @@ func decodeSnapshotFile(path string, mapped bool, donor *Snapshot) (*Snapshot, e
 	return snap, nil
 }
 
-// DecodeSnapshotKey reads only the identity of a stored snapshot —
+// DecodeSnapshotKey reads only the identity of a stored snapshot from
+// img, the whole container or a prefix of it holding the meta section —
 // the cheap path DiskStore uses to index a directory at startup.
-func DecodeSnapshotKey(r io.Reader) (Key, error) {
-	rec, err := scalarfield.DecodeSnapshotMeta(r)
+func DecodeSnapshotKey(img []byte) (Key, error) {
+	rec, err := scalarfield.DecodeSnapshotMeta(img)
 	if err != nil {
 		return Key{}, err
 	}

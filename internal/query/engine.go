@@ -434,21 +434,7 @@ func (e *Engine) Invalidate(dataset string) {
 	}
 	gen := e.gens[dataset]
 	e.genMu.Unlock()
-	// Persist before evicting: if the process dies between the two, a
-	// restart loads the new generation and the Seq check in
-	// genGuardedStore.Get treats the un-evicted stale snapshots as
-	// misses. The reverse order would resurrect pre-invalidation data.
-	// The persist runs outside genMu (GenerationStore.Save is
-	// internally monotonic), so a slow disk never blocks the generation
-	// reads at analysis start.
-	if e.genStore != nil {
-		if err := e.genStore.Save(dataset, gen); err != nil {
-			log.Printf("query: %v", err)
-		}
-	}
-	e.snaps.evict(func(k Key) bool { return k.Dataset == dataset })
-	e.fields.evict(func(k fieldKey) bool { return k.dataset == dataset })
-	e.graphs.evict(func(name string) bool { return name == dataset })
+	e.persistAndEvict(dataset, gen)
 	if e.onInvalidate != nil {
 		e.onInvalidate(dataset, gen)
 	}
@@ -471,6 +457,21 @@ func (e *Engine) AdoptGeneration(dataset string, gen uint64) bool {
 	}
 	e.gens[dataset] = gen
 	e.genMu.Unlock()
+	e.persistAndEvict(dataset, gen)
+	return true
+}
+
+// persistAndEvict is the tail of both invalidation paths: record the
+// dataset's new generation gen, then drop its cached snapshots, fields
+// and graph.
+//
+// Persist before evicting: if the process dies between the two, a
+// restart loads the new generation and the Seq check in
+// genGuardedStore.Get treats the un-evicted stale snapshots as misses.
+// The reverse order would resurrect pre-invalidation data. The persist
+// runs outside genMu (GenerationStore.Save is internally monotonic), so
+// a slow disk never blocks the generation reads at analysis start.
+func (e *Engine) persistAndEvict(dataset string, gen uint64) {
 	if e.genStore != nil {
 		if err := e.genStore.Save(dataset, gen); err != nil {
 			log.Printf("query: %v", err)
@@ -479,7 +480,6 @@ func (e *Engine) AdoptGeneration(dataset string, gen uint64) bool {
 	e.snaps.evict(func(k Key) bool { return k.Dataset == dataset })
 	e.fields.evict(func(k fieldKey) bool { return k.dataset == dataset })
 	e.graphs.evict(func(name string) bool { return name == dataset })
-	return true
 }
 
 // DatasetGeneration reports the dataset's current invalidation

@@ -3,7 +3,6 @@ package query
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -149,23 +148,19 @@ func decodeGenerations(data []byte) (map[string]uint64, error) {
 	if len(data) > maxGenFileBytes {
 		return nil, fmt.Errorf("query: generation file is %d bytes (max %d)", len(data), maxGenFileBytes)
 	}
-	r, err := wire.NewReader(bytes.NewReader(data), genMagic, genVersion)
+	s, err := wire.Walk(data, genMagic, genVersion)
 	if err != nil {
 		return nil, err
 	}
-	for {
-		tag, payload, err := r.Next()
-		if err == io.EOF {
-			return nil, fmt.Errorf("query: generation file has no %q section", genSection)
+	for s.Next() {
+		if s.Tag() == genSection {
+			return decodeGenerationPayload(wire.NewPayload(s.Payload()))
 		}
-		if err != nil {
-			return nil, err
-		}
-		if tag != genSection {
-			continue
-		}
-		return decodeGenerationPayload(payload)
 	}
+	if err := s.Err(); err != nil {
+		return nil, err
+	}
+	return nil, fmt.Errorf("query: generation file has no %q section", genSection)
 }
 
 func decodeGenerationPayload(p *wire.Payload) (map[string]uint64, error) {

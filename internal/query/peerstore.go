@@ -1,7 +1,6 @@
 package query
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -270,7 +269,7 @@ func (p *PeerStore) fetchFrom(base string, key Key, gen uint64) (*Snapshot, erro
 // engine's insert guard treats it like a local analysis under that
 // generation.
 func decodeRemoteSnapshot(data []byte, key Key, gen uint64) (*Snapshot, error) {
-	snap, err := DecodeSnapshot(bytes.NewReader(data))
+	snap, err := DecodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}

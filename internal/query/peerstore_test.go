@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/graph"
 	"repro/internal/resilience"
 )
 
@@ -21,6 +23,36 @@ func snapshotServer(t *testing.T, e *Engine, local func(Key) (*Snapshot, bool)) 
 	srv := httptest.NewServer(&SnapshotHandler{Engine: e, Local: local})
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// TestRemoteSnapshotAliasesReceivedBytes: a peer snapshot decodes from
+// the received bytes in place, so its graph's arena is a sub-slice of
+// them rather than of a second copy.
+func TestRemoteSnapshotAliasesReceivedBytes(t *testing.T) {
+	key := Key{Dataset: "tiny", Measure: "kcore", Color: "degree"}
+	e := NewEngine(Options{})
+	e.RegisterDataset("tiny", testGraph())
+	snap, err := e.Snapshot(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeSnapshot(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh heap allocation this size is 8-aligned, as a received
+	// body is, so the csr2 payload needs no aligning copy.
+	data := append(make([]byte, 0, buf.Len()), buf.Bytes()...)
+	got, err := decodeRemoteSnapshot(data, key, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := graph.ArenaWireBytes(got.Graph)
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(arena)))
+	if at < lo || at+uintptr(len(arena)) > lo+uintptr(len(data)) {
+		t.Fatalf("decoded graph's arena at %#x does not lie in the received bytes [%#x, %#x)", at, lo, lo+uintptr(len(data)))
+	}
 }
 
 // TestPeerStoreHydratesFromPeer is the hydration half of the tentpole

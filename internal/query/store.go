@@ -185,13 +185,32 @@ func NewDiskStoreOptions(dir string, opts DiskStoreOptions) (*DiskStore, error) 
 	return s, nil
 }
 
+// snapshotKeyPrefix is how much of a snapshot file the index scan
+// reads: SaveSnapshot writes the meta section first, so the key of
+// every file the store wrote sits in its first bytes.
+const snapshotKeyPrefix = 4 << 10
+
+// readSnapshotFileKey decodes a snapshot file's key from one read of
+// its first snapshotKeyPrefix bytes, and from the whole file only when
+// the meta section does not fit in them.
 func readSnapshotFileKey(path string) (Key, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return Key{}, err
 	}
 	defer f.Close()
-	return DecodeSnapshotKey(f)
+	// A short read (a small file, or a failed read) decodes the bytes
+	// that did arrive: the key is in them, or the decode fails.
+	prefix := make([]byte, snapshotKeyPrefix)
+	n, _ := f.ReadAt(prefix, 0)
+	key, err := DecodeSnapshotKey(prefix[:n])
+	if err != nil && n == len(prefix) {
+		var whole []byte
+		if whole, err = os.ReadFile(path); err == nil {
+			key, err = DecodeSnapshotKey(whole)
+		}
+	}
+	return key, err
 }
 
 // Get probes the open-entry LRU, then the on-disk index, decoding on

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestSnapshotCodecServesIdenticalResults(t *testing.T) {
 		if err := EncodeSnapshot(&buf, snap); err != nil {
 			t.Fatal(err)
 		}
-		decoded, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
+		decoded, err := DecodeSnapshot(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,6 +155,30 @@ func TestDiskStorePersistsAcrossRestart(t *testing.T) {
 	}
 	if got := resolveJSON(t, e2, adopt2); !bytes.Equal(wantAdopt, got) {
 		t.Fatalf("adopting snapshot answers differently:\nwant %s\ngot  %s", wantAdopt, got)
+	}
+}
+
+// TestDiskStoreIndexesMetaPastPrefix: the index scan reads each file's
+// first snapshotKeyPrefix bytes, and a meta section longer than that
+// still indexes, from the whole file.
+func TestDiskStoreIndexesMetaPastPrefix(t *testing.T) {
+	dir := t.TempDir()
+	key := Key{Dataset: strings.Repeat("d", 2*snapshotKeyPrefix), Measure: "kcore"}
+	store1, err := NewDiskStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1 := NewEngine(Options{Store: store1})
+	e1.RegisterDataset(key.Dataset, testGraph())
+	if _, err := e1.Snapshot(key); err != nil {
+		t.Fatal(err)
+	}
+	store2, err := NewDiskStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !store2.Contains(key) {
+		t.Fatal("restarted store does not index a snapshot whose meta section passes the prefix")
 	}
 }
 
@@ -655,7 +680,7 @@ func TestDecodeAndResolveNeverBuildGeometry(t *testing.T) {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		heap, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
+		heap, err := DecodeSnapshot(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,13 +16,17 @@
 // little-endian throughout, matching the existing super-tree codec in
 // internal/core.
 //
+// A container decodes from the bytes the caller already holds: Walk
+// is the one parser of the framing, and every payload it yields is a
+// bounds-checked sub-slice of the image, never a copy.
+//
 // Hostile input is a design constraint, not an afterthought: declared
 // lengths and counts never cause an allocation larger than the bytes
-// that actually arrive (payloads are read in bounded chunks, and
-// in-payload counts are validated against the remaining payload size
-// before any slice is made), so a corrupt or adversarial header cannot
-// balloon memory. Truncation and garbage surface as errors, never
-// panics.
+// in hand (a section length is checked against the rest of the image
+// before its payload is sliced, and in-payload counts are validated
+// against the remaining payload size before any slice is made), so a
+// corrupt or adversarial header cannot balloon memory. Truncation and
+// garbage surface as errors, never panics.
 package wire
 
 import (
@@ -80,91 +84,93 @@ func (w *Writer) Section(tag string, payload []byte) error {
 // Flush drains the internal buffer to the underlying writer.
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
-// Reader walks the sections of one container.
-type Reader struct {
-	br      *bufio.Reader
+// headerLen is the container prologue: magic plus the version byte.
+const headerLen = TagLen + 1
+
+// sectionHeaderLen is the per-section framing: tag plus u64 length.
+const sectionHeaderLen = TagLen + 8
+
+// Sections walks the sections of one container image held in memory.
+// Each payload is a sub-slice of the image whose capacity ends at the
+// section's end, so the walk allocates nothing and copies nothing, and
+// a payload can be neither read nor appended past its section.
+//
+//	s, err := wire.Walk(img, magic, maxVersion)
+//	for s.Next() {
+//		... s.Tag(), s.Payload() ...
+//	}
+//	err = s.Err()
+//
+// A caller may stop before the last section; the sections it did not
+// reach are not checked.
+type Sections struct {
+	img     []byte
+	off     int // start of the next section header
+	tag     int // offset of the current section's tag
+	payload []byte
+	err     error
+	// Version is the container's version byte.
 	Version byte
 }
 
-// NewReader validates the container header (magic match, version at
-// most maxVersion) and returns a section iterator.
-func NewReader(r io.Reader, magic string, maxVersion byte) (*Reader, error) {
+// Walk validates the container header at the start of img (magic
+// match, version at most maxVersion) and returns a walker positioned
+// before the first section.
+func Walk(img []byte, magic string, maxVersion byte) (Sections, error) {
 	if len(magic) != TagLen {
 		panic(fmt.Sprintf("wire: magic %q is not %d bytes", magic, TagLen))
 	}
-	br := bufio.NewReader(r)
-	head := make([]byte, TagLen)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("wire: reading magic: %w", err)
+	if len(img) < headerLen {
+		return Sections{}, fmt.Errorf("wire: container header truncated: %d bytes", len(img))
 	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("wire: bad magic %q, want %q", head, magic)
+	if string(img[:TagLen]) != magic {
+		return Sections{}, fmt.Errorf("wire: bad magic %q, want %q", img[:TagLen], magic)
 	}
-	version, err := br.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("wire: reading version: %w", err)
-	}
+	version := img[TagLen]
 	if version > maxVersion {
-		return nil, fmt.Errorf("wire: unsupported version %d (max %d)", version, maxVersion)
+		return Sections{}, fmt.Errorf("wire: unsupported version %d (max %d)", version, maxVersion)
 	}
-	return &Reader{br: br, Version: version}, nil
+	return Sections{img: img, off: headerLen, Version: version}, nil
 }
 
-// Next returns the next section's tag and payload, or io.EOF after the
-// last section. A container truncated mid-section is an
-// io.ErrUnexpectedEOF, never a bare EOF, so callers can tell a clean
-// end from a torn file.
-func (r *Reader) Next() (tag string, payload *Payload, err error) {
-	head := make([]byte, TagLen+8)
-	if _, err := io.ReadFull(r.br, head[:TagLen]); err != nil {
-		if err == io.EOF {
-			return "", nil, io.EOF
-		}
-		return "", nil, fmt.Errorf("wire: reading section tag: %w", err)
+// Next advances to the next section and reports whether there is one.
+// It returns false at the end of the image, and on a section whose
+// header or payload the image cuts short: a torn container is an error
+// Err reports, never a clean end.
+func (s *Sections) Next() bool {
+	if s.err != nil || s.off == len(s.img) {
+		return false
 	}
-	if _, err := io.ReadFull(r.br, head[TagLen:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return "", nil, fmt.Errorf("wire: reading section length: %w", err)
+	if rest := len(s.img) - s.off; rest < sectionHeaderLen {
+		s.err = fmt.Errorf("wire: section header torn at offset %d: %d bytes left", s.off, rest)
+		return false
 	}
-	length := binary.LittleEndian.Uint64(head[TagLen:])
-	data, err := readBytes(r.br, length)
-	if err != nil {
-		return "", nil, fmt.Errorf("wire: reading %q payload: %w", head[:TagLen], err)
+	length := binary.LittleEndian.Uint64(s.img[s.off+TagLen:])
+	start := s.off + sectionHeaderLen
+	if length > uint64(len(s.img)-start) {
+		s.err = fmt.Errorf("wire: section %q declares %d bytes, only %d remain",
+			s.img[s.off:s.off+TagLen], length, len(s.img)-start)
+		return false
 	}
-	return string(head[:TagLen]), &Payload{data: data}, nil
+	end := start + int(length)
+	s.tag, s.payload, s.off = s.off, s.img[start:end:end], end
+	return true
 }
 
-// readBytes reads exactly n bytes in bounded chunks, so a hostile
-// length cannot force a huge allocation before any payload arrives.
-func readBytes(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = 1 << 16
-	first := n
-	if first > chunk {
-		first = chunk
-	}
-	out := make([]byte, 0, first)
-	buf := make([]byte, first)
-	for uint64(len(out)) < n {
-		k := n - uint64(len(out))
-		if k > uint64(len(buf)) {
-			k = uint64(len(buf))
-		}
-		if _, err := io.ReadFull(r, buf[:k]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		out = append(out, buf[:k]...)
-	}
-	return out, nil
-}
+// Tag returns the current section's tag.
+func (s *Sections) Tag() string { return string(s.img[s.tag : s.tag+TagLen]) }
+
+// Payload returns the current section's payload, a sub-slice of the
+// image.
+func (s *Sections) Payload() []byte { return s.payload }
+
+// Err returns the error that ended the walk: nil after the last
+// section, non-nil for a torn one.
+func (s *Sections) Err() error { return s.err }
 
 // Payload builds or consumes one section's bytes. The zero value is an
-// empty payload ready for Put calls; Reader.Next returns payloads
-// positioned at their first byte. All Get methods validate against the
+// empty payload ready for Put calls; NewPayload wraps a payload Walk
+// yielded for decoding. All Get methods validate against the
 // remaining length before allocating, and return errors (never panic)
 // on truncated or malformed data.
 type Payload struct {
@@ -172,9 +178,8 @@ type Payload struct {
 	off  int
 }
 
-// NewPayload wraps section bytes for decoding, for callers that walk
-// a container image in memory by explicit offsets instead of through
-// Reader. The payload aliases data.
+// NewPayload wraps section bytes for decoding, positioned at their
+// first byte. The payload aliases data.
 func NewPayload(data []byte) *Payload { return &Payload{data: data} }
 
 // Bytes returns the built payload.
@@ -290,32 +295,3 @@ func (p *Payload) Float64s() ([]float64, error) {
 	p.off += len(src)
 	return out, nil
 }
-
-// PutInt32s appends a u64 count followed by the raw i32 values.
-func (p *Payload) PutInt32s(vs []int32) {
-	p.PutUint64(uint64(len(vs)))
-	for _, v := range vs {
-		p.data = binary.LittleEndian.AppendUint32(p.data, uint32(v))
-	}
-}
-
-// Int32s reads a counted i32 slice, count-validated like Float64s.
-func (p *Payload) Int32s() ([]int32, error) {
-	n, err := p.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(p.Remaining())/4 {
-		return nil, fmt.Errorf("wire: int32 count %d exceeds remaining payload (%d bytes)", n, p.Remaining())
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(p.data[p.off:]))
-		p.off += 4
-	}
-	return out, nil
-}
-
-// PutBytes appends raw bytes with no length prefix; the section length
-// delimits them. Meant for one trailing nested-codec blob per section.
-func (p *Payload) PutBytes(b []byte) { p.data = append(p.data, b...) }

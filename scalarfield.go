@@ -165,39 +165,28 @@ type TerrainOptions struct {
 // is stored that could not be read back.
 const MaxSimplifyBins = 1 << 30
 
+// firstOptions returns the optional trailing TerrainOptions argument,
+// or the zero options when it is absent.
+func firstOptions(opts []TerrainOptions) TerrainOptions {
+	if len(opts) > 0 {
+		return opts[0]
+	}
+	return TerrainOptions{}
+}
+
 // NewVertexTerrain builds the terrain of a vertex-based scalar graph:
 // Algorithm 1, Algorithm 2, 2D layout. By default the terrain is
 // colored by its own heights (red = high, blue = low).
 func NewVertexTerrain(g *Graph, values []float64, opts ...TerrainOptions) (*Terrain, error) {
-	var o TerrainOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	f, err := core.NewVertexField(g, values)
-	if err != nil {
-		return nil, err
-	}
-	if o.SimplifyBins > 0 {
-		f = core.SimplifyVertexField(f, o.SimplifyBins)
-	}
-	return newTerrain(core.VertexSuperTree(f), o), nil
+	var a Analyzer
+	return a.vertexTerrain(g, values, firstOptions(opts))
 }
 
 // NewEdgeTerrain builds the terrain of an edge-based scalar graph
 // using the optimized Algorithm 3.
 func NewEdgeTerrain(g *Graph, values []float64, opts ...TerrainOptions) (*Terrain, error) {
-	var o TerrainOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	f, err := core.NewEdgeField(g, values)
-	if err != nil {
-		return nil, err
-	}
-	if o.SimplifyBins > 0 {
-		f = core.SimplifyEdgeField(f, o.SimplifyBins)
-	}
-	return newTerrain(core.EdgeSuperTree(f), o), nil
+	var a Analyzer
+	return a.edgeTerrain(g, values, firstOptions(opts))
 }
 
 // NewTerrainFromTree builds a terrain directly from a previously
@@ -206,10 +195,7 @@ func NewEdgeTerrain(g *Graph, values []float64, opts ...TerrainOptions) (*Terrai
 // the construction tool writes the tree, the visualization tool reads
 // and renders it (Table II's tv).
 func NewTerrainFromTree(tree *core.SuperTree, opts ...TerrainOptions) (*Terrain, error) {
-	var o TerrainOptions
-	if len(opts) > 0 {
-		o = opts[0]
-	}
+	o := firstOptions(opts)
 	if err := tree.Validate(); err != nil {
 		return nil, err
 	}

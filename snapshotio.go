@@ -42,8 +42,9 @@ package scalarfield
 // pass nil and always verify.
 //
 // Alias lifetime: a graph decoded from a csr2 section ALIASES the
-// container image — the buffer LoadSnapshot read, or the whole-file
-// mapping on the mmap path — for its whole lifetime, unless it was
+// container image — the buffer LoadSnapshot read, the peer bytes
+// query.DecodeSnapshot was handed, or the whole-file mapping on the
+// mmap path — for its whole lifetime, unless it was
 // adopted from have, in which case it is have and aliases whatever
 // have does. The fields and the tree never alias the image. Callers
 // must not mutate the image and must keep any backing mapping alive
@@ -59,7 +60,6 @@ package scalarfield
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -175,23 +175,11 @@ func SaveSnapshot(w io.Writer, rec *SnapshotRecord) error {
 		}
 	}
 
-	var tp payloadWriter
-	if _, err := rec.Terrain.Tree.WriteTo(&tp); err != nil {
-		return err
-	}
-	if err := ww.Section("tree", tp.p.Bytes()); err != nil {
+	tree, _ := rec.Terrain.Tree.AppendBinary(nil)
+	if err := ww.Section("tree", tree); err != nil {
 		return err
 	}
 	return ww.Flush()
-}
-
-// payloadWriter adapts a wire.Payload to io.Writer for the nested
-// tree codec.
-type payloadWriter struct{ p wire.Payload }
-
-func (w *payloadWriter) Write(b []byte) (int, error) {
-	w.p.PutBytes(b)
-	return len(b), nil
 }
 
 // snapshotDecoder accumulates the sections DecodeSnapshotImage walks
@@ -353,31 +341,21 @@ func LoadSnapshot(r io.Reader) (*SnapshotRecord, error) {
 // bytes are verified by graph.GraphFromArena, so a corrupt section is
 // rejected exactly as with a nil have.
 func DecodeSnapshotImage(img []byte, have *Graph) (*SnapshotRecord, error) {
-	if len(img) < snapshotHeaderLen {
-		return nil, fmt.Errorf("scalarfield: snapshot truncated: %d bytes", len(img))
+	s, err := wire.Walk(img, snapshotMagic, snapshotVersion)
+	if err != nil {
+		return nil, fmt.Errorf("scalarfield: snapshot: %w", err)
 	}
-	if magic := img[:4]; string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("scalarfield: bad snapshot magic %q", magic)
-	}
-	if v := img[4]; v != snapshotVersion {
-		return nil, fmt.Errorf("scalarfield: unsupported snapshot version %d (want %d)", v, snapshotVersion)
+	if s.Version != snapshotVersion {
+		return nil, fmt.Errorf("scalarfield: unsupported snapshot version %d (want %d)", s.Version, snapshotVersion)
 	}
 	d := &snapshotDecoder{rec: &SnapshotRecord{}}
-	for off := snapshotHeaderLen; off < len(img); {
-		if len(img)-off < sectionHeaderLen {
-			return nil, fmt.Errorf("scalarfield: snapshot torn mid-section at offset %d", off)
-		}
-		tag := img[off : off+wire.TagLen]
-		length := binary.LittleEndian.Uint64(img[off+wire.TagLen:])
-		off += sectionHeaderLen
-		if length > uint64(len(img)-off) {
-			return nil, fmt.Errorf("scalarfield: section %q declares %d bytes, only %d remain", tag, length, len(img)-off)
-		}
-		end := off + int(length)
-		if err := d.section(string(tag), img[off:end:end], have); err != nil {
+	for s.Next() {
+		if err := d.section(s.Tag(), s.Payload(), have); err != nil {
 			return nil, err
 		}
-		off = end
+	}
+	if err := s.Err(); err != nil {
+		return nil, fmt.Errorf("scalarfield: snapshot: %w", err)
 	}
 	return d.finish()
 }
@@ -414,31 +392,31 @@ func decodeSnapshotMeta(p *wire.Payload, rec *SnapshotRecord) error {
 }
 
 // DecodeSnapshotMeta reads only the identity block of a stored
-// snapshot — dataset, measure, color, bins, seq, edge basis — without
-// decoding the graph, fields, or tree. Disk-backed snapshot stores use
-// it to index a directory of snapshot files cheaply at startup. It
-// accepts any version up to the current one, so a leftover older file
-// is indexed and then quarantined by its first full decode.
-func DecodeSnapshotMeta(r io.Reader) (*SnapshotRecord, error) {
-	wr, err := wire.NewReader(r, snapshotMagic, snapshotVersion)
+// snapshot — dataset, measure, color, bins, seq, edge basis — from
+// img, without decoding the graph, fields, or tree. img may be a
+// prefix of the container: the walk stops at the meta section, which
+// SaveSnapshot writes first, so disk-backed snapshot stores index a
+// directory of snapshot files cheaply at startup from each file's
+// first bytes. It accepts any version up to the current one, so a
+// leftover older file is indexed and then quarantined by its first
+// full decode.
+func DecodeSnapshotMeta(img []byte) (*SnapshotRecord, error) {
+	s, err := wire.Walk(img, snapshotMagic, snapshotVersion)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scalarfield: snapshot: %w", err)
 	}
-	for {
-		tag, payload, err := wr.Next()
-		if err == io.EOF {
-			return nil, fmt.Errorf("scalarfield: snapshot missing meta section")
-		}
-		if err != nil {
-			return nil, err
-		}
-		if tag != "meta" {
+	for s.Next() {
+		if s.Tag() != "meta" {
 			continue
 		}
 		rec := &SnapshotRecord{}
-		if err := decodeSnapshotMeta(payload, rec); err != nil {
+		if err := decodeSnapshotMeta(wire.NewPayload(s.Payload()), rec); err != nil {
 			return nil, err
 		}
 		return rec, nil
 	}
+	if err := s.Err(); err != nil {
+		return nil, fmt.Errorf("scalarfield: snapshot: %w", err)
+	}
+	return nil, fmt.Errorf("scalarfield: snapshot missing meta section")
 }

@@ -139,16 +139,25 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 
 // TestSnapshotMetaOnlyDecode: DecodeSnapshotMeta must read the
 // identity block without needing (or validating) the heavy sections.
+// A prefix that ends after the meta section is enough; one that cuts
+// the meta section is an error.
 func TestSnapshotMetaOnlyDecode(t *testing.T) {
 	rec := randomSnapshotRecord(t, 3, 30, 90, false, true)
-	meta, err := DecodeSnapshotMeta(bytes.NewReader(encodeRecord(t, rec)))
-	if err != nil {
-		t.Fatal(err)
+	data := encodeRecord(t, rec)
+	off, length := findSection(t, data, "meta")
+	for _, img := range [][]byte{data, data[:off+length]} {
+		meta, err := DecodeSnapshotMeta(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Dataset != rec.Dataset || meta.Measure != rec.Measure ||
+			meta.Color != rec.Color || meta.Bins != rec.Bins ||
+			meta.Seq != rec.Seq || meta.Edge != rec.Edge {
+			t.Fatalf("meta decode mismatch: %+v", meta)
+		}
 	}
-	if meta.Dataset != rec.Dataset || meta.Measure != rec.Measure ||
-		meta.Color != rec.Color || meta.Bins != rec.Bins ||
-		meta.Seq != rec.Seq || meta.Edge != rec.Edge {
-		t.Fatalf("meta decode mismatch: %+v", meta)
+	if _, err := DecodeSnapshotMeta(data[:off+length-1]); err == nil {
+		t.Fatal("torn meta section accepted")
 	}
 }
 
