@@ -37,9 +37,9 @@ package main
 // vertex-tree/serial-sort rows; those kernels now live only in test
 // code as oracles, and the checked-in files keep their numbers as
 // history. The snapshot-codec rows time the full container — graph
-// CSR, fields, super tree — so encode ns/op over the snapshot's byte
-// size is the disk-store insert cost and the upper bound a shared
-// cache tier pays per miss.
+// CSR, fields, super tree and its index, spectrum, checksums — so
+// encode ns/op over the snapshot's byte size is the disk-store insert
+// cost and the upper bound a shared cache tier pays per miss.
 
 import (
 	"bytes"
@@ -334,10 +334,13 @@ func runBench(cfg config) error {
 			return err
 		}},
 		// Snapshot wire codec: the serialization layer beneath the disk
-		// store and the shard fabric. Encode is the insert path (CSR +
-		// fields + tree into one container); decode is the cold-hit
-		// path, including CSR reconstruction and spectrum recomputation
-		// (the terrain layout is built lazily, see terrain/layout).
+		// store and the shard fabric. Encode is the insert path (CSR,
+		// fields, tree, index and spectrum into one container); decode
+		// is the verified peer path, which checks the CSR and rebuilds
+		// the index and spectrum to compare with the stored ones (the
+		// terrain layout is built lazily, see terrain/layout).
+		// decode-stored is the disk store's trusted decode of the same
+		// bytes: checksums, then views of every array.
 		{"snapshot-codec/encode", func() error {
 			return query.EncodeSnapshot(io.Discard, warmSnap)
 		}},
@@ -345,15 +348,19 @@ func runBench(cfg config) error {
 			_, err := query.DecodeSnapshot(encodedSnap.Bytes())
 			return err
 		}},
-		// The snapshot's tree section alone: the SFST decode and
-		// validation every cold hit pays.
+		{"snapshot-codec/decode-stored", func() error {
+			_, err := scalarfield.DecodeSnapshotImageTrusted(encodedSnap.Bytes(), nil)
+			return err
+		}},
+		// The snapshot's tree section alone: the verified SFST decode a
+		// peer snapshot pays.
 		{"core/tree-decode", func() error {
 			_, err := core.DecodeSuperTree(encodedTree.Bytes())
 			return err
 		}},
 		// decode-zerocopy serves the same record from one mapping of the
-		// whole file, the graph aliasing it in place (verify scan, zero
-		// per-edge heap traffic).
+		// whole file, every array viewed in place and every section
+		// verified, as for peer bytes (zero per-edge heap traffic).
 		{"snapshot-codec/decode-zerocopy", func() error {
 			snap, err := query.DecodeSnapshotFileMapped(snapPath)
 			if err != nil {
@@ -378,7 +385,7 @@ func runBench(cfg config) error {
 		}},
 		// Disk-store cold hits: a fresh store per iteration (index scan
 		// included, identical in both rows) decodes the stored snapshot
-		// from disk. The copy row reads the whole file onto the heap and
+		// from disk with the trusted decode (checksums, then views). The copy row reads the whole file onto the heap and
 		// the graph aliases that buffer; the mmap row maps the file
 		// instead — compare BytesPerOp for the resident-set difference
 		// and NsPerOp for the latency gap.

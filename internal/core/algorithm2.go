@@ -35,8 +35,9 @@ type SuperTree struct {
 	NodeOf []int32
 
 	// The index: pointer-free views of two allocations, the flat item
-	// array and one int32 slab holding the rest.
+	// array and one int32 slab holding the rest (see attachIndex).
 	flat  []int32 // items in super-node preorder
+	slab  []int32 // end, size, start, off and child, back to back
 	start []int32 // start[s]: offset of s's subtree in flat
 	end   []int32 // end[s]: offset just past s's own members in flat
 	size  []int32 // size[s]: total items in s's subtree
@@ -184,9 +185,19 @@ func (st *SuperTree) index() {
 		flat[cursor[s]] = int32(item)
 		cursor[s]++
 	}
-	st.flat, st.start, st.end, st.size = flat, start, cursor, size
-	st.off, st.child = ints[3*n:4*n+1], ints[4*n+1:]
+	st.attachIndex(flat, ints)
 	childCSR(st.Parent, st.off, st.child)
+}
+
+// attachIndex makes flat and slab the tree's index. slab holds 5n+1
+// int32s for n super nodes: the member ends, the subtree sizes, the
+// subtree starts, then the child offsets (n+1) and child lists, the
+// layout index builds and the SFST codec stores.
+func (st *SuperTree) attachIndex(flat, slab []int32) {
+	n := len(st.Parent)
+	st.flat, st.slab = flat, slab
+	st.end, st.size, st.start = slab[:n:n], slab[n:2*n:2*n], slab[2*n:3*n:3*n]
+	st.off, st.child = slab[3*n:4*n+1:4*n+1], slab[4*n+1:]
 }
 
 // Len reports the number of super nodes.

@@ -14,10 +14,12 @@ import (
 // FuzzReadSuperTree asserts the SFST decoders' contract: arbitrary
 // bytes never panic, ReadSuperTree and DecodeSuperTree accept exactly
 // the inputs the element-at-a-time oracle accepts and decode identical
-// trees, ReadSuperTree consumes exactly the bytes the oracle reads, and
+// trees, DecodeSuperTreeTrusted decodes the same tree from them,
+// ReadSuperTree consumes exactly the bytes the oracle reads, and
 // anything accepted passes the full Validate (the decoders validate
 // before returning, so a Validate failure here means that guarantee
-// regressed) and reads back subtrees of the sizes it reports.
+// regressed) and reads back subtrees of the sizes it reports. A stored
+// index one bit off the tree's own is among the seeds.
 func FuzzReadSuperTree(f *testing.F) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	st := VertexSuperTree(MustVertexField(g, []float64{3, 1, 2, 1}))
@@ -27,12 +29,15 @@ func FuzzReadSuperTree(f *testing.F) {
 	}
 	f.Add(valid.Bytes())
 	f.Add([]byte("SFST"))
-	f.Add([]byte("SFST\x01\xff\xff\xff\xff\xff\xff\xff\xff")) // hostile header
+	f.Add([]byte("SFST\x02\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff")) // hostile header
 	f.Add([]byte{})
 	f.Add(nonTopologicalTree)
 	f.Add(nanTree)
 	f.Add(rawTreeBytes([]int32{-1, 0}, []float64{1, 2}, []int32{0, 0})) // super node 1 has no members
 	f.Add(append(valid.Bytes(), "trailing"...))
+	tampered := bytes.Clone(valid.Bytes())
+	tampered[treeHeaderLen+12*st.Len()+4*st.NumItems()] ^= 1 // the first flat item
+	f.Add(tampered)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		or := bytes.NewReader(data)
 		want, wantErr := readSuperTreeOracle(or)
@@ -48,7 +53,11 @@ func FuzzReadSuperTree(f *testing.F) {
 		if rr.Len() != or.Len() {
 			t.Fatalf("ReadSuperTree left %d bytes unread, the oracle %d", rr.Len(), or.Len())
 		}
-		for _, got := range []*SuperTree{st, decoded} {
+		trusted, err := DecodeSuperTreeTrusted(data)
+		if err != nil {
+			t.Fatalf("trusted decode of accepted bytes: %v", err)
+		}
+		for _, got := range []*SuperTree{st, decoded, trusted} {
 			if !reflect.DeepEqual(got, want) || !sameFloatBits(got.Scalar, want.Scalar) {
 				t.Fatal("decoded tree differs from the oracle's")
 			}

@@ -11,7 +11,8 @@ import (
 // DecodeSuperTree replaced, kept as the differential oracle for
 // FuzzReadSuperTree: each array is read through a fixed scratch buffer
 // and decoded one value at a time, then the tree passes validateLinks
-// (which rejects NaN scalars), index and the full Validate.
+// (which rejects NaN scalars), index and the full Validate, and the
+// stored index must equal the one index built.
 func readSuperTreeOracle(r io.Reader) (*SuperTree, error) {
 	scratch := make([]byte, 1<<15)
 	hdr := scratch[:4]
@@ -21,12 +22,12 @@ func readSuperTreeOracle(r io.Reader) (*SuperTree, error) {
 	if string(hdr) != treeMagic {
 		return nil, fmt.Errorf("oracle: bad magic %q", hdr)
 	}
-	hdr = scratch[:1]
+	hdr = scratch[:4]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("oracle: reading tree version: %w", err)
 	}
-	if hdr[0] != treeVersion {
-		return nil, fmt.Errorf("oracle: unsupported tree version %d", hdr[0])
+	if hdr[0] != treeVersion || hdr[1] != 0 || hdr[2] != 0 || hdr[3] != 0 {
+		return nil, fmt.Errorf("oracle: unsupported tree version %d or padding %x", hdr[0], hdr[1:4])
 	}
 	hdr = scratch[:8]
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -39,15 +40,22 @@ func readSuperTreeOracle(r io.Reader) (*SuperTree, error) {
 		return nil, fmt.Errorf("oracle: implausible tree sizes %d/%d", numSuper, numItems)
 	}
 	st := &SuperTree{}
+	var flat, slab []int32
 	var err error
-	if st.Parent, err = readArrayOracle(r, int(numSuper), scratch, decodeInt32Oracle); err != nil {
-		return nil, fmt.Errorf("oracle: reading parents: %w", err)
-	}
 	if st.Scalar, err = readArrayOracle(r, int(numSuper), scratch, decodeFloat64Oracle); err != nil {
 		return nil, fmt.Errorf("oracle: reading scalars: %w", err)
 	}
+	if st.Parent, err = readArrayOracle(r, int(numSuper), scratch, decodeInt32Oracle); err != nil {
+		return nil, fmt.Errorf("oracle: reading parents: %w", err)
+	}
 	if st.NodeOf, err = readArrayOracle(r, int(numItems), scratch, decodeInt32Oracle); err != nil {
 		return nil, fmt.Errorf("oracle: reading item mapping: %w", err)
+	}
+	if flat, err = readArrayOracle(r, int(numItems), scratch, decodeInt32Oracle); err != nil {
+		return nil, fmt.Errorf("oracle: reading flat items: %w", err)
+	}
+	if slab, err = readArrayOracle(r, 5*int(numSuper)+1, scratch, decodeInt32Oracle); err != nil {
+		return nil, fmt.Errorf("oracle: reading index: %w", err)
 	}
 	if err := st.validateLinks(); err != nil {
 		return nil, err
@@ -55,6 +63,16 @@ func readSuperTreeOracle(r io.Reader) (*SuperTree, error) {
 	st.index()
 	if err := st.Validate(); err != nil {
 		return nil, err
+	}
+	for i, v := range flat {
+		if st.flat[i] != v {
+			return nil, fmt.Errorf("oracle: stored flat item %d is %d, index builds %d", i, v, st.flat[i])
+		}
+	}
+	for i, v := range slab {
+		if st.slab[i] != v {
+			return nil, fmt.Errorf("oracle: stored index word %d is %d, index builds %d", i, v, st.slab[i])
+		}
 	}
 	return st, nil
 }

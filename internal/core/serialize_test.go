@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -101,11 +102,35 @@ func TestReadSuperTreeCorruptMapping(t *testing.T) {
 	}
 	data := buf.Bytes()
 	// Corrupt the last NodeOf entry to an out-of-range super node.
-	data[len(data)-4] = 0xFF
-	data[len(data)-3] = 0xFF
-	data[len(data)-2] = 0xFF
-	data[len(data)-1] = 0x7F
+	last := treeHeaderLen + 12*st.Len() + 4*(st.NumItems()-1)
+	binary.LittleEndian.PutUint32(data[last:], 0x7FFFFFFF)
 	if _, err := ReadSuperTree(bytes.NewReader(data)); err == nil {
 		t.Error("want error for out-of-range item mapping")
+	}
+	if _, err := DecodeSuperTreeTrusted(data); err != nil {
+		t.Errorf("the trusted decoder checks only the header and lengths: %v", err)
+	}
+}
+
+// TestReadSuperTreeRejectsTamperedIndex: a stored index one entry off
+// the index the tree's arrays build is rejected, whichever array the
+// entry is in; the trusted decoder views it unchecked.
+func TestReadSuperTreeRejectsTamperedIndex(t *testing.T) {
+	st := VertexSuperTree(randomField(4, 40, 2, 4))
+	data, _ := st.AppendBinary(nil)
+	flat := treeHeaderLen + 12*st.Len() + 4*st.NumItems()
+	for name, at := range map[string]int{
+		"flat":       flat,
+		"member end": flat + 4*st.NumItems(),
+		"last child": len(data) - 4,
+	} {
+		evil := append([]byte(nil), data...)
+		evil[at] ^= 1
+		if _, err := DecodeSuperTree(evil); err == nil {
+			t.Errorf("%s: tampered index accepted", name)
+		}
+		if _, err := DecodeSuperTreeTrusted(evil); err != nil {
+			t.Errorf("%s: trusted decode failed: %v", name, err)
+		}
 	}
 }

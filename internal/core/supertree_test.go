@@ -84,16 +84,19 @@ func TestSuperTreeMatchesOracleFlat(t *testing.T) {
 
 // TestSuperTreeBytesGolden pins the SFST bytes of three real measure
 // trees, so stored and peer-held snapshots keep decoding and
-// answering identically.
+// answering identically. The first hash of each pair pins the tree's
+// numbering: it is the hash the version 1 format (header, parents,
+// scalars, item mapping) had before the index was stored, taken over
+// the same arrays.
 func TestSuperTreeBytesGolden(t *testing.T) {
 	g, err := datasets.Generate("GrQc", 0.25, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := map[string]string{
-		"kcore":      "42f5d145e38f40d08a12d2084e9b5e61b73ea2b39d9967e27dd7954155454f7f",
-		"clustering": "793c716f07d1a3e4c8e4bf2aa2cd0fce3c4b4097447059e6d1235bdd756cd7b8",
-		"ktruss":     "a61b1534e32770406af83bbb6bad362c75a64d48d0b985e82e6cce42f445d3a3",
+	golden := map[string][2]string{
+		"kcore":      {"42f5d145e38f40d08a12d2084e9b5e61b73ea2b39d9967e27dd7954155454f7f", "c8b3922adc8458139d50975ab9e87a19d6622f9a537aa4311d261ff73824f677"},
+		"clustering": {"793c716f07d1a3e4c8e4bf2aa2cd0fce3c4b4097447059e6d1235bdd756cd7b8", "da5b6365b960faecdd24dd7463113f87c88baa3ef431596a0e56d695113d1b39"},
+		"ktruss":     {"a61b1534e32770406af83bbb6bad362c75a64d48d0b985e82e6cce42f445d3a3", "8f4677946fa944621a140f2bd123dee8dc4e4e4b715d38d53e7f6026d53d4578"},
 	}
 	for name, want := range golden {
 		spec, ok := measures.Lookup(name)
@@ -107,24 +110,40 @@ func TestSuperTreeBytesGolden(t *testing.T) {
 		} else {
 			st = VertexSuperTree(MustVertexField(g, values))
 		}
+		var v1 bytes.Buffer
+		v1.WriteString(treeMagic)
+		v1.WriteByte(1)
+		for _, v := range []any{uint32(st.Len()), uint32(st.NumItems()), st.Parent, st.Scalar, st.NodeOf} {
+			_ = binary.Write(&v1, binary.LittleEndian, v) // bytes.Buffer writes cannot fail
+		}
 		var buf bytes.Buffer
 		if _, err := st.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(buf.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != want {
-			t.Errorf("%s: SFST sha256 %s, want %s", name, got, want)
+		for i, b := range [][]byte{v1.Bytes(), buf.Bytes()} {
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:]); got != want[i] {
+				t.Errorf("%s: SFST version %d sha256 %s, want %s", name, i+1, got, want[i])
+			}
 		}
 	}
 }
 
 // rawTreeBytes encodes arbitrary super tree arrays in the SFST layout,
-// bypassing Postprocess, to hand the reader trees it never wrote.
+// bypassing Postprocess, to hand the reader trees it never wrote. The
+// stored index is the one the arrays build when their links are
+// valid, and zeros otherwise.
 func rawTreeBytes(parent []int32, scalar []float64, nodeOf []int32) []byte {
+	st := &SuperTree{Parent: parent, Scalar: scalar, NodeOf: nodeOf}
+	if st.validateLinks() == nil {
+		st.index()
+	} else {
+		st.attachIndex(make([]int32, len(nodeOf)), make([]int32, 5*len(parent)+1))
+	}
 	var buf bytes.Buffer
 	buf.WriteString(treeMagic)
-	buf.WriteByte(treeVersion)
-	for _, v := range []any{uint32(len(parent)), uint32(len(nodeOf)), parent, scalar, nodeOf} {
+	buf.Write([]byte{treeVersion, 0, 0, 0})
+	for _, v := range []any{uint32(len(parent)), uint32(len(nodeOf)), scalar, parent, nodeOf, st.flat, st.slab} {
 		_ = binary.Write(&buf, binary.LittleEndian, v) // bytes.Buffer writes cannot fail
 	}
 	return buf.Bytes()
@@ -196,7 +215,7 @@ func TestPostprocessAllocs(t *testing.T) {
 // DecodeSuperTree's (see TestDecodeSuperTreeAllocs) plus the header and
 // byte buffers and the test's bytes.Reader.
 func TestReadSuperTreeAllocs(t *testing.T) {
-	const want = 8
+	const want = 6
 	var counts []float64
 	for _, n := range []int{100, 20000} {
 		st := VertexSuperTree(randomField(8, n, 1.5, 64))
@@ -218,10 +237,11 @@ func TestReadSuperTreeAllocs(t *testing.T) {
 }
 
 // TestDecodeSuperTreeAllocs is TestReadSuperTreeAllocs for the
-// in-memory decoder: the tree, Parent+NodeOf, Scalar, and index's int32
-// slab and flat item array; the index holds no per-node slices.
+// in-memory decoder: the tree, and the int32 slab and flat item array
+// of the index it rebuilds to check the stored one; the arrays view
+// the 8-aligned input and the index holds no per-node slices.
 func TestDecodeSuperTreeAllocs(t *testing.T) {
-	const want = 5
+	const want = 3
 	var counts []float64
 	for _, n := range []int{100, 20000} {
 		st := VertexSuperTree(randomField(8, n, 1.5, 64))

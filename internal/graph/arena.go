@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"unsafe"
+
+	"repro/internal/wire"
 )
 
 // The arena: every Graph's CSR storage in one contiguous, 8-byte-
@@ -166,6 +168,14 @@ func ArenaWireBytes(g *Graph) []byte {
 		return g.arena
 	}
 	return swapArena(g.arena, g.n, len(g.edges))
+}
+
+// ArenaChecksum returns wire.Checksum of the graph's wire arena — the
+// checksum a snapshot container records for a csr2 section holding
+// it — computing it on the first call only.
+func (g *Graph) ArenaChecksum() uint32 {
+	g.sumOnce.Do(func() { g.sum = wire.Checksum(ArenaWireBytes(g)) })
+	return g.sum
 }
 
 // swapArena converts an arena between wire and native byte order on

@@ -10,7 +10,10 @@
 // attach scalar values to edges.
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Edge is an undirected edge between vertices U and V, with U <= V
 // in the canonical form stored by Graph.
@@ -42,6 +45,10 @@ type Graph struct {
 
 	// Canonical edge list; edge IDs index this slice.
 	edges []Edge
+
+	// sum is the arena's wire checksum, computed once by ArenaChecksum.
+	sumOnce sync.Once
+	sum     uint32
 }
 
 // NumVertices reports the number of vertices.

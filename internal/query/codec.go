@@ -6,7 +6,6 @@ import (
 	"os"
 
 	scalarfield "repro"
-	"repro/internal/contour"
 	"repro/internal/graph"
 	"repro/internal/mmapio"
 )
@@ -14,12 +13,15 @@ import (
 // The Snapshot wire codec: thin adapters between the engine's Snapshot
 // and the public snapshot wire format (scalarfield.SaveSnapshot /
 // LoadSnapshot, magic "SFSN"). Everything a Snapshot holds either
-// travels in the container (graph, fields, tree, identity) or is a
-// deterministic function of what does (terrain layout, coloring,
-// contour spectrum — rebuilt on decode), so a decoded snapshot answers
-// every query operation byte-identically to the process that encoded
-// it. That property is what makes snapshots safe to cache on disk
-// (DiskStore) and to serve from any node of a shard fleet.
+// travels in the container (graph, fields, tree and its index, contour
+// spectrum, identity) or is a deterministic function of what does
+// (terrain layout and coloring, rebuilt on decode), so a decoded
+// snapshot answers every query operation byte-identically to the
+// process that encoded it. That property is what makes snapshots safe
+// to cache on disk (DiskStore) and to serve from any node of a shard
+// fleet. Bytes from anywhere else take the verifying decoder
+// (scalarfield.DecodeSnapshotImage); only the disk store's own files
+// take the trusted one.
 
 // EncodeSnapshot writes s in the snapshot wire format.
 func EncodeSnapshot(w io.Writer, s *Snapshot) error {
@@ -34,14 +36,14 @@ func EncodeSnapshot(w io.Writer, s *Snapshot) error {
 		Values:      s.Values,
 		ColorValues: s.ColorValues,
 		Terrain:     s.Terrain,
+		Spectrum:    s.Spectrum,
 	})
 }
 
-// DecodeSnapshot decodes a snapshot EncodeSnapshot wrote into data,
-// reconstructing the terrain and recomputing the contour spectrum from
-// the decoded tree. Corrupt input errors; nothing panics. The
-// snapshot's graph aliases data, which must stay unmodified while the
-// snapshot is in use.
+// DecodeSnapshot decodes and verifies a snapshot EncodeSnapshot wrote
+// into data, reconstructing the terrain. Corrupt input errors; nothing
+// panics. The snapshot aliases data, which must stay unmodified while
+// the snapshot is in use.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	rec, err := scalarfield.DecodeSnapshotImage(data, nil)
 	if err != nil {
@@ -50,8 +52,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	return snapshotFromRecord(rec), nil
 }
 
-// snapshotFromRecord bundles a decoded record into a Snapshot,
-// recomputing the contour spectrum from the decoded tree.
+// snapshotFromRecord bundles a decoded record into a Snapshot.
 func snapshotFromRecord(rec *scalarfield.SnapshotRecord) *Snapshot {
 	return &Snapshot{
 		Key: Key{
@@ -66,46 +67,44 @@ func snapshotFromRecord(rec *scalarfield.SnapshotRecord) *Snapshot {
 		Values:      rec.Values,
 		ColorValues: rec.ColorValues,
 		Terrain:     rec.Terrain,
-		Spectrum:    contour.NewSpectrum(rec.Terrain.Tree),
+		Spectrum:    rec.Spectrum,
 	}
 }
 
-// DecodeSnapshotFileMapped decodes a snapshot file from one
-// read-only mapping of the whole file (internal/mmapio) instead of a
-// heap copy: the adjacency of a cold-served graph stays backed by
-// clean file pages the kernel can reclaim. The graph section is always
-// verified in full. The returned snapshot carries a reference count
-// wired to the mapping — the caller owns the creation reference and
-// must balance it with Release.
+// DecodeSnapshotFileMapped decodes and verifies a snapshot file from
+// one read-only mapping of the whole file (internal/mmapio) instead of
+// a heap copy: the snapshot's arrays stay backed by clean file pages
+// the kernel can reclaim. Every section is verified in full, as
+// DecodeSnapshot verifies peer bytes. The returned snapshot carries a
+// reference count wired to the mapping — the caller owns the creation
+// reference and must balance it with Release.
 func DecodeSnapshotFileMapped(path string) (*Snapshot, error) {
-	return decodeSnapshotFile(path, true, nil)
+	return decodeSnapshotFile(path, true, false, nil)
 }
 
 // decodeSnapshotFile decodes a snapshot file from one image of the
 // whole file: a single mapping when mapped is set, otherwise a single
-// read into one heap buffer (heap mode never maps). A graph that is
-// not adopted aliases that image; a mapped one keeps the whole-file
-// mapping as its mappingRef. Heap-backed snapshots carry no reference
-// count; Release is a no-op.
+// read into one heap buffer (heap mode never maps). trusted takes
+// scalarfield.DecodeSnapshotImageTrusted, for files the disk store
+// wrote itself; otherwise every section is verified. The snapshot's
+// fields, tree and spectrum view that image, and so does its graph
+// unless it is adopted; a mapped snapshot's mappingRef keeps the
+// mapping alive. Heap-backed snapshots carry no reference count of
+// their own; Release is a no-op.
 //
 // donor, when non-nil, is an open snapshot the caller has retained
-// once for this call. If the file's graph section is byte-identical to
-// the donor's graph, the decoded snapshot adopts that graph and the
-// donor's mappingRef, the file's own mapping is released at once (the
-// fields and the tree never alias it), and the caller's retained
-// reference becomes the new snapshot's creation reference. Otherwise
-// (and on error) the donor is released here.
-func decodeSnapshotFile(path string, mapped bool, donor *Snapshot) (*Snapshot, error) {
+// once for this call; it is released here. If the file's graph section
+// is byte-identical to the donor's graph, the decoded snapshot adopts
+// that graph and takes one reference on the donor's graphRef, the
+// mapping the graph lives in: a mapped snapshot drops it when its own
+// count reaches zero, after releasing its own mapping, and a heap one
+// makes it its own ref, its creation reference.
+func decodeSnapshotFile(path string, mapped, trusted bool, donor *Snapshot) (*Snapshot, error) {
 	var have *graph.Graph
 	if donor != nil {
 		have = donor.Graph
+		defer donor.Release()
 	}
-	adopted := false
-	defer func() {
-		if donor != nil && !adopted {
-			donor.Release()
-		}
-	}()
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -131,19 +130,31 @@ func decodeSnapshotFile(path string, mapped bool, donor *Snapshot) (*Snapshot, e
 			return nil, fmt.Errorf("query: reading snapshot file %s: %w", path, err)
 		}
 	}
-	rec, err := scalarfield.DecodeSnapshotImage(img, have)
+	decode := scalarfield.DecodeSnapshotImage
+	if trusted {
+		decode = scalarfield.DecodeSnapshotImageTrusted
+	}
+	rec, err := decode(img, have)
 	if err != nil {
 		release()
 		return nil, fmt.Errorf("query: decoding snapshot file %s: %w", path, err)
 	}
 	snap := snapshotFromRecord(rec)
-	switch {
-	case have != nil && rec.Graph == have:
-		adopted = true
-		release()
-		snap.ref = donor.ref
+	switch adopted := have != nil && rec.Graph == have; {
+	case adopted && mapped:
+		owner := donor.graphRef
+		owner.retain()
+		snap.ref = newMappedSnapshotRef(func() {
+			release()
+			owner.drop()
+		})
+		snap.graphRef = owner
+	case adopted:
+		donor.graphRef.retain()
+		snap.ref, snap.graphRef = donor.graphRef, donor.graphRef
 	case mapped:
 		snap.ref = newMappedSnapshotRef(release)
+		snap.graphRef = snap.ref
 	}
 	return snap, nil
 }

@@ -1,0 +1,251 @@
+package query
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	scalarfield "repro"
+	"repro/internal/graph"
+)
+
+// The Definition 1 oracle: every serving path answers alpha_cut,
+// component_of, mcc and peaks with the maximal α-connected components
+// of the field, computed here by brute force (a flood fill over the
+// items whose value is at least α), not by another implementation of
+// the tree. The paths are the engine's fresh analysis, the verified
+// decode of its encoding, and the disk store's trusted cold hit from
+// the heap and from a mapping, for vertex and edge fields.
+
+// definitionValues is the pool the oracle measures draw from: ties,
+// both zeros, both infinities and values a hair apart.
+var definitionValues = []float64{
+	math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, 1, 2, -3.5,
+	0.25, math.Nextafter(0.25, 1), 3, 3,
+}
+
+var definitionOnce sync.Once
+
+// registerDefinitionMeasures registers a vertex and an edge measure
+// whose values are drawn from definitionValues by a hash of the item
+// and the graph's size, so every random graph gets its own field.
+func registerDefinitionMeasures() {
+	definitionOnce.Do(func() {
+		field := func(items int, salt uint64) []float64 {
+			values := make([]float64, items)
+			for i := range values {
+				x := (uint64(i) + 1) * (salt | 1) * 0x9e3779b97f4a7c15
+				x ^= x >> 29
+				values[i] = definitionValues[x%uint64(len(definitionValues))]
+			}
+			return values
+		}
+		scalarfield.RegisterMeasure("test-def1-vertex", false, "test-only: Definition 1 oracle field",
+			func(g *scalarfield.Graph) []float64 {
+				return field(g.NumVertices(), uint64(g.NumVertices()*131+g.NumEdges()))
+			})
+		scalarfield.RegisterMeasure("test-def1-edge", true, "test-only: Definition 1 oracle field",
+			func(g *scalarfield.Graph) []float64 {
+				return field(g.NumEdges(), uint64(g.NumEdges()*137+g.NumVertices()))
+			})
+	})
+}
+
+// definitionGraph returns a small random graph with isolated vertices,
+// usually several connected parts, and at least one edge.
+func definitionGraph(rng *rand.Rand) *graph.Graph {
+	n := 2 + rng.Intn(14)
+	edges := []graph.Edge{{U: 0, V: 1}}
+	for m := rng.Intn(2 * n); m > 0; m-- {
+		u, v := rng.Int31n(int32(n)), rng.Int31n(int32(n))
+		if u != v {
+			edges = append(edges, graph.Edge{U: u, V: v})
+		}
+	}
+	return graph.FromEdges(n, edges)
+}
+
+// bruteComponents returns the maximal α-connected components of the
+// field by flood fill: items with value >= α, joined when they are
+// adjacent vertices (vertex fields) or edges sharing an endpoint (edge
+// fields). Each component is sorted, and they are ordered by their
+// smallest item.
+func bruteComponents(g *graph.Graph, values []float64, edge bool, alpha float64) [][]int32 {
+	seen := make([]bool, len(values))
+	var comps [][]int32
+	for start := range values {
+		if seen[start] || !(values[start] >= alpha) {
+			continue
+		}
+		seen[start] = true
+		comp := []int32{int32(start)}
+		for i := 0; i < len(comp); i++ {
+			var next []int32
+			if edge {
+				e := g.Edges()[comp[i]]
+				next = append(append(next, g.IncidentEdges(e.U)...), g.IncidentEdges(e.V)...)
+			} else {
+				next = g.Neighbors(comp[i])
+			}
+			for _, x := range next {
+				if !seen[x] && values[x] >= alpha {
+					seen[x] = true
+					comp = append(comp, x)
+				}
+			}
+		}
+		slices.Sort(comp)
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
+// componentOf returns the component of comps holding item, or nil.
+func componentOf(comps [][]int32, item int32) []int32 {
+	for _, c := range comps {
+		if _, ok := slices.BinarySearch(c, item); ok {
+			return c
+		}
+	}
+	return nil
+}
+
+// requireDefinitionAnswers resolves alpha_cut, peaks, component_of and
+// mcc against snap at every α and item, and fails on any answer that
+// differs from the brute-force components.
+func requireDefinitionAnswers(t *testing.T, e *Engine, snap *Snapshot, values []float64, alphas []float64, label string) {
+	t.Helper()
+	g, edge := snap.Graph, snap.Edge
+	for _, alpha := range alphas {
+		want := bruteComponents(g, values, edge, alpha)
+		ops := []Op{{Op: OpAlphaCut, Alpha: alpha, Limit: -1}, {Op: OpPeaks, Alpha: alpha}}
+		for item := range values {
+			ops = append(ops, Op{Op: OpComponentOf, Item: int32(item), Alpha: alpha, Limit: -1})
+		}
+		res := e.Resolve(snap, ops)
+		if res[0].Count != len(want) || len(res[0].Components) != len(want) {
+			t.Fatalf("%s α=%g: alpha_cut has %d components, Definition 1 %d", label, alpha, res[0].Count, len(want))
+		}
+		for i, c := range res[0].Components {
+			if c.Size != len(want[i]) || !slices.Equal(c.Items, want[i]) {
+				t.Fatalf("%s α=%g: alpha_cut component %d is %v, Definition 1 %v", label, alpha, i, c.Items, want[i])
+			}
+		}
+		// Peaks: one per component, its height the component's top
+		// value and its size the component's, highest then largest first.
+		type peak struct {
+			top   float64
+			items int
+		}
+		var wantPeaks, gotPeaks []peak
+		for _, c := range want {
+			top := math.Inf(-1)
+			for _, item := range c {
+				top = max(top, values[item])
+			}
+			wantPeaks = append(wantPeaks, peak{top, len(c)})
+		}
+		byHeight := func(a, b peak) int {
+			if c := cmp.Compare(b.top, a.top); c != 0 {
+				return c
+			}
+			return cmp.Compare(b.items, a.items)
+		}
+		slices.SortStableFunc(wantPeaks, byHeight)
+		for _, p := range res[1].Peaks {
+			gotPeaks = append(gotPeaks, peak{p.Height, p.Items})
+		}
+		if !slices.Equal(gotPeaks, wantPeaks) {
+			t.Fatalf("%s α=%g: peaks %v, Definition 1 %v", label, alpha, gotPeaks, wantPeaks)
+		}
+		for item, r := range res[2:] {
+			if w := componentOf(want, int32(item)); r.ItemCount != len(w) || !slices.Equal(r.Items, w) {
+				t.Fatalf("%s α=%g: component_of(%d) = %v, Definition 1 %v", label, alpha, item, r.Items, w)
+			}
+		}
+	}
+	// mcc(item) is the component of item at its own value.
+	ops := make([]Op, len(values))
+	for item := range values {
+		ops[item] = Op{Op: OpMCC, Item: int32(item), Limit: -1}
+	}
+	for item, r := range e.Resolve(snap, ops) {
+		w := componentOf(bruteComponents(g, values, edge, values[item]), int32(item))
+		if r.ItemCount != len(w) || !slices.Equal(r.Items, w) {
+			t.Fatalf("%s: mcc(%d) = %v, Definition 1 %v", label, item, r.Items, w)
+		}
+	}
+}
+
+// TestServingPathsMatchDefinition checks every serving path that
+// decodes or builds a tree against Definition 1 by brute force, on
+// random small graphs with ties, isolated vertices, ±Inf values and
+// disconnected parts, at every level, between levels, and beyond them.
+func TestServingPathsMatchDefinition(t *testing.T) {
+	registerDefinitionMeasures()
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 25; trial++ {
+		g := definitionGraph(rng)
+		dataset := fmt.Sprintf("def1-%d", trial)
+		keys := []Key{{Dataset: dataset, Measure: "test-def1-vertex"}, {Dataset: dataset, Measure: "test-def1-edge"}}
+		e := NewEngine(Options{})
+		e.RegisterDataset(dataset, g)
+		dir := t.TempDir()
+		seed, err := NewDiskStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := map[Key]*Snapshot{}
+		for _, key := range keys {
+			snap, err := e.Snapshot(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh[key] = snap
+			seed.Add(key, snap)
+		}
+		for _, mmap := range []bool{false, true} {
+			// One store per mode, so the second key's cold hit adopts
+			// the first key's open graph.
+			store, err := NewDiskStoreOptions(dir, DiskStoreOptions{MmapGraphs: mmap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range keys {
+				snap := fresh[key]
+				values := snap.Values
+				alphas := []float64{math.Inf(-1), math.Inf(1), 1e300, -1e300}
+				for _, v := range values {
+					alphas = append(alphas, v, math.Nextafter(v, math.Inf(1)), v+rng.Float64())
+				}
+				var buf bytes.Buffer
+				if err := EncodeSnapshot(&buf, snap); err != nil {
+					t.Fatal(err)
+				}
+				decoded, err := DecodeSnapshot(buf.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				stored, ok := store.Get(key)
+				if !ok {
+					t.Fatalf("trial %d %v: stored snapshot missing", trial, key)
+				}
+				paths := map[string]*Snapshot{"stored": stored}
+				if !mmap {
+					paths["engine"], paths["decoded"] = snap, decoded
+				}
+				for name, s := range paths {
+					label := fmt.Sprintf("trial %d %s %s mmap=%v", trial, key.Measure, name, mmap)
+					requireDefinitionAnswers(t, e, s, values, alphas, label)
+				}
+				stored.Release()
+			}
+			store.DropOpen()
+		}
+	}
+}

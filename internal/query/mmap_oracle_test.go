@@ -71,7 +71,8 @@ func TestMmapSnapshotServesIdenticalResults(t *testing.T) {
 
 		// The adopting input: served cold while another key of the
 		// dataset is open, the key's identical graph section is
-		// compared, not verified, and the donor's graph is served.
+		// compared, not verified, and the donor's graph is served
+		// beside the key's own mapping, which its fields and tree view.
 		donorSnap, err := e.Snapshot(donorKey)
 		if err != nil {
 			t.Fatal(err)
@@ -85,8 +86,8 @@ func TestMmapSnapshotServesIdenticalResults(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %+v: mmap store misses the persisted snapshot beside a donor", key)
 		}
-		if adopted.Graph != donor.Graph || adopted.ref != donor.ref {
-			t.Fatalf("key %+v: cold hit beside an open donor did not adopt its graph and mapping", key)
+		if adopted.Graph != donor.Graph || adopted.ref == nil || adopted.ref == donor.ref {
+			t.Fatalf("key %+v: cold hit beside an open donor did not adopt its graph beside a mapping of its own", key)
 		}
 		if got := resolveJSON(t, e, adopted); !bytes.Equal(want, got) {
 			t.Fatalf("key %+v: adopting snapshot answers differently:\nwant %s\ngot  %s", key, want, got)
@@ -135,9 +136,10 @@ func TestMmapSnapshotConcurrentResolves(t *testing.T) {
 // TestDiskStoreMappedRefcounting pins the reference protocol end to
 // end using the package-internal counter: the LRU owns one reference
 // per entry, every Get hands the caller one more, a cold hit that
-// adopts an open snapshot's graph counts on that snapshot's mapping,
-// DropOpen releases the LRU's, and the mapping is released exactly
-// once, after the last caller balances.
+// adopts an open snapshot's graph maps its own file and holds one
+// reference on the donor's mapping until its own count reaches zero,
+// DropOpen releases the LRU's, and each mapping is released exactly
+// once, after the last holder balances.
 func TestDiskStoreMappedRefcounting(t *testing.T) {
 	key := Key{Dataset: "tiny", Measure: "kcore"}
 	adoptKey := Key{Dataset: "tiny", Measure: "degree"}
@@ -176,8 +178,8 @@ func TestDiskStoreMappedRefcounting(t *testing.T) {
 	again.Release()
 
 	// A cold hit on a second key of the dataset adopts the open
-	// snapshot's graph and shares its reference count: the LRU and the
-	// caller each hold one more on the same mapping.
+	// snapshot's graph: it counts its own mapping (LRU + caller) and
+	// holds one reference on the donor's.
 	fired := 0
 	unmap := mapped.ref.release
 	mapped.ref.release = func() { fired++; unmap() }
@@ -185,19 +187,25 @@ func TestDiskStoreMappedRefcounting(t *testing.T) {
 	if !ok {
 		t.Fatal("adopting cold hit missed")
 	}
-	if adopted.Graph != mapped.Graph || adopted.ref != mapped.ref {
-		t.Fatal("adopting cold hit did not share the open snapshot's graph and reference")
+	if adopted.Graph != mapped.Graph || adopted.ref == nil || adopted.ref == mapped.ref {
+		t.Fatal("adopting cold hit did not serve the open snapshot's graph beside a mapping of its own")
 	}
-	if got := mapped.ref.refs.Load(); got != 4 {
-		t.Fatalf("after adopting hit: %d references, want 4 (2 LRU entries + 2 callers)", got)
+	if got := mapped.ref.refs.Load(); got != 3 {
+		t.Fatalf("donor after adopting hit: %d references, want 3 (LRU + caller + adopter)", got)
 	}
+	if got := adopted.ref.refs.Load(); got != 2 {
+		t.Fatalf("adopter after cold hit: %d references, want 2 (LRU + caller)", got)
+	}
+	adoptFired := 0
+	adoptUnmap := adopted.ref.release
+	adopted.ref.release = func() { adoptFired++; adoptUnmap() }
 
 	// Dropping the open LRU releases both entries' references but must
 	// not unmap while either caller still holds one: the graph must
 	// stay readable.
 	store.DropOpen()
 	if got := mapped.ref.refs.Load(); got != 2 {
-		t.Fatalf("after DropOpen: %d references, want 2 (callers)", got)
+		t.Fatalf("donor after DropOpen: %d references, want 2 (caller + adopter)", got)
 	}
 	if mapped.Graph.NumVertices() != testGraph().NumVertices() {
 		t.Fatal("mapped graph unreadable after LRU drop")
@@ -208,17 +216,17 @@ func TestDiskStoreMappedRefcounting(t *testing.T) {
 	}
 	mapped.Release()
 	if fired != 0 {
-		t.Fatal("mapping released while the adopting caller still holds it")
+		t.Fatal("donor mapping released while the adopting snapshot still serves its graph")
 	}
-	if adopted.Graph.Degree(0) != deg {
-		t.Fatal("adopted graph unreadable after the first caller released")
+	if adopted.Graph.Degree(0) != deg || adopted.Values[0] != adoptSnap.Values[0] {
+		t.Fatal("adopted snapshot unreadable after the donor's caller released")
 	}
 	adopted.Release()
 	if got := mapped.ref.refs.Load(); got != 0 {
-		t.Fatalf("after final Release: %d references, want 0", got)
+		t.Fatalf("donor after final Release: %d references, want 0", got)
 	}
-	if fired != 1 {
-		t.Fatalf("mapping released %d times, want exactly 1", fired)
+	if fired != 1 || adoptFired != 1 {
+		t.Fatalf("donor mapping released %d times, adopter's %d, want exactly 1 each", fired, adoptFired)
 	}
 
 	// The next Get re-decodes: a fresh snapshot with a fresh mapping.
@@ -314,4 +322,62 @@ func TestDiskStoreAddReplacementReleasesOldMapping(t *testing.T) {
 		t.Fatalf("after replacement: %d references, want 0 (old mapping released)", got)
 	}
 	store.DropOpen()
+}
+
+// TestDiskStoreAdoptionChainPinsOneGraphMapping: with a small open LRU
+// cycling the keys of one dataset, every cold hit adopts the graph of
+// the most recent open snapshot, which itself adopted it. Each adopter
+// must hold the mapping the graph lives in, not its donor's, or every
+// mapping of the chain would stay pinned while any later snapshot is
+// open: at any time only the open entries' own mappings and the one
+// graph mapping may be live.
+func TestDiskStoreAdoptionChainPinsOneGraphMapping(t *testing.T) {
+	e := testEngine(t, Options{})
+	var snaps []*Snapshot
+	var keys []Key
+	for _, m := range []string{"kcore", "degree", "triangles", "clustering"} {
+		key := Key{Dataset: "tiny", Measure: m}
+		snap, err := e.Snapshot(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, snaps = append(keys, key), append(snaps, snap)
+	}
+	dir := t.TempDir()
+	seed, err := NewDiskStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, key := range keys {
+		seed.Add(key, snaps[i])
+	}
+	const maxOpen = 2
+	store, err := NewDiskStoreOptions(dir, DiskStoreOptions{MaxOpen: maxOpen, MmapGraphs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served []*Snapshot
+	for i := 0; i < 5*len(keys); i++ {
+		snap, ok := store.Get(keys[i%len(keys)])
+		if !ok {
+			t.Fatal("cold hit missed")
+		}
+		snap.Release()
+		served = append(served, snap)
+		live := 0
+		for _, s := range served {
+			if s.ref.refs.Load() > 0 {
+				live++
+			}
+		}
+		if live > maxOpen+1 {
+			t.Fatalf("after %d cold hits: %d mappings live, want at most %d (open entries + the graph's)", i+1, live, maxOpen+1)
+		}
+	}
+	store.DropOpen()
+	for i, s := range served {
+		if got := s.ref.refs.Load(); got != 0 {
+			t.Fatalf("snapshot %d holds %d references after DropOpen, want 0", i, got)
+		}
+	}
 }

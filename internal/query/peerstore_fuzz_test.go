@@ -2,7 +2,10 @@ package query
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+
+	"repro/internal/contour"
 )
 
 // FuzzRemoteSnapshotDecode pins the snapshot-fetch trust story: the
@@ -13,7 +16,8 @@ import (
 // Allocation discipline is inherited from the snapshot wire codec
 // (counts validated against bytes present before any slice is made),
 // so a tiny hostile input claiming huge sections errors instead of
-// ballooning memory.
+// ballooning memory. An accepted snapshot's tree is valid and its
+// spectrum is the tree's, whatever the bytes stored.
 func FuzzRemoteSnapshotDecode(f *testing.F) {
 	key := Key{Dataset: "tiny", Measure: "kcore", Color: "degree"}
 	e := NewEngine(Options{})
@@ -37,6 +41,28 @@ func FuzzRemoteSnapshotDecode(f *testing.F) {
 		scribbled[i] ^= 0xa5
 	}
 	f.Add(scribbled)
+	// A stored index or spectrum one bit off the tree's own, behind
+	// checksums recomputed to match: only the verifying decode's
+	// rebuild of the index and spectrum can catch these.
+	ranges := snapshotSectionRanges(f, valid.Bytes())
+	tree, spec := ranges["tree"], ranges["spec"]
+	st := snap.Terrain.Tree
+	levels := len(snap.Spectrum.Levels)
+	for _, at := range []int{
+		tree[0] + 16 + 12*st.Len() + 4*st.NumItems(), // the first flat item
+		tree[1] - 4,        // the last word of the index slab
+		spec[0],            // the lowest level
+		spec[0] + 8*levels, // the first component count
+		spec[1] - 8,        // the last survivor count
+	} {
+		tampered := bytes.Clone(valid.Bytes())
+		tampered[at] ^= 1
+		tampered = resealSnapshot(f, tampered)
+		if _, err := decodeRemoteSnapshot(tampered, key, 0); err == nil {
+			f.Fatalf("snapshot tampered at byte %d accepted", at)
+		}
+		f.Add(tampered)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := decodeRemoteSnapshot(data, key, 0)
@@ -48,6 +74,12 @@ func FuzzRemoteSnapshotDecode(f *testing.F) {
 		}
 		if got.Seq != snap.Seq {
 			t.Fatalf("accepted snapshot with seq %d, want %d", got.Seq, snap.Seq)
+		}
+		if err := got.Terrain.Tree.Validate(); err != nil {
+			t.Fatalf("accepted snapshot with an invalid tree: %v", err)
+		}
+		if !reflect.DeepEqual(got.Spectrum, contour.NewSpectrum(got.Terrain.Tree)) {
+			t.Fatal("accepted snapshot whose spectrum is not its tree's")
 		}
 	})
 }

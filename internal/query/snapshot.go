@@ -106,28 +106,53 @@ type Snapshot struct {
 	// Spectrum is the contour spectrum B0(α) of the super tree.
 	Spectrum *contour.Spectrum
 
-	// ref counts references to the graph's backing file mapping, when
-	// there is one (a DiskStore in mmap mode decodes the graph section
-	// in place). A snapshot that adopted another's graph on a cold hit
-	// shares that snapshot's ref, so one count covers every snapshot
-	// reading the mapping. nil for heap-backed graphs, which is every
-	// snapshot a fresh analysis produces: their Retain and Release are
-	// no-ops, so callers follow one contract everywhere.
+	// ref counts references to the snapshot's backing file mapping,
+	// when there is one (a DiskStore in mmap mode views the fields, the
+	// tree, the spectrum and, unless adopted, the graph in place). nil
+	// for heap-backed snapshots, which is every snapshot a fresh
+	// analysis produces: their Retain and Release are no-ops, so
+	// callers follow one contract everywhere.
 	ref *mappingRef
+	// graphRef is the reference that keeps the graph's memory alive:
+	// ref itself unless the graph was adopted on a cold hit, and then
+	// the graphRef of the snapshot adopted from. An adopting snapshot
+	// holds one reference on it until its own ref drops to zero, so a
+	// graph's mapping outlives every snapshot serving it, and a chain
+	// of adoptions pins one mapping, the graph's, not each donor's.
+	graphRef *mappingRef
 }
 
-// mappingRef counts the holders of one file mapping that a graph
-// aliases, across every snapshot serving that graph: the snapshot
-// whose decode mapped it and each later cold hit that adopted its
-// graph. The disk store's open-entry LRU owns one reference per such
-// snapshot, and every Get hands its caller one more. When the count
-// reaches zero the mapping is released (munmap on linux). A holder
-// that forgets Release leaks a mapping — deliberately the failure
-// mode, since the alternative (eager unmap) would turn a forgotten
-// reference into a use-after-unmap fault in a reader.
+// mappingRef counts the holders of one file mapping: the open-entry
+// LRU entry of the snapshot whose decode mapped it, every caller a Get
+// handed that snapshot, and every snapshot that adopted the graph the
+// mapping holds. When the count reaches zero the mapping is released
+// (munmap on linux). A holder that forgets Release leaks a mapping —
+// deliberately the failure mode, since the alternative (eager unmap)
+// would turn a forgotten reference into a use-after-unmap fault in a
+// reader.
 type mappingRef struct {
 	refs    atomic.Int64
 	release func()
+}
+
+// retain adds a reference; a nil mappingRef is a heap snapshot's.
+func (r *mappingRef) retain() {
+	if r != nil {
+		r.refs.Add(1)
+	}
+}
+
+// drop removes a reference, releasing the mapping with the last one.
+func (r *mappingRef) drop() {
+	if r == nil {
+		return
+	}
+	switch n := r.refs.Add(-1); {
+	case n == 0:
+		r.release()
+	case n < 0:
+		panic("query: Snapshot.Release without matching reference")
+	}
 }
 
 // newMappedSnapshotRef wires release to fire when the count drops to
@@ -145,11 +170,7 @@ func newMappedSnapshotRef(release func()) *mappingRef {
 // retained on their behalf (Engine.Snapshot, SnapshotStore.Get);
 // Retain is for handing a held snapshot to another holder with its
 // own lifetime.
-func (s *Snapshot) Retain() {
-	if s.ref != nil {
-		s.ref.refs.Add(1)
-	}
-}
+func (s *Snapshot) Retain() { s.ref.retain() }
 
 // Release drops one reference, releasing the backing mapping when the
 // last holder lets go. No-op for heap-backed snapshots, so every
@@ -157,17 +178,7 @@ func (s *Snapshot) Retain() {
 // unconditionally. Calling Release more times than Retain+1 is a
 // bookkeeping bug; the count going negative panics loudly rather than
 // unmapping memory some holder still reads.
-func (s *Snapshot) Release() {
-	if s.ref == nil {
-		return
-	}
-	switch n := s.ref.refs.Add(-1); {
-	case n == 0:
-		s.ref.release()
-	case n < 0:
-		panic("query: Snapshot.Release without matching reference")
-	}
-}
+func (s *Snapshot) Release() { s.ref.drop() }
 
 // Info is the wire-format identity block of a Snapshot, echoed on
 // every batch response so clients can tell which analysis answered.

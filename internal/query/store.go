@@ -53,16 +53,20 @@ func NewMemorySnapshotStore(max int) SnapshotStore {
 // meta section, which is what lets a restarted process serve
 // yesterday's analyses without re-running them.
 //
-// Every key of a dataset stores the same graph, and the store verifies
-// each distinct graph once while any snapshot serving it stays open: a
-// cold hit whose graph section is byte-identical to the graph of an
-// open snapshot of the same dataset adopts that graph (and, in mmap
-// mode, its mapping) instead of verifying a copy of its own.
+// Files the store wrote itself take the trusted decode
+// (scalarfield.DecodeSnapshotImageTrusted): once their checksums hold,
+// the graph, fields, tree, index and spectrum are views of the file's
+// image, with nothing decoded, rebuilt or validated.
+//
+// Every key of a dataset stores the same graph: a cold hit whose graph
+// section is byte-identical to the graph of an open snapshot of the
+// same dataset adopts that graph (and, in mmap mode, holds the mapping
+// it lives in) instead of serving a copy of its own.
 type DiskStore struct {
 	dir string
 	// mmapGraphs switches cold-hit decodes to the mapped path: a
-	// snapshot file is mmap'd whole and its graph section aliased in
-	// place rather than the file read onto the heap. Lifetimes are
+	// snapshot file is mmap'd whole and its sections viewed in place
+	// rather than the file read onto the heap. Lifetimes are
 	// reference-counted (see Snapshot.Release and the retain protocol
 	// in Get).
 	mmapGraphs bool
@@ -115,11 +119,11 @@ type DiskStoreOptions struct {
 	// DefaultOpenSnapshots.
 	MaxOpen int
 	// MmapGraphs serves cold hits from one mapping of the whole file
-	// instead of a heap copy of it, the graph section aliased in place:
-	// the adjacency stays backed by reclaimable file pages. The mapping is released when every
-	// entry serving it (the one that mapped it and those that adopted
-	// its graph) has left the open LRU and every caller has Released
-	// its snapshot.
+	// instead of a heap copy of it, every array viewed in place: the
+	// snapshot stays backed by reclaimable file pages. The mapping is
+	// released when the entry that mapped it has left the open LRU,
+	// every caller has Released that snapshot, and every snapshot that
+	// adopted its graph has been released in turn.
 	MmapGraphs bool
 }
 
@@ -272,12 +276,15 @@ func (s *DiskStore) Get(key Key) (*Snapshot, bool) {
 // decode is quarantined, not re-decoded on the next lookup; a file
 // that fails to open (deleted behind our back) is simply forgotten.
 //
+// The file is one this store wrote, so it takes the trusted decode:
+// its checksums are checked and its arrays viewed, not rebuilt.
+//
 // The most recently used open snapshot of the key's dataset is the
 // decode's donor: retained under s.mu (so the eviction hook cannot
 // unmap it first), its graph is offered to the decoder, and a file
-// whose graph section repeats it byte for byte adopts it unverified —
-// the donor's reference then becomes the new snapshot's creation
-// reference (see decodeSnapshotFile).
+// whose graph section repeats it byte for byte adopts it unverified,
+// holding a reference on the mapping the graph lives in (see
+// decodeSnapshotFile).
 func (s *DiskStore) decodeFile(key Key, name string) (*Snapshot, bool) {
 	s.mu.Lock()
 	donor := s.donor(key.Dataset)
@@ -285,7 +292,7 @@ func (s *DiskStore) decodeFile(key Key, name string) (*Snapshot, bool) {
 		donor.Retain()
 	}
 	s.mu.Unlock()
-	snap, err := decodeSnapshotFile(filepath.Join(s.dir, name), s.mmapGraphs, donor)
+	snap, err := decodeSnapshotFile(filepath.Join(s.dir, name), s.mmapGraphs, true, donor)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			s.drop(key, name)

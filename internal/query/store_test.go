@@ -443,65 +443,68 @@ func TestDiskStoreCorruptFileIsAMiss(t *testing.T) {
 }
 
 // TestDiskStoreQuarantinesOtherVersions: a stored file whose container
-// version is not 2 (a leftover version 1 file) is quarantined on its
-// first cold hit and costs one re-analysis, whose version 2 file then
-// serves the next cold hit.
+// version is not 3 (a leftover version 1 or 2 file) is quarantined on
+// its first cold hit and costs one re-analysis, whose version 3 file
+// then serves the next cold hit.
 func TestDiskStoreQuarantinesOtherVersions(t *testing.T) {
-	for _, mmap := range []bool{false, true} {
-		dir := t.TempDir()
-		key := Key{Dataset: "tiny", Measure: "kcore", Color: "degree"}
-		opts := DiskStoreOptions{MmapGraphs: mmap}
-		// restart opens a fresh store over dir behind a fresh engine
-		// and serves key from it, returning that engine.
-		restart := func() *Engine {
-			t.Helper()
-			store, err := NewDiskStoreOptions(dir, opts)
+	for _, version := range []byte{1, 2} {
+		for _, mmap := range []bool{false, true} {
+			dir := t.TempDir()
+			key := Key{Dataset: "tiny", Measure: "kcore", Color: "degree"}
+			opts := DiskStoreOptions{MmapGraphs: mmap}
+			// restart opens a fresh store over dir behind a fresh engine
+			// and serves key from it, returning that engine.
+			restart := func() *Engine {
+				t.Helper()
+				store, err := NewDiskStoreOptions(dir, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := NewEngine(Options{Store: store})
+				e.RegisterDataset("tiny", testGraph())
+				snap, err := e.Snapshot(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap.Release()
+				return e
+			}
+			restart()
+			path := filepath.Join(dir, SnapshotFileName(key))
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := NewEngine(Options{Store: store})
-			e.RegisterDataset("tiny", testGraph())
-			snap, err := e.Snapshot(key)
-			if err != nil {
+			data[4] = version
+			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			snap.Release()
-			return e
-		}
-		restart()
-		path := filepath.Join(dir, SnapshotFileName(key))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[4] = 1
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
 
-		if got := restart().AnalysisCount(); got != 1 {
-			t.Fatalf("mmap=%v: %d analyses over a version 1 file, want 1", mmap, got)
-		}
-		quarantined, err := os.ReadFile(filepath.Join(dir, corruptPrefix+SnapshotFileName(key)))
-		if err != nil {
-			t.Fatalf("mmap=%v: version 1 file was not quarantined: %v", mmap, err)
-		}
-		if quarantined[4] != 1 {
-			t.Fatalf("mmap=%v: quarantined file has version %d, want 1", mmap, quarantined[4])
-		}
-		if got := restart().AnalysisCount(); got != 0 {
-			t.Fatalf("mmap=%v: %d analyses after re-analysis, want 0 (disk hit)", mmap, got)
-		}
-		if data, err := os.ReadFile(path); err != nil || data[4] != 2 {
-			t.Fatalf("mmap=%v: re-analysis did not store a version 2 file (err %v)", mmap, err)
+			if got := restart().AnalysisCount(); got != 1 {
+				t.Fatalf("mmap=%v: %d analyses over a version %d file, want 1", mmap, got, version)
+			}
+			quarantined, err := os.ReadFile(filepath.Join(dir, corruptPrefix+SnapshotFileName(key)))
+			if err != nil {
+				t.Fatalf("mmap=%v: version %d file was not quarantined: %v", mmap, version, err)
+			}
+			if quarantined[4] != version {
+				t.Fatalf("mmap=%v: quarantined file has version %d, want %d", mmap, quarantined[4], version)
+			}
+			if got := restart().AnalysisCount(); got != 0 {
+				t.Fatalf("mmap=%v: %d analyses after re-analysis, want 0 (disk hit)", mmap, got)
+			}
+			if data, err := os.ReadFile(path); err != nil || data[4] != 3 {
+				t.Fatalf("mmap=%v: re-analysis did not store a version 3 file (err %v)", mmap, err)
+			}
 		}
 	}
 }
 
 // TestDiskStoreQuarantinesNaNTree: a stored file whose tree holds a
-// NaN scalar, which no monotonicity comparison fails, is quarantined on
-// its first cold hit and costs one re-analysis that answers
-// byte-identically to the original, heap and mmap alike.
+// NaN scalar, which no monotonicity comparison fails, fails its tree
+// checksum, is quarantined on its first cold hit and costs one
+// re-analysis that answers byte-identically to the original, heap and
+// mmap alike.
 func TestDiskStoreQuarantinesNaNTree(t *testing.T) {
 	for _, mmap := range []bool{false, true} {
 		dir := t.TempDir()
@@ -527,9 +530,6 @@ func TestDiskStoreQuarantinesNaNTree(t *testing.T) {
 		if _, err := snap.Terrain.Tree.WriteTo(&tree); err != nil {
 			t.Fatal(err)
 		}
-		// The root's scalar follows the SFST header and the parents;
-		// the tree section ends the file.
-		fromEnd := tree.Len() - 13 - 4*snap.Terrain.Tree.Len()
 		snap.Release()
 
 		path := filepath.Join(dir, SnapshotFileName(key))
@@ -537,10 +537,12 @@ func TestDiskStoreQuarantinesNaNTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.HasSuffix(data, tree.Bytes()) {
-			t.Fatal("stored snapshot does not end with its tree section")
+		at := bytes.Index(data, tree.Bytes())
+		if at < 0 {
+			t.Fatal("stored snapshot does not hold its tree")
 		}
-		binary.LittleEndian.PutUint64(data[len(data)-fromEnd:], math.Float64bits(math.NaN()))
+		// The root's scalar follows the 16-byte SFST header.
+		binary.LittleEndian.PutUint64(data[at+16:], math.Float64bits(math.NaN()))
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -268,30 +268,3 @@ func (p *Payload) String() (string, error) {
 	p.off += n
 	return s, nil
 }
-
-// PutFloat64s appends a u64 count followed by the raw f64 values.
-func (p *Payload) PutFloat64s(vs []float64) {
-	p.PutUint64(uint64(len(vs)))
-	for _, v := range vs {
-		p.PutFloat64(v)
-	}
-}
-
-// Float64s reads a counted f64 slice. The count is validated against
-// the remaining payload bytes before the slice is allocated.
-func (p *Payload) Float64s() ([]float64, error) {
-	n, err := p.Uint64()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(p.Remaining())/8 {
-		return nil, fmt.Errorf("wire: float64 count %d exceeds remaining payload (%d bytes)", n, p.Remaining())
-	}
-	out := make([]float64, n)
-	src := p.data[p.off : p.off+8*len(out)]
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	p.off += len(src)
-	return out, nil
-}
