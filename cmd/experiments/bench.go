@@ -9,7 +9,8 @@ package main
 // eccentricity, k-hop, and the early-cutoff diameter fold), the
 // betweenness kernels on the batched MS-Brandes engine (vertex, edge,
 // and sampled), one row per kernel, the snapshot-cache hit/miss paths
-// of internal/query, and the snapshot wire codec (encode and decode throughput for the disk
+// of internal/query and its op resolution over the viewer's query mix,
+// and the snapshot wire codec (encode and decode throughput for the disk
 // store and the shard fabric, and the SFST tree decode beneath it) —
 // timed with allocation counts and written as machine-readable JSON
 // (-benchout, BENCH_8.json by default), so the effect of each PR on
@@ -47,10 +48,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	scalarfield "repro"
@@ -150,6 +153,29 @@ func measureKernel(name string, iters int, fn func() error) (benchResult, error)
 		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / n,
 		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / n,
 	}, nil
+}
+
+// resolveBatch is one snapshot's share of the query/resolve mix.
+type resolveBatch struct {
+	snap *query.Snapshot
+	ops  []query.Op
+}
+
+// interactOps returns n ops on snap in the viewer's mix: alpha_cut,
+// peaks, component_of, mcc and spectrum in turn, α uniform over the
+// snapshot's scalar range, items uniform, default list limits.
+func interactOps(snap *query.Snapshot, n int, rng *rand.Rand) []query.Op {
+	lo, hi := slices.Min(snap.Values), slices.Max(snap.Values)
+	kinds := []string{query.OpAlphaCut, query.OpPeaks, query.OpComponentOf, query.OpMCC, query.OpSpectrum}
+	ops := make([]query.Op, n)
+	for i := range ops {
+		ops[i] = query.Op{
+			Op:    kinds[i%len(kinds)],
+			Alpha: lo + rng.Float64()*(hi-lo),
+			Item:  rng.Int31n(int32(len(snap.Values))),
+		}
+	}
+	return ops
 }
 
 // benchColdHit opens a fresh disk store over dir (cold open-cache) and
@@ -260,6 +286,17 @@ func runBench(cfg config) error {
 		return err
 	}
 
+	// The viewer's query mix on the warm engine's kcore and ktruss
+	// snapshots, for the query/resolve row.
+	var resolveMix []resolveBatch
+	for i, m := range []string{"kcore", "ktruss"} {
+		snap, err := warmEngine.Snapshot(query.Key{Dataset: "GrQc", Measure: m})
+		if err != nil {
+			return err
+		}
+		resolveMix = append(resolveMix, resolveBatch{snap, interactOps(snap, 100, rand.New(rand.NewSource(int64(i))))})
+	}
+
 	ok := func(fn func()) func() error {
 		return func() error { fn(); return nil }
 	}
@@ -333,6 +370,16 @@ func runBench(cfg config) error {
 			_, err := warmEngine.Snapshot(warmKey)
 			return err
 		}},
+		// Op resolution on cached snapshots, the viewer's steady state:
+		// one run answers 100 ops on each of kcore and ktruss, an equal
+		// share of alpha_cut, peaks, component_of, mcc and spectrum, α
+		// uniform over the key's scalar range, items uniform, default
+		// list limits (see interactOps).
+		{"query/resolve", ok(func() {
+			for _, b := range resolveMix {
+				warmEngine.Resolve(b.snap, b.ops)
+			}
+		})},
 		// Snapshot wire codec: the serialization layer beneath the disk
 		// store and the shard fabric. Encode is the insert path (CSR,
 		// fields, tree, index and spectrum into one container); decode

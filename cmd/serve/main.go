@@ -934,18 +934,17 @@ func (s *server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no node at the given point", http.StatusNotFound)
 		return
 	}
+	// The 200 smallest item IDs, selected without sorting the subtree.
+	const limit = 200
 	tree := snap.Terrain.Tree
-	items := tree.SubtreeItems(node)
-	resp := struct {
+	size := tree.SubtreeSize()[node]
+	items := tree.AppendSubtreeItems(make([]int32, 0, min(size, limit)), node, limit)
+	writeJSON(w, struct {
 		Node      int32   `json:"node"`
 		Scalar    float64 `json:"scalar"`
 		ItemCount int     `json:"itemCount"`
 		Items     []int32 `json:"items"`
-	}{Node: node, Scalar: tree.Scalar[node], ItemCount: len(items), Items: items}
-	if len(resp.Items) > 200 {
-		resp.Items = resp.Items[:200]
-	}
-	writeJSON(w, resp)
+	}{node, tree.Scalar[node], int(size), items})
 }
 
 func (s *server) handlePeaks(w http.ResponseWriter, r *http.Request) {
@@ -954,21 +953,12 @@ func (s *server) handlePeaks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer snap.Release()
+	// The tree's peaks need no terrain geometry: /peaks builds no layout.
 	alpha := floatParam(r, "alpha", 0)
-	peaks := snap.Terrain.Peaks(alpha)
-	type peakJSON struct {
-		Node   int32   `json:"node"`
-		Height float64 `json:"height"`
-		Items  int     `json:"items"`
-	}
-	out := make([]peakJSON, len(peaks))
-	for i, p := range peaks {
-		out[i] = peakJSON{Node: p.Node, Height: p.Top, Items: p.Items}
-	}
 	writeJSON(w, struct {
-		Alpha float64    `json:"alpha"`
-		Peaks []peakJSON `json:"peaks"`
-	}{alpha, out})
+		Alpha float64          `json:"alpha"`
+		Peaks []query.PeakInfo `json:"peaks"`
+	}{alpha, snap.Terrain.Tree.Peaks(alpha)})
 }
 
 func (s *server) handleSpectrum(w http.ResponseWriter, _ *http.Request) {

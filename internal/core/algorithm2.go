@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // SuperTree is the postprocessed scalar tree of Algorithm 2. When the
@@ -25,7 +26,9 @@ import (
 // subtree is therefore one contiguous range of that array.
 //
 // A SuperTree is immutable once built: every accessor returns views of
-// storage computed at construction, which callers must not modify.
+// storage computed at construction, or for SubtreeTop on first use,
+// which callers must not modify. It is safe for concurrent use and
+// must not be copied.
 type SuperTree struct {
 	// Parent[s] is super node s's parent, or -1 for a root.
 	Parent []int32
@@ -43,6 +46,9 @@ type SuperTree struct {
 	size  []int32 // size[s]: total items in s's subtree
 	off   []int32 // s's children are child[off[s]:off[s+1]]
 	child []int32 // child lists in CSR form, each ascending
+
+	topOnce sync.Once
+	top     []float64 // SubtreeTop, built on first use
 }
 
 // Postprocess runs Algorithm 2 on a raw scalar tree: a single pass
@@ -249,33 +255,7 @@ func (st *SuperTree) SubtreeRange(s int32) []int32 {
 // SubtreeItems returns every item in the subtree rooted at s,
 // in increasing item-ID order.
 func (st *SuperTree) SubtreeItems(s int32) []int32 {
-	return st.appendSubtree(make([]int32, 0, st.size[s]), s)
-}
-
-// scanFraction sets where appendSubtree switches from sorting a copy
-// of the subtree's range to scanning every item: at subtrees holding at
-// least 1/scanFraction of all items.
-const scanFraction = 8
-
-// appendSubtree appends the items of s's subtree to dst in increasing
-// ID order. A small subtree is its range, copied and sorted. A large
-// one is cheaper to collect by one scan of NodeOf: super node t lies in
-// s's subtree exactly when t's own range starts inside s's range.
-func (st *SuperTree) appendSubtree(dst []int32, s int32) []int32 {
-	r := st.SubtreeRange(s)
-	if len(r) < len(st.NodeOf)/scanFraction {
-		lo := len(dst)
-		dst = append(dst, r...)
-		slices.Sort(dst[lo:])
-		return dst
-	}
-	lo, k := st.start[s], uint32(len(r))
-	for item, t := range st.NodeOf {
-		if uint32(st.start[t]-lo) < k {
-			dst = append(dst, int32(item))
-		}
-	}
-	return dst
+	return st.AppendSubtreeItems(make([]int32, 0, st.size[s]), s, -1)
 }
 
 // MCC returns the items of MCC(item): the maximal α-connected
@@ -286,22 +266,10 @@ func (st *SuperTree) MCC(item int32) []int32 {
 	return st.SubtreeItems(st.NodeOf[item])
 }
 
-// ComponentRootsAt returns the super nodes that root the maximal
-// α-connected components for the given α: nodes with scalar >= α whose
-// parent (if any) has scalar < α. This realizes the paper's "draw a
-// line at height α" operation on the tree.
+// ComponentRootsAt returns the roots ComponentRoots yields, in
+// increasing ID order.
 func (st *SuperTree) ComponentRootsAt(alpha float64) []int32 {
-	var roots []int32
-	for s := range st.Parent {
-		if st.Scalar[s] < alpha {
-			continue
-		}
-		p := st.Parent[s]
-		if p < 0 || st.Scalar[p] < alpha {
-			roots = append(roots, int32(s))
-		}
-	}
-	return roots
+	return slices.Collect(st.ComponentRoots(alpha))
 }
 
 // ComponentsAt returns the item sets of all maximal α-connected
@@ -319,12 +287,10 @@ func (st *SuperTree) ComponentsAt(alpha float64) [][]int32 {
 	}
 	// The components are disjoint subtrees: carve them all from one
 	// buffer.
-	buf := make([]int32, 0, total)
+	buf := st.AppendComponents(make([]int32, 0, total), roots, -1)
 	comps := make([][]int32, len(roots))
 	for i, r := range roots {
-		lo := len(buf)
-		buf = st.appendSubtree(buf, r)
-		comps[i] = buf[lo:len(buf):len(buf)]
+		comps[i], buf = buf[:st.size[r]:st.size[r]], buf[st.size[r]:]
 	}
 	slices.SortFunc(comps, func(a, b []int32) int { return cmp.Compare(a[0], b[0]) })
 	return comps

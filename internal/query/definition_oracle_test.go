@@ -115,27 +115,40 @@ func componentOf(comps [][]int32, item int32) []int32 {
 	return nil
 }
 
+// definitionLimits are the item-list limits the oracle asks with: the
+// default (200), unlimited, and caps below most component sizes.
+var definitionLimits = []int{0, -1, 1, 3}
+
+// smallest returns the limit smallest items of the sorted component c,
+// as Op.Limit reads limit.
+func smallest(c []int32, limit int) []int32 {
+	if limit == 0 {
+		limit = 200
+	}
+	if limit > 0 && limit < len(c) {
+		return c[:limit]
+	}
+	return c
+}
+
 // requireDefinitionAnswers resolves alpha_cut, peaks, component_of and
-// mcc against snap at every α and item, and fails on any answer that
-// differs from the brute-force components.
+// mcc against snap at every α, item and definitionLimits entry, and
+// fails on any answer that differs from the brute-force components:
+// item lists must be each component's limit smallest items, and sizes
+// and counts exact.
 func requireDefinitionAnswers(t *testing.T, e *Engine, snap *Snapshot, values []float64, alphas []float64, label string) {
 	t.Helper()
 	g, edge := snap.Graph, snap.Edge
 	for _, alpha := range alphas {
 		want := bruteComponents(g, values, edge, alpha)
-		ops := []Op{{Op: OpAlphaCut, Alpha: alpha, Limit: -1}, {Op: OpPeaks, Alpha: alpha}}
-		for item := range values {
-			ops = append(ops, Op{Op: OpComponentOf, Item: int32(item), Alpha: alpha, Limit: -1})
-		}
-		res := e.Resolve(snap, ops)
-		if res[0].Count != len(want) || len(res[0].Components) != len(want) {
-			t.Fatalf("%s α=%g: alpha_cut has %d components, Definition 1 %d", label, alpha, res[0].Count, len(want))
-		}
-		for i, c := range res[0].Components {
-			if c.Size != len(want[i]) || !slices.Equal(c.Items, want[i]) {
-				t.Fatalf("%s α=%g: alpha_cut component %d is %v, Definition 1 %v", label, alpha, i, c.Items, want[i])
+		ops := []Op{{Op: OpPeaks, Alpha: alpha}}
+		for _, limit := range definitionLimits {
+			ops = append(ops, Op{Op: OpAlphaCut, Alpha: alpha, Limit: limit})
+			for item := range values {
+				ops = append(ops, Op{Op: OpComponentOf, Item: int32(item), Alpha: alpha, Limit: limit})
 			}
 		}
+		res := e.Resolve(snap, ops)
 		// Peaks: one per component, its height the component's top
 		// value and its size the component's, highest then largest first.
 		type peak struct {
@@ -157,27 +170,47 @@ func requireDefinitionAnswers(t *testing.T, e *Engine, snap *Snapshot, values []
 			return cmp.Compare(b.items, a.items)
 		}
 		slices.SortStableFunc(wantPeaks, byHeight)
-		for _, p := range res[1].Peaks {
+		for _, p := range res[0].Peaks {
 			gotPeaks = append(gotPeaks, peak{p.Height, p.Items})
 		}
 		if !slices.Equal(gotPeaks, wantPeaks) {
 			t.Fatalf("%s α=%g: peaks %v, Definition 1 %v", label, alpha, gotPeaks, wantPeaks)
 		}
-		for item, r := range res[2:] {
-			if w := componentOf(want, int32(item)); r.ItemCount != len(w) || !slices.Equal(r.Items, w) {
-				t.Fatalf("%s α=%g: component_of(%d) = %v, Definition 1 %v", label, alpha, item, r.Items, w)
+		res = res[1:]
+		for _, limit := range definitionLimits {
+			cut := res[0]
+			if cut.Count != len(want) || len(cut.Components) != len(want) {
+				t.Fatalf("%s α=%g limit %d: alpha_cut has %d components, Definition 1 %d",
+					label, alpha, limit, cut.Count, len(want))
 			}
+			for i, c := range cut.Components {
+				if c.Size != len(want[i]) || !slices.Equal(c.Items, smallest(want[i], limit)) {
+					t.Fatalf("%s α=%g limit %d: alpha_cut component %d is %d items %v, Definition 1 %v",
+						label, alpha, limit, i, c.Size, c.Items, want[i])
+				}
+			}
+			for item, r := range res[1 : 1+len(values)] {
+				w := componentOf(want, int32(item))
+				if r.ItemCount != len(w) || !slices.Equal(r.Items, smallest(w, limit)) {
+					t.Fatalf("%s α=%g limit %d: component_of(%d) = %d items %v, Definition 1 %v",
+						label, alpha, limit, item, r.ItemCount, r.Items, w)
+				}
+			}
+			res = res[1+len(values):]
 		}
 	}
 	// mcc(item) is the component of item at its own value.
-	ops := make([]Op, len(values))
-	for item := range values {
-		ops[item] = Op{Op: OpMCC, Item: int32(item), Limit: -1}
-	}
-	for item, r := range e.Resolve(snap, ops) {
-		w := componentOf(bruteComponents(g, values, edge, values[item]), int32(item))
-		if r.ItemCount != len(w) || !slices.Equal(r.Items, w) {
-			t.Fatalf("%s: mcc(%d) = %v, Definition 1 %v", label, item, r.Items, w)
+	for _, limit := range definitionLimits {
+		ops := make([]Op, len(values))
+		for item := range values {
+			ops[item] = Op{Op: OpMCC, Item: int32(item), Limit: limit}
+		}
+		for item, r := range e.Resolve(snap, ops) {
+			w := componentOf(bruteComponents(g, values, edge, values[item]), int32(item))
+			if r.ItemCount != len(w) || !slices.Equal(r.Items, smallest(w, limit)) {
+				t.Fatalf("%s limit %d: mcc(%d) = %d items %v, Definition 1 %v",
+					label, limit, item, r.ItemCount, r.Items, w)
+			}
 		}
 	}
 }

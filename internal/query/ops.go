@@ -1,10 +1,13 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/contour"
+	"repro/internal/core"
 	"repro/internal/correlation"
 )
 
@@ -48,7 +51,10 @@ type Op struct {
 	// Limit caps returned item lists (alpha_cut components, mcc and
 	// component_of members) or outliers (lci). 0 means the default —
 	// 200 items, 10 outliers; negative means unlimited. Counts are
-	// always exact regardless of truncation.
+	// always exact regardless of truncation. A truncated item list
+	// holds the component's smallest item IDs and costs about
+	// O(answer), not O(component): it is selected without sorting the
+	// component (core.SuperTree.AppendSubtreeItems).
 	Limit int `json:"limit,omitempty"`
 }
 
@@ -61,11 +67,7 @@ type Component struct {
 }
 
 // PeakInfo is one peak of a peaks operation.
-type PeakInfo struct {
-	Node   int32   `json:"node"`
-	Height float64 `json:"height"`
-	Items  int     `json:"items"`
-}
+type PeakInfo = core.PeakInfo
 
 // Outlier is one Section III-C correlation outlier: an item whose
 // local correlation most opposes the global trend.
@@ -114,29 +116,18 @@ func (e *Engine) resolveOp(snap *Snapshot, op Op) OpResult {
 	tree := snap.Terrain.Tree
 	switch op.Op {
 	case OpAlphaCut:
-		comps := tree.ComponentsAt(op.Alpha)
-		r.Count = len(comps)
-		r.Components = make([]Component, len(comps))
-		for j, c := range comps {
-			r.Components[j] = Component{Size: len(c), Items: truncate(c, itemLimit(op.Limit))}
-		}
+		r.Count, r.Components = alphaCut(tree, op.Alpha, itemLimit(op.Limit))
 
 	case OpPeaks:
-		peaks := snap.Terrain.Peaks(op.Alpha)
-		r.Count = len(peaks)
-		r.Peaks = make([]PeakInfo, len(peaks))
-		for j, p := range peaks {
-			r.Peaks[j] = PeakInfo{Node: p.Node, Height: p.Top, Items: p.Items}
-		}
+		r.Peaks = tree.Peaks(op.Alpha)
+		r.Count = len(r.Peaks)
 
 	case OpMCC:
 		if err := checkItem(snap, op.Item); err != nil {
 			r.Error = err.Error()
 			break
 		}
-		items := tree.MCC(op.Item)
-		r.ItemCount = len(items)
-		r.Items = truncate(items, itemLimit(op.Limit))
+		r.ItemCount, r.Items = subtreeItems(tree, tree.NodeOf[op.Item], itemLimit(op.Limit))
 
 	case OpComponentOf:
 		if err := checkItem(snap, op.Item); err != nil {
@@ -153,9 +144,7 @@ func (e *Engine) resolveOp(snap *Snapshot, op Op) OpResult {
 		for p := tree.Parent[node]; p >= 0 && tree.Scalar[p] >= op.Alpha; p = tree.Parent[node] {
 			node = p
 		}
-		items := tree.SubtreeItems(node)
-		r.ItemCount = len(items)
-		r.Items = truncate(items, itemLimit(op.Limit))
+		r.ItemCount, r.Items = subtreeItems(tree, node, itemLimit(op.Limit))
 
 	case OpSpectrum:
 		r.Spectrum = snap.Spectrum
@@ -236,11 +225,40 @@ func outlierLimit(limit int) int {
 	return limit
 }
 
-func truncate(items []int32, limit int) []int32 {
-	if limit >= 0 && len(items) > limit {
-		return items[:limit]
+// subtreeItems returns s's exact subtree size and its ListLen smallest
+// items, ascending, in one allocation of exactly that length.
+func subtreeItems(tree *core.SuperTree, s int32, limit int) (int, []int32) {
+	size := tree.SubtreeSize()[s]
+	return int(size), tree.AppendSubtreeItems(make([]int32, 0, core.ListLen(size, limit)), s, limit)
+}
+
+// alphaCut returns the number of maximal α-components and each one's
+// exact size and ListLen smallest items, ordered by smallest item, in
+// two allocations: the components, and one buffer holding every item
+// list followed by the roots.
+func alphaCut(tree *core.SuperTree, alpha float64, limit int) (int, []Component) {
+	size := tree.SubtreeSize()
+	count, total := 0, 0
+	for root := range tree.ComponentRoots(alpha) {
+		count++
+		total += core.ListLen(size[root], limit)
 	}
-	return items
+	buf := make([]int32, total, total+count)
+	roots := buf[total:total]
+	for root := range tree.ComponentRoots(alpha) {
+		roots = append(roots, root)
+	}
+	items := tree.AppendComponents(buf[:0:total], roots, limit)
+	comps := make([]Component, count)
+	for i, root := range roots {
+		n := core.ListLen(size[root], limit)
+		comps[i] = Component{Size: int(size[root]), Items: items[:n:n]}
+		items = items[n:]
+	}
+	// Each list is ascending and non-empty (limit is never 0 here), so
+	// its first item is its component's smallest.
+	slices.SortFunc(comps, func(a, b Component) int { return cmp.Compare(a.Items[0], b.Items[0]) })
+	return count, comps
 }
 
 // topOutliers returns the items with the most negative LCI — the

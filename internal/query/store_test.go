@@ -665,6 +665,7 @@ func TestDecodeAndResolveNeverBuildGeometry(t *testing.T) {
 		{Op: OpMCC, Item: 0},
 		{Op: OpComponentOf, Item: 1, Alpha: 1},
 		{Op: OpAlphaCut, Alpha: 2},
+		{Op: OpPeaks, Alpha: 1},
 	}
 	for _, key := range []Key{
 		{Dataset: "grqc", Measure: "clustering", Color: "degree"},

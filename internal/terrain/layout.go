@@ -306,33 +306,18 @@ type Peak struct {
 
 // PeaksAt returns the peakα regions for the cut height α, sorted by
 // descending Top then descending Items, so the "highest peak" — the
-// densest component in the k-core reading — comes first.
+// densest component in the k-core reading — comes first. They are the
+// tree's own peaks (core.SuperTree.Peaks) with their boundaries.
 func (l *Layout) PeaksAt(alpha float64) []Peak {
-	st := l.ST
-	sizes := st.SubtreeSize()
-	rects := l.Rects()
-	var peaks []Peak
-	for _, s := range st.ComponentRootsAt(alpha) {
-		top := st.Scalar[s]
-		for _, item := range st.SubtreeRange(s) {
-			if sc := st.Scalar[st.NodeOf[item]]; sc > top {
-				top = sc
-			}
-		}
-		peaks = append(peaks, Peak{
-			Node:   s,
-			Bounds: rects[s],
-			Alpha:  alpha,
-			Top:    top,
-			Items:  int(sizes[s]),
-		})
+	info := l.ST.Peaks(alpha)
+	if len(info) == 0 {
+		return nil
 	}
-	sort.SliceStable(peaks, func(i, j int) bool {
-		if peaks[i].Top != peaks[j].Top {
-			return peaks[i].Top > peaks[j].Top
-		}
-		return peaks[i].Items > peaks[j].Items
-	})
+	rects := l.Rects()
+	peaks := make([]Peak, len(info))
+	for i, p := range info {
+		peaks[i] = Peak{Node: p.Node, Bounds: rects[p.Node], Alpha: alpha, Top: p.Height, Items: p.Items}
+	}
 	return peaks
 }
 

@@ -259,11 +259,14 @@ func (p *Payload) String() (string, error) {
 	if err := p.need(4); err != nil {
 		return "", err
 	}
-	n := int(binary.LittleEndian.Uint32(p.data[p.off:]))
+	// Compared before it becomes an int: where int is 32 bits, a
+	// length of 2³¹ or more would turn negative and pass need.
+	length := binary.LittleEndian.Uint32(p.data[p.off:])
 	p.off += 4
-	if err := p.need(n); err != nil {
-		return "", err
+	if uint64(length) > uint64(p.Remaining()) {
+		return "", fmt.Errorf("wire: payload truncated: need %d bytes, have %d", length, p.Remaining())
 	}
+	n := int(length)
 	s := string(p.data[p.off : p.off+n])
 	p.off += n
 	return s, nil

@@ -187,10 +187,16 @@ func TestHostileCountsDoNotBalloon(t *testing.T) {
 	}
 }
 
+// TestStringLengthValidated covers lengths that turn negative when
+// converted to a 32-bit int (run with GOARCH=386) as well as a plain
+// overrun.
 func TestStringLengthValidated(t *testing.T) {
-	p := NewPayload([]byte{255, 255, 255, 255, 'x'})
-	if _, err := p.String(); err == nil {
-		t.Fatal("overlong string length accepted")
+	for _, length := range []uint32{math.MaxUint32, 1 << 31, 2} {
+		b := binary.LittleEndian.AppendUint32(nil, length)
+		p := NewPayload(append(b, 'x'))
+		if _, err := p.String(); err == nil {
+			t.Fatalf("string length %d over 1 byte accepted", length)
+		}
 	}
 }
 
