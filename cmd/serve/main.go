@@ -110,7 +110,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second,
 			"graceful-drain deadline on SIGTERM/SIGINT: in-flight requests finish and owned snapshots hand off to their new owners within this budget before the process exits")
 		maxAnalyses = flag.Int("max-analyses", 4,
-			"admission control: concurrent analyses bound (0 = unlimited); excess flights beyond the queue are shed with 503 Retry-After")
+			"admission control: analysis flights admitted at once (0 = unlimited); admitted flights load graphs concurrently but run the analysis pipeline one at a time; excess flights beyond the queue are shed with 503 Retry-After")
 		analysisQueue = flag.Int("analysis-queue", 16,
 			"admission control: flights allowed to wait for an analysis slot before shedding starts")
 		breakerThreshold = flag.Int("breaker-threshold", 3,

@@ -7,71 +7,77 @@ import "repro/internal/graph"
 // subgraph whose every edge participates in at least K triangles
 // within the subgraph. (This is the paper's "Triangle K-Core"
 // convention: K counts triangles directly, not the K-2 clique-size
-// convention some other work uses.)
-//
-// The decomposition peels edges in increasing order of remaining
-// triangle support with a bucket queue, decrementing the support of
-// the two co-triangle edges of every peeled edge: the edge analogue of
-// the Batagelj–Zaveršnik core peeling.
+// convention some other work uses.) It is the (2,3) nucleus number:
+// the oriented triangle listing peeled by PeelCliques.
 func TrussNumbers(g *graph.Graph) []int32 {
-	m := g.NumEdges()
-	truss := make([]int32, m)
-	if m == 0 {
+	truss := make([]int32, g.NumEdges())
+	if len(truss) == 0 {
 		return truss
 	}
 	sup, tris := orient(g).listTriangles(true)
+	copy(truss, sup)
+	PeelCliques(truss, tris, 3)
+	return truss
+}
+
+// PeelCliques assigns every item its nucleus number κ (Sariyüce et
+// al., WWW 2015): the largest k such that the item lies in a subgraph
+// where every item is in at least k groups whose members all lie in
+// it. Group c is members[width*c : width*c+width], and sup[x] must be
+// the number of groups holding x. On return sup[x] is κ(x), and
+// members is as it was passed in.
+//
+// Items peel in increasing order of remaining support on the k-core
+// bucket queue (Batagelj–Zaveršnik). Peeling x destroys each group
+// holding x and lowers the support of the group's other members,
+// never below the current level k. A peeled item's support is at most
+// k, so the test sup[y] > k skips x itself and every peeled member.
+func PeelCliques(sup, members []int32, width int) {
+	n, groups := len(sup), len(members)/width
 	maxSup := int32(0)
 	for _, s := range sup {
-		if s > maxSup {
-			maxSup = s
+		maxSup = max(maxSup, s)
+	}
+
+	// Per-item group CSR (Wang & Cheng's in-memory truss decomposition,
+	// VLDB 2012), scattered by counting: the groups of item x are
+	// ids[off[x]:off[x+1]], so the peel walks a list instead of
+	// re-listing cliques. off[x+1] starts at x's first slot and is
+	// advanced past each ID written, ending at x's end.
+	slab := make([]int32, len(members)+n+1)
+	ids, off := slab[:len(members)], slab[len(members):]
+	for x := 1; x < n; x++ {
+		off[x+1] = off[x] + sup[x-1]
+	}
+	for c := range groups {
+		for _, x := range members[width*c : width*c+width] {
+			p := off[x+1]
+			ids[p] = int32(c)
+			off[x+1] = p + 1
 		}
 	}
 
-	// Per-edge triangle CSR (Wang & Cheng's in-memory truss
-	// decomposition, VLDB 2012), scattered from the listing by
-	// counting: the IDs of edge e's triangles are
-	// ids[triOff[e]:triOff[e+1]], so the peel walks a list instead of
-	// re-intersecting neighbor lists. triOff[e+1] starts at e's first
-	// slot and is advanced past each ID written, ending at e's end.
-	slab := make([]int32, len(tris)+m+1)
-	ids, triOff := slab[:len(tris)], slab[len(tris):]
-	for e := 1; e < m; e++ {
-		triOff[e+1] = triOff[e] + sup[e-1]
-	}
-	for k, e := range tris {
-		p := triOff[e+1]
-		ids[p] = int32(k / 3)
-		triOff[e+1] = p + 1
-	}
-
-	// Peel on the k-core bucket queue, never decrementing a support
-	// below the current level.
+	// A destroyed group's first member is complemented (made negative)
+	// and restored once every group is destroyed.
 	q := newBucketQueue(sup, maxSup)
-	for i := 0; i < m; i++ {
-		e := q.order[i]
-		k := sup[e]
-		truss[e] = k
-		for _, t := range ids[triOff[e]:triOff[e+1]] {
-			tri := tris[3*t : 3*t+3]
-			if tri[0] < 0 {
-				continue // destroyed when one of its other edges peeled
+	for _, x := range q.order {
+		k := sup[x]
+		for _, c := range ids[off[x]:off[x+1]] {
+			grp := members[width*int(c) : width*int(c)+width]
+			if grp[0] < 0 {
+				continue
 			}
-			e1, e2 := tri[0], tri[1]
-			if e1 == e {
-				e1 = tri[2]
-			} else if e2 == e {
-				e2 = tri[2]
+			for _, y := range grp {
+				if sup[y] > k {
+					q.decrement(y)
+				}
 			}
-			tri[0] = -1
-			if sup[e1] > k {
-				q.decrement(e1)
-			}
-			if sup[e2] > k {
-				q.decrement(e2)
-			}
+			grp[0] = ^grp[0]
 		}
 	}
-	return truss
+	for c := 0; c < len(members); c += width {
+		members[c] = ^members[c]
+	}
 }
 
 // TrussNumbersFloat wraps TrussNumbers as a float64 scalar field.

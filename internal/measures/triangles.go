@@ -80,6 +80,15 @@ func EdgeTriangles(g *graph.Graph) []int32 {
 	return sup
 }
 
+// ListTriangles lists every triangle of g once, as its three edge IDs
+// (uv, vw, uw) in tris[3t:3t+3], in the oriented listing's order, and
+// counts in sup[e] the triangles of edge e: the groups and supports
+// PeelCliques takes for the (2,3) nucleus. sup and tris share one
+// allocation.
+func ListTriangles(g *graph.Graph) (sup, tris []int32) {
+	return orient(g).listTriangles(true)
+}
+
 // listTriangles counts each edge's triangles in sup and, if keep is
 // set, lists every triangle once, writing its edge IDs (uv, vw, uw) to
 // tris[3t:3t+3]. Both share one allocation, sized by triangleBound, so
@@ -93,7 +102,7 @@ func (o orientedGraph) listTriangles(keep bool) (sup, tris []int32) {
 		size += 3 * o.triangleBound()
 	}
 	slab := make([]int32, size)
-	sup, tris = slab[:m], slab[m:]
+	sup, tris = slab[:m:m], slab[m:]
 	t := 0
 	o.forEachTriangle(func(_, _, _, uv, vw, uw int32) {
 		if keep {

@@ -3,7 +3,6 @@ package measures
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/datasets"
@@ -111,67 +110,6 @@ func TestOnionLayersMatchRoundsOracle(t *testing.T) {
 	}
 }
 
-// TestTriangleKernelAllocationsConstant pins the kernels' allocation
-// counts on a sparse random graph, the GrQc stand-in at scale 2, two
-// triangle-dense graphs with T > m, where a triangle buffer grown by
-// append would allocate more, and a triangle-free complete bipartite
-// graph, whose bytes it also bounds. The listing's forward CSR and
-// mark array share one slab; ktruss adds its output, one slab for the
-// support counts and the triangle array, one for the per-edge triangle
-// CSR and the bucket queue; onion allocates its output, the degrees
-// and the bucket queue.
-func TestTriangleKernelAllocationsConstant(t *testing.T) {
-	grqc, err := datasets.Generate("GrQc", 2, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := map[string]*graph.Graph{
-		"random-1000":  randomGraph(5, 1000, 3.0),
-		"GrQc-scale2":  grqc,
-		"K40":          completeGraph(40),
-		"random-dense": randomGraph(20, 120, 20),
-		"K200,200":     completeBipartite(200, 200),
-	}
-	for _, name := range []string{"K40", "random-dense"} {
-		if g := graphs[name]; TotalTriangles(g) <= int64(g.NumEdges()) {
-			t.Fatalf("%s: %d triangles on %d edges, want T > m", name, TotalTriangles(g), g.NumEdges())
-		}
-	}
-	// The first garbage collection starts the runtime's mark workers,
-	// which allocate; collect once so that it is not counted below.
-	runtime.GC()
-	for _, k := range []struct {
-		name   string
-		fn     func(*graph.Graph)
-		allocs float64
-	}{
-		{"ClusteringCoefficients", func(g *graph.Graph) { ClusteringCoefficients(g) }, 3},
-		{"TrussNumbers", func(g *graph.Graph) { TrussNumbers(g) }, 5},
-		{"OnionLayers", func(g *graph.Graph) { OnionLayers(g) }, 3},
-	} {
-		for name, g := range graphs {
-			a := testing.AllocsPerRun(3, func() { k.fn(g) })
-			if a != k.allocs {
-				t.Errorf("%s allocates %v objects on %s (%d vertices, %d edges), want %v",
-					k.name, a, name, g.NumVertices(), g.NumEdges(), k.allocs)
-			}
-		}
-	}
-	// K_{200,200} has no triangles but 200·C(200, 2) forward wedges: a
-	// triangle buffer sized by wedges would zero 47.8 MB here, one
-	// sized by the listing's work zeroes nothing.
-	g := graphs["K200,200"]
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	TrussNumbers(g)
-	runtime.ReadMemStats(&after)
-	limit := 64 * uint64(g.NumVertices()+g.NumEdges())
-	if b := after.TotalAlloc - before.TotalAlloc; b > limit {
-		t.Errorf("TrussNumbers allocates %d bytes on K200,200 (%d vertices, %d edges), want at most %d",
-			b, g.NumVertices(), g.NumEdges(), limit)
-	}
-}
-
 // TestTriangleBound checks that the listing buffer's size bound holds
 // on every case, is exact on cliques and is 0 on complete bipartite
 // graphs.
@@ -192,8 +130,9 @@ func TestTriangleBound(t *testing.T) {
 }
 
 // FuzzTriangleKernels decodes bytes into a small graph and checks every
-// triangle field bit for bit against its merge oracle and the onion
-// layers against the round-by-round peel. The first byte sets the
+// triangle field and the (3,4) nucleus numbers, per sorted vertex
+// triple, bit for bit against their merge oracles, and the onion layers
+// against the round-by-round peel. The first byte sets the
 // vertex count; each later byte pair (x, y) adds the edge {x, y}
 // modulo n, or, when x >= 0xf0, a clique on the 3 + x&0xf vertices
 // from y on (wrapping), which makes triangle-dense parts with degree
@@ -237,6 +176,9 @@ func FuzzTriangleKernels(f *testing.F) {
 		}
 		if got, want := OnionLayers(g), onionLayersRounds(g); !reflect.DeepEqual(got, want) {
 			t.Fatalf("OnionLayers = %v, round-by-round oracle %v", got, want)
+		}
+		if got, want := fourCliqueKappa(g), fourCliqueKappaMerge(g); !reflect.DeepEqual(got, want) {
+			t.Fatalf("(3,4) nucleus numbers = %v, merge oracle %v", got, want)
 		}
 	})
 }

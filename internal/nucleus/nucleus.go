@@ -28,219 +28,63 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/measures"
 )
 
-// Decomposition is the result of an (r,s)-nucleus decomposition.
+// Decomposition is the result of an (r,s)-nucleus decomposition. Its
+// clique lists are flat, R or S entries per clique.
 type Decomposition struct {
 	R, S int
 
-	// RCliques lists each r-clique as a sorted vertex tuple. Indices
-	// into this slice are the r-clique IDs used everywhere else.
-	RCliques [][]int32
+	// RCliques lists each r-clique as a sorted vertex tuple: r-clique i
+	// is RCliques[R*i : R*i+R]. Its index i is the r-clique ID used
+	// everywhere else. Vertices and edges keep their graph IDs;
+	// triangles are numbered in the oriented listing's order.
+	RCliques []int32
 
-	// SCliques lists each s-clique as a sorted vertex tuple.
-	SCliques [][]int32
-
-	// Members[s] lists the r-clique IDs contained in s-clique s
-	// (binomial(S,R) of them).
-	Members [][]int32
+	// Members lists the r-clique IDs contained in each s-clique: the
+	// S faces of s-clique c are Members[S*c : S*c+S].
+	Members []int32
 
 	// Kappa[r] is the nucleus number κ of r-clique r: the largest k
 	// such that the r-clique belongs to a k-(r,s)-nucleus.
 	Kappa []int32
-
-	g *graph.Graph
 }
 
 // Decompose computes the (r,s)-nucleus decomposition of g. The
 // supported pairs are (1,2), (2,3) and (3,4), the three instances
-// Sariyuce et al. single out as practical.
+// Sariyuce et al. single out as practical. The cliques and κ come from
+// the measures kernels: κ is CoreNumbers for (1,2), and (2,3) and
+// (3,4) peel the oriented listing's triangles and 4-cliques with
+// measures.PeelCliques, which for (2,3) is TrussNumbers.
 func Decompose(g *graph.Graph, r, s int) (*Decomposition, error) {
-	d := &Decomposition{R: r, S: s, g: g}
+	d := &Decomposition{R: r, S: s}
 	switch {
 	case r == 1 && s == 2:
-		d.buildVertexEdge(g)
+		n := g.NumVertices()
+		flat := make([]int32, n+2*g.NumEdges())
+		d.RCliques, d.Members = flat[:n:n], flat[n:]
+		for v := range d.RCliques {
+			d.RCliques[v] = int32(v)
+		}
+		for i, e := range g.Edges() {
+			d.Members[2*i], d.Members[2*i+1] = e.U, e.V
+		}
+		d.Kappa = measures.CoreNumbers(g)
 	case r == 2 && s == 3:
-		d.buildEdgeTriangle(g)
+		d.RCliques = make([]int32, 2*g.NumEdges())
+		for i, e := range g.Edges() {
+			d.RCliques[2*i], d.RCliques[2*i+1] = e.U, e.V
+		}
+		d.Kappa, d.Members = measures.ListTriangles(g)
+		measures.PeelCliques(d.Kappa, d.Members, 3)
 	case r == 3 && s == 4:
-		d.buildTriangleK4(g)
+		d.Kappa, d.RCliques, d.Members = measures.ListFourCliques(g)
+		measures.PeelCliques(d.Kappa, d.Members, 4)
 	default:
 		return nil, fmt.Errorf("nucleus: unsupported (r,s)=(%d,%d); want (1,2), (2,3) or (3,4)", r, s)
 	}
-	d.Kappa = peel(len(d.RCliques), d.Members)
 	return d, nil
-}
-
-// buildVertexEdge prepares the (1,2) instance: r-cliques are vertices,
-// s-cliques are edges.
-func (d *Decomposition) buildVertexEdge(g *graph.Graph) {
-	n := g.NumVertices()
-	d.RCliques = make([][]int32, n)
-	for v := int32(0); v < int32(n); v++ {
-		d.RCliques[v] = []int32{v}
-	}
-	edges := g.Edges()
-	d.SCliques = make([][]int32, len(edges))
-	d.Members = make([][]int32, len(edges))
-	for i, e := range edges {
-		d.SCliques[i] = []int32{e.U, e.V}
-		d.Members[i] = []int32{e.U, e.V}
-	}
-}
-
-// buildEdgeTriangle prepares the (2,3) instance: r-cliques are edges,
-// s-cliques are triangles.
-func (d *Decomposition) buildEdgeTriangle(g *graph.Graph) {
-	edges := g.Edges()
-	d.RCliques = make([][]int32, len(edges))
-	for i, e := range edges {
-		d.RCliques[i] = []int32{e.U, e.V}
-	}
-	tris := enumTriangles(g)
-	d.SCliques = make([][]int32, len(tris))
-	d.Members = make([][]int32, len(tris))
-	for i, t := range tris {
-		u, v, w := t[0], t[1], t[2]
-		d.SCliques[i] = []int32{u, v, w}
-		d.Members[i] = []int32{g.EdgeID(u, v), g.EdgeID(u, w), g.EdgeID(v, w)}
-	}
-}
-
-// buildTriangleK4 prepares the (3,4) instance: r-cliques are
-// triangles, s-cliques are 4-cliques.
-func (d *Decomposition) buildTriangleK4(g *graph.Graph) {
-	tris := enumTriangles(g)
-	d.RCliques = make([][]int32, len(tris))
-	triID := make(map[[3]int32]int32, len(tris))
-	for i, t := range tris {
-		d.RCliques[i] = []int32{t[0], t[1], t[2]}
-		triID[t] = int32(i)
-	}
-	quads := enumFourCliques(g, tris)
-	d.SCliques = make([][]int32, len(quads))
-	d.Members = make([][]int32, len(quads))
-	for i, q := range quads {
-		u, v, w, x := q[0], q[1], q[2], q[3]
-		d.SCliques[i] = []int32{u, v, w, x}
-		d.Members[i] = []int32{
-			triID[[3]int32{u, v, w}],
-			triID[[3]int32{u, v, x}],
-			triID[[3]int32{u, w, x}],
-			triID[[3]int32{v, w, x}],
-		}
-	}
-}
-
-// peel runs the bucket-based peeling that assigns κ to every r-clique:
-// repeatedly remove an r-clique of minimum remaining s-clique degree;
-// its κ is the running maximum of the degrees seen at removal time.
-// Removing an r-clique destroys every s-clique containing it, which
-// decrements the degree of the s-clique's surviving members. This is
-// the direct generalization of the O(m) core-decomposition bin sort.
-func peel(numR int, members [][]int32) []int32 {
-	deg := make([]int32, numR)
-	inc := incidence(numR, members)
-	maxDeg := int32(0)
-	for i := range deg {
-		deg[i] = int32(len(inc[i]))
-		if deg[i] > maxDeg {
-			maxDeg = deg[i]
-		}
-	}
-
-	// Bin sort r-cliques by degree: vert holds clique IDs ordered by
-	// degree, pos[i] is i's index in vert, bin[d] is the start of
-	// degree-d cliques in vert.
-	bin := make([]int32, maxDeg+2)
-	for _, dg := range deg {
-		bin[dg]++
-	}
-	start := int32(0)
-	for dg := int32(0); dg <= maxDeg; dg++ {
-		cnt := bin[dg]
-		bin[dg] = start
-		start += cnt
-	}
-	bin[maxDeg+1] = start
-	vert := make([]int32, numR)
-	pos := make([]int32, numR)
-	for i := int32(0); i < int32(numR); i++ {
-		pos[i] = bin[deg[i]]
-		vert[pos[i]] = i
-		bin[deg[i]]++
-	}
-	for dg := maxDeg; dg > 0; dg-- {
-		bin[dg] = bin[dg-1]
-	}
-	bin[0] = 0
-
-	kappa := make([]int32, numR)
-	processed := make([]bool, numR)
-	alive := make([]bool, len(members))
-	for i := range alive {
-		alive[i] = true
-	}
-	k := int32(0)
-	for idx := 0; idx < numR; idx++ {
-		rc := vert[idx]
-		if deg[rc] > k {
-			k = deg[rc]
-		}
-		kappa[rc] = k
-		processed[rc] = true
-		for _, sc := range inc[rc] {
-			if !alive[sc] {
-				continue
-			}
-			alive[sc] = false
-			for _, other := range members[sc] {
-				if processed[other] || deg[other] <= deg[rc] {
-					continue
-				}
-				// Move `other` one bucket down: swap it with the first
-				// clique of its current bucket, then shift the bucket
-				// boundary.
-				dg := deg[other]
-				p, fp := pos[other], bin[dg]
-				first := vert[fp]
-				if first != other {
-					vert[p], vert[fp] = first, other
-					pos[other], pos[first] = fp, p
-				}
-				bin[dg]++
-				deg[other]--
-			}
-		}
-	}
-	return kappa
-}
-
-// incidence inverts the s-clique → members relation into a per-r-clique
-// list of containing s-cliques.
-func incidence(numR int, members [][]int32) [][]int32 {
-	counts := make([]int32, numR)
-	for _, ms := range members {
-		for _, r := range ms {
-			counts[r]++
-		}
-	}
-	inc := make([][]int32, numR)
-	total := 0
-	for _, c := range counts {
-		total += int(c)
-	}
-	flat := make([]int32, total)
-	off := 0
-	for i, c := range counts {
-		inc[i] = flat[off : off : off+int(c)]
-		off += int(c)
-	}
-	for sc, ms := range members {
-		for _, r := range ms {
-			inc[r] = append(inc[r], int32(sc))
-		}
-	}
-	return inc
 }
 
 // KappaField returns κ as a float64 scalar field over r-cliques,
@@ -277,21 +121,19 @@ func (d *Decomposition) MaxKappa() int32 {
 // The returned AuxiliaryTree wraps the tree with the id mapping needed
 // to read nuclei back out.
 func (d *Decomposition) Forest() *AuxiliaryTree {
-	numR, numS := len(d.RCliques), len(d.SCliques)
+	numR, numS := len(d.Kappa), len(d.Members)/d.S
 	values := make([]float64, numR+numS)
 	for i, k := range d.Kappa {
 		values[i] = float64(k)
 	}
-	edges := make([]graph.Edge, 0, numS*(d.S-d.R+1))
-	for sc, ms := range d.Members {
-		min := int32(1<<31 - 1)
-		for _, r := range ms {
+	edges := make([]graph.Edge, 0, len(d.Members))
+	for sc := range numS {
+		ms := d.Members[d.S*sc : d.S*sc+d.S]
+		min := d.Kappa[ms[0]]
+		for _, r := range ms[1:] {
 			if d.Kappa[r] < min {
 				min = d.Kappa[r]
 			}
-		}
-		if len(ms) == 0 {
-			min = 0
 		}
 		values[numR+sc] = float64(min)
 		for _, r := range ms {

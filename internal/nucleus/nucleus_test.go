@@ -93,12 +93,12 @@ func TestTriangleK4NucleusOnCompleteGraphs(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantTris := n * (n - 1) * (n - 2) / 6
-		if len(d.RCliques) != wantTris {
-			t.Fatalf("K%d: %d triangles, want %d", n, len(d.RCliques), wantTris)
+		if len(d.RCliques) != 3*wantTris {
+			t.Fatalf("K%d: %d triangles, want %d", n, len(d.RCliques)/3, wantTris)
 		}
 		wantQuads := wantTris * (n - 3) / 4
-		if len(d.SCliques) != wantQuads {
-			t.Fatalf("K%d: %d four-cliques, want %d", n, len(d.SCliques), wantQuads)
+		if len(d.Members) != 4*wantQuads {
+			t.Fatalf("K%d: %d four-cliques, want %d", n, len(d.Members)/4, wantQuads)
 		}
 		for i, k := range d.Kappa {
 			if k != int32(n-3) {
@@ -115,19 +115,22 @@ func TestTriangleK4TriangleFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.RCliques) != 0 || len(d.SCliques) != 0 {
-		t.Fatalf("4-cycle: got %d triangles, %d K4s; want none", len(d.RCliques), len(d.SCliques))
+	if len(d.RCliques) != 0 || len(d.Members) != 0 {
+		t.Fatalf("4-cycle: got %d triangles, %d K4s; want none", len(d.RCliques)/3, len(d.Members)/4)
 	}
 }
 
 func TestEnumTrianglesCount(t *testing.T) {
-	g := complete(6)
-	tris := enumTriangles(g)
-	if len(tris) != 20 {
-		t.Fatalf("K6 has %d triangles, want 20", len(tris))
+	d, err := Decompose(complete(6), 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.RCliques) != 3*20 {
+		t.Fatalf("K6 has %d triangles, want 20", len(d.RCliques)/3)
 	}
 	seen := map[[3]int32]bool{}
-	for _, tr := range tris {
+	for i := 0; i < len(d.RCliques); i += 3 {
+		tr := [3]int32(d.RCliques[i : i+3])
 		if !(tr[0] < tr[1] && tr[1] < tr[2]) {
 			t.Fatalf("triangle %v not sorted", tr)
 		}
@@ -219,7 +222,8 @@ func TestNucleiSupportWithinNucleus(t *testing.T) {
 						in[r] = true
 					}
 					support := map[int32]int32{}
-					for _, ms := range d.Members {
+					for c := 0; c < len(d.Members); c += d.S {
+						ms := d.Members[c : c+d.S]
 						all := true
 						for _, r := range ms {
 							if !in[r] {
@@ -316,15 +320,55 @@ func TestMaxKappaEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestIntersect3(t *testing.T) {
-	got := intersect3([]int32{1, 2, 3, 5, 9}, []int32{2, 3, 4, 9}, []int32{0, 2, 9})
-	want := []int32{2, 9}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("intersect3 = %v, want %v", got, want)
+// TestDecomposeRelabelingPermutesKappa is the metamorphic check on the
+// kernels: renaming vertices renames every r-clique, and κ must follow
+// it, for every pair. The oriented listing ranks ties by vertex ID, so
+// a relabeling reorders the listing and the peel.
+func TestDecomposeRelabelingPermutesKappa(t *testing.T) {
+	graphs := []*graph.Graph{twoK4sBridged(), complete(7), random(3, 30, 0.3), random(4, 40, 0.2)}
+	for gi, g := range graphs {
+		n := g.NumVertices()
+		perm := make([]int32, n)
+		for i, p := range rand.New(rand.NewSource(int64(gi))).Perm(n) {
+			perm[i] = int32(p)
+		}
+		var edges []graph.Edge
+		for _, e := range g.Edges() {
+			edges = append(edges, graph.Edge{U: perm[e.U], V: perm[e.V]})
+		}
+		h := graph.FromEdges(n, edges)
+		for _, rs := range [][2]int{{1, 2}, {2, 3}, {3, 4}} {
+			dg, err := Decompose(g, rs[0], rs[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			dh, err := Decompose(h, rs[0], rs[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, got := kappaByTuple(dg, perm), kappaByTuple(dh, nil); !reflect.DeepEqual(want, got) {
+				t.Fatalf("graph %d (%d,%d): relabeling does not permute κ", gi, rs[0], rs[1])
+			}
+		}
 	}
-	if out := intersect3(nil, []int32{1}, []int32{1}); len(out) != 0 {
-		t.Fatalf("intersect3 with empty input = %v, want empty", out)
+}
+
+// kappaByTuple maps each r-clique, renamed by perm (nil keeps the
+// names) and sorted, to its κ.
+func kappaByTuple(d *Decomposition, perm []int32) map[[3]int32]int32 {
+	out := make(map[[3]int32]int32, len(d.Kappa))
+	for i, k := range d.Kappa {
+		key := [3]int32{-1, -1, -1}
+		for j, v := range d.RCliques[d.R*i : d.R*i+d.R] {
+			if perm != nil {
+				v = perm[v]
+			}
+			key[j] = v
+		}
+		sort.Slice(key[:d.R], func(a, b int) bool { return key[a] < key[b] })
+		out[key] = k
 	}
+	return out
 }
 
 func sortInt32(s []int32) {

@@ -25,7 +25,8 @@ type kvStore[K comparable, V any] interface {
 	Add(key K, val V)
 	// Evict removes every entry whose key satisfies pred.
 	Evict(pred func(K) bool)
-	// Contains reports presence without promoting.
+	// Contains reports presence without promoting, decoding or
+	// fetching: the group calls it under its flight lock.
 	Contains(key K) bool
 	// Len reports the number of cached entries.
 	Len() int
@@ -212,21 +213,14 @@ func (g *group[K, V]) DoCtx(ctx context.Context, key K, compute func() (V, error
 	if v, ok := g.cache.Get(key); ok {
 		return v, nil
 	}
-	g.mu.Lock()
-	c, leading := g.flight[key]
-	if !leading {
-		// Re-probe under the flight lock: a flight that completed
-		// between the first probe and here has already been removed
-		// from the map but left its result in the store.
+	c, stored := g.join(key, compute, true)
+	if stored {
 		if v, ok := g.cache.Get(key); ok {
-			g.mu.Unlock()
 			return v, nil
 		}
-		c = &flightCall[V]{done: make(chan struct{})}
-		g.flight[key] = c
-		go g.lead(key, c, compute)
+		// Gone again (evicted, or dropped as stale): take the flight.
+		c, _ = g.join(key, compute, false)
 	}
-	g.mu.Unlock()
 	select {
 	case <-c.done:
 		return c.val, c.err
@@ -234,6 +228,27 @@ func (g *group[K, V]) DoCtx(ctx context.Context, key K, compute func() (V, error
 		var zero V
 		return zero, ctx.Err()
 	}
+}
+
+// join returns key's flight, starting one if none is running. With
+// probe set it first re-checks the store under the flight lock: a
+// flight that completed after the caller's miss has left the map but
+// stored its result, and then join reports stored instead. The check
+// is Contains, which never decodes or fetches, so a slow store Get (a
+// disk decode, a peer fetch) never runs while the lock is held.
+func (g *group[K, V]) join(key K, compute func() (V, error), probe bool) (c *flightCall[V], stored bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.flight[key]; ok {
+		return c, false
+	}
+	if probe && g.cache.Contains(key) {
+		return nil, true
+	}
+	c = &flightCall[V]{done: make(chan struct{})}
+	g.flight[key] = c
+	go g.lead(key, c, compute)
+	return c, false
 }
 
 // lead runs one flight's computation on its own goroutine. The flight
@@ -252,7 +267,7 @@ func (g *group[K, V]) lead(key K, c *flightCall[V], compute func() (V, error)) {
 		}
 		if completed && c.err == nil {
 			// Store insertion happens before the flight entry is
-			// removed, so the re-probe above can never miss both.
+			// removed, so join's re-probe can never miss both.
 			g.cache.Add(key, c.val)
 		}
 		g.mu.Lock()

@@ -49,8 +49,10 @@ type Options struct {
 	// locks except the analyzer's.
 	OnAnalyze func(Key)
 	// MaxConcurrentAnalyses, when > 0, is admission control: at most
-	// this many analyses (graph resolution + pipeline) run at once,
-	// with up to MaxAnalysisQueue more flights waiting for a slot.
+	// this many flights are admitted at once, with up to
+	// MaxAnalysisQueue more waiting for a slot. Admitted flights
+	// resolve their graphs concurrently, but the engine has one pooled
+	// Analyzer, so their pipelines run one at a time behind it.
 	// Flights beyond both bounds fail fast with
 	// resilience.ErrOverloaded — which the HTTP layer maps to 503 with
 	// Retry-After — instead of growing goroutines and held graphs

@@ -6,7 +6,9 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/correlation"
 	"repro/internal/datasets"
@@ -427,5 +429,76 @@ func TestPanickedComputationDoesNotWedgeTheGroup(t *testing.T) {
 	v, err := g.Do("k", func() (int, error) { return 42, nil })
 	if err != nil || v != 42 {
 		t.Fatalf("Do after panic = (%d, %v)", v, err)
+	}
+}
+
+// probeStore is a memStore whose Get on "slow" stalls after its first
+// call, the way a peer fetch or disk decode does, and whose "stale"
+// key is indexed but never decodes.
+type probeStore struct {
+	*memStore[string, int]
+	slowGets atomic.Int32
+	stalled  chan struct{}
+	release  chan struct{}
+}
+
+func (s *probeStore) Get(key string) (int, bool) {
+	switch key {
+	case "slow":
+		if s.slowGets.Add(1) > 1 {
+			s.stalled <- struct{}{}
+			<-s.release
+		}
+	case "stale":
+		return 0, false
+	}
+	return s.memStore.Get(key)
+}
+
+func (s *probeStore) Contains(key string) bool {
+	return key == "stale" || s.memStore.Contains(key)
+}
+
+// TestMissDoesNotProbeStoreUnderFlightLock pins that a miss probes a
+// slow store once, and never while holding the flight lock that every
+// other key's miss needs: a second probe that stalls must not hold up
+// a miss on another key. An indexed entry that fails to load falls
+// back to the flight.
+func TestMissDoesNotProbeStoreUnderFlightLock(t *testing.T) {
+	store := &probeStore{
+		memStore: newMemStore[string, int](8),
+		stalled:  make(chan struct{}, 1),
+		release:  make(chan struct{}),
+	}
+	defer close(store.release)
+	g := newGroupOver[string, int](store)
+
+	slowDone := make(chan struct{})
+	go func() {
+		defer close(slowDone)
+		g.Do("slow", func() (int, error) { return 1, nil })
+	}()
+	select {
+	case <-slowDone:
+	case <-store.stalled:
+	}
+	otherDone := make(chan struct{})
+	go func() {
+		defer close(otherDone)
+		g.Do("other", func() (int, error) { return 2, nil })
+	}()
+	select {
+	case <-otherDone:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a miss on another key waited behind a stalled store probe")
+	}
+	<-slowDone
+	if n := store.slowGets.Load(); n != 1 {
+		t.Fatalf("one miss probed the store %d times, want 1", n)
+	}
+
+	v, err := g.Do("stale", func() (int, error) { return 3, nil })
+	if err != nil || v != 3 {
+		t.Fatalf("Do on an entry that fails to load = (%d, %v), want the flight's (3, nil)", v, err)
 	}
 }

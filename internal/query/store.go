@@ -24,7 +24,9 @@ import (
 // entry to any number of callers concurrently. Add may decline to
 // store (e.g. on a failed disk write) — the value is already on its
 // way to the requester, so a declined insert only costs a later
-// recomputation.
+// recomputation. Contains must answer from the store's own index,
+// without decoding or fetching: the engine calls it under the lock
+// that every cache miss takes.
 type SnapshotStore interface {
 	Get(key Key) (*Snapshot, bool)
 	Add(key Key, s *Snapshot)
