@@ -1,6 +1,6 @@
 // Dynamic fleet membership for cmd/serve: the wiring between the pure
 // state machines (fleet.Manager for membership, shard.Ring for
-// placement, query.PeerStore for hydration) and the world — probe
+// placement, query.PeerFetcher for hydration) and the world — probe
 // loops that double as gossip, the join/gossip/view HTTP endpoints,
 // ownership handoff when the ring changes, fleet-wide invalidation
 // broadcast, and the graceful-drain sequence.
@@ -134,7 +134,7 @@ func (s *server) startFleet(cfg fleetConfig) error {
 	}
 	rt.manager = mgr
 	s.fleet.Store(rt)
-	s.peerStore.Self = cfg.self.ID
+	s.peers.Self = cfg.self.ID
 	rt.applyView(mgr.View())
 	joiner := true
 	for _, seed := range cfg.seeds {
@@ -154,13 +154,13 @@ func (s *server) fleetRuntime() *fleetRuntime {
 	return s.fleet.Load()
 }
 
-// ringOwnerID is the PeerStore Owner hook: the ring owner's member ID
+// ringOwnerID is the PeerFetcher Owner hook: the ring owner's member ID
 // for a key ("" when unsharded).
 func (s *server) ringOwnerID(k query.Key) string {
 	return s.routing.Load().owner(k)
 }
 
-// peerFetchCandidates is the PeerStore Peers hook: every current
+// peerFetchCandidates is the PeerFetcher Peers hook: every current
 // member's base URL (Leaving included — a drainer still answers
 // fetches while its keys move). Nil when the node is unsharded, which
 // disables peer backfill.
@@ -308,7 +308,7 @@ func (rt *fleetRuntime) joinLoop(seeds []fleet.Member) {
 // snapshot this node owned under the old ring but no longer owns to
 // its new owner. The pushes run in one background goroutine (bounded,
 // ordered) tracked by handoffWG so a drain can wait for them; a failed
-// push is logged and dropped — the new owner's PeerStore fetch covers
+// push is logged and dropped — the new owner's hydration fetch covers
 // the key on first demand.
 func (rt *fleetRuntime) scheduleHandoff(oldRing, newRing *shard.Ring, urls map[string]string) {
 	if oldRing == nil || newRing == nil {
@@ -320,7 +320,7 @@ func (rt *fleetRuntime) scheduleHandoff(oldRing, newRing *shard.Ring, urls map[s
 		url string
 	}
 	var moves []move
-	for _, key := range rt.s.peerStore.Keys() {
+	for _, key := range rt.s.store.Keys() {
 		ss := key.ShardString()
 		if oldRing.Owner(ss) != self || newRing.Owner(ss) == self {
 			continue
@@ -354,7 +354,7 @@ func (rt *fleetRuntime) scheduleHandoff(oldRing, newRing *shard.Ring, urls map[s
 // generation diverged or raced an invalidation — its own analysis
 // path will produce the right bytes, so we stop.
 func (rt *fleetRuntime) pushSnapshot(key query.Key, base string) {
-	snap, ok := rt.s.peerStore.LocalGet(key)
+	snap, ok := rt.s.store.Get(key)
 	if !ok {
 		return
 	}

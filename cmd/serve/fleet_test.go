@@ -350,7 +350,7 @@ func TestFleetGracefulDrain(t *testing.T) {
 			t.Fatalf("warmup measure %s: status %d", m, resp.StatusCode)
 		}
 	}
-	aKeys := srvA.peerStore.Keys()
+	aKeys := srvA.store.Keys()
 	if len(aKeys) == 0 {
 		t.Fatal("node a holds no snapshots before drain; the handoff test is vacuous")
 	}
@@ -413,7 +413,7 @@ func TestFleetGracefulDrain(t *testing.T) {
 	// drain returned only after the handoff pushes finished: b holds
 	// every snapshot a held.
 	for _, k := range aKeys {
-		if !srvB.peerStore.Contains(k) {
+		if !srvB.store.Contains(k) {
 			t.Errorf("after drain, b does not hold handed-off snapshot %v", k)
 		}
 	}

@@ -263,11 +263,15 @@ type server struct {
 	// (liveness) keeps answering 200 until the process exits.
 	draining atomic.Bool
 
-	// peerStore wraps the snapshot store with fleet hydration: local
-	// misses backfill from the key's ring owner before analysis runs.
-	// Always non-nil (with no fleet its Peers hook returns nothing and
-	// it degenerates to the inner store).
-	peerStore *query.PeerStore
+	// store is the snapshot store beneath the engine. The
+	// snapshot-exchange endpoint answers peer fetches from it and the
+	// ownership handoff walks it; neither ever hydrates.
+	store query.SnapshotStore
+	// peers is the engine's Hydrate hook: a flight's miss backfills
+	// from the key's ring owner before analysis runs. Always non-nil
+	// (with no fleet its Peers hook returns nothing and every fetch
+	// misses at once).
+	peers *query.PeerFetcher
 
 	// breakers holds one circuit breaker per peer base URL, shared by
 	// the forwarding path (passive outcomes) and the membership-gossip
@@ -447,8 +451,8 @@ func newServer(cfg serverConfig) (*server, error) {
 		probeTimeout:    probeTimeout,
 		onEpochMismatch: cfg.onEpochMismatch,
 	}
-	s.peerStore = &query.PeerStore{
-		Inner:    store,
+	s.store = store
+	s.peers = &query.PeerFetcher{
 		Owner:    s.ringOwnerID,
 		Peers:    s.peerFetchCandidates,
 		Client:   s.client,
@@ -456,7 +460,8 @@ func newServer(cfg serverConfig) (*server, error) {
 		OnFetch:  cfg.onFetch,
 	}
 	s.engine = query.NewEngine(query.Options{
-		Store:                 s.peerStore,
+		Store:                 store,
+		Hydrate:               s.peers.Fetch,
 		Generations:           gens,
 		OnInvalidate:          s.broadcastInvalidation,
 		OnAnalyze:             cfg.onAnalyze,
@@ -474,14 +479,11 @@ func newServer(cfg serverConfig) (*server, error) {
 			return g, nil
 		},
 	})
-	// The fetch-verification hooks close over the engine, which closes
-	// over the store: assign after both exist. Traffic starts later.
-	s.peerStore.Generation = s.engine.DatasetGeneration
 	s.snapshots = &query.SnapshotHandler{
 		Engine: s.engine,
-		// LocalGet, not Get: answering a peer's fetch must never fan
-		// out into fetching.
-		Local:  s.peerStore.LocalGet,
+		// The store's Get, not the engine's Snapshot: answering a
+		// peer's fetch must never fan out into fetching or analysis.
+		Local:  store.Get,
 		OnPush: cfg.onPush,
 	}
 	s.engine.RegisterDataset(name, g)

@@ -234,8 +234,8 @@ func (g *group[K, V]) DoCtx(ctx context.Context, key K, compute func() (V, error
 // probe set it first re-checks the store under the flight lock: a
 // flight that completed after the caller's miss has left the map but
 // stored its result, and then join reports stored instead. The check
-// is Contains, which never decodes or fetches, so a slow store Get (a
-// disk decode, a peer fetch) never runs while the lock is held.
+// is Contains, which never decodes, so a slow store Get (a disk
+// decode) never runs while the lock is held.
 func (g *group[K, V]) join(key K, compute func() (V, error), probe bool) (c *flightCall[V], stored bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

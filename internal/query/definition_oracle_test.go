@@ -19,8 +19,10 @@ import (
 // of the field, computed here by brute force (a flood fill over the
 // items whose value is at least α), not by another implementation of
 // the tree. The paths are the engine's fresh analysis, the verified
-// decode of its encoding, and the disk store's trusted cold hit from
-// the heap and from a mapping, for vertex and edge fields.
+// decode of its encoding, the disk store's trusted cold hit from the
+// heap and from a mapping, and a second engine that hydrates the
+// snapshot from the first over the snapshot-exchange endpoint, for
+// vertex and edge fields.
 
 // definitionValues is the pool the oracle measures draw from: ties,
 // both zeros, both infinities and values a hair apart.
@@ -242,6 +244,14 @@ func TestServingPathsMatchDefinition(t *testing.T) {
 			fresh[key] = snap
 			seed.Add(key, snap)
 		}
+		// Engine h answers from peer e's snapshots, never analyzing.
+		peer := snapshotServer(t, e, func(k Key) (*Snapshot, bool) {
+			snap, ok := fresh[k]
+			return snap, ok
+		})
+		pf := &PeerFetcher{Self: "h", Peers: func() map[string]string { return map[string]string{"e": peer.URL} }}
+		h := NewEngine(Options{Hydrate: pf.Fetch})
+		h.RegisterDataset(dataset, g)
 		for _, mmap := range []bool{false, true} {
 			// One store per mode, so the second key's cold hit adopts
 			// the first key's open graph.
@@ -270,15 +280,26 @@ func TestServingPathsMatchDefinition(t *testing.T) {
 				}
 				paths := map[string]*Snapshot{"stored": stored}
 				if !mmap {
-					paths["engine"], paths["decoded"] = snap, decoded
+					hydrated, err := h.Snapshot(key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					paths["engine"], paths["decoded"], paths["hydrated"] = snap, decoded, hydrated
 				}
 				for name, s := range paths {
 					label := fmt.Sprintf("trial %d %s %s mmap=%v", trial, key.Measure, name, mmap)
-					requireDefinitionAnswers(t, e, s, values, alphas, label)
+					resolver := e
+					if name == "hydrated" {
+						resolver = h
+					}
+					requireDefinitionAnswers(t, resolver, s, values, alphas, label)
 				}
 				stored.Release()
 			}
 			store.DropOpen()
+		}
+		if n := h.AnalysisCount(); n != 0 {
+			t.Fatalf("trial %d: the hydrating engine ran %d analyses, want 0", trial, n)
 		}
 	}
 }

@@ -32,9 +32,15 @@ type Options struct {
 	// store, so N concurrent misses still run one analysis and a racing
 	// Invalidate still wins, whatever the backend.
 	Store SnapshotStore
-	// MaxFields bounds the LRU of raw measure fields computed for
-	// correlation operations; 0 means 64.
-	MaxFields int
+	// Hydrate, when set, is the first step of every snapshot flight:
+	// it is asked for key under the dataset's current generation gen
+	// and may return a snapshot produced elsewhere (PeerFetcher.Fetch
+	// fetches one from a fleet peer), whose Seq must be what gen
+	// demands. A hit is the flight's result: it is inserted through
+	// the same generation guard as an analysis, takes no admission
+	// slot, and does not count as an analysis. A miss goes on to the
+	// analysis.
+	Hydrate func(key Key, gen uint64) (*Snapshot, bool)
 	// MaxGraphs bounds the LRU of graphs loaded on demand through
 	// Loader (registered datasets are never evicted); 0 means 8.
 	MaxGraphs int
@@ -44,9 +50,9 @@ type Options struct {
 	// unloaded dataset run the loader once.
 	Loader func(name string) (*graph.Graph, error)
 	// OnAnalyze, when set, is invoked once per analysis that actually
-	// runs (cache misses only, after coalescing). It is a test and
-	// metrics hook; it runs on the leader goroutine outside all engine
-	// locks except the analyzer's.
+	// runs (cache misses that Hydrate did not answer, after
+	// coalescing). It is a test and metrics hook; it runs on the
+	// leader goroutine outside all engine locks except the analyzer's.
 	OnAnalyze func(Key)
 	// MaxConcurrentAnalyses, when > 0, is admission control: at most
 	// this many flights are admitted at once, with up to
@@ -85,6 +91,7 @@ type Options struct {
 // misses is the singleflight group's.
 type Engine struct {
 	loader       func(name string) (*graph.Graph, error)
+	hydrate      func(Key, uint64) (*Snapshot, bool)
 	onAnalyze    func(Key)
 	onInvalidate func(dataset string, gen uint64)
 	// genStore persists generation bumps (nil: process-local only).
@@ -123,9 +130,9 @@ type Engine struct {
 	// gate is admission control over analyses; nil means unlimited.
 	gate *resilience.Gate
 	// stale is the stale-if-error side cache: the last snapshot this
-	// process analyzed per key, deliberately NOT evicted by Invalidate
-	// — it exists precisely to serve explicitly degraded answers when
-	// the fresh path fails or sheds. See StaleSnapshot.
+	// process analyzed or hydrated per key, deliberately NOT evicted by
+	// Invalidate — it exists precisely to serve explicitly degraded
+	// answers when the fresh path fails or sheds. See StaleSnapshot.
 	stale *memStore[Key, *Snapshot]
 
 	analyses atomic.Int64
@@ -145,6 +152,10 @@ func badRequest(format string, args ...any) error {
 	return &ClientError{Err: fmt.Errorf(format, args...)}
 }
 
+// maxFields bounds the LRU of raw measure fields computed for the
+// correlation operations.
+const maxFields = 64
+
 // fieldKey identifies one raw measure field over one dataset.
 type fieldKey struct {
 	dataset, measure string
@@ -161,10 +172,6 @@ func NewEngine(opts Options) *Engine {
 	if maxSnaps <= 0 {
 		maxSnaps = 16
 	}
-	maxFields := opts.MaxFields
-	if maxFields <= 0 {
-		maxFields = 64
-	}
 	maxGraphs := opts.MaxGraphs
 	if maxGraphs <= 0 {
 		maxGraphs = 8
@@ -175,6 +182,7 @@ func NewEngine(opts Options) *Engine {
 	}
 	e := &Engine{
 		loader:       opts.Loader,
+		hydrate:      opts.Hydrate,
 		onAnalyze:    opts.OnAnalyze,
 		onInvalidate: opts.OnInvalidate,
 		genStore:     opts.Generations,
@@ -204,8 +212,9 @@ func NewEngine(opts Options) *Engine {
 }
 
 // genGuardedStore wraps the engine's SnapshotStore with the
-// invalidation-generation insert check: a snapshot analyzed under
-// generation G is inserted only while the dataset is still at G. The
+// invalidation-generation insert check: a snapshot analyzed or
+// hydrated under generation G is inserted only while the dataset is
+// still at G. The
 // check-and-insert runs under genMu — the same lock Invalidate bumps
 // under — which closes the window where a completing analysis that
 // raced an Invalidate could re-insert a stale snapshot after the
@@ -396,11 +405,12 @@ func (e *Engine) SnapshotCtx(ctx context.Context, key Key) (*Snapshot, error) {
 	return e.snaps.DoCtx(ctx, key, func() (*Snapshot, error) { return e.analyze(key) })
 }
 
-// StaleSnapshot returns the last snapshot this process analyzed for
-// key, if any — including one produced before an Invalidate. It is
-// the stale-if-error fallback: when the fresh path fails (analysis
-// error, admission shed), the HTTP layer serves this answer with an
-// explicit `degraded: stale` marker rather than an opaque error.
+// StaleSnapshot returns the last snapshot this process analyzed or
+// hydrated for key, if any — including one produced before an
+// Invalidate. It is the stale-if-error fallback: when the fresh path
+// fails (analysis error, admission shed), the HTTP layer serves this
+// answer with an explicit `degraded: stale` marker rather than an
+// opaque error.
 // Never serve it unmarked: unlike a cache hit it may predate the
 // dataset's current generation.
 func (e *Engine) StaleSnapshot(key Key) (*Snapshot, bool) {
@@ -411,7 +421,8 @@ func (e *Engine) StaleSnapshot(key Key) (*Snapshot, bool) {
 func (e *Engine) Cached(key Key) bool { return e.snaps.cached(key) }
 
 // AnalysisCount reports how many analyses have actually run — cache
-// misses after coalescing. The concurrency tests assert on it.
+// misses after coalescing, hydrated ones excluded. The concurrency
+// and fleet tests assert on it.
 func (e *Engine) AnalysisCount() int64 { return e.analyses.Load() }
 
 // Invalidate drops every cached snapshot and field of the named
@@ -567,9 +578,19 @@ func ValidateKey(key Key) error {
 	return nil
 }
 
-// analyze is the cache-miss path: resolve the graph, run the pooled
-// pipeline, bundle the products into an immutable Snapshot.
+// analyze is the cache-miss path: hydrate the snapshot if the Hydrate
+// hook has it, else resolve the graph, run the pooled pipeline, and
+// bundle the products into an immutable Snapshot.
 func (e *Engine) analyze(key Key) (*Snapshot, error) {
+	if e.hydrate != nil {
+		// The flight's insert guard declines the snapshot if an
+		// Invalidate lands after this read, as it would an analysis.
+		gen := e.generation(key.Dataset)
+		if snap, ok := e.hydrate(key, gen); ok {
+			snap.gen = gen
+			return snap, nil
+		}
+	}
 	// Admission control: claim an analysis slot (or a bounded queue
 	// position) before touching the graph — the expensive part of a
 	// flight is everything from graph resolution on. A shed flight

@@ -37,8 +37,10 @@ const SeqHeader = "X-Scalarfield-Seq"
 type SnapshotHandler struct {
 	Engine *Engine
 	// Local returns the locally held snapshot for a key, retained for
-	// the caller, without any peer fetch or analysis (PeerStore's
-	// LocalGet). Required for GET; nil makes every GET a 404.
+	// the caller, without any peer fetch or analysis: the Get of the
+	// store beneath the engine, which never hydrates (hydration runs
+	// in the engine's flight). Required for GET; nil makes every GET a
+	// 404.
 	Local func(Key) (*Snapshot, bool)
 	// OnPush, when set, fires after a successfully adopted push (test
 	// and metrics hook).

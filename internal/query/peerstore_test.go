@@ -7,7 +7,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -73,8 +76,7 @@ func TestPeerStoreHydratesFromPeer(t *testing.T) {
 	})
 
 	var fetched []string
-	ps := &PeerStore{
-		Inner: NewMemorySnapshotStore(4),
+	pf := &PeerFetcher{
 		Self:  "b",
 		Owner: func(Key) string { return "a" },
 		Peers: func() map[string]string { return map[string]string{"a": srv.URL} },
@@ -82,9 +84,8 @@ func TestPeerStoreHydratesFromPeer(t *testing.T) {
 			fetched = append(fetched, peer)
 		},
 	}
-	eB := NewEngine(Options{Store: ps})
+	eB := NewEngine(Options{Hydrate: pf.Fetch})
 	eB.RegisterDataset("tiny", testGraph())
-	ps.Generation = eB.DatasetGeneration
 
 	snapB, err := eB.Snapshot(key)
 	if err != nil {
@@ -102,8 +103,8 @@ func TestPeerStoreHydratesFromPeer(t *testing.T) {
 	if want, got := resolveJSON(t, eA, snapA), resolveJSON(t, eB, snapB); !bytes.Equal(want, got) {
 		t.Fatalf("hydrated snapshot answers differently:\nwant %s\ngot  %s", want, got)
 	}
-	// The fetched snapshot landed in the inner store: the next request
-	// is a plain local hit, no second fetch.
+	// The flight stored the fetched snapshot: the next request is a
+	// plain local hit, no second fetch.
 	if _, err := eB.Snapshot(key); err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +120,12 @@ func TestPeerStoreMissFallsThroughToAnalysis(t *testing.T) {
 	eA := testEngine(t, Options{})
 	srv := snapshotServer(t, eA, func(Key) (*Snapshot, bool) { return nil, false })
 
-	ps := &PeerStore{
-		Inner: NewMemorySnapshotStore(4),
+	pf := &PeerFetcher{
 		Self:  "b",
 		Peers: func() map[string]string { return map[string]string{"a": srv.URL} },
 	}
-	eB := NewEngine(Options{Store: ps})
+	eB := NewEngine(Options{Hydrate: pf.Fetch})
 	eB.RegisterDataset("tiny", testGraph())
-	ps.Generation = eB.DatasetGeneration
 
 	if _, err := eB.Snapshot(key); err != nil {
 		t.Fatal(err)
@@ -154,15 +153,12 @@ func TestPeerStoreRejectsDivergedGeneration(t *testing.T) {
 		return nil, false
 	})
 
-	ps := &PeerStore{
-		Inner: NewMemorySnapshotStore(4),
+	pf := &PeerFetcher{
 		Self:  "b",
 		Peers: func() map[string]string { return map[string]string{"a": srv.URL} },
-		Retry: resilience.RetryConfig{Attempts: 1},
 	}
-	eB := NewEngine(Options{Store: ps})
+	eB := NewEngine(Options{Hydrate: pf.Fetch})
 	eB.RegisterDataset("tiny", testGraph())
-	ps.Generation = eB.DatasetGeneration
 	eB.Invalidate("tiny") // B is at generation 1; A's snapshot is not
 
 	snapB, err := eB.Snapshot(key)
@@ -186,8 +182,7 @@ func TestPeerStoreOpenBreakerSkipsWithoutSleeping(t *testing.T) {
 	breakers := resilience.NewBreakerSet(resilience.BreakerConfig{Threshold: 1, Now: newTestClock().Now})
 	breakers.For(peerURL).Failure()
 	var sleeps int
-	ps := &PeerStore{
-		Inner:    NewMemorySnapshotStore(4),
+	pf := &PeerFetcher{
 		Self:     "b",
 		Peers:    func() map[string]string { return map[string]string{"a": peerURL} },
 		Client:   &http.Client{Transport: tr},
@@ -197,11 +192,194 @@ func TestPeerStoreOpenBreakerSkipsWithoutSleeping(t *testing.T) {
 			Sleep:    func(context.Context, time.Duration) error { sleeps++; return nil },
 		},
 	}
-	if _, ok := ps.Get(Key{Dataset: "tiny", Measure: "kcore"}); ok {
+	if _, ok := pf.Fetch(Key{Dataset: "tiny", Measure: "kcore"}, 0); ok {
 		t.Fatal("fetch through an open breaker hydrated a snapshot")
 	}
 	if n := tr.count(); n != 0 || sleeps != 0 {
 		t.Fatalf("open breaker cost %d dials and %d sleeps, want 0 and 0", n, sleeps)
+	}
+}
+
+// TestPeerFetchStaleAnswerIsNotAFailure: a healthy peer that lags one
+// invalidation broadcast answers with a snapshot of the previous
+// generation. That answer is rejected, but it is not a peer failure:
+// one dial, no retry, no backoff sleep, the breaker it shares with
+// forwarding stays closed, and the receiver analyzes once.
+func TestPeerFetchStaleAnswerIsNotAFailure(t *testing.T) {
+	key := Key{Dataset: "tiny", Measure: "kcore"}
+	eA := testEngine(t, Options{})
+	snapA, err := eA.Snapshot(key) // generation 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := EncodeSnapshot(&body, snapA); err != nil {
+		t.Fatal(err)
+	}
+	const peerURL = "http://peer.example"
+	tr := &scriptedTransport{status: http.StatusOK, body: body.String()}
+	breakers := resilience.NewBreakerSet(resilience.BreakerConfig{Threshold: 2, Now: newTestClock().Now})
+	var sleeps int
+	pf := &PeerFetcher{
+		Self:     "b",
+		Peers:    func() map[string]string { return map[string]string{"a": peerURL} },
+		Client:   &http.Client{Transport: tr},
+		Breakers: breakers,
+		Retry: resilience.RetryConfig{
+			Attempts: 3,
+			Sleep:    func(context.Context, time.Duration) error { sleeps++; return nil },
+		},
+	}
+	eB := NewEngine(Options{Hydrate: pf.Fetch})
+	eB.RegisterDataset("tiny", testGraph())
+	eB.Invalidate("tiny") // B is at generation 1; the peer lags at 0
+
+	snapB, err := eB.Snapshot(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.count(); n != 1 || sleeps != 0 {
+		t.Fatalf("stale peer answer cost %d dials and %d sleeps, want 1 and 0", n, sleeps)
+	}
+	if st := breakers.For(peerURL).State(); st != resilience.Closed {
+		t.Fatalf("stale peer answer left the breaker %v, want closed", st)
+	}
+	if got := eB.AnalysisCount(); got != 1 {
+		t.Fatalf("ran %d analyses, want 1", got)
+	}
+	if snapB.Seq != eB.ExpectedSeq(key) {
+		t.Fatalf("served seq %d, generation 1 demands %d", snapB.Seq, eB.ExpectedSeq(key))
+	}
+}
+
+// addLog is a snapshot store that records the Seq of every insert.
+// Reads happen after the inserting flight has finished.
+type addLog struct {
+	SnapshotStore
+	seqs []uint64
+}
+
+func (s *addLog) Add(key Key, snap *Snapshot) {
+	s.seqs = append(s.seqs, snap.Seq)
+	s.SnapshotStore.Add(key, snap)
+}
+
+// heldSnapshotServer serves snap for key, holding the first GET until
+// release is closed; entered is closed when that GET arrives. gets
+// counts every request.
+func heldSnapshotServer(t *testing.T, e *Engine, key Key, snap *Snapshot) (srv *httptest.Server, entered, release chan struct{}, gets *atomic.Int64) {
+	t.Helper()
+	entered, release, gets = make(chan struct{}), make(chan struct{}), new(atomic.Int64)
+	h := &SnapshotHandler{Engine: e, Local: func(k Key) (*Snapshot, bool) { return snap, k == key }}
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if gets.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv, entered, release, gets
+}
+
+// TestInvalidateRacingHydration: a peer fetch that an Invalidate
+// overtakes must leave nothing stale behind. The flight's waiter gets
+// the hydrated snapshot (it asked before the invalidation), but the
+// generation guard keeps it out of the store, so neither the
+// snapshot-exchange endpoint nor the handoff walk can reach it, and
+// the next request analyzes under the new generation.
+func TestInvalidateRacingHydration(t *testing.T) {
+	key := Key{Dataset: "tiny", Measure: "kcore"}
+	eA := testEngine(t, Options{})
+	snapA, err := eA.Snapshot(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, entered, release, _ := heldSnapshotServer(t, eA, key, snapA)
+	store := &addLog{SnapshotStore: NewMemorySnapshotStore(4)}
+	pf := &PeerFetcher{Self: "b", Peers: func() map[string]string { return map[string]string{"a": srv.URL} }}
+	eB := NewEngine(Options{Store: store, Hydrate: pf.Fetch})
+	eB.RegisterDataset("tiny", testGraph())
+
+	type result struct {
+		snap *Snapshot
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		snap, err := eB.Snapshot(key)
+		done <- result{snap, err}
+	}()
+	<-entered             // the fetch is waiting on the peer's answer
+	eB.Invalidate("tiny") // race: invalidation lands mid-fetch
+	close(release)
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.snap.Seq != snapA.Seq || eB.AnalysisCount() != 0 {
+		t.Fatalf("raced request got seq %d after %d analyses, want the hydrated %d after 0",
+			r.snap.Seq, eB.AnalysisCount(), snapA.Seq)
+	}
+	if stale, ok := eB.StaleSnapshot(key); !ok || stale.Seq != snapA.Seq {
+		t.Fatal("the hydrated snapshot did not feed the stale-if-error cache")
+	}
+	if store.Contains(key) || slices.Contains(store.Keys(), key) || len(store.seqs) != 0 {
+		t.Fatalf("stale hydrated snapshot reached the store (inserted seqs %v)", store.seqs)
+	}
+
+	snap, err := eB.Snapshot(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := eB.AnalysisCount(); got != 1 {
+		t.Fatalf("ran %d analyses after the race, want 1", got)
+	}
+	if want := eB.ExpectedSeq(key); snap.Seq != want || !store.Contains(key) {
+		t.Fatalf("post-race snapshot seq %d (cached %v), want %d cached", snap.Seq, store.Contains(key), want)
+	}
+}
+
+// TestConcurrentMissesHydrateOnce: concurrent misses on one key share
+// the engine's flight, so they fetch from the peer once and analyze
+// never.
+func TestConcurrentMissesHydrateOnce(t *testing.T) {
+	key := Key{Dataset: "tiny", Measure: "kcore", Color: "degree"}
+	eA := testEngine(t, Options{})
+	snapA, err := eA.Snapshot(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, entered, release, gets := heldSnapshotServer(t, eA, key, snapA)
+	pf := &PeerFetcher{Self: "b", Peers: func() map[string]string { return map[string]string{"a": srv.URL} }}
+	eB := NewEngine(Options{Hydrate: pf.Fetch})
+	eB.RegisterDataset("tiny", testGraph())
+
+	const workers = 16
+	snaps := make([]*Snapshot, workers)
+	var wg sync.WaitGroup
+	for w := range snaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			snap, err := eB.Snapshot(key)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			snaps[w] = snap
+		}()
+	}
+	<-entered
+	close(release)
+	wg.Wait()
+	if n := gets.Load(); n != 1 || eB.AnalysisCount() != 0 {
+		t.Fatalf("%d concurrent misses made %d fetches and %d analyses, want 1 and 0", workers, n, eB.AnalysisCount())
+	}
+	for w, snap := range snaps {
+		if snap != snaps[0] {
+			t.Fatalf("worker %d got a different snapshot", w)
+		}
 	}
 }
 

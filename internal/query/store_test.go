@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	scalarfield "repro"
@@ -194,11 +195,11 @@ func TestDiskStoreBinsBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	peerLookups := 0
-	store1 := &PeerStore{Inner: disk, Self: "a", Peers: func() map[string]string {
+	pf := &PeerFetcher{Self: "a", Peers: func() map[string]string {
 		peerLookups++
 		return nil
 	}}
-	e1 := NewEngine(Options{Store: store1})
+	e1 := NewEngine(Options{Store: disk, Hydrate: pf.Fetch})
 	e1.RegisterDataset("tiny", testGraph())
 	for _, bins := range []int{-1, scalarfield.MaxSimplifyBins + 1} {
 		_, err := e1.Snapshot(Key{Dataset: "tiny", Measure: "kcore", Bins: bins})
@@ -565,25 +566,34 @@ func TestDiskStoreQuarantinesNaNTree(t *testing.T) {
 	}
 }
 
-// blockingMeasure is registered once for the invalidation-race test:
-// it parks inside the analysis until the test releases the gate, and
-// reports when an analysis has entered the measure.
+// blockRun is one run of the invalidation-race test: the blocking
+// measure reports on entered when an analysis has entered it, and
+// parks there until the run closes gate.
+type blockRun struct {
+	gate, entered chan struct{}
+}
+
+// blockingMeasure is registered once for the invalidation-race test;
+// each run of the test installs a fresh blockRun, so the test can run
+// any number of times in one process.
 var (
-	blockGate    = make(chan struct{})
-	blockEntered = make(chan struct{}, 8)
+	blockCurrent atomic.Pointer[blockRun]
 	blockOnce    sync.Once
 )
 
-func registerBlockingMeasure() {
+// registerBlockingMeasure registers the measure and installs a fresh
+// run for it.
+func registerBlockingMeasure() *blockRun {
 	blockOnce.Do(func() {
 		scalarfield.RegisterMeasure("test-blocking", false,
 			"test-only: blocks until the race test releases it",
 			func(g *scalarfield.Graph) []float64 {
+				run := blockCurrent.Load()
 				select {
-				case blockEntered <- struct{}{}:
+				case run.entered <- struct{}{}:
 				default:
 				}
-				<-blockGate
+				<-run.gate
 				vals := make([]float64, g.NumVertices())
 				for v := range vals {
 					vals[v] = float64(g.Degree(int32(v)))
@@ -591,6 +601,9 @@ func registerBlockingMeasure() {
 				return vals
 			})
 	})
+	run := &blockRun{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+	blockCurrent.Store(run)
+	return run
 }
 
 // TestInvalidateRacingInFlightAnalysis is the satellite regression: an
@@ -598,7 +611,7 @@ func registerBlockingMeasure() {
 // the completing flight from re-inserting its (now stale) snapshot.
 // Run under -race in CI.
 func TestInvalidateRacingInFlightAnalysis(t *testing.T) {
-	registerBlockingMeasure()
+	run := registerBlockingMeasure()
 	e := testEngine(t, Options{})
 	key := Key{Dataset: "tiny", Measure: "test-blocking"}
 
@@ -612,9 +625,9 @@ func TestInvalidateRacingInFlightAnalysis(t *testing.T) {
 		done <- result{snap, err}
 	}()
 
-	<-blockEntered       // the analysis is inside the measure now
+	<-run.entered        // the analysis is inside the measure now
 	e.Invalidate("tiny") // race: invalidation lands mid-flight
-	close(blockGate)     // let the analysis complete
+	close(run.gate)      // let the analysis complete
 	r := <-done
 	if r.err != nil {
 		t.Fatal(r.err)
