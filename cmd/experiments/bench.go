@@ -9,9 +9,10 @@ package main
 // eccentricity, k-hop, and the early-cutoff diameter fold), the
 // betweenness kernels on the batched MS-Brandes engine (vertex, edge,
 // and sampled), one row per kernel, the snapshot-cache hit/miss paths
-// of internal/query and its op resolution over the viewer's query mix,
-// and the snapshot wire codec (encode and decode throughput for the disk
-// store and the shard fabric, and the SFST tree decode beneath it) —
+// of internal/query, its op resolution over the viewer's query mix and
+// the encoding of those answers, and the snapshot wire codec (encode
+// and decode throughput for the disk store and the shard fabric, and
+// the SFST tree decode beneath it) —
 // timed with allocation counts and written as machine-readable JSON
 // (-benchout, BENCH_8.json by default), so the effect of each PR on
 // the hot path is tracked as checked-in evidence rather than folklore.
@@ -296,6 +297,12 @@ func runBench(cfg config) error {
 		}
 		resolveMix = append(resolveMix, resolveBatch{snap, interactOps(snap, 100, rand.New(rand.NewSource(int64(i))))})
 	}
+	// The mix's answers, for the query/encode row.
+	var encodeMix []query.Response
+	for _, b := range resolveMix {
+		encodeMix = append(encodeMix, query.Response{Snapshot: b.snap.Info(), Results: warmEngine.Resolve(b.snap, b.ops)})
+	}
+	var encodeBuf []byte
 
 	ok := func(fn func()) func() error {
 		return func() error { fn(); return nil }
@@ -380,6 +387,17 @@ func runBench(cfg config) error {
 				warmEngine.Resolve(b.snap, b.ops)
 			}
 		})},
+		// The served encoding of the query/resolve mix's answers: one
+		// response per snapshot, appended into a reused buffer as the
+		// batch handler does.
+		{"query/encode", func() (err error) {
+			for i := range encodeMix {
+				if encodeBuf, err = query.AppendResponse(encodeBuf[:0], &encodeMix[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
 		// Snapshot wire codec: the serialization layer beneath the disk
 		// store and the shard fabric. Encode is the insert path (CSR,
 		// fields, tree, index and spectrum into one container); decode

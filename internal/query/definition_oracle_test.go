@@ -3,9 +3,13 @@ package query
 import (
 	"bytes"
 	"cmp"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"testing"
@@ -20,8 +24,9 @@ import (
 // items whose value is at least α), not by another implementation of
 // the tree. The paths are the engine's fresh analysis, the verified
 // decode of its encoding, the disk store's trusted cold hit from the
-// heap and from a mapping, and a second engine that hydrates the
-// snapshot from the first over the snapshot-exchange endpoint, for
+// heap and from a mapping, a second engine that hydrates the snapshot
+// from the first over the snapshot-exchange endpoint, and a batch
+// query that a second node forwards to the first and relays, for
 // vertex and edge fields.
 
 // definitionValues is the pool the oracle measures draw from: ties,
@@ -133,14 +138,13 @@ func smallest(c []int32, limit int) []int32 {
 	return c
 }
 
-// requireDefinitionAnswers resolves alpha_cut, peaks, component_of and
-// mcc against snap at every α, item and definitionLimits entry, and
-// fails on any answer that differs from the brute-force components:
-// item lists must be each component's limit smallest items, and sizes
-// and counts exact.
-func requireDefinitionAnswers(t *testing.T, e *Engine, snap *Snapshot, values []float64, alphas []float64, label string) {
+// requireDefinitionAnswers has resolve answer alpha_cut, peaks,
+// component_of and mcc batches on the field values over g at every α,
+// item and definitionLimits entry, and fails on any answer that
+// differs from the brute-force components: item lists must be each
+// component's limit smallest items, and sizes and counts exact.
+func requireDefinitionAnswers(t *testing.T, g *graph.Graph, edge bool, resolve func([]Op) []OpResult, values []float64, alphas []float64, label string) {
 	t.Helper()
-	g, edge := snap.Graph, snap.Edge
 	for _, alpha := range alphas {
 		want := bruteComponents(g, values, edge, alpha)
 		ops := []Op{{Op: OpPeaks, Alpha: alpha}}
@@ -150,7 +154,7 @@ func requireDefinitionAnswers(t *testing.T, e *Engine, snap *Snapshot, values []
 				ops = append(ops, Op{Op: OpComponentOf, Item: int32(item), Alpha: alpha, Limit: limit})
 			}
 		}
-		res := e.Resolve(snap, ops)
+		res := resolve(ops)
 		// Peaks: one per component, its height the component's top
 		// value and its size the component's, highest then largest first.
 		type peak struct {
@@ -207,7 +211,7 @@ func requireDefinitionAnswers(t *testing.T, e *Engine, snap *Snapshot, values []
 		for item := range values {
 			ops[item] = Op{Op: OpMCC, Item: int32(item), Limit: limit}
 		}
-		for item, r := range e.Resolve(snap, ops) {
+		for item, r := range resolve(ops) {
 			w := componentOf(bruteComponents(g, values, edge, values[item]), int32(item))
 			if r.ItemCount != len(w) || !slices.Equal(r.Items, smallest(w, limit)) {
 				t.Fatalf("%s limit %d: mcc(%d) = %d items %v, Definition 1 %v",
@@ -252,6 +256,14 @@ func TestServingPathsMatchDefinition(t *testing.T) {
 		pf := &PeerFetcher{Self: "h", Peers: func() map[string]string { return map[string]string{"e": peer.URL} }}
 		h := NewEngine(Options{Hydrate: pf.Fetch})
 		h.RegisterDataset(dataset, g)
+		// A receiver whose ring gives every key to e's node forwards to
+		// it and relays the owner's answers, never analyzing.
+		owner := httptest.NewServer(&Handler{Engine: e})
+		t.Cleanup(owner.Close)
+		rcv := NewEngine(Options{})
+		rcv.RegisterDataset(dataset, g)
+		receiver := httptest.NewServer(&Handler{Engine: rcv, Route: func(Key) (string, bool) { return owner.URL, true }})
+		t.Cleanup(receiver.Close)
 		for _, mmap := range []bool{false, true} {
 			// One store per mode, so the second key's cold hit adopts
 			// the first key's open graph.
@@ -292,7 +304,14 @@ func TestServingPathsMatchDefinition(t *testing.T) {
 					if name == "hydrated" {
 						resolver = h
 					}
-					requireDefinitionAnswers(t, resolver, s, values, alphas, label)
+					resolve := func(ops []Op) []OpResult { return resolver.Resolve(s, ops) }
+					requireDefinitionAnswers(t, g, s.Edge, resolve, values, alphas, label)
+				}
+				if !mmap {
+					// A request body carries finite alphas only.
+					finite := slices.DeleteFunc(slices.Clone(alphas), func(a float64) bool { return math.IsInf(a, 0) })
+					resolve := func(ops []Op) []OpResult { return forwardedAnswers(t, receiver.URL, e, snap, ops) }
+					requireDefinitionAnswers(t, g, snap.Edge, resolve, values, finite, fmt.Sprintf("trial %d %s forwarded", trial, key.Measure))
 				}
 				stored.Release()
 			}
@@ -301,5 +320,47 @@ func TestServingPathsMatchDefinition(t *testing.T) {
 		if n := h.AnalysisCount(); n != 0 {
 			t.Fatalf("trial %d: the hydrating engine ran %d analyses, want 0", trial, n)
 		}
+		if n := rcv.AnalysisCount(); n != 0 {
+			t.Fatalf("trial %d: the forwarding receiver ran %d analyses, want 0", trial, n)
+		}
 	}
+}
+
+// forwardedAnswers posts ops on snap's key to a receiver that forwards
+// them to e's node, requires the relayed body to be the bytes
+// encoding/json writes for e's own answer, and returns the relayed
+// results. A +Inf peak height has no JSON form: such a batch must
+// relay the owner's 500, and the rest of it is asked again without
+// the peaks, whose local answer stands in.
+func forwardedAnswers(t *testing.T, url string, e *Engine, snap *Snapshot, ops []Op) []OpResult {
+	t.Helper()
+	local := e.Resolve(snap, ops)
+	want, wantErr := jsonResponse(&Response{Snapshot: snap.Info(), Results: local})
+	body, err := json.Marshal(Request{Dataset: snap.Key.Dataset, Measure: snap.Key.Measure, Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantErr != nil {
+		if resp.StatusCode != http.StatusInternalServerError || !bytes.Contains(got, []byte(wantErr.Error())) || ops[0].Op != OpPeaks {
+			t.Fatalf("forwarded %v: status %d, body %q; want the owner's 500 for %v", ops[0], resp.StatusCode, got, wantErr)
+		}
+		return append(local[:1:1], forwardedAnswers(t, url, e, snap, ops[1:])...)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("forwarded %v: status %d, relayed\n%s\nowner's own encoding\n%s", ops[0], resp.StatusCode, got, want)
+	}
+	var out Response
+	if err := json.Unmarshal(got, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Results
 }

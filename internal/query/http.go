@@ -216,16 +216,23 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// mode counts holders of the graph mapping; heap snapshots no-op).
 	defer snap.Release()
 	resp := Response{Snapshot: snap.Info(), Degraded: degraded, Results: h.Engine.Resolve(snap, req.Ops)}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
+	buf := responseBufs.Get().(*[]byte)
+	body, err := AppendResponse((*buf)[:0], &resp)
+	if cap(body) <= maxPooledResponse {
+		*buf = body[:0]
+		defer responseBufs.Put(buf)
+	}
+	if err != nil {
+		// A value JSON cannot carry (a ±Inf from a library field, say)
+		// leaves the response unsent: a 500, not an empty 200.
 		log.Printf("query: encoding response: %v", err)
-		// Encode marshals in full before its one write, so a value JSON
-		// cannot carry (a ±Inf from a library field, say) leaves the
-		// response unsent: a 500, not an empty 200.
-		var unsupported *json.UnsupportedValueError
-		if errors.As(err, &unsupported) {
-			http.Error(w, fmt.Sprintf("query: encoding response: %v", err), http.StatusInternalServerError)
-		}
+		http.Error(w, fmt.Sprintf("query: encoding response: %v", err), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if _, err := w.Write(body); err != nil {
+		log.Printf("query: writing response: %v", err)
 	}
 }
 
@@ -275,7 +282,9 @@ func (h *Handler) writeSnapshotError(w http.ResponseWriter, err error) {
 // the peer's breaker, and giving up returns false so the caller falls
 // back to local service. Any complete HTTP response from the peer,
 // including an error status, counts as delivered and is relayed as-is
-// (a 400 is the client's mistake wherever it surfaces).
+// (a 400 is the client's mistake wherever it surfaces): its status,
+// Content-Type and Retry-After — so a shed owner's 503 stays an honest
+// 503 with its hint — and its payload with that payload's length.
 func (h *Handler) forward(w http.ResponseWriter, r *http.Request, peer string, key Key, ops []Op) bool {
 	body, err := json.Marshal(Request{
 		Dataset: key.Dataset,
@@ -313,9 +322,12 @@ func (h *Handler) forward(w http.ResponseWriter, r *http.Request, peer string, k
 		}
 		return false
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	for _, name := range []string{"Content-Type", "Retry-After"} {
+		if v := resp.Header.Get(name); v != "" {
+			w.Header().Set(name, v)
+		}
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 	w.WriteHeader(resp.StatusCode)
 	if _, err := w.Write(payload); err != nil {
 		log.Printf("query: relaying response from %s: %v", peer, err)

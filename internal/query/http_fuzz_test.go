@@ -2,14 +2,18 @@ package query
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 )
 
 // FuzzQueryRequest feeds hostile bodies to POST /api/v1/query. The
 // handler must never panic, and a body can only earn a 200, a 400 or
 // a 503: a 500 means a bad request was mistaken for a server failure.
+// A 200 states its body's length, and its body decodes into a
+// Response that encoding/json re-encodes to the same bytes.
 func FuzzQueryRequest(f *testing.F) {
 	e := NewEngine(Options{})
 	e.RegisterDataset("tiny", testGraph())
@@ -29,9 +33,22 @@ func FuzzQueryRequest(f *testing.F) {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/api/v1/query", bytes.NewReader(body)))
 		switch w.Code {
-		case http.StatusOK, http.StatusBadRequest, http.StatusServiceUnavailable:
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusServiceUnavailable:
+			return
 		default:
 			t.Fatalf("status %d for body %q: %s", w.Code, body, w.Body)
+		}
+		if cl := w.Header().Get("Content-Length"); cl != strconv.Itoa(w.Body.Len()) {
+			t.Fatalf("Content-Length %q for a %d-byte answer to %q", cl, w.Body.Len(), body)
+		}
+		var resp Response
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("answer to %q does not decode: %v\n%s", body, err, w.Body)
+		}
+		again, err := jsonResponse(&resp)
+		if err != nil || !bytes.Equal(again, w.Body.Bytes()) {
+			t.Fatalf("answer to %q re-encodes (err %v) as\n%s\nnot\n%s", body, err, again, w.Body)
 		}
 	})
 }

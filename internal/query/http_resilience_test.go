@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,6 +131,41 @@ func TestForwardMidBodyResetFallsBackLocally(t *testing.T) {
 	})
 	defer ts.Close()
 	expectLocalAnswer(t, ts)
+}
+
+// TestForwardRelaysRetryAfter: an owner that sheds answers an honest
+// 503 with a Retry-After hint, and the receiver relays the hint with
+// the status, the payload and the payload's length.
+func TestForwardRelaysRetryAfter(t *testing.T) {
+	const shed = "query: overloaded\n"
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Retry-After", "7")
+		http.Error(w, strings.TrimSuffix(shed, "\n"), http.StatusServiceUnavailable)
+	}))
+	defer peer.Close()
+
+	ts := httptest.NewServer(&Handler{
+		Engine: testEngine(t, Options{}),
+		Route:  func(Key) (string, bool) { return peer.URL, true },
+		Retry:  noRetry,
+	})
+	defer ts.Close()
+	resp, err := http.Post(ts.URL, "application/json", strings.NewReader(tinyBatch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "7" || string(body) != shed {
+		t.Fatalf("relayed status %d, Retry-After %q, body %q; want 503, \"7\", %q",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body, shed)
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(shed)) {
+		t.Fatalf("relayed Content-Length %q, want %d", cl, len(shed))
+	}
 }
 
 // TestForwardPeerHangFallsBackLocally: the owner accepts the request
