@@ -34,13 +34,13 @@ const chaosSeed = 20260808
 // from channel+"/read", and a corrupt decision scribbles on the entry's
 // backing file first, so the DiskStore's own decode → quarantine path
 // handles the garbage exactly as it would real bit rot.
-func chaosStore(t *testing.T, inj *resilience.Injector, channel, dir string) query.SnapshotStore {
+func chaosStore(t *testing.T, inj *Injector, channel, dir string) query.SnapshotStore {
 	t.Helper()
 	disk, err := query.NewDiskStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &resilience.FaultKV[query.Key, *query.Snapshot]{
+	return &FaultKV[query.Key, *query.Snapshot]{
 		Inner:   disk,
 		Inj:     inj,
 		Channel: channel,
@@ -68,14 +68,14 @@ func TestChaosFleetSurvivesFaultsAndNodeDeath(t *testing.T) {
 	}
 	baseGoroutines := runtime.NumGoroutine()
 
-	inj := resilience.NewInjector(chaosSeed)
-	inj.Configure("storeA/read", resilience.FaultWeights{Corrupt: 0.10})
-	inj.Configure("storeB/read", resilience.FaultWeights{Corrupt: 0.10})
-	inj.Configure("forwardA", resilience.FaultWeights{Error: 0.15, Reset: 0.15, Latency: 0.10})
+	inj := NewInjector(chaosSeed)
+	inj.Configure("storeA/read", FaultWeights{Corrupt: 0.10})
+	inj.Configure("storeB/read", FaultWeights{Corrupt: 0.10})
+	inj.Configure("forwardA", FaultWeights{Error: 0.15, Reset: 0.15, Latency: 0.10})
 
 	storeA := chaosStore(t, inj, "storeA", t.TempDir())
 	storeB := chaosStore(t, inj, "storeB", t.TempDir())
-	faultyForward := &resilience.FaultTransport{Inj: inj, Channel: "forwardA", Latency: 10 * time.Millisecond}
+	faultyForward := &FaultTransport{Inj: inj, Channel: "forwardA", Latency: 10 * time.Millisecond}
 
 	nodeConfig := func(store query.SnapshotStore, transport http.RoundTripper) serverConfig {
 		return serverConfig{
@@ -189,7 +189,7 @@ func TestChaosFleetSurvivesFaultsAndNodeDeath(t *testing.T) {
 	injected := 0
 	for _, ch := range []string{"storeA/read", "storeB/read", "forwardA"} {
 		for f, n := range inj.Counts(ch) {
-			if f != resilience.FaultNone {
+			if f != FaultNone {
 				injected += n
 			}
 		}

@@ -1,8 +1,18 @@
-package resilience
+package main
+
+// Deterministic fault injection for the chaos test: an Injector draws
+// seeded fault decisions per named channel, FaultKV injects them into
+// a snapshot store's reads and writes, and FaultTransport into a
+// peer's HTTP round trips.
 
 import (
+	"errors"
+	"fmt"
 	"hash/fnv"
+	"io"
+	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -155,10 +165,8 @@ func splitmix64(state uint64) (out, next uint64) {
 	return z ^ (z >> 31), next
 }
 
-// KV is the minimal cache-store shape the fault wrapper guards; it is
-// structurally identical to the query layer's SnapshotStore so a
-// FaultKV[query.Key, *query.Snapshot] satisfies that interface
-// without this package importing it.
+// KV is the store shape FaultKV wraps: query.SnapshotStore's methods,
+// generic so that the unit tests can wrap a plain map.
 type KV[K comparable, V any] interface {
 	Get(key K) (V, bool)
 	Add(key K, val V)
@@ -245,3 +253,127 @@ func (s *FaultKV[K, V]) Len() int { return s.Inner.Len() }
 // handoff when shard ownership moves) is bookkeeping, not a faultable
 // data path.
 func (s *FaultKV[K, V]) Keys() []K { return s.Inner.Keys() }
+
+// ErrInjectedRefused is the connection-level failure FaultTransport
+// returns for FaultError decisions and while the peer is marked down.
+var ErrInjectedRefused = errors.New("injected connection refused")
+
+// ErrInjectedReset is the mid-body failure a FaultReset response body
+// returns after its truncation point.
+var ErrInjectedReset = errors.New("injected connection reset")
+
+// FaultTransport wraps an http.RoundTripper with injected transport
+// faults drawn from one injector channel, plus a kill switch that
+// models a dead peer. Decisions per request:
+//
+//   - down (SetDown(true)) or FaultError: the dial is refused — the
+//     request fails before any bytes flow.
+//   - FaultHang: the slow-loris peer — the request blocks until its
+//     context ends and returns the context's error.
+//   - FaultLatency: the response is delayed by Latency, then proceeds.
+//   - FaultReset: the real response arrives, but its body errors with
+//     ErrInjectedReset after ResetAfter bytes — headers delivered,
+//     body cut mid-stream.
+//
+// Safe for concurrent use.
+type FaultTransport struct {
+	// Inner performs the real request; nil means
+	// http.DefaultTransport.
+	Inner http.RoundTripper
+	Inj   *Injector
+	// Channel is the injector channel consulted once per request.
+	Channel string
+	// ResetAfter is how many body bytes a FaultReset delivers before
+	// cutting; <= 0 means 8.
+	ResetAfter int64
+	// Latency is the FaultLatency delay; <= 0 means 1ms.
+	Latency time.Duration
+
+	down atomic.Bool
+}
+
+// SetDown toggles the kill switch: while down, every request is
+// refused at dial time, like a peer whose process died.
+func (t *FaultTransport) SetDown(down bool) { t.down.Store(down) }
+
+// RoundTrip implements http.RoundTripper with the documented faults.
+func (t *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	fault := FaultNone
+	if t.Inj != nil {
+		fault = t.Inj.Decide(t.Channel)
+	}
+	if t.down.Load() || fault == FaultError {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		return nil, fmt.Errorf("%s %s: %w", req.Method, req.URL, ErrInjectedRefused)
+	}
+	if fault == FaultHang {
+		if req.Body != nil {
+			req.Body.Close()
+		}
+		<-req.Context().Done()
+		return nil, req.Context().Err()
+	}
+	if fault == FaultLatency {
+		d := t.Latency
+		if d <= 0 {
+			d = time.Millisecond
+		}
+		timer := time.NewTimer(d)
+		select {
+		case <-timer.C:
+		case <-req.Context().Done():
+			timer.Stop()
+			if req.Body != nil {
+				req.Body.Close()
+			}
+			return nil, req.Context().Err()
+		}
+	}
+	inner := t.Inner
+	if inner == nil {
+		inner = http.DefaultTransport
+	}
+	resp, err := inner.RoundTrip(req)
+	if err != nil || fault != FaultReset {
+		return resp, err
+	}
+	limit := t.ResetAfter
+	if limit <= 0 {
+		limit = 8
+	}
+	resp.Body = &resetBody{inner: resp.Body, remaining: limit}
+	return resp, nil
+}
+
+// resetBody delivers up to `remaining` bytes of the real body, then
+// fails every read with ErrInjectedReset — a connection cut after
+// headers, mid-body.
+type resetBody struct {
+	inner     io.ReadCloser
+	remaining int64
+}
+
+func (b *resetBody) Read(p []byte) (int, error) {
+	if b.remaining <= 0 {
+		return 0, ErrInjectedReset
+	}
+	if int64(len(p)) > b.remaining {
+		p = p[:b.remaining]
+	}
+	n, err := b.inner.Read(p)
+	b.remaining -= int64(n)
+	if err == io.EOF {
+		return n, io.EOF
+	}
+	if b.remaining <= 0 {
+		// The cut lands before the real body ends: surface the reset
+		// on this read so the caller sees a mid-stream failure, not a
+		// clean short body.
+		return n, ErrInjectedReset
+	}
+	return n, err
+}
+
+func (b *resetBody) Close() error { return b.inner.Close() }

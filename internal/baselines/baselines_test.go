@@ -278,49 +278,6 @@ func TestCSVPlotPermutation(t *testing.T) {
 	}
 }
 
-func TestSplatPeakNearVertices(t *testing.T) {
-	pos := []Point{{0.25, 0.25}, {0.75, 0.75}}
-	field := Splat(pos, nil, 64, 0.05)
-	// Field maxima should be near the splat centers; corners far from
-	// both should be near zero.
-	at := func(x, y float64) float64 { return field[int(y*64)*64+int(x*64)] }
-	if at(0.25, 0.25) < 0.9 {
-		t.Errorf("field at splat center = %g, want ~1", at(0.25, 0.25))
-	}
-	if at(0.99, 0.01) > 0.01 {
-		t.Errorf("field at far corner = %g, want ~0", at(0.99, 0.01))
-	}
-}
-
-func TestSplatWeights(t *testing.T) {
-	pos := []Point{{0.25, 0.5}, {0.75, 0.5}}
-	field := Splat(pos, []float64{1, 3}, 64, 0.05)
-	at := func(x, y float64) float64 { return field[int(y*64)*64+int(x*64)] }
-	if at(0.25, 0.5) >= at(0.75, 0.5) {
-		t.Errorf("weighted splat: %g vs %g, want second larger",
-			at(0.25, 0.5), at(0.75, 0.5))
-	}
-}
-
-func TestSplatNormalized(t *testing.T) {
-	pos := []Point{{0.5, 0.5}}
-	field := Splat(pos, nil, 32, 0.1)
-	for _, v := range field {
-		if v < 0 || v > 1 {
-			t.Fatalf("field value %g outside [0,1]", v)
-		}
-	}
-}
-
-func TestSplatEmpty(t *testing.T) {
-	field := Splat(nil, nil, 16, 0.05)
-	for _, v := range field {
-		if v != 0 {
-			t.Fatal("empty splat should be all zeros")
-		}
-	}
-}
-
 func TestDrawNodeLink(t *testing.T) {
 	g := twoCliquesBridged(5)
 	pos := SpringLayout(g, SpringOptions{Seed: 1, Iterations: 30})
@@ -343,17 +300,6 @@ func TestDrawNodeLink(t *testing.T) {
 	}
 	if red == 0 {
 		t.Error("no node pixels drawn")
-	}
-}
-
-func TestDrawField(t *testing.T) {
-	field := Splat([]Point{{0.5, 0.5}}, nil, 32, 0.1)
-	img := DrawField(field, 32, func(t float64) color.RGBA {
-		v := uint8(t * 255)
-		return color.RGBA{v, v, v, 255}
-	})
-	if img.RGBAAt(16, 16).R <= img.RGBAAt(0, 0).R {
-		t.Error("field center should be brighter than corner")
 	}
 }
 

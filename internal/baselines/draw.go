@@ -64,18 +64,6 @@ func DrawNodeLink(g *graph.Graph, pos []Point, nodeColor []color.RGBA, opts Draw
 	return img
 }
 
-// DrawField renders a scalar field grid (e.g. a Splat result) as a
-// grayscale-to-heat image of the given resolution.
-func DrawField(field []float64, res int, colormap func(float64) color.RGBA) *image.RGBA {
-	img := image.NewRGBA(image.Rect(0, 0, res, res))
-	for y := 0; y < res; y++ {
-		for x := 0; x < res; x++ {
-			img.SetRGBA(x, y, colormap(field[y*res+x]))
-		}
-	}
-	return img
-}
-
 // drawLine draws a 1px Bresenham line clipped to the image bounds.
 func drawLine(img *image.RGBA, x0, y0, x1, y1 int, c color.RGBA) {
 	dx := absInt(x1 - x0)

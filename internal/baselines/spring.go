@@ -1,10 +1,10 @@
 // Package baselines implements the visualization methods the paper
 // compares against: the Fruchterman–Reingold spring layout [31] used
 // for Figure 6(a)/(b) and the linked-2D drilldowns, a LaNet-vi-style
-// k-core ring layout [6], an OpenOrd-style multilevel layout [26], the
-// CSV cohesion plot [1], and GraphSplatting [21]. The user-study
-// harness (internal/userstudy) scores visual-search cost against these
-// baselines exactly as Section IV does against the real tools.
+// k-core ring layout [6], an OpenOrd-style multilevel layout [26] and
+// the CSV cohesion plot [1]. The user-study harness (internal/userstudy)
+// scores visual-search cost against these baselines exactly as
+// Section IV does against the real tools.
 package baselines
 
 import (

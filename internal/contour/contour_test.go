@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 func pathGraph(n int) *graph.Graph {
@@ -150,7 +151,7 @@ func TestSpectrumAgainstBruteForce(t *testing.T) {
 		st := core.VertexSuperTree(f)
 		sp := NewSpectrum(st)
 		for alpha := -0.5; alpha <= 5.0; alpha += 0.25 {
-			wantComps := len(core.BruteForceComponents(f, alpha))
+			wantComps := len(oracle.Components(f.G, f.Values, false, alpha))
 			if got := sp.ComponentsAt(alpha); got != wantComps {
 				t.Fatalf("seed %d α=%g: B0 = %d, want %d", seed, alpha, got, wantComps)
 			}
@@ -282,7 +283,7 @@ func TestSublevelDualityWithSuperlevel(t *testing.T) {
 	fNeg := core.MustVertexField(g, neg)
 	for alpha := -0.5; alpha <= 5.0; alpha += 0.5 {
 		got := sub.ComponentsAt(alpha)
-		want := core.BruteForceComponents(fNeg, -alpha)
+		want := oracle.Components(fNeg.G, fNeg.Values, false, -alpha)
 		if len(got) == 0 && len(want) == 0 {
 			continue
 		}

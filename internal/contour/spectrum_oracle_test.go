@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 // mapSpectrum is the map-based NewSpectrum the sweep-order ranking
@@ -210,12 +211,12 @@ func TestSpectrumMatchesDefinition(t *testing.T) {
 
 		vf := core.MustVertexField(g, randomOracleField(rng, g.NumVertices()))
 		requireSpectrumMatchesDefinition(t, core.VertexSuperTree(vf), vf.Values, func(alpha float64) int {
-			return len(core.BruteForceComponents(vf, alpha))
+			return len(oracle.Components(vf.G, vf.Values, false, alpha))
 		}, rng, "vertex")
 
 		ef := core.MustEdgeField(g, randomOracleField(rng, g.NumEdges()))
 		requireSpectrumMatchesDefinition(t, core.EdgeSuperTree(ef), ef.Values, func(alpha float64) int {
-			return len(core.BruteForceEdgeComponents(ef, alpha))
+			return len(oracle.Components(ef.G, ef.Values, true, alpha))
 		}, rng, "edge")
 	}
 }

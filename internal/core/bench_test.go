@@ -4,11 +4,7 @@ package core
 // DESIGN.md §4: union-find variant, edge-tree method, postprocessing,
 // simplification, and graph representation.
 
-import (
-	"testing"
-
-	"repro/internal/graph"
-)
+import "testing"
 
 func benchField(b *testing.B) *VertexField {
 	b.Helper()
@@ -91,7 +87,7 @@ func BenchmarkAblationSimplify(b *testing.B) {
 // adjacency-map graph for the Algorithm 1 sweep.
 func BenchmarkAblationGraphRepr(b *testing.B) {
 	f := benchField(b)
-	mg := graph.NewMapGraph(f.G)
+	adj := mapAdjacency(f.G)
 	b.Run("CSR", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			BuildVertexTree(f)
@@ -99,7 +95,7 @@ func BenchmarkAblationGraphRepr(b *testing.B) {
 	})
 	b.Run("Map", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			buildTreeOnMapGraph(mg.Adj, f.Values)
+			buildTreeOnMapGraph(adj, f.Values)
 		}
 	})
 }

@@ -1,104 +1,5 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/unionfind"
-)
-
-// BruteForceComponents extracts the maximal α-connected components of
-// a vertex field directly from Definition 1, without building a scalar
-// tree: keep the vertices with scalar >= α, take connected components
-// of the induced subgraph. Each component is returned as a sorted
-// vertex list; components are ordered by smallest member.
-//
-// This is the reference oracle the property tests compare the
-// tree-based extraction against. It is O(|V| + |E|) per α, so it is
-// far too slow to answer queries for all α — which is precisely the
-// problem the scalar tree solves.
-func BruteForceComponents(f *VertexField, alpha float64) [][]int32 {
-	n := f.G.NumVertices()
-	dsu := unionfind.New(n)
-	in := make([]bool, n)
-	for v := 0; v < n; v++ {
-		in[v] = f.Values[v] >= alpha
-	}
-	for _, e := range f.G.Edges() {
-		if in[e.U] && in[e.V] {
-			dsu.Union(int(e.U), int(e.V))
-		}
-	}
-	groups := map[int][]int32{}
-	for v := 0; v < n; v++ {
-		if in[v] {
-			r := dsu.Find(v)
-			groups[r] = append(groups[r], int32(v))
-		}
-	}
-	return sortedGroups(groups)
-}
-
-// BruteForceEdgeComponents extracts the maximal α-edge connected
-// components of an edge field directly from Definition 3: keep edges
-// with scalar >= α, and join two surviving edges when they share an
-// endpoint. Each component is returned as a sorted edge-ID list.
-func BruteForceEdgeComponents(f *EdgeField, alpha float64) [][]int32 {
-	m := f.G.NumEdges()
-	dsu := unionfind.New(m)
-	in := make([]bool, m)
-	for e := 0; e < m; e++ {
-		in[e] = f.Values[e] >= alpha
-	}
-	// Surviving edges incident to the same vertex are pairwise
-	// connected; chaining consecutive survivors is enough for DSU.
-	for v := int32(0); v < int32(f.G.NumVertices()); v++ {
-		prev := int32(-1)
-		for _, e := range f.G.IncidentEdges(v) {
-			if !in[e] {
-				continue
-			}
-			if prev >= 0 {
-				dsu.Union(int(prev), int(e))
-			}
-			prev = e
-		}
-	}
-	groups := map[int][]int32{}
-	for e := 0; e < m; e++ {
-		if in[e] {
-			r := dsu.Find(e)
-			groups[r] = append(groups[r], int32(e))
-		}
-	}
-	return sortedGroups(groups)
-}
-
-// BruteForceMCC computes MCC(v) from Definition 2 directly: the
-// maximal v.scalar-connected component containing v.
-func BruteForceMCC(f *VertexField, v int32) []int32 {
-	for _, comp := range BruteForceComponents(f, f.Values[v]) {
-		for _, u := range comp {
-			if u == v {
-				return comp
-			}
-		}
-	}
-	return nil // unreachable: v always qualifies at its own scalar
-}
-
-func sortedGroups(groups map[int][]int32) [][]int32 {
-	if len(groups) == 0 {
-		return nil
-	}
-	comps := make([][]int32, 0, len(groups))
-	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
-		comps = append(comps, g)
-	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i][0] < comps[j][0] })
-	return comps
-}
-
 // VertexSuperTree builds the complete pipeline for a vertex field:
 // Algorithm 1 followed by Algorithm 2.
 func VertexSuperTree(f *VertexField) *SuperTree {

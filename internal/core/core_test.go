@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 // randomField builds a random graph with nVert vertices, approximately
@@ -129,21 +130,6 @@ func TestTreeMonotoneAlongParents(t *testing.T) {
 	}
 }
 
-func TestTreeDepthConsistent(t *testing.T) {
-	f := randomField(11, 50, 2, 5)
-	tr := BuildVertexTree(f)
-	depth := tr.Depth()
-	for i, p := range tr.Parent {
-		if p < 0 {
-			if depth[i] != 0 {
-				t.Errorf("root %d has depth %d", i, depth[i])
-			}
-		} else if depth[i] != depth[p]+1 {
-			t.Errorf("node %d depth %d, parent depth %d", i, depth[i], depth[p])
-		}
-	}
-}
-
 func TestSuperTreeComponentsMatchOracleRandom(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		f := randomField(seed, 60, 2.0, 5)
@@ -153,7 +139,7 @@ func TestSuperTreeComponentsMatchOracleRandom(t *testing.T) {
 		}
 		for alpha := 0.0; alpha <= 5.0; alpha += 0.5 {
 			got := st.ComponentsAt(alpha)
-			want := BruteForceComponents(f, alpha)
+			want := oracle.Components(f.G, f.Values, false, alpha)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d α=%g: tree %v, oracle %v", seed, alpha, got, want)
 			}
@@ -167,7 +153,7 @@ func TestSuperTreeMCCMatchesOracleRandom(t *testing.T) {
 		st := VertexSuperTree(f)
 		for v := int32(0); v < int32(f.G.NumVertices()); v++ {
 			got := st.MCC(v)
-			want := BruteForceMCC(f, v)
+			want := oracle.MCC(f.G, f.Values, false, v)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: MCC(%d) = %v, want %v", seed, v, got, want)
 			}
@@ -180,18 +166,18 @@ func TestTheorem1EveryComponentIsAnMCC(t *testing.T) {
 	// vertex v of minimum scalar in C.
 	f := randomField(99, 50, 2.0, 5)
 	for alpha := 0.0; alpha <= 5.0; alpha += 1.0 {
-		for _, comp := range BruteForceComponents(f, alpha) {
+		for _, comp := range oracle.Components(f.G, f.Values, false, alpha) {
 			minV := comp[0]
 			for _, v := range comp {
 				if f.Values[v] < f.Values[minV] {
 					minV = v
 				}
 			}
-			mcc := BruteForceMCC(f, minV)
+			mcc := oracle.MCC(f.G, f.Values, false, minV)
 			// MCC(minV) uses α = minV's scalar, which may be above the
 			// query α; the theorem asserts equality when α equals the
 			// component's own min scalar.
-			tight := BruteForceComponents(f, f.Values[minV])
+			tight := oracle.Components(f.G, f.Values, false, f.Values[minV])
 			found := false
 			for _, tc := range tight {
 				if reflect.DeepEqual(tc, mcc) {
@@ -210,10 +196,10 @@ func TestTheorem2EqualScalarSharedMCC(t *testing.T) {
 	// MCC(v) == MCC(v').
 	f := randomField(123, 60, 2.5, 4)
 	for v := int32(0); v < int32(f.G.NumVertices()); v++ {
-		mccV := BruteForceMCC(f, v)
+		mccV := oracle.MCC(f.G, f.Values, false, v)
 		for _, u := range mccV {
 			if u != v && f.Values[u] == f.Values[v] {
-				mccU := BruteForceMCC(f, u)
+				mccU := oracle.MCC(f.G, f.Values, false, u)
 				if !reflect.DeepEqual(mccV, mccU) {
 					t.Fatalf("MCC(%d) = %v but MCC(%d) = %v", v, mccV, u, mccU)
 				}
@@ -231,7 +217,7 @@ func TestTheorem3OverlappingComponentsNest(t *testing.T) {
 	}
 	var all []comp
 	for alpha := 0.0; alpha <= 4.0; alpha += 1.0 {
-		for _, c := range BruteForceComponents(f, alpha) {
+		for _, c := range oracle.Components(f.G, f.Values, false, alpha) {
 			set := make(map[int32]bool, len(c))
 			for _, v := range c {
 				set[v] = true
@@ -298,7 +284,7 @@ func TestEdgeSuperTreeMatchesOracle(t *testing.T) {
 		}
 		for alpha := 0.0; alpha <= 5.0; alpha += 0.5 {
 			got := st.ComponentsAt(alpha)
-			want := BruteForceEdgeComponents(f, alpha)
+			want := oracle.Components(f.G, f.Values, true, alpha)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d α=%g: tree %v, oracle %v", seed, alpha, got, want)
 			}
@@ -413,7 +399,6 @@ func TestDiscretizePreservesOrderWithInfinities(t *testing.T) {
 		}
 		bins := 1 + rng.Intn(9)
 		requireOrderPreserved(t, "Discretize", vals, Discretize(vals, bins))
-		requireOrderPreserved(t, "DiscretizeLog", vals, DiscretizeLog(vals, bins))
 	}
 }
 
@@ -429,8 +414,6 @@ func TestDiscretizeInfiniteSpanRegressions(t *testing.T) {
 		// A span wider than MaxFloat64 no longer overflows the width.
 		{"Discretize", Discretize([]float64{-math.MaxFloat64, math.MaxFloat64}, 4),
 			[]float64{-0.75 * math.MaxFloat64, 0.75 * math.MaxFloat64}},
-		{"DiscretizeLog", DiscretizeLog([]float64{1, 2, inf}, 4),
-			[]float64{math.Exp(math.Ln2 / 8), math.Exp(7 * math.Ln2 / 8), inf}},
 	}
 	for _, c := range cases {
 		if !reflect.DeepEqual(c.got, c.want) {
@@ -465,24 +448,6 @@ func TestDiscretizePanicsOnZeroBins(t *testing.T) {
 	Discretize([]float64{1}, 0)
 }
 
-func TestDiscretizeLogHeavyTail(t *testing.T) {
-	vals := []float64{1, 2, 4, 8, 16, 32, 64, 128}
-	q := DiscretizeLog(vals, 4)
-	distinct := map[float64]bool{}
-	for _, v := range q {
-		distinct[v] = true
-	}
-	if len(distinct) != 4 {
-		t.Errorf("log bins over powers of two: %d distinct values, want 4 (%v)", len(distinct), q)
-	}
-	// Order preserved.
-	for i := 1; i < len(q); i++ {
-		if q[i] < q[i-1] {
-			t.Errorf("DiscretizeLog broke monotonicity at %d: %v", i, q)
-		}
-	}
-}
-
 func TestSimplifyReducesSuperTreeSize(t *testing.T) {
 	f := randomField(5, 500, 3.0, 1000) // near-distinct values
 	full := VertexSuperTree(f)
@@ -514,7 +479,7 @@ func TestSimplifiedComponentsCoarsen(t *testing.T) {
 				minV = v
 			}
 		}
-		comps := BruteForceComponents(sf, sf.Values[minV])
+		comps := oracle.Components(sf.G, sf.Values, false, sf.Values[minV])
 		found := false
 		for _, c := range comps {
 			if reflect.DeepEqual(c, items) {
@@ -538,7 +503,7 @@ func TestQuickVertexTreePipeline(t *testing.T) {
 			return false
 		}
 		for _, alpha := range []float64{0, 1, 2} {
-			if !reflect.DeepEqual(st.ComponentsAt(alpha), BruteForceComponents(fld, alpha)) {
+			if !reflect.DeepEqual(st.ComponentsAt(alpha), oracle.Components(fld.G, fld.Values, false, alpha)) {
 				return false
 			}
 		}
@@ -557,7 +522,7 @@ func TestQuickEdgeTreePipeline(t *testing.T) {
 			return false
 		}
 		for _, alpha := range []float64{0, 1, 2} {
-			if !reflect.DeepEqual(st.ComponentsAt(alpha), BruteForceEdgeComponents(fld, alpha)) {
+			if !reflect.DeepEqual(st.ComponentsAt(alpha), oracle.Components(fld.G, fld.Values, true, alpha)) {
 				return false
 			}
 		}
@@ -574,8 +539,8 @@ func TestAblationTwinsAgreeWithPrimary(t *testing.T) {
 	f := randomField(202, 60, 2.2, 5)
 	stPrimary := VertexSuperTree(f)
 	stNaiveUF := Postprocess(buildVertexTreeNaiveUF(f))
-	mg := graph.NewMapGraph(f.G)
-	stMap := Postprocess(buildTreeOnMapGraph(mg.Adj, f.Values))
+	adj := mapAdjacency(f.G)
+	stMap := Postprocess(buildTreeOnMapGraph(adj, f.Values))
 	for alpha := 0.0; alpha <= 5.0; alpha += 1.0 {
 		want := stPrimary.ComponentsAt(alpha)
 		if got := stNaiveUF.ComponentsAt(alpha); !reflect.DeepEqual(got, want) {

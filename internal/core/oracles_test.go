@@ -4,7 +4,7 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/unionfind"
+	"repro/internal/graph"
 )
 
 // Comparison-sort and ablation tree builders, kept as test oracles:
@@ -59,6 +59,16 @@ func BuildEdgeTreeSerial(f *EdgeField) *Tree {
 	return buildTree(f.Values, order, prop3Adjacency(f, order))
 }
 
+// mapAdjacency copies g's neighbor lists into an adjacency map, the
+// graph representation the CSR layout is ablated against.
+func mapAdjacency(g *graph.Graph) map[int32][]int32 {
+	adj := make(map[int32][]int32, g.NumVertices())
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		adj[v] = slices.Clone(g.Neighbors(v))
+	}
+	return adj
+}
+
 // buildTreeOnMapGraph is the ablation twin of BuildVertexTree running
 // on the adjacency-map representation, for the CSR layout benchmark
 // and the cross-representation oracle test.
@@ -80,7 +90,17 @@ func buildVertexTreeNaiveUF(f *VertexField) *Tree {
 	for i := range t.Parent {
 		t.Parent[i] = -1
 	}
-	dsu := unionfind.NewNaive(n)
+	// A union-find without path compression or union by rank.
+	uf := make([]int32, n)
+	for i := range uf {
+		uf[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for uf[x] != x {
+			x = uf[x]
+		}
+		return x
+	}
 	compRoot := make([]int32, n)
 	for i := range compRoot {
 		compRoot[i] = int32(i)
@@ -91,13 +111,13 @@ func buildVertexTreeNaiveUF(f *VertexField) *Tree {
 			if !processed[vj] {
 				continue
 			}
-			ri, rj := dsu.Find(int(vi)), dsu.Find(int(vj))
+			ri, rj := find(vi), find(vj)
 			if ri == rj {
 				continue
 			}
 			t.Parent[compRoot[rj]] = vi
-			dsu.Union(ri, rj)
-			compRoot[dsu.Find(int(vi))] = vi
+			uf[rj] = ri
+			compRoot[ri] = vi
 		}
 		processed[vi] = true
 	}

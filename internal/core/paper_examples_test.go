@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 // figure2Field reconstructs a scalar graph consistent with the paper's
@@ -147,7 +148,7 @@ func TestPaperFigure2SubtreeIsMCC(t *testing.T) {
 	for v := int32(0); v < int32(f.G.NumVertices()); v++ {
 		got := tr.SubtreeItems(v)
 		sortInt32s(got)
-		want := BruteForceMCC(f, v)
+		want := oracle.MCC(f.G, f.Values, false, v)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("subtree(n%d) = %v, MCC(v%d) = %v", v+1, got, v+1, want)
 		}
@@ -183,7 +184,7 @@ func TestPaperFigure3RawTreeViolatesProperty2(t *testing.T) {
 	}
 	// ... but C(v1, v3) is not a maximal 1-connected component: the
 	// maximal 1-component containing v3 is the whole graph.
-	mcc := BruteForceMCC(f, 2)
+	mcc := oracle.MCC(f.G, f.Values, false, 2)
 	if reflect.DeepEqual(sub, mcc) {
 		t.Fatal("expected raw tree to violate Property 2 on this input")
 	}
@@ -221,7 +222,7 @@ func TestPaperFigure3SuperTreeProposition2(t *testing.T) {
 	st := VertexSuperTree(f)
 	for v := int32(0); v < 5; v++ {
 		got := st.MCC(v)
-		want := BruteForceMCC(f, v)
+		want := oracle.MCC(f.G, f.Values, false, v)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("super MCC(v%d) = %v, want %v", v+1, got, want)
 		}
@@ -233,7 +234,7 @@ func TestPaperFigure3ComponentsMatchOracle(t *testing.T) {
 	st := VertexSuperTree(f)
 	for _, alpha := range []float64{0.5, 1, 1.5, 2, 2.5} {
 		got := st.ComponentsAt(alpha)
-		want := BruteForceComponents(f, alpha)
+		want := oracle.Components(f.G, f.Values, false, alpha)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("α=%g: tree components %v, oracle %v", alpha, got, want)
 		}

@@ -75,40 +75,3 @@ func SimplifyVertexField(f *VertexField, bins int) *VertexField {
 func SimplifyEdgeField(f *EdgeField, bins int) *EdgeField {
 	return &EdgeField{G: f.G, Values: Discretize(f.Values, bins)}
 }
-
-// DiscretizeLog quantizes positive scalar values into logarithmically
-// spaced bins, which suits heavy-tailed fields such as degree or
-// k-core number on scale-free graphs: linear bins would collapse the
-// long tail of small values into one bin while wasting bins on the few
-// huge hubs. The bins split the range of the finite positive values;
-// smaller values (non-positive ones and -Inf) are clamped to the
-// smallest bin and +Inf maps to itself, which preserves order.
-func DiscretizeLog(values []float64, bins int) []float64 {
-	if bins < 1 {
-		panic("core: DiscretizeLog requires bins >= 1")
-	}
-	out := make([]float64, len(values))
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range values {
-		if v > 0 && !math.IsInf(v, 1) {
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
-		}
-	}
-	if !(lo < hi) {
-		copy(out, values)
-		return out
-	}
-	logLo, logHi := math.Log(lo), math.Log(hi)
-	width := (logHi - logLo) / float64(bins)
-	for i, v := range values {
-		switch {
-		case math.IsInf(v, 1):
-			out[i] = v
-		case v <= lo:
-			out[i] = math.Exp(logLo + 0.5*width)
-		default:
-			out[i] = math.Exp(logLo + (float64(binOf((math.Log(v)-logLo)/width, bins))+0.5)*width)
-		}
-	}
-	return out
-}

@@ -61,26 +61,6 @@ func (t *Tree) SubtreeItems(node int32) []int32 {
 	return items
 }
 
-// Depth returns the depth of each node (roots have depth 0).
-func (t *Tree) Depth() []int32 {
-	depth := make([]int32, len(t.Parent))
-	ch := t.Children()
-	var stack []int32
-	for _, r := range t.Roots() {
-		depth[r] = 0
-		stack = append(stack, r)
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range ch[v] {
-			depth[c] = depth[v] + 1
-			stack = append(stack, c)
-		}
-	}
-	return depth
-}
-
 // Validate checks the structural invariants of a scalar tree:
 // acyclicity, a root per tree, and the merge-tree monotonicity
 // property that every node's scalar is >= its parent's.

@@ -188,17 +188,3 @@ func EdgeLCI(g *graph.Graph, si, sj []float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// Pearson computes the plain (global, non-neighborhood) Pearson
-// correlation of two equal-length samples; used by the experiment
-// harness to sanity-check GCI against the field-wide correlation.
-func Pearson(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) < 2 {
-		return 0
-	}
-	idx := make([]int32, len(a))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	return pearsonOver(idx, a, b)
-}

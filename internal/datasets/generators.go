@@ -33,44 +33,6 @@ func ErdosRenyi(n, m int, seed int64) *graph.Graph {
 	return b.Build()
 }
 
-// BarabasiAlbert generates a preferential-attachment graph: vertices
-// arrive one at a time and connect to mPerNode existing vertices with
-// probability proportional to degree, yielding the heavy-tailed degree
-// distribution of web/citation/vote networks.
-func BarabasiAlbert(n, mPerNode int, seed int64) *graph.Graph {
-	if mPerNode < 1 {
-		mPerNode = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	b := graph.NewBuilder(n)
-	// targets is the repeated-endpoint list: sampling uniformly from it
-	// realizes degree-proportional selection.
-	targets := make([]int32, 0, 2*n*mPerNode)
-	seedSize := mPerNode + 1
-	if seedSize > n {
-		seedSize = n
-	}
-	for i := 0; i < seedSize; i++ {
-		for j := i + 1; j < seedSize; j++ {
-			b.AddEdge(int32(i), int32(j))
-			targets = append(targets, int32(i), int32(j))
-		}
-	}
-	for v := seedSize; v < n; v++ {
-		added := map[int32]bool{}
-		for len(added) < mPerNode {
-			u := targets[rng.Intn(len(targets))]
-			if u == int32(v) || added[u] {
-				continue
-			}
-			added[u] = true
-			b.AddEdge(int32(v), u)
-			targets = append(targets, int32(v), u)
-		}
-	}
-	return b.Build()
-}
-
 // BarabasiAlbertVarM is preferential attachment with a per-vertex
 // attachment count drawn uniformly from [1, 2·meanM], so core numbers
 // spread over a range instead of collapsing to a single value (pure BA

@@ -81,19 +81,6 @@ func FromEdges(n int, edges []Edge) *Graph {
 	return b.Build()
 }
 
-// FromAdjacency builds a graph from an adjacency-list description,
-// useful for small hand-written test graphs. adjacency[v] lists the
-// neighbors of v; each edge may appear in one or both directions.
-func FromAdjacency(adjacency [][]int32) *Graph {
-	b := NewBuilder(len(adjacency))
-	for v, nbrs := range adjacency {
-		for _, u := range nbrs {
-			b.AddEdge(int32(v), u)
-		}
-	}
-	return b.Build()
-}
-
 // fromCanonicalEdges assembles the CSR arrays from a deduplicated,
 // sorted, canonical (U<=V, no self-loop) edge list, building directly
 // into one contiguous arena (arena.go): the slice fields of the
@@ -145,25 +132,4 @@ func sortParallel(keys, vals []int32) {
 		}
 		keys[j+1], vals[j+1] = k, v
 	}
-}
-
-// MapGraph is an adjacency-map graph representation kept only as an
-// ablation baseline against the CSR Graph (see DESIGN.md §4.5). It
-// supports the minimal neighbor iteration needed by the scalar-tree
-// benchmarks.
-type MapGraph struct {
-	Adj map[int32][]int32
-	N   int
-}
-
-// NewMapGraph converts g to the map representation.
-func NewMapGraph(g *Graph) *MapGraph {
-	m := &MapGraph{Adj: make(map[int32][]int32, g.NumVertices()), N: g.NumVertices()}
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		nbrs := g.Neighbors(v)
-		cp := make([]int32, len(nbrs))
-		copy(cp, nbrs)
-		m.Adj[v] = cp
-	}
-	return m
 }

@@ -63,19 +63,3 @@ func ReadEdgeList(r io.Reader) (*Graph, []int64, error) {
 	}
 	return FromEdges(len(orig), edges), orig, nil
 }
-
-// WriteEdgeList writes the graph as a SNAP-style edge list with a
-// comment header. It is the inverse of ReadEdgeList for graphs whose
-// vertex IDs are already compact.
-func WriteEdgeList(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# Nodes: %d Edges: %d\n", g.NumVertices(), g.NumEdges()); err != nil {
-		return err
-	}
-	for _, e := range g.Edges() {
-		if _, err := fmt.Fprintf(bw, "%d\t%d\n", e.U, e.V); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

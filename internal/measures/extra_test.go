@@ -2,10 +2,153 @@ package measures
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/graph"
 )
+
+// EigenvectorCentrality, DegreeAssortativity, KendallTau and TopK are
+// not registered measures and no binary calls them: they live here,
+// beside the tests that pin them. KendallTau also scores the sampled
+// betweenness against the exact one.
+
+// EigenvectorCentrality computes eigenvector centrality by power
+// iteration on the adjacency matrix, normalized so the maximum score
+// is 1. Iteration stops at tol L1-change or maxIter rounds. On a
+// disconnected graph the scores concentrate on the component with the
+// largest spectral radius; smaller components tend toward zero —
+// callers visualizing a field should run it on one component.
+func EigenvectorCentrality(g *graph.Graph, tol float64, maxIter int) []float64 {
+	n := g.NumVertices()
+	if n == 0 {
+		return nil
+	}
+	if g.NumEdges() == 0 {
+		return make([]float64, n)
+	}
+	x := make([]float64, n)
+	next := make([]float64, n)
+	for i := range x {
+		x[i] = 1
+	}
+	for iter := 0; iter < maxIter; iter++ {
+		// Iterate (A + I)x rather than Ax: the shift preserves the
+		// eigenvector ordering but breaks the period-2 oscillation of
+		// bipartite graphs (whose spectrum is symmetric about 0).
+		copy(next, x)
+		for v := int32(0); v < int32(n); v++ {
+			xv := x[v]
+			for _, u := range g.Neighbors(v) {
+				next[u] += xv
+			}
+		}
+		// Normalize by max to avoid overflow.
+		max := 0.0
+		for _, v := range next {
+			if v > max {
+				max = v
+			}
+		}
+		if max == 0 {
+			return next // edgeless graph: all zero
+		}
+		var diff float64
+		for i := range next {
+			next[i] /= max
+			diff += math.Abs(next[i] - x[i])
+		}
+		x, next = next, x
+		if diff < tol {
+			break
+		}
+	}
+	return x
+}
+
+// DegreeAssortativity computes the Pearson correlation of endpoint
+// degrees over edges — positive for collaboration-style networks
+// (hubs link hubs), negative for hub-and-spoke topologies. Returns 0
+// for graphs with fewer than 2 edges or zero degree variance.
+func DegreeAssortativity(g *graph.Graph) float64 {
+	m := g.NumEdges()
+	if m < 2 {
+		return 0
+	}
+	// Over directed stubs (each edge contributes both orientations).
+	var sumXY, sumX, sumX2 float64
+	count := float64(2 * m)
+	for _, e := range g.Edges() {
+		du, dv := float64(g.Degree(e.U)), float64(g.Degree(e.V))
+		sumXY += 2 * du * dv
+		sumX += du + dv
+		sumX2 += du*du + dv*dv
+	}
+	mean := sumX / count
+	cov := sumXY/count - mean*mean
+	varX := sumX2/count - mean*mean
+	if varX == 0 {
+		return 0
+	}
+	return cov / varX
+}
+
+// KendallTau computes the Kendall rank correlation τ-b between two
+// equal-length score vectors, with tie correction. It is the standard
+// way to compare two centrality rankings (e.g. exact vs. approximate
+// betweenness) independent of scale. O(n²) pair scan — fine for the
+// evaluation sizes it is used at.
+func KendallTau(a, b []float64) float64 {
+	n := len(a)
+	if n != len(b) || n < 2 {
+		return 0
+	}
+	var concordant, discordant, tiesA, tiesB float64
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			da := a[i] - a[j]
+			db := b[i] - b[j]
+			switch {
+			case da == 0 && db == 0:
+				// Joint tie: excluded from all counts in τ-b.
+			case da == 0:
+				tiesA++
+			case db == 0:
+				tiesB++
+			case (da > 0) == (db > 0):
+				concordant++
+			default:
+				discordant++
+			}
+		}
+	}
+	d1 := concordant + discordant + tiesA
+	d2 := concordant + discordant + tiesB
+	if d1 == 0 || d2 == 0 {
+		return 0
+	}
+	return (concordant - discordant) / math.Sqrt(d1*d2)
+}
+
+// TopK returns the indexes of the k largest values, ties broken by
+// smaller index, in descending score order. Used by the experiment
+// harness to list "key members" of a peak (the paper's author lists).
+func TopK(values []float64, k int) []int32 {
+	idx := make([]int32, len(values))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		if values[idx[a]] != values[idx[b]] {
+			return values[idx[a]] > values[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	if k > len(idx) {
+		k = len(idx)
+	}
+	return idx[:k]
+}
 
 func TestParallelBetweennessMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {

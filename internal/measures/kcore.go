@@ -119,29 +119,3 @@ func CoreNumbersFloat(g *graph.Graph) []float64 {
 	}
 	return out
 }
-
-// Degeneracy reports the maximum core number of the graph (the largest
-// K for which a K-core exists), or 0 for an empty graph.
-func Degeneracy(g *graph.Graph) int32 {
-	max := int32(0)
-	for _, c := range CoreNumbers(g) {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
-// KCoreSubgraph returns the vertices of the K-core: the maximal
-// subgraph in which every vertex has at least k neighbors inside the
-// subgraph. It is the union of vertices whose core number is >= k.
-func KCoreSubgraph(g *graph.Graph, k int32) []int32 {
-	core := CoreNumbers(g)
-	var vs []int32
-	for v, c := range core {
-		if c >= k {
-			vs = append(vs, int32(v))
-		}
-	}
-	return vs
-}

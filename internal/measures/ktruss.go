@@ -14,7 +14,7 @@ func TrussNumbers(g *graph.Graph) []int32 {
 	if len(truss) == 0 {
 		return truss
 	}
-	sup, tris := orient(g).listTriangles(true)
+	sup, tris := orient(g).listTriangles()
 	copy(truss, sup)
 	PeelCliques(truss, tris, 3)
 	return truss
@@ -88,28 +88,4 @@ func TrussNumbersFloat(g *graph.Graph) []float64 {
 		out[i] = float64(t)
 	}
 	return out
-}
-
-// MaxTruss reports the maximum truss number, or 0 for an edgeless graph.
-func MaxTruss(g *graph.Graph) int32 {
-	max := int32(0)
-	for _, t := range TrussNumbers(g) {
-		if t > max {
-			max = t
-		}
-	}
-	return max
-}
-
-// KTrussSubgraph returns the edge IDs of the K-truss: the maximal
-// subgraph in which every edge participates in at least k triangles.
-func KTrussSubgraph(g *graph.Graph, k int32) []int32 {
-	truss := TrussNumbers(g)
-	var es []int32
-	for e, t := range truss {
-		if t >= k {
-			es = append(es, int32(e))
-		}
-	}
-	return es
 }

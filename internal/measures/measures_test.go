@@ -3,6 +3,7 @@ package measures
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -119,11 +120,26 @@ func TestCoreNumbersEmptyGraph(t *testing.T) {
 	}
 }
 
+// degeneracy is the largest core number of g, or 0 without vertices.
+func degeneracy(g *graph.Graph) int32 { return slices.Max(append(CoreNumbers(g), 0)) }
+
+// kCoreSubgraph returns the vertices of the k-core: those whose core
+// number is at least k.
+func kCoreSubgraph(g *graph.Graph, k int32) []int32 {
+	var vs []int32
+	for v, c := range CoreNumbers(g) {
+		if c >= k {
+			vs = append(vs, int32(v))
+		}
+	}
+	return vs
+}
+
 func TestDegeneracy(t *testing.T) {
-	if d := Degeneracy(completeGraph(7)); d != 6 {
+	if d := degeneracy(completeGraph(7)); d != 6 {
 		t.Errorf("K7 degeneracy = %d, want 6", d)
 	}
-	if d := Degeneracy(cycleGraph(9)); d != 2 {
+	if d := degeneracy(cycleGraph(9)); d != 2 {
 		t.Errorf("C9 degeneracy = %d, want 2", d)
 	}
 }
@@ -187,12 +203,12 @@ func TestQuickKCoreSubgraphInternalDegree(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 40, 2.5)
 		core := CoreNumbers(g)
-		k := Degeneracy(g)
+		k := degeneracy(g)
 		if k == 0 {
 			return true
 		}
 		in := make(map[int32]bool)
-		for _, v := range KCoreSubgraph(g, k) {
+		for _, v := range kCoreSubgraph(g, k) {
 			in[v] = true
 		}
 		for v := range in {
@@ -379,17 +395,32 @@ func TestTrussNumbersMatchBruteForce(t *testing.T) {
 	}
 }
 
+// maxTruss is the largest truss number of g, or 0 without edges.
+func maxTruss(g *graph.Graph) int32 { return slices.Max(append(TrussNumbers(g), 0)) }
+
+// kTrussSubgraph returns the edge IDs of the k-truss: those whose truss
+// number is at least k.
+func kTrussSubgraph(g *graph.Graph, k int32) []int32 {
+	var es []int32
+	for e, t := range TrussNumbers(g) {
+		if t >= k {
+			es = append(es, int32(e))
+		}
+	}
+	return es
+}
+
 func TestQuickKTrussInternalSupport(t *testing.T) {
 	// Property (Definition 5): within the max-K truss subgraph, every
 	// edge participates in at least K triangles of the subgraph.
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 30, 3.0)
-		k := MaxTruss(g)
+		k := maxTruss(g)
 		if k == 0 {
 			return true
 		}
 		in := map[int32]bool{}
-		for _, e := range KTrussSubgraph(g, k) {
+		for _, e := range kTrussSubgraph(g, k) {
 			in[e] = true
 		}
 		for e := range in {

@@ -72,43 +72,28 @@ func (o orientedGraph) forEachTriangle(fn func(u, v, w, uv, vw, uw int32)) {
 	}
 }
 
-// EdgeTriangles counts, for every edge, the number of triangles the
-// edge participates in. This is the support function underlying the
-// k-truss decomposition.
-func EdgeTriangles(g *graph.Graph) []int32 {
-	sup, _ := orient(g).listTriangles(false)
-	return sup
-}
-
 // ListTriangles lists every triangle of g once, as its three edge IDs
 // (uv, vw, uw) in tris[3t:3t+3], in the oriented listing's order, and
 // counts in sup[e] the triangles of edge e: the groups and supports
 // PeelCliques takes for the (2,3) nucleus. sup and tris share one
 // allocation.
 func ListTriangles(g *graph.Graph) (sup, tris []int32) {
-	return orient(g).listTriangles(true)
+	return orient(g).listTriangles()
 }
 
-// listTriangles counts each edge's triangles in sup and, if keep is
-// set, lists every triangle once, writing its edge IDs (uv, vw, uw) to
-// tris[3t:3t+3]. Both share one allocation, sized by triangleBound, so
-// the listing costs one allocation on every graph however
-// triangle-dense, and never more bytes than its own work; tris is cut
-// to 3T.
-func (o orientedGraph) listTriangles(keep bool) (sup, tris []int32) {
+// listTriangles counts each edge's triangles in sup and lists every
+// triangle once, writing its edge IDs (uv, vw, uw) to tris[3t:3t+3].
+// Both share one allocation, sized by triangleBound, so the listing
+// costs one allocation on every graph however triangle-dense, and
+// never more bytes than its own work; tris is cut to 3T.
+func (o orientedGraph) listTriangles() (sup, tris []int32) {
 	m := len(o.eid)
-	size := m
-	if keep {
-		size += 3 * o.triangleBound()
-	}
-	slab := make([]int32, size)
+	slab := make([]int32, m+3*o.triangleBound())
 	sup, tris = slab[:m:m], slab[m:]
 	t := 0
 	o.forEachTriangle(func(_, _, _, uv, vw, uw int32) {
-		if keep {
-			tris[t], tris[t+1], tris[t+2] = uv, vw, uw
-			t += 3
-		}
+		tris[t], tris[t+1], tris[t+2] = uv, vw, uw
+		t += 3
 		sup[uv]++
 		sup[vw]++
 		sup[uw]++

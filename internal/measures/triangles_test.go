@@ -9,6 +9,13 @@ import (
 	"repro/internal/graph"
 )
 
+// EdgeTriangles counts, for every edge, the triangles the edge is in:
+// the supports ListTriangles returns.
+func EdgeTriangles(g *graph.Graph) []int32 {
+	sup, _ := ListTriangles(g)
+	return sup
+}
+
 // triangleCases are the graphs the oriented listing is checked on
 // against the merge oracles: the degenerate shapes, degree ties
 // everywhere (cycles, K_n, K_{a,b}), disconnected parts, random graphs

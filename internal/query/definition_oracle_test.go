@@ -16,18 +16,19 @@ import (
 
 	scalarfield "repro"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 // The Definition 1 oracle: every serving path answers alpha_cut,
 // component_of, mcc and peaks with the maximal α-connected components
-// of the field, computed here by brute force (a flood fill over the
-// items whose value is at least α), not by another implementation of
-// the tree. The paths are the engine's fresh analysis, the verified
-// decode of its encoding, the disk store's trusted cold hit from the
-// heap and from a mapping, a second engine that hydrates the snapshot
-// from the first over the snapshot-exchange endpoint, and a batch
-// query that a second node forwards to the first and relays, for
-// vertex and edge fields.
+// of the field, computed by brute force in package oracle (a flood
+// fill over the items whose value is at least α), not by another
+// implementation of the tree. The paths are the engine's fresh
+// analysis, the verified decode of its encoding, the disk store's
+// trusted cold hit from the heap and from a mapping, a second engine
+// that hydrates the snapshot from the first over the snapshot-exchange
+// endpoint, and a batch query that a second node forwards to the first
+// and relays, for vertex and edge fields.
 
 // definitionValues is the pool the oracle measures draw from: ties,
 // both zeros, both infinities and values a hair apart.
@@ -77,41 +78,6 @@ func definitionGraph(rng *rand.Rand) *graph.Graph {
 	return graph.FromEdges(n, edges)
 }
 
-// bruteComponents returns the maximal α-connected components of the
-// field by flood fill: items with value >= α, joined when they are
-// adjacent vertices (vertex fields) or edges sharing an endpoint (edge
-// fields). Each component is sorted, and they are ordered by their
-// smallest item.
-func bruteComponents(g *graph.Graph, values []float64, edge bool, alpha float64) [][]int32 {
-	seen := make([]bool, len(values))
-	var comps [][]int32
-	for start := range values {
-		if seen[start] || !(values[start] >= alpha) {
-			continue
-		}
-		seen[start] = true
-		comp := []int32{int32(start)}
-		for i := 0; i < len(comp); i++ {
-			var next []int32
-			if edge {
-				e := g.Edges()[comp[i]]
-				next = append(append(next, g.IncidentEdges(e.U)...), g.IncidentEdges(e.V)...)
-			} else {
-				next = g.Neighbors(comp[i])
-			}
-			for _, x := range next {
-				if !seen[x] && values[x] >= alpha {
-					seen[x] = true
-					comp = append(comp, x)
-				}
-			}
-		}
-		slices.Sort(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // componentOf returns the component of comps holding item, or nil.
 func componentOf(comps [][]int32, item int32) []int32 {
 	for _, c := range comps {
@@ -146,7 +112,7 @@ func smallest(c []int32, limit int) []int32 {
 func requireDefinitionAnswers(t *testing.T, g *graph.Graph, edge bool, resolve func([]Op) []OpResult, values []float64, alphas []float64, label string) {
 	t.Helper()
 	for _, alpha := range alphas {
-		want := bruteComponents(g, values, edge, alpha)
+		want := oracle.Components(g, values, edge, alpha)
 		ops := []Op{{Op: OpPeaks, Alpha: alpha}}
 		for _, limit := range definitionLimits {
 			ops = append(ops, Op{Op: OpAlphaCut, Alpha: alpha, Limit: limit})
@@ -212,7 +178,7 @@ func requireDefinitionAnswers(t *testing.T, g *graph.Graph, edge bool, resolve f
 			ops[item] = Op{Op: OpMCC, Item: int32(item), Limit: limit}
 		}
 		for item, r := range resolve(ops) {
-			w := componentOf(bruteComponents(g, values, edge, values[item]), int32(item))
+			w := oracle.MCC(g, values, edge, int32(item))
 			if r.ItemCount != len(w) || !slices.Equal(r.Items, smallest(w, limit)) {
 				t.Fatalf("%s limit %d: mcc(%d) = %d items %v, Definition 1 %v",
 					label, limit, item, r.ItemCount, r.Items, w)

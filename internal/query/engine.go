@@ -14,7 +14,6 @@ import (
 	"repro/internal/contour"
 	"repro/internal/graph"
 	"repro/internal/resilience"
-	"repro/internal/stream"
 )
 
 // Options configures an Engine. The zero value is usable: defaults are
@@ -526,29 +525,6 @@ func (e *Engine) AdoptSnapshot(snap *Snapshot) error {
 	snap.gen = gen
 	e.store.Add(snap.Key, snap)
 	return nil
-}
-
-// WatchStream wires a streaming monitor to the engine's invalidation:
-// every state-changing update the monitor accepts (vertex added, new
-// edge recorded, scalar raised — redelivered no-op duplicates do not
-// fire) evicts the named dataset's snapshots, fields, and
-// on-demand-loaded graph, so the next query re-analyzes instead of
-// serving a cached analysis forever. Eviction is cheap (marking, no
-// analysis runs until someone asks), so a rapid update burst costs one
-// re-analysis at the next query, not one per update. Readers already
-// holding snapshots keep them — immutability makes the handoff safe
-// without coordination.
-//
-// What the re-analysis sees is the caller's responsibility: the
-// Monitor tracks α-components, it does not mutate the engine's graph.
-// For loader-backed datasets the evicted graph is re-fetched from the
-// loader, which picks up whatever the loader now returns; for
-// registered (pinned) graphs, re-register the rebuilt graph via
-// RegisterDataset alongside the stream updates — eviction then
-// guarantees the next query analyzes the new registration instead of
-// a cached snapshot of the old one.
-func (e *Engine) WatchStream(dataset string, m *stream.Monitor) {
-	m.OnUpdate(func() { e.Invalidate(dataset) })
 }
 
 // ValidateKey checks the request-shaped parts of a key — measure and

@@ -1,104 +1,10 @@
 package query
 
 import (
-	"reflect"
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/stream"
 )
-
-// TestWatchStreamInvalidatesOnUpdate is the streaming-invalidation
-// acceptance test: once a dataset's monitor is wired to the engine, a
-// monotone update (RaiseScalar) evicts the cached snapshot, so the next
-// query re-analyzes instead of serving the stale analysis forever.
-func TestWatchStreamInvalidatesOnUpdate(t *testing.T) {
-	e := testEngine(t, Options{})
-	key := Key{Dataset: "tiny", Measure: "kcore"}
-
-	if _, err := e.Snapshot(key); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Snapshot(key); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.AnalysisCount(); got != 1 {
-		t.Fatalf("%d analyses before any update, want 1 (cache must hold)", got)
-	}
-
-	m := stream.NewMonitor(2, []float64{1, 1, 1, 1, 1, 1, 1})
-	e.WatchStream("tiny", m)
-
-	// A monotone update on the watched dataset evicts its snapshots.
-	if err := m.RaiseScalar(3, 5); err != nil {
-		t.Fatal(err)
-	}
-	if e.Cached(key) {
-		t.Fatal("snapshot still cached after a stream update")
-	}
-	if _, err := e.Snapshot(key); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.AnalysisCount(); got != 2 {
-		t.Fatalf("%d analyses after the update, want 2 (query must re-analyze)", got)
-	}
-
-	// Edge and vertex updates invalidate too.
-	if _, err := e.Snapshot(key); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AddEdge(0, 3); err != nil {
-		t.Fatal(err)
-	}
-	if e.Cached(key) {
-		t.Fatal("snapshot survived AddEdge on a watched dataset")
-	}
-	m.AddVertex(7)
-	if _, err := e.Snapshot(key); err != nil {
-		t.Fatal(err)
-	}
-
-	// The full freshness loop: the updater re-registers the rebuilt
-	// graph alongside the stream updates (the Monitor tracks
-	// components, not the engine's graph), and eviction guarantees the
-	// next query analyzes the new registration — the served field
-	// actually changes, not just the analysis count.
-	before, err := e.Snapshot(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2 := graph.FromEdges(7, append(append([]graph.Edge(nil), testGraph().Edges()...),
-		graph.Edge{U: 0, V: 3}, graph.Edge{U: 1, V: 4}, graph.Edge{U: 2, V: 5}))
-	e.RegisterDataset("tiny", g2)
-	// A fresh edge (AddEdge(0,3) above is already known and would
-	// dedup to a no-op): the new update evicts the stale snapshot.
-	if _, err := m.AddEdge(1, 4); err != nil {
-		t.Fatal(err)
-	}
-	after, err := e.Snapshot(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(before.Values, after.Values) {
-		t.Fatal("re-analysis after re-registration served the old field")
-	}
-	if after.Graph != g2 {
-		t.Fatal("re-analysis did not pick up the re-registered graph")
-	}
-
-	// Other datasets are untouched: only the watched name is evicted.
-	other := Key{Dataset: "tiny2", Measure: "kcore"}
-	e.RegisterDataset("tiny2", testGraph())
-	if _, err := e.Snapshot(other); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RaiseScalar(0, 9); err != nil {
-		t.Fatal(err)
-	}
-	if !e.Cached(other) {
-		t.Fatal("update on tiny evicted tiny2's snapshot")
-	}
-}
 
 // TestMonitorOnUpdateFiresOnlyOnChange pins the hook's semantics at the
 // stream level: accepted state changes fire, rejected or no-op updates

@@ -129,9 +129,6 @@ func TestWritePNGAndSVGFiles(t *testing.T) {
 	if err := WriteBoundarySVG(dir+"/t.svg", l, nodeColors(st), 400); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTerrainOBJ(dir+"/t.obj", hm, 0.3); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBoundarySVGStructure(t *testing.T) {

@@ -107,13 +107,3 @@ func TerrainOBJ(w io.Writer, hm *terrain.Heightmap, heightScale float64) error {
 	}
 	return bw.Flush()
 }
-
-// WriteTerrainOBJ writes the terrain mesh to a file.
-func WriteTerrainOBJ(path string, hm *terrain.Heightmap, heightScale float64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("render: %w", err)
-	}
-	defer f.Close()
-	return TerrainOBJ(f, hm, heightScale)
-}

@@ -3,12 +3,10 @@
 // admission gate that sheds load instead of queueing unboundedly,
 // jittered exponential backoff for retries and health probes, the one
 // peer exchange and breaker-gated retry loop every fleet call goes
-// through, and a deterministic fault injector for reproducible chaos
-// tests.
+// through.
 //
 // The package is deliberately free of repo-internal imports: it speaks
-// net/http, context, and a tiny generic KV interface, so the query
-// layer, the shard router, and the tests can all wrap their own types
+// net/http and context, so the query layer and cmd/serve can use it
 // without an import cycle. Every time-dependent component takes an
 // injectable clock and jitter source, so the state machines are
 // unit-testable without sleeping.
@@ -102,11 +100,6 @@ type Breaker struct {
 	trips int
 	// openUntil is when an open breaker permits its half-open probe.
 	openUntil time.Time
-}
-
-// NewBreaker returns a closed breaker with the given configuration.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
 }
 
 // Allow reports whether the guarded operation may be attempted now.

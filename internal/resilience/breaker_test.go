@@ -26,6 +26,11 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// NewBreaker returns a closed breaker with the given configuration.
+func NewBreaker(cfg BreakerConfig) *Breaker {
+	return &Breaker{cfg: cfg.withDefaults()}
+}
+
 func testBreaker(clk *fakeClock) *Breaker {
 	return NewBreaker(BreakerConfig{
 		Threshold:   3,

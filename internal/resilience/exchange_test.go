@@ -10,6 +10,26 @@ import (
 	"time"
 )
 
+// errRefused is the dial failure stubTransport returns while down.
+var errRefused = errors.New("connection refused")
+
+// stubTransport stands in for a peer's network: while down it refuses
+// every request, while hang it blocks each request until the request's
+// context ends, and otherwise it passes requests to the default
+// transport.
+type stubTransport struct{ down, hang bool }
+
+func (t stubTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	switch {
+	case t.down:
+		return nil, errRefused
+	case t.hang:
+		<-req.Context().Done()
+		return nil, req.Context().Err()
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
 // countingTransport counts the attempts that reach the wire.
 type countingTransport struct {
 	inner http.RoundTripper
@@ -48,8 +68,8 @@ func TestExchangeThroughDo(t *testing.T) {
 	errAny := errors.New("any error")
 	cases := []struct {
 		name     string
-		fault    FaultWeights
 		down     bool
+		hang     bool
 		breaker  *Breaker
 		after    BreakerState // the breaker's state once Do returns
 		attempts int
@@ -61,24 +81,20 @@ func TestExchangeThroughDo(t *testing.T) {
 		body     string
 	}{
 		{name: "body at the cap", attempts: 1, maxBytes: int64(len(payload)), dials: 1, body: payload},
-		{name: "transport error", down: true, attempts: 1, maxBytes: 64, dials: 1, err: ErrInjectedRefused},
+		{name: "transport error", down: true, attempts: 1, maxBytes: 64, dials: 1, err: errRefused},
 		{name: "body one byte over the cap", attempts: 1, maxBytes: int64(len(payload)) - 1, dials: 1, err: errAny},
-		{name: "hang bounded by the attempt timeout", fault: FaultWeights{Hang: 1}, attempts: 1, maxBytes: 64,
+		{name: "hang bounded by the attempt timeout", hang: true, attempts: 1, maxBytes: 64,
 			timeout: 50 * time.Millisecond, dials: 1, err: context.DeadlineExceeded},
 		{name: "open breaker refuses the first attempt", breaker: tripped(0), after: Open, attempts: 3,
 			maxBytes: 64, dials: 0, err: ErrBreakerOpen},
 		{name: "half-open trial gets one attempt", breaker: tripped(2 * time.Second), after: Open, down: true, attempts: 3,
-			maxBytes: 64, dials: 1, err: ErrInjectedRefused},
+			maxBytes: 64, dials: 1, err: errRefused},
 		{name: "closed breaker retries", breaker: NewBreaker(BreakerConfig{}), after: Closed, down: true, attempts: 3,
-			maxBytes: 64, dials: 3, sleeps: 2, err: ErrInjectedRefused},
+			maxBytes: 64, dials: 3, sleeps: 2, err: errRefused},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			inj := NewInjector(1)
-			inj.Configure("peer", tc.fault)
-			ft := &FaultTransport{Inj: inj, Channel: "peer"}
-			ft.SetDown(tc.down)
-			tr := &countingTransport{inner: ft}
+			tr := &countingTransport{inner: stubTransport{down: tc.down, hang: tc.hang}}
 			client := &http.Client{Transport: tr}
 			sleeps := 0
 			cfg := RetryConfig{

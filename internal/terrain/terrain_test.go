@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 )
 
 func randomSuperTree(seed int64, n int, valueRange int) (*core.SuperTree, *core.VertexField) {
@@ -158,7 +159,7 @@ func TestPeaksMatchComponents(t *testing.T) {
 	l := NewLayout(st, LayoutOptions{})
 	for alpha := 0.0; alpha <= 5; alpha += 1 {
 		peaks := l.PeaksAt(alpha)
-		comps := core.BruteForceComponents(fld, alpha)
+		comps := oracle.Components(fld.G, fld.Values, false, alpha)
 		if len(peaks) != len(comps) {
 			t.Fatalf("α=%g: %d peaks, %d components", alpha, len(peaks), len(comps))
 		}

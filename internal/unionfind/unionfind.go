@@ -12,7 +12,6 @@ package unionfind
 type DSU struct {
 	parent []int32
 	rank   []int8
-	count  int // number of disjoint sets remaining
 }
 
 // New returns a DSU with n singleton sets {0}, {1}, ..., {n-1}.
@@ -20,7 +19,6 @@ func New(n int) *DSU {
 	d := &DSU{
 		parent: make([]int32, n),
 		rank:   make([]int8, n),
-		count:  n,
 	}
 	for i := range d.parent {
 		d.parent[i] = int32(i)
@@ -45,14 +43,7 @@ func (d *DSU) Reset(n int) {
 	for i := range d.rank {
 		d.rank[i] = 0
 	}
-	d.count = n
 }
-
-// Len reports the number of elements the structure was built over.
-func (d *DSU) Len() int { return len(d.parent) }
-
-// Count reports the number of disjoint sets currently in the structure.
-func (d *DSU) Count() int { return d.count }
 
 // Find returns the canonical representative of the set containing x,
 // compressing paths along the way.
@@ -70,9 +61,6 @@ func (d *DSU) Find(x int) int {
 	return root
 }
 
-// Same reports whether x and y are currently in the same set.
-func (d *DSU) Same(x, y int) bool { return d.Find(x) == d.Find(y) }
-
 // Union merges the sets containing x and y. It returns true if a merge
 // happened, or false if x and y were already in the same set.
 func (d *DSU) Union(x, y int) bool {
@@ -87,60 +75,6 @@ func (d *DSU) Union(x, y int) bool {
 	if d.rank[rx] == d.rank[ry] {
 		d.rank[rx]++
 	}
-	d.count--
-	return true
-}
-
-// UnionInto merges the set containing y into the set containing x and
-// forces the representative of the merged set to be the representative
-// of x. It is slower than Union (no union by rank for the final link)
-// but is required when the caller needs a specific element to remain
-// the canonical root, as in the scalar-tree algorithms where the root
-// must be the most recently processed (lowest-scalar) node.
-func (d *DSU) UnionInto(x, y int) bool {
-	rx, ry := d.Find(x), d.Find(y)
-	if rx == ry {
-		return false
-	}
-	d.parent[ry] = int32(rx)
-	if d.rank[rx] <= d.rank[ry] {
-		d.rank[rx] = d.rank[ry] + 1
-	}
-	d.count--
-	return true
-}
-
-// Naive is a union-find without path compression or union by rank.
-// It exists only as an ablation baseline for benchmarks; production
-// code should always use DSU.
-type Naive struct {
-	parent []int32
-}
-
-// NewNaive returns a Naive union-find with n singleton sets.
-func NewNaive(n int) *Naive {
-	d := &Naive{parent: make([]int32, n)}
-	for i := range d.parent {
-		d.parent[i] = int32(i)
-	}
-	return d
-}
-
-// Find returns the representative of x without compressing paths.
-func (d *Naive) Find(x int) int {
-	for d.parent[x] != int32(x) {
-		x = int(d.parent[x])
-	}
-	return x
-}
-
-// Union merges the sets containing x and y by pointing y's root at x's root.
-func (d *Naive) Union(x, y int) bool {
-	rx, ry := d.Find(x), d.Find(y)
-	if rx == ry {
-		return false
-	}
-	d.parent[ry] = int32(rx)
 	return true
 }
 
@@ -151,5 +85,4 @@ func (d *DSU) Grow(k int) {
 		d.parent = append(d.parent, int32(len(d.parent)))
 		d.rank = append(d.rank, 0)
 	}
-	d.count += k
 }

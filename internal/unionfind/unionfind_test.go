@@ -6,13 +6,76 @@ import (
 	"testing/quick"
 )
 
+// sets counts the disjoint sets of d: the elements that are their own
+// root.
+func sets(d *DSU) int {
+	n := 0
+	for i := 0; i < len(d.parent); i++ {
+		if d.Find(i) == i {
+			n++
+		}
+	}
+	return n
+}
+
+// same reports whether x and y are in the same set of d.
+func same(d *DSU, x, y int) bool { return d.Find(x) == d.Find(y) }
+
+// UnionInto merges the set containing y into the set containing x and
+// keeps the representative of x as the merged set's root (no union by
+// rank for the final link).
+func (d *DSU) UnionInto(x, y int) bool {
+	rx, ry := d.Find(x), d.Find(y)
+	if rx == ry {
+		return false
+	}
+	d.parent[ry] = int32(rx)
+	if d.rank[rx] <= d.rank[ry] {
+		d.rank[rx] = d.rank[ry] + 1
+	}
+	return true
+}
+
+// Naive is a union-find without path compression or union by rank:
+// the reference TestAgainstNaive checks DSU against.
+type Naive struct {
+	parent []int32
+}
+
+// NewNaive returns a Naive union-find with n singleton sets.
+func NewNaive(n int) *Naive {
+	d := &Naive{parent: make([]int32, n)}
+	for i := range d.parent {
+		d.parent[i] = int32(i)
+	}
+	return d
+}
+
+// Find returns the representative of x without compressing paths.
+func (d *Naive) Find(x int) int {
+	for d.parent[x] != int32(x) {
+		x = int(d.parent[x])
+	}
+	return x
+}
+
+// Union merges the sets containing x and y by pointing y's root at x's root.
+func (d *Naive) Union(x, y int) bool {
+	rx, ry := d.Find(x), d.Find(y)
+	if rx == ry {
+		return false
+	}
+	d.parent[ry] = int32(rx)
+	return true
+}
+
 func TestNewSingletons(t *testing.T) {
 	d := New(5)
-	if d.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", d.Len())
+	if len(d.parent) != 5 {
+		t.Fatalf("Len = %d, want 5", len(d.parent))
 	}
-	if d.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", d.Count())
+	if sets(d) != 5 {
+		t.Fatalf("sets = %d, want 5", sets(d))
 	}
 	for i := 0; i < 5; i++ {
 		if got := d.Find(i); got != i {
@@ -31,8 +94,8 @@ func TestResetRestoresSingletons(t *testing.T) {
 	// with no state leaking from the merged past.
 	for _, n := range []int{3, 6, 20} {
 		d.Reset(n)
-		if d.Len() != n || d.Count() != n {
-			t.Fatalf("after Reset(%d): Len=%d Count=%d", n, d.Len(), d.Count())
+		if len(d.parent) != n || sets(d) != n {
+			t.Fatalf("after Reset(%d): Len=%d sets=%d", n, len(d.parent), sets(d))
 		}
 		for i := 0; i < n; i++ {
 			if got := d.Find(i); got != i {
@@ -46,7 +109,7 @@ func TestResetRestoresSingletons(t *testing.T) {
 	var z DSU
 	z.Reset(4)
 	z.Union(1, 2)
-	if z.Count() != 3 || !z.Same(1, 2) {
+	if sets(&z) != 3 || !same(&z, 1, 2) {
 		t.Fatal("zero-value DSU not usable after Reset")
 	}
 }
@@ -56,14 +119,14 @@ func TestUnionMergesSets(t *testing.T) {
 	if !d.Union(0, 1) {
 		t.Fatal("Union(0,1) = false, want true")
 	}
-	if !d.Same(0, 1) {
+	if !same(d, 0, 1) {
 		t.Error("0 and 1 should be in the same set")
 	}
-	if d.Same(0, 2) {
+	if same(d, 0, 2) {
 		t.Error("0 and 2 should be in different sets")
 	}
-	if d.Count() != 3 {
-		t.Errorf("Count = %d, want 3", d.Count())
+	if sets(d) != 3 {
+		t.Errorf("sets = %d, want 3", sets(d))
 	}
 }
 
@@ -73,8 +136,8 @@ func TestUnionIdempotent(t *testing.T) {
 	if d.Union(1, 0) {
 		t.Error("second Union(1,0) = true, want false")
 	}
-	if d.Count() != 2 {
-		t.Errorf("Count = %d, want 2", d.Count())
+	if sets(d) != 2 {
+		t.Errorf("sets = %d, want 2", sets(d))
 	}
 }
 
@@ -83,18 +146,18 @@ func TestTransitivity(t *testing.T) {
 	d.Union(0, 1)
 	d.Union(1, 2)
 	d.Union(3, 4)
-	if !d.Same(0, 2) {
+	if !same(d, 0, 2) {
 		t.Error("0 and 2 should be connected transitively")
 	}
-	if d.Same(2, 3) {
+	if same(d, 2, 3) {
 		t.Error("2 and 3 should be disconnected")
 	}
 	d.Union(2, 3)
-	if !d.Same(0, 4) {
+	if !same(d, 0, 4) {
 		t.Error("after bridging, 0 and 4 should be connected")
 	}
-	if d.Count() != 2 {
-		t.Errorf("Count = %d, want 2 (the big set and {5})", d.Count())
+	if sets(d) != 2 {
+		t.Errorf("sets = %d, want 2 (the big set and {5})", sets(d))
 	}
 }
 
@@ -160,17 +223,17 @@ func TestQuickUnionFindIsEquivalence(t *testing.T) {
 			d.Union(int(p.A)%n, int(p.B)%n)
 		}
 		for i := 0; i < n; i++ {
-			if !d.Same(i, i) {
+			if !same(d, i, i) {
 				return false
 			}
 		}
 		for i := 0; i < n; i += 7 {
 			for j := 0; j < n; j += 5 {
-				if d.Same(i, j) != d.Same(j, i) {
+				if same(d, i, j) != same(d, j, i) {
 					return false
 				}
 				for k := 0; k < n; k += 11 {
-					if d.Same(i, j) && d.Same(j, k) && !d.Same(i, k) {
+					if same(d, i, j) && same(d, j, k) && !same(d, i, k) {
 						return false
 					}
 				}
@@ -184,18 +247,18 @@ func TestQuickUnionFindIsEquivalence(t *testing.T) {
 }
 
 func TestQuickCountMatchesComponents(t *testing.T) {
-	// Property: Count always equals the number of distinct roots.
+	// Property: n minus the merges Union reports always equals the
+	// number of distinct roots.
 	f := func(pairs []struct{ A, B uint8 }) bool {
 		const n = 48
 		d := New(n)
+		count := n
 		for _, p := range pairs {
-			d.Union(int(p.A)%n, int(p.B)%n)
+			if d.Union(int(p.A)%n, int(p.B)%n) {
+				count--
+			}
 		}
-		roots := map[int]bool{}
-		for i := 0; i < n; i++ {
-			roots[d.Find(i)] = true
-		}
-		return len(roots) == d.Count()
+		return sets(d) == count
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -222,11 +285,11 @@ func TestGrow(t *testing.T) {
 	d := New(2)
 	d.Union(0, 1)
 	d.Grow(3)
-	if d.Len() != 5 {
-		t.Fatalf("Len = %d after Grow(3), want 5", d.Len())
+	if len(d.parent) != 5 {
+		t.Fatalf("Len = %d after Grow(3), want 5", len(d.parent))
 	}
-	if d.Count() != 4 {
-		t.Fatalf("Count = %d, want 4 ({0,1},{2},{3},{4})", d.Count())
+	if sets(d) != 4 {
+		t.Fatalf("sets = %d, want 4 ({0,1},{2},{3},{4})", sets(d))
 	}
 	for i := 2; i < 5; i++ {
 		if d.Find(i) != i {
@@ -236,7 +299,7 @@ func TestGrow(t *testing.T) {
 	if !d.Union(1, 4) {
 		t.Fatal("union of old and grown element failed")
 	}
-	if !d.Same(0, 4) {
+	if !same(d, 0, 4) {
 		t.Fatal("grown element not connected after union")
 	}
 }
