@@ -69,25 +69,24 @@ func (a *Analyzer) Analyze(g *Graph, measure string, opts AnalyzeOptions) (*Terr
 // owned by the result — nothing aliases the analyzer's pooled state —
 // so an immutable snapshot can hold them indefinitely.
 func (a *Analyzer) AnalyzeAll(g *Graph, measure string, opts AnalyzeOptions) (*Analysis, error) {
-	// When the height and color measures are both distance-based
-	// (closeness, harmonic), one shared MS-BFS traversal produces both
-	// fields at once — the batched engine folds every batch of BFS
-	// levels into each requested field, halving the dominant cost of
-	// the analysis. The fields are bit-identical to the ones the
-	// registry computes separately, so snapshots keyed on either path
-	// agree.
+	// When the height and color measures join one shared pass — two
+	// distance-based measures (closeness, harmonic, eccentricity,
+	// khop), or one of them with a betweenness measure, in either
+	// role — one traversal per source produces both fields. The level
+	// counts the distance folds consume come from either engine: the
+	// MS-Brandes forward phase for the betweenness sources, MS-BFS for
+	// the rest. The fields are bit-identical to the ones the registry
+	// computes separately, so snapshots keyed on either path agree.
 	var colorValues []float64
 	var values []float64
 	var edge bool
-	if opts.ColorBy != "" && opts.ColorBy != measure &&
-		measures.DistanceBased(measure) && measures.DistanceBased(opts.ColorBy) {
-		if fields, ok := measures.SharedDistanceFields(g, []string{measure, opts.ColorBy}); ok {
-			values, colorValues, edge = fields[measure], fields[opts.ColorBy], false
-		}
+	if opts.ColorBy != "" && opts.ColorBy != measure && measures.SharedPass(measure, opts.ColorBy) {
+		fields, _ := measures.SharedDistanceFields(g, []string{measure, opts.ColorBy})
+		values, colorValues = fields[measure], fields[opts.ColorBy]
 	}
 	if values == nil {
-		// Not a shareable pairing (or the shared pass declined): the
-		// usual one-measure-at-a-time registry path.
+		// Not a shareable pairing: the usual one-measure-at-a-time
+		// registry path.
 		var err error
 		values, edge, err = measureValues(g, measure)
 		if err != nil {

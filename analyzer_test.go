@@ -1,9 +1,12 @@
 package scalarfield
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/datasets"
 )
 
 // TestAnalyzerMatchesAnalyze reuses one Analyzer across every
@@ -51,42 +54,68 @@ func TestAnalyzerResultsSurviveReuse(t *testing.T) {
 }
 
 // TestAnalyzeAllSharedDistanceTraversal pins the multi-field fast
-// path: a closeness-height, harmonic-color analysis computes both
-// fields from one MS-BFS traversal, and its fields (and the fields of
-// the swapped pairing) are bit-identical to the separately computed
-// registry measures — so snapshot consumers cannot tell which path
-// produced them.
+// path: a pairing that joins one shared pass (two distance measures,
+// or betweenness-sampled with closeness, in either role) computes both
+// fields from one traversal per source, and its fields are
+// bit-identical to the separately computed registry measures — so
+// snapshot consumers cannot tell which path produced them. The graph
+// above 512 vertices runs betweenness-sampled on sampled pivots, with
+// MS-BFS over the rest; on demoGraph the pivots cover every vertex.
 func TestAnalyzeAllSharedDistanceTraversal(t *testing.T) {
-	g := demoGraph()
+	big, err := datasets.Generate("GrQc", 0.25, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big.NumVertices() <= 512 {
+		t.Fatalf("GrQc at scale 0.25 has %d vertices; the sampled regime needs more than 512", big.NumVertices())
+	}
 	a := NewAnalyzer()
-	for _, pair := range [][2]string{{"closeness", "harmonic"}, {"harmonic", "closeness"}} {
-		res, err := a.AnalyzeAll(g, pair[0], AnalyzeOptions{ColorBy: pair[1]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantHeight, _, err := MeasureValues(g, pair[0], false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantColor, _, err := MeasureValues(g, pair[1], false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res.Values, wantHeight) {
-			t.Fatalf("%s/%s: shared-pass height field diverges from the registry measure", pair[0], pair[1])
-		}
-		if !reflect.DeepEqual(res.ColorValues, wantColor) {
-			t.Fatalf("%s/%s: shared-pass color field diverges from the registry measure", pair[0], pair[1])
+	for _, g := range []*Graph{demoGraph(), big} {
+		for _, pair := range [][2]string{
+			{"closeness", "harmonic"}, {"harmonic", "closeness"},
+			{"betweenness-sampled", "closeness"}, {"closeness", "betweenness-sampled"},
+		} {
+			res, err := a.AnalyzeAll(g, pair[0], AnalyzeOptions{ColorBy: pair[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantHeight, _, err := MeasureValues(g, pair[0], false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantColor, _, err := MeasureValues(g, pair[1], false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(res.Values, wantHeight) {
+				t.Fatalf("|V|=%d %s/%s: shared-pass height field diverges from the registry measure", g.NumVertices(), pair[0], pair[1])
+			}
+			if !sameBits(res.ColorValues, wantColor) {
+				t.Fatalf("|V|=%d %s/%s: shared-pass color field diverges from the registry measure", g.NumVertices(), pair[0], pair[1])
+			}
 		}
 	}
 	// The fast path must not change the non-distance pairings either.
-	res, err := a.AnalyzeAll(g, "kcore", AnalyzeOptions{ColorBy: "closeness"})
+	res, err := a.AnalyzeAll(demoGraph(), "kcore", AnalyzeOptions{ColorBy: "closeness"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ColorValues == nil || res.Values == nil {
 		t.Fatal("mixed pairing lost a field")
 	}
+}
+
+// sameBits reports whether two fields are bitwise equal.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // mallocsOf counts heap allocations performed by fn on this goroutine.

@@ -8,7 +8,8 @@ package main
 // kernels on the batched MS-BFS engine (closeness, harmonic,
 // eccentricity, k-hop, and the early-cutoff diameter fold), the
 // betweenness kernels on the batched MS-Brandes engine (vertex, edge,
-// and sampled), one row per kernel, the snapshot-cache hit/miss paths
+// sampled, and sampled with closeness in one shared pass), one row per
+// kernel, the snapshot-cache hit/miss paths
 // of internal/query, its op resolution over the viewer's query mix and
 // the encoding of those answers, and the snapshot wire codec (encode
 // and decode throughput for the disk store and the shard fabric, and
@@ -358,6 +359,15 @@ func runBench(cfg config) error {
 		{"msbrandes/betweenness", ok(func() { measures.BetweennessCentrality(g) })},
 		{"msbrandes/edgebetweenness", ok(func() { measures.EdgeBetweennessCentrality(g) })},
 		{"msbrandes/sampled-512", ok(func() { measures.ApproxBetweennessCentrality(g, 512, 1) })},
+		// The centrality terrain's two fields from one shared pass: the
+		// pivots' closeness folds from the MS-Brandes forward phase, and
+		// MS-BFS runs only from the other vertices.
+		{"msbrandes/sampled-512+closeness-shared", func() error {
+			if _, shared := measures.SharedDistanceFields(g, []string{"betweenness-sampled", "closeness"}); !shared {
+				return fmt.Errorf("shared pass refused betweenness-sampled+closeness")
+			}
+			return nil
+		}},
 		{"betweenness/sampled-64", ok(func() { measures.ApproxBetweennessCentrality(g, 64, 1) })},
 		{"analyze/kcore-pooled", func() error {
 			_, err := analyzer.Analyze(g, "kcore", scalarfield.AnalyzeOptions{})
@@ -481,14 +491,14 @@ func runBench(cfg config) error {
 	}
 
 	results := make([]benchResult, 0, len(kernels))
-	fmt.Printf("%-32s %14s %12s %14s\n", "Kernel", "ns/op", "allocs/op", "B/op")
+	fmt.Printf("%-38s %14s %12s %14s\n", "Kernel", "ns/op", "allocs/op", "B/op")
 	for _, k := range kernels {
 		r, err := measureKernel(k.name, *benchIters, k.fn)
 		if err != nil {
 			return err
 		}
 		results = append(results, r)
-		fmt.Printf("%-32s %14.0f %12.1f %14.0f\n", r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
+		fmt.Printf("%-38s %14.0f %12.1f %14.0f\n", r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
 	}
 
 	out := struct {

@@ -1,7 +1,5 @@
 package graph
 
-import "math/bits"
-
 // Batched multi-source BFS (MS-BFS) with bit-parallel frontiers, after
 // Then et al., "The More the Merrier: Efficient Multi-Source Graph
 // Traversal" (VLDB 2015), combined with the direction-optimizing
@@ -58,7 +56,8 @@ const (
 // with one bit per source, a per-component mask buffer, and the
 // frontier/pending vertex lists.
 type batchState struct {
-	// words backs comp/seen/frontier/next: one allocation, four views.
+	// words backs comp/seen/frontier/next/found: one allocation, five
+	// views.
 	words []uint64
 	// lists backs cur/nxt/pending the same way.
 	lists []int32
@@ -69,6 +68,15 @@ type batchState struct {
 	seen, frontier, next []uint64
 	cur, nxt, pending    []int32
 
+	// found holds an MS-BFS level's newly set bit words while it
+	// commits, one per vertex reached, for countLanes.
+	found []uint64
+
+	// counts is the per-level report buffer handed to a visitor; it
+	// lives on the scratch (not the stack) so passing its address to an
+	// arbitrary visitor does not force a per-batch heap allocation.
+	counts [MSBFSBatch]int32
+
 	// forceDir pins the traversal direction for tests (msbfsAuto in
 	// production): oracle tests force both directions and require
 	// identical results.
@@ -78,8 +86,8 @@ type batchState struct {
 // resize points the views at backing storage for an n-vertex graph,
 // reusing the existing arrays when they are large enough.
 func (s *batchState) resize(n int) {
-	if cap(s.words) < 4*n {
-		s.words = make([]uint64, 4*n)
+	if cap(s.words) < 5*n {
+		s.words = make([]uint64, 5*n)
 		s.lists = make([]int32, 3*n)
 	} else if len(s.comp) != n {
 		// A view of another size overlaps words the old seen/frontier/
@@ -89,6 +97,7 @@ func (s *batchState) resize(n int) {
 	w := s.words
 	s.comp, s.seen = w[0:n:n], w[n:2*n:2*n]
 	s.frontier, s.next = w[2*n:3*n:3*n], w[3*n:4*n:4*n]
+	s.found = w[4*n : 4*n : 5*n]
 	l := s.lists
 	s.cur, s.nxt, s.pending = l[0:0:n], l[n:n:2*n], l[2*n:2*n:3*n]
 }
@@ -184,11 +193,6 @@ func (s *batchState) bottomUp(g *Graph, cur []int32, incompleteDeg int64) bool {
 // concurrent use — give each goroutine its own.
 type MSBFSScratch struct {
 	batchState
-
-	// counts is the per-level report buffer handed to the visitor; it
-	// lives on the scratch (not the stack) so passing its address to an
-	// arbitrary visitor does not force a per-batch heap allocation.
-	counts [MSBFSBatch]int32
 }
 
 // RunBatch runs one batched BFS from up to MSBFSBatch sources
@@ -284,17 +288,17 @@ func (s *MSBFSScratch) RunBatch(g *Graph, labels, sources []int32, visit func(le
 		// Commit the level: fold the newly set bits into seen, count
 		// them per source, and report. next bits are disjoint from seen
 		// by construction in both directions.
-		clear(counts[:])
+		found := s.found[:0]
 		for _, v := range nxt {
 			d := s.next[v]
 			s.seen[v] |= d
 			if s.seen[v] == full {
 				incompleteDeg -= int64(g.Degree(v))
 			}
-			for w := d; w != 0; w &= w - 1 {
-				counts[bits.TrailingZeros64(w)]++
-			}
+			found = append(found, d)
 		}
+		clear(counts[:])
+		countLanes(counts, found)
 		visit(level, counts)
 
 		for _, v := range cur {
@@ -302,5 +306,44 @@ func (s *MSBFSScratch) RunBatch(g *Graph, labels, sources []int32, visit func(le
 		}
 		s.frontier, s.next = s.next, s.frontier
 		cur, nxt = nxt, cur
+	}
+}
+
+// spreadBits[x] holds bit j of x in byte j. Adding spreadBits of a
+// word's byte k into a uint64 adds that byte's eight lanes, 8k to
+// 8k+7, to eight packed 8-bit counters at once.
+var spreadBits = func() (t [256]uint64) {
+	for x := range t {
+		for j := 0; j < 8; j++ {
+			t[x] |= uint64(x>>j&1) << (8 * j)
+		}
+	}
+	return t
+}()
+
+// countLanes adds to counts[i] the number of words whose bit i is set.
+// It counts through byte-packed counters (spreadBits), eight table
+// adds per word whatever the word's popcount, and unpacks them every
+// 255 words, before an 8-bit counter can overflow.
+func countLanes(counts *[MSBFSBatch]int32, words []uint64) {
+	for len(words) > 0 {
+		chunk := words[:min(len(words), 255)]
+		words = words[len(chunk):]
+		var a0, a1, a2, a3, a4, a5, a6, a7 uint64
+		for _, d := range chunk {
+			a0 += spreadBits[byte(d)]
+			a1 += spreadBits[byte(d>>8)]
+			a2 += spreadBits[byte(d>>16)]
+			a3 += spreadBits[byte(d>>24)]
+			a4 += spreadBits[byte(d>>32)]
+			a5 += spreadBits[byte(d>>40)]
+			a6 += spreadBits[byte(d>>48)]
+			a7 += spreadBits[byte(d>>56)]
+		}
+		for k, a := range [8]uint64{a0, a1, a2, a3, a4, a5, a6, a7} {
+			for j := 0; j < 8; j++ {
+				counts[8*k+j] += int32(a >> (8 * j) & 0xff)
+			}
+		}
 	}
 }

@@ -52,26 +52,35 @@ func componentBatch() (*Graph, []int32) {
 	return b.Build(), sources
 }
 
+// levelLog records a batched engine's level reports: counts[i][L-1]
+// is source i's count at level L. Levels must arrive consecutively
+// starting at 1.
+type levelLog struct {
+	t      *testing.T
+	counts [][]int32
+}
+
+func newLevelLog(t *testing.T, sources int) *levelLog {
+	return &levelLog{t: t, counts: make([][]int32, sources)}
+}
+
+func (l *levelLog) visit(level int32, counts *[MSBFSBatch]int32) {
+	for i := range l.counts {
+		if int(level) != len(l.counts[i])+1 {
+			l.t.Fatalf("level %d reported after %d levels", level, len(l.counts[i]))
+		}
+		l.counts[i] = append(l.counts[i], counts[i])
+	}
+}
+
 // levelCounts runs one MS-BFS batch and collects, per source, the
 // count of vertices first reached at each level (index = level-1).
 func levelCounts(t *testing.T, s *MSBFSScratch, g *Graph, sources []int32) [][]int32 {
 	t.Helper()
-	out := make([][]int32, len(sources))
+	log := newLevelLog(t, len(sources))
 	labels, _ := ConnectedComponents(g)
-	s.RunBatch(g, labels, sources, func(level int32, counts *[MSBFSBatch]int32) {
-		if int(level) != len(out[0])+1 && len(sources) > 0 {
-			// Levels must arrive consecutively starting at 1.
-			for i := range out {
-				if int(level) != len(out[i])+1 {
-					t.Fatalf("level %d reported after %d levels", level, len(out[i]))
-				}
-			}
-		}
-		for i := range out {
-			out[i] = append(out[i], counts[i])
-		}
-	})
-	return out
+	s.RunBatch(g, labels, sources, log.visit)
+	return log.counts
 }
 
 // naiveLevelCounts folds one source's per-source BFS distances into the
@@ -150,8 +159,10 @@ func TestMSBFSMatchesNaiveBFS(t *testing.T) {
 // is an edge. Sparse inputs leave many components and isolated
 // vertices, so batches span components. RunBatch level counts and
 // AccumulateBatch sigma, distances and dependencies must match the
-// oracles under both forced directions. One scratch per engine serves
-// every input, so graph-size changes between batches are covered too.
+// oracles under both forced directions, and the level counts
+// AccumulateBatch reports must equal RunBatch's level for level. One
+// scratch per engine serves every input, so graph-size changes between
+// batches are covered too.
 func FuzzMSBFSComponents(f *testing.F) {
 	f.Add([]byte{40, 63, 0, 1, 1, 2, 2, 0, 5, 6, 9, 9, 20, 21, 21, 22, 30, 5})
 	f.Add([]byte{5, 9})
@@ -175,8 +186,10 @@ func FuzzMSBFSComponents(f *testing.F) {
 		}
 		for _, dir := range []int8{msbfsForceTopDown, msbfsForceBottomUp} {
 			bfs.forceDir = dir
-			assertCountsMatch(t, g, sources, levelCounts(t, &bfs, g, sources), "fuzz")
-			checkBatchAgainstReference(t, &brandes, g, sources, dir, "fuzz")
+			want := levelCounts(t, &bfs, g, sources)
+			assertCountsMatch(t, g, sources, want, "fuzz")
+			got := checkBatchAgainstReference(t, &brandes, g, sources, dir, "fuzz")
+			assertSameLevels(t, got, want, "fuzz")
 		}
 	})
 }
@@ -278,5 +291,39 @@ func TestMSBFSWarmBatchAllocationFree(t *testing.T) {
 		s.RunBatch(g, labels, sources, visit)
 	}); a != 0 {
 		t.Fatalf("warm RunBatch allocates %v objects per batch, want 0", a)
+	}
+}
+
+// TestCountLanesMatchesBitLoop checks the byte-packed lane counter
+// against a bit-by-bit count: random words of every density, runs of
+// full masks long enough to overflow an 8-bit counter without the
+// 255-word flush, and counts that add onto earlier ones.
+func TestCountLanesMatchesBitLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var words []uint64
+	for i := 0; i < 700; i++ {
+		words = append(words, ^uint64(0))
+	}
+	for i := 0; i < 2000; i++ {
+		w := rng.Uint64()
+		for k := rng.Intn(4); k > 0; k-- {
+			w &= rng.Uint64() // sparser words
+		}
+		words = append(words, w, 0, uint64(1)<<uint(rng.Intn(64)))
+	}
+	for _, n := range []int{0, 1, 254, 255, 256, 700, 1500, len(words)} {
+		var got, want [MSBFSBatch]int32
+		for i := range got {
+			got[i], want[i] = int32(i), int32(i)
+		}
+		countLanes(&got, words[:n])
+		for _, w := range words[:n] {
+			for b := 0; b < MSBFSBatch; b++ {
+				want[b] += int32(w >> uint(b) & 1)
+			}
+		}
+		if got != want {
+			t.Fatalf("%d words: counts %v, bit loop %v", n, got, want)
+		}
 	}
 }

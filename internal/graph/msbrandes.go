@@ -26,6 +26,10 @@ import "math/bits"
 // frontier expansion forward, parent discovery backward — are thus
 // paid once per batch; only the per-(vertex, source) floating-point
 // updates remain per-lane, and those read and write contiguous lanes.
+// The forward phase is a BFS (Brandes 2001): at each level commit it
+// can also report the per-lane first-reach counts MS-BFS reports, so
+// a caller that needs both betweenness and a distance fold for the
+// same sources runs one traversal, not two.
 //
 // Determinism contract. Sigma counts are integers accumulated in
 // float64; they are exact (hence identical to the per-source kernel's)
@@ -36,7 +40,10 @@ import "math/bits"
 // — but in the shared level order, so accumulated bc/ebc values agree
 // with the per-source kernel up to floating-point summation order.
 // For a fixed graph and source batch the traversal, the event order,
-// and therefore every accumulated float are fully deterministic.
+// and therefore every accumulated float are fully deterministic. The
+// level counts are integers that depend only on the source's BFS
+// distances, so they equal MSBFSScratch.RunBatch's level for level, in
+// the same ascending order, whatever the traversal direction.
 
 // MSBrandesScratch holds the pooled state of batched Brandes passes:
 // the frontier machine of the MS-BFS forward phase, the
@@ -87,6 +94,12 @@ func (s *MSBrandesScratch) resizeLanes(n int) {
 // non-nil, indexed by edge ID). Callers apply the undirected 0.5 factor
 // and any sampling scale themselves, after all batches.
 //
+// visit, when non-nil, has RunBatch's contract: it is called after
+// every committed forward level, in ascending level order from 1, with
+// counts[i] the number of vertices source i first reached at that
+// depth. The counts array is reused between levels and must not be
+// retained.
+//
 // labels are g's connected-component labels, as ConnectedComponents
 // returns them: the batch starts with every pair they prove
 // unreachable already seen. Sources contribute independently per lane,
@@ -94,7 +107,7 @@ func (s *MSBrandesScratch) resizeLanes(n int) {
 // unreachable from a source contribute nothing for it. AccumulateBatch
 // panics if len(sources) exceeds MSBFSBatch, a source is out of range,
 // or labels do not have one entry per vertex.
-func (s *MSBrandesScratch) AccumulateBatch(g *Graph, labels, sources []int32, bc, ebc []float64) {
+func (s *MSBrandesScratch) AccumulateBatch(g *Graph, labels, sources []int32, bc, ebc []float64, visit func(level int32, counts *[MSBFSBatch]int32)) {
 	if len(sources) == 0 {
 		return
 	}
@@ -114,15 +127,16 @@ func (s *MSBrandesScratch) AccumulateBatch(g *Graph, labels, sources []int32, bc
 		s.sigma[int(src)*MSBFSBatch+i] = 1
 	}
 
-	s.forward(g, full, incompleteDeg, cur, s.nxt[:0], s.pending[:0])
+	s.forward(g, full, incompleteDeg, cur, s.nxt[:0], s.pending[:0], visit)
 	s.backward(g, sources, bc, ebc)
 }
 
 // forward is the direction-optimized expansion phase: MS-BFS frontier
 // advancement plus per-lane sigma accumulation, recording one
-// level-chunked event list for the reverse sweep. On return, frontier
+// level-chunked event list for the reverse sweep and reporting each
+// level's per-lane counts to visit (when non-nil). On return, frontier
 // and next are all-zero again.
-func (s *MSBrandesScratch) forward(g *Graph, full uint64, incompleteDeg int64, cur, nxt, pending []int32) {
+func (s *MSBrandesScratch) forward(g *Graph, full uint64, incompleteDeg int64, cur, nxt, pending []int32, visit func(int32, *[MSBFSBatch]int32)) {
 	n := g.NumVertices()
 	pendingBuilt := false
 	for level := int32(1); len(cur) > 0; level++ {
@@ -193,8 +207,10 @@ func (s *MSBrandesScratch) forward(g *Graph, full uint64, incompleteDeg int64, c
 			break
 		}
 
-		// Commit the level: fold the new bits into seen and record the
-		// discovery events the reverse sweep replays.
+		// Commit the level: fold the new bits into seen, record the
+		// discovery events the reverse sweep replays, and report the
+		// level's counts.
+		lo := len(s.evBits)
 		for _, v := range nxt {
 			d := s.next[v]
 			s.seen[v] |= d
@@ -205,6 +221,11 @@ func (s *MSBrandesScratch) forward(g *Graph, full uint64, incompleteDeg int64, c
 			s.evBits = append(s.evBits, d)
 		}
 		s.levelEnd = append(s.levelEnd, int32(len(s.evVert)))
+		if visit != nil {
+			clear(s.counts[:])
+			countLanes(&s.counts, s.evBits[lo:])
+			visit(level, &s.counts)
+		}
 
 		for _, v := range cur {
 			s.frontier[v] = 0

@@ -78,15 +78,17 @@ func batchDistances(s *MSBrandesScratch, n, k int, sources []int32) [][]int32 {
 // per source lane: sigma exactly equal to the reference pass,
 // distances (from the event record) exactly equal, and the accumulated
 // bc/ebc equal to the summed reference dependencies up to
-// floating-point summation order.
-func checkBatchAgainstReference(t *testing.T, s *MSBrandesScratch, g *Graph, sources []int32, dir int8, label string) {
+// floating-point summation order. It returns the level counts the
+// batch reported to its visitor.
+func checkBatchAgainstReference(t *testing.T, s *MSBrandesScratch, g *Graph, sources []int32, dir int8, label string) [][]int32 {
 	t.Helper()
 	n := g.NumVertices()
 	s.forceDir = dir
 	bc := make([]float64, n)
 	ebc := make([]float64, g.NumEdges())
 	labels, _ := ConnectedComponents(g)
-	s.AccumulateBatch(g, labels, sources, bc, ebc)
+	log := newLevelLog(t, len(sources))
+	s.AccumulateBatch(g, labels, sources, bc, ebc, log.visit)
 
 	wantBC := make([]float64, n)
 	wantEBC := make([]float64, g.NumEdges())
@@ -118,6 +120,72 @@ func checkBatchAgainstReference(t *testing.T, s *MSBrandesScratch, g *Graph, sou
 	for e := range wantEBC {
 		if diff := math.Abs(ebc[e] - wantEBC[e]); diff > 1e-9*math.Max(1, math.Abs(wantEBC[e])) {
 			t.Fatalf("%s: ebc[%d] = %g, reference %g", label, e, ebc[e], wantEBC[e])
+		}
+	}
+	return log.counts
+}
+
+// assertSameLevels requires two engines' level reports to be equal
+// level for level: the same number of levels and the same count per
+// (source, level).
+func assertSameLevels(t *testing.T, got, want [][]int32, label string) {
+	t.Helper()
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: source lane %d: MS-Brandes reported %d levels, MS-BFS %d", label, i, len(got[i]), len(want[i]))
+		}
+		for l := range want[i] {
+			if got[i][l] != want[i][l] {
+				t.Fatalf("%s: source lane %d level %d: MS-Brandes count %d, MS-BFS %d", label, i, l+1, got[i][l], want[i][l])
+			}
+		}
+	}
+}
+
+// TestMSBrandesLevelCountsMatchMSBFS is the level-count oracle: the
+// counts AccumulateBatch reports to its visitor equal RunBatch's level
+// for level, on random graphs across densities and on a
+// many-component graph, under automatic, forced top-down and forced
+// bottom-up directions (each engine run under every direction), for
+// full and partial batches, duplicate sources and batches that span
+// components.
+func TestMSBrandesLevelCountsMatchMSBFS(t *testing.T) {
+	type batch struct {
+		name    string
+		g       *Graph
+		sources []int32
+	}
+	var cases []batch
+	for seed := int64(0); seed < 4; seed++ {
+		for _, density := range []float64{0.3, 1.5, 6.0} {
+			n := 50 + int(seed)*83
+			g := msbfsRandomGraph(seed, n, density)
+			full := make([]int32, 0, MSBFSBatch)
+			for v := 0; v < n && v < MSBFSBatch; v++ {
+				full = append(full, int32(v))
+			}
+			cases = append(cases,
+				batch{"full", g, full},
+				batch{"partial", g, []int32{int32(n - 1), 0, int32(n / 2)}},
+				batch{"duplicates", g, []int32{5, 5, 9, int32(n - 2), 9}})
+		}
+	}
+	comps, compSources := componentBatch()
+	cases = append(cases, batch{"components", comps, compSources})
+	dirs := []int8{msbfsAuto, msbfsForceTopDown, msbfsForceBottomUp}
+	var bfs MSBFSScratch
+	var brandes MSBrandesScratch
+	for _, tc := range cases {
+		labels, _ := ConnectedComponents(tc.g)
+		bc := make([]float64, tc.g.NumVertices())
+		for _, bdir := range dirs {
+			brandes.forceDir = bdir
+			log := newLevelLog(t, len(tc.sources))
+			brandes.AccumulateBatch(tc.g, labels, tc.sources, bc, nil, log.visit)
+			for _, fdir := range dirs {
+				bfs.forceDir = fdir
+				assertSameLevels(t, log.counts, levelCounts(t, &bfs, tc.g, tc.sources), tc.name)
+			}
 		}
 	}
 }
@@ -214,8 +282,8 @@ func TestMSBrandesDirectionsAgree(t *testing.T) {
 		bu.forceDir = msbfsForceBottomUp
 		bcTD := make([]float64, n)
 		bcBU := make([]float64, n)
-		td.AccumulateBatch(g, labels, sources, bcTD, nil)
-		bu.AccumulateBatch(g, labels, sources, bcBU, nil)
+		td.AccumulateBatch(g, labels, sources, bcTD, nil, nil)
+		bu.AccumulateBatch(g, labels, sources, bcBU, nil, nil)
 		for v := 0; v < n; v++ {
 			for i := range sources {
 				if td.sigma[v*MSBFSBatch+i] != bu.sigma[v*MSBFSBatch+i] {
@@ -238,23 +306,25 @@ func TestMSBrandesAccumulates(t *testing.T) {
 	labels, _ := ConnectedComponents(g)
 	var s MSBrandesScratch
 	one := make([]float64, n)
-	s.AccumulateBatch(g, labels, []int32{3}, one, nil)
+	s.AccumulateBatch(g, labels, []int32{3}, one, nil, nil)
 	twice := make([]float64, n)
-	s.AccumulateBatch(g, labels, []int32{3}, twice, nil)
-	s.AccumulateBatch(g, labels, []int32{3}, twice, nil)
+	s.AccumulateBatch(g, labels, []int32{3}, twice, nil, nil)
+	s.AccumulateBatch(g, labels, []int32{3}, twice, nil, nil)
 	for v := range twice {
 		if diff := math.Abs(twice[v] - 2*one[v]); diff > 1e-12*math.Max(1, one[v]) {
 			t.Fatalf("accumulation not additive at %d: %g vs 2·%g", v, twice[v], one[v])
 		}
 	}
-	s.AccumulateBatch(g, labels, []int32{5}, nil, nil) // both sides nil: traversal only, must not panic
+	s.AccumulateBatch(g, labels, []int32{5}, nil, nil, nil) // both sides nil: traversal only, must not panic
 }
 
 func TestMSBrandesEmptyBatch(t *testing.T) {
 	g := msbfsRandomGraph(1, 10, 2)
 	labels, _ := ConnectedComponents(g)
 	var s MSBrandesScratch
-	s.AccumulateBatch(g, labels, nil, nil, nil)
+	s.AccumulateBatch(g, labels, nil, nil, nil, func(int32, *[MSBFSBatch]int32) {
+		t.Fatal("visitor called for an empty batch")
+	})
 	if len(s.levelEnd) != 0 {
 		t.Fatal("empty batch recorded levels")
 	}
@@ -262,7 +332,8 @@ func TestMSBrandesEmptyBatch(t *testing.T) {
 
 // TestMSBrandesWarmBatchAllocationFree pins the pooled-scratch
 // contract: after the first batch has sized the buffers, further
-// batches on the same scratch allocate nothing.
+// batches on the same scratch allocate nothing, with or without a
+// level visitor.
 func TestMSBrandesWarmBatchAllocationFree(t *testing.T) {
 	g := msbfsRandomGraph(5, 500, 2.5)
 	sources := make([]int32, MSBFSBatch)
@@ -272,11 +343,22 @@ func TestMSBrandesWarmBatchAllocationFree(t *testing.T) {
 	bc := make([]float64, g.NumVertices())
 	ebc := make([]float64, g.NumEdges())
 	labels, _ := ConnectedComponents(g)
-	var s MSBrandesScratch
-	s.AccumulateBatch(g, labels, sources, bc, ebc) // warm up
-	if a := testing.AllocsPerRun(10, func() {
-		s.AccumulateBatch(g, labels, sources, bc, ebc)
-	}); a != 0 {
-		t.Fatalf("warm AccumulateBatch allocates %v objects per batch, want 0", a)
+	var reached int64
+	counting := func(_ int32, counts *[MSBFSBatch]int32) {
+		for _, c := range counts {
+			reached += int64(c)
+		}
+	}
+	for _, visit := range []func(int32, *[MSBFSBatch]int32){nil, counting} {
+		var s MSBrandesScratch
+		s.AccumulateBatch(g, labels, sources, bc, ebc, visit) // warm up
+		if a := testing.AllocsPerRun(10, func() {
+			s.AccumulateBatch(g, labels, sources, bc, ebc, visit)
+		}); a != 0 {
+			t.Fatalf("warm AccumulateBatch (visitor %t) allocates %v objects per batch, want 0", visit != nil, a)
+		}
+	}
+	if reached == 0 {
+		t.Fatal("the visitor saw no reached vertices")
 	}
 }

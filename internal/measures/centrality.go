@@ -29,7 +29,8 @@ func DegreeCentrality(g *graph.Graph) []float64 {
 // count; it agrees with the per-source Brandes oracle of the tests up
 // to floating-point summation order.
 func BetweennessCentrality(g *graph.Graph) []float64 {
-	return msBrandesBetweenness(g, par.Workers(g.NumVertices()))
+	n := g.NumVertices()
+	return approxBetweenness(g, n, betweennessSeed, par.Workers(n)) // samples = |V|: exact
 }
 
 // ApproxBetweennessCentrality estimates betweenness from a uniform

@@ -8,10 +8,14 @@ import (
 )
 
 // The distance-based centralities (closeness, harmonic, eccentricity,
-// k-hop size) ride the batched MS-BFS engine of internal/graph:
-// sources are grouped into word-wide batches, each batch advances 64
-// traversals at once, and the per-level counts the engine reports are
-// folded directly into scores.
+// k-hop size) are folds of per-source BFS level counts. Two engines of
+// internal/graph report those counts: MS-BFS (RunBatch), and the
+// forward phase of MS-Brandes (AccumulateBatch's visitor), which is a
+// BFS too. Sources are grouped into word-wide batches, each batch
+// advances 64 traversals at once, and the counts are folded directly
+// into scores. A pass that also computes betweenness folds the
+// distance fields of its Brandes sources from the Brandes traversal and
+// runs MS-BFS over the remaining sources only (see brandesFields).
 //
 // Fold semantics. For each source s, the engine reports c_L = number of
 // vertices first reached at depth L, for L = 1, 2, … in order. The
@@ -31,11 +35,13 @@ import (
 // the eccentricity and khop folds are set-determined integers too.
 // Harmonic's level-count fold replaces a per-source vertex-order
 // Σ 1/d_v; the two agree up to floating-point summation order (last
-// ulp). Every kernel in this package — single-measure and shared-pass
-// — uses the level-count fold, so they agree with each other bitwise
-// for any worker count: each source's fold depends on its own BFS
-// alone, so neither the batch a source lands in nor the schedule can
-// change a bit.
+// ulp). Both engines report the same counts level for level, in the
+// same ascending order, and every kernel in this package — single-
+// measure and shared-pass — folds them through the same distAccum, so
+// they agree with each other bitwise for any worker count: each
+// source's fold depends on its own BFS alone, so neither the engine
+// that traverses a source, nor the batch it lands in, nor the schedule
+// can change a bit.
 //
 // Batch order. Sources are batched in component order (see
 // componentOrder): batches stay inside one component where they can,
@@ -51,14 +57,31 @@ import (
 // stops counting, not traversing, past the radius).
 const KHopRadius = 3
 
-// distSel selects which distance-based fields a shared MS-BFS pass
-// folds; distFields carries the results (nil for unselected fields).
+// distSel selects which distance-based fields a pass folds;
+// distFields carries the results (nil for unselected fields).
 type distSel struct {
 	close, harm, ecc, khop bool
 }
 
+func (s distSel) any() bool { return s.close || s.harm || s.ecc || s.khop }
+
 type distFields struct {
 	clo, har, ecc, khop []float64
+}
+
+// newDistFields allocates the selected n-value fields.
+func newDistFields(sel distSel, n int) distFields {
+	return distFields{
+		clo:  makeIf(sel.close, n),
+		har:  makeIf(sel.harm, n),
+		ecc:  makeIf(sel.ecc, n),
+		khop: makeIf(sel.khop, n),
+	}
+}
+
+// sel reports which fields f carries.
+func (f distFields) sel() distSel {
+	return distSel{close: f.clo != nil, harm: f.har != nil, ecc: f.ecc != nil, khop: f.khop != nil}
 }
 
 // distAccum folds one batch's level counts. It lives on the worker, is
@@ -116,6 +139,23 @@ func (a *distAccum) visit(level int32, counts *[graph.MSBFSBatch]int32) {
 	}
 }
 
+// store writes the folded scores of lane i into src's slots of out,
+// the fields of an n-vertex graph.
+func (a *distAccum) store(out distFields, i int, src int32, n int) {
+	if a.sel.close {
+		out.clo[src] = closenessScore(a.reach[i], a.sumDist[i], n)
+	}
+	if a.sel.harm {
+		out.har[src] = a.harm[i]
+	}
+	if a.sel.ecc {
+		out.ecc[src] = float64(a.ecc[i])
+	}
+	if a.sel.khop {
+		out.khop[src] = float64(a.khop[i])
+	}
+}
+
 // closenessScore mirrors the per-source closeness expression exactly
 // (reach² / ((n-1)·sum)): same operations, same order, with the exact
 // integer sums substituted for float-accumulated ones.
@@ -127,59 +167,48 @@ func closenessScore(reach, sumDist int64, n int) float64 {
 	return r * r / (float64(n-1) * float64(sumDist))
 }
 
-// msbfsFields computes the selected distance-based fields in one
-// shared MS-BFS sweep over all vertices. Batches (64 consecutive
-// sources of the component order each) are strided across workers;
-// each worker holds one pooled scratch and one accumulator, and each
-// source writes only its own output slot, so the sweep needs no locks
-// and performs O(1) allocations per worker once warm. Results are
+// msbfsFields computes the selected distance-based fields of every
+// vertex in one MS-BFS sweep over the component order. Results are
 // identical for any worker count; the exported kernels pass
 // par.Workers(|V|).
 func msbfsFields(g *graph.Graph, sel distSel, workers int) distFields {
-	n := g.NumVertices()
-	// Single-assignment locals, deliberately: the run closure captures
-	// these, and escape analysis is flow-insensitive — a variable
-	// assigned anywhere after declaration is captured by reference,
-	// costing one heap cell per field. Initializing at declaration
-	// keeps the capture by value (the alloc_test budgets pin this).
-	out := distFields{
-		clo:  makeIf(sel.close, n),
-		har:  makeIf(sel.harm, n),
-		ecc:  makeIf(sel.ecc, n),
-		khop: makeIf(sel.khop, n),
+	out := newDistFields(sel, g.NumVertices())
+	if g.NumVertices() > 0 {
+		labels, order := componentOrder(g)
+		msbfsSweep(g, labels, order, out, workers)
 	}
-	if n == 0 {
-		return out
+	return out
+}
+
+// msbfsSweep folds the fields out carries for the given sources (a
+// subsequence of componentOrder's order, labels its labels) on the
+// MS-BFS engine. Batches (64 consecutive sources each) are strided
+// across workers; each worker holds one pooled scratch and one
+// accumulator, and each source writes only its own output slot, so the
+// sweep needs no locks and performs O(1) allocations per worker once
+// warm. out is never reassigned, so the run closure captures it by
+// value, not as a heap cell (the alloc_test budgets pin this).
+func msbfsSweep(g *graph.Graph, labels, sources []int32, out distFields, workers int) {
+	numBatches := (len(sources) + graph.MSBFSBatch - 1) / graph.MSBFSBatch
+	if numBatches == 0 {
+		return
 	}
-	labels, order := componentOrder(g)
-	numBatches := (len(order) + graph.MSBFSBatch - 1) / graph.MSBFSBatch
 	workers = max(1, min(workers, numBatches))
+	n := g.NumVertices()
 	run := func(w int) {
 		var scratch graph.MSBFSScratch
-		acc := &distAccum{sel: sel}
+		acc := &distAccum{sel: out.sel()}
 		visit := acc.visit
 		for b := w; b < numBatches; b += workers {
-			batch := order[b*graph.MSBFSBatch : min((b+1)*graph.MSBFSBatch, len(order))]
+			batch := sources[b*graph.MSBFSBatch : min((b+1)*graph.MSBFSBatch, len(sources))]
 			acc.reset()
 			scratch.RunBatch(g, labels, batch, visit)
 			for i, src := range batch {
-				if sel.close {
-					out.clo[src] = closenessScore(acc.reach[i], acc.sumDist[i], n)
-				}
-				if sel.harm {
-					out.har[src] = acc.harm[i]
-				}
-				if sel.ecc {
-					out.ecc[src] = float64(acc.ecc[i])
-				}
-				if sel.khop {
-					out.khop[src] = float64(acc.khop[i])
-				}
+				acc.store(out, i, src, n)
 			}
 		}
 	}
 	runWorkers(workers, run)
-	return out
 }
 
 // componentOrder labels g's connected components and returns the
@@ -243,9 +272,9 @@ func makeIf(want bool, n int) []float64 {
 }
 
 // distanceMeasures is the single source of truth for which registry
-// names are distance-based: DistanceBased and SharedDistanceFields
-// both consult it, so adding a measure here lights up the shared-pass
-// path everywhere at once.
+// names are distance-based; with brandesMeasures (msbrandes.go) it
+// decides which names SharedPass accepts, so adding a measure here
+// lights up the shared-pass path everywhere at once.
 var distanceMeasures = map[string]distSel{
 	"closeness":    {close: true},
 	"harmonic":     {harm: true},
@@ -253,35 +282,62 @@ var distanceMeasures = map[string]distSel{
 	"khop":         {khop: true},
 }
 
-// DistanceBased reports whether the named registered measure is
-// computed from BFS distances and can therefore join a shared MS-BFS
-// pass via SharedDistanceFields.
-func DistanceBased(name string) bool {
-	_, ok := distanceMeasures[name]
-	return ok
-}
-
-// SharedDistanceFields computes several distance-based measures from
-// one shared MS-BFS traversal: each batch of 64 BFS sources is folded
-// into every requested field simultaneously, so asking for closeness
-// and harmonic together costs one traversal, not two. It returns
-// ok=false (and does nothing) unless every name is DistanceBased; each
-// returned field is bit-identical to the field the registry computes
-// for that measure alone.
-func SharedDistanceFields(g *graph.Graph, names []string) (map[string][]float64, bool) {
-	var sel distSel
+// sharedPlan resolves the names of one shared pass: the union of the
+// distance fields and at most one Brandes measure ("" for none). ok is
+// false if a name is neither, or if two names are Brandes measures.
+func sharedPlan(names []string) (sel distSel, brandes string, ok bool) {
 	for _, name := range names {
-		s, ok := distanceMeasures[name]
-		if !ok {
-			return nil, false
+		if _, isBrandes := brandesMeasures[name]; isBrandes {
+			if brandes != "" {
+				return distSel{}, "", false
+			}
+			brandes = name
+			continue
+		}
+		s, isDist := distanceMeasures[name]
+		if !isDist {
+			return distSel{}, "", false
 		}
 		sel.close = sel.close || s.close
 		sel.harm = sel.harm || s.harm
 		sel.ecc = sel.ecc || s.ecc
 		sel.khop = sel.khop || s.khop
 	}
-	f := msbfsFields(g, sel, par.Workers(g.NumVertices()))
-	out := make(map[string][]float64, 4)
+	return sel, brandes, true
+}
+
+// SharedPass reports whether the named registered measures can be
+// computed together by one SharedDistanceFields traversal: any number
+// of distance-based measures (closeness, harmonic, eccentricity, khop)
+// with at most one Brandes measure (betweenness, betweenness-sampled).
+func SharedPass(names ...string) bool {
+	_, _, ok := sharedPlan(names)
+	return ok
+}
+
+// SharedDistanceFields computes several measures from one shared
+// traversal per source. Each batch of 64 BFS sources is folded into
+// every requested distance field simultaneously, so asking for
+// closeness and harmonic together costs one traversal, not two. With a
+// Brandes measure in the request, the distance fields of its sources
+// come from the MS-Brandes forward phase and MS-BFS runs only from the
+// other vertices (see brandesFields). It returns ok=false (and does
+// nothing) unless SharedPass accepts names; each returned field is
+// bit-identical to the field the registry computes for that measure
+// alone.
+func SharedDistanceFields(g *graph.Graph, names []string) (map[string][]float64, bool) {
+	sel, brandes, ok := sharedPlan(names)
+	if !ok {
+		return nil, false
+	}
+	n := g.NumVertices()
+	out := make(map[string][]float64, 5)
+	var f distFields
+	if brandes == "" {
+		f = msbfsFields(g, sel, par.Workers(n))
+	} else {
+		out[brandes], f = brandesFields(g, brandesMeasures[brandes](n), betweennessSeed, sel, par.Workers(n))
+	}
 	if sel.close {
 		out["closeness"] = f.clo
 	}

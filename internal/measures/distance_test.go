@@ -122,7 +122,8 @@ func TestHarmonicMSBFSMatchesLevelFoldExactly(t *testing.T) {
 
 // TestSharedDistanceFieldsOneTraversal checks the multi-field pass:
 // closeness and harmonic from one shared traversal are bit-identical
-// to the fields computed alone, and non-distance measures are refused.
+// to the fields computed alone, and measures that are neither
+// distance-based nor Brandes are refused.
 func TestSharedDistanceFieldsOneTraversal(t *testing.T) {
 	single := map[string]func(*graph.Graph) []float64{
 		"closeness":    ClosenessCentrality,
@@ -153,8 +154,13 @@ func TestSharedDistanceFieldsOneTraversal(t *testing.T) {
 	if _, ok := SharedDistanceFields(g, []string{"closeness", "kcore"}); ok {
 		t.Fatal("kcore is not distance-based; the shared pass must refuse it")
 	}
-	if !DistanceBased("closeness") || !DistanceBased("harmonic") || DistanceBased("kcore") {
-		t.Fatal("DistanceBased misclassifies the registry")
+	if !SharedPass("closeness") || !SharedPass("harmonic") || SharedPass("kcore") {
+		t.Fatal("SharedPass misclassifies the registry")
+	}
+	if !SharedPass("closeness", "harmonic") || !SharedPass("betweenness", "closeness") ||
+		!SharedPass("harmonic", "betweenness-sampled") || SharedPass("closeness", "kcore") ||
+		SharedPass("betweenness", "betweenness-sampled") || SharedPass("closeness", "edgebetweenness") {
+		t.Fatal("SharedPass misclassifies a pairing")
 	}
 }
 

@@ -82,8 +82,8 @@ func TestEccentricityJoinsSharedPass(t *testing.T) {
 	if !reflect.DeepEqual(fields["closeness"], ClosenessCentrality(g)) {
 		t.Fatal("adding eccentricity changed the shared-pass closeness field")
 	}
-	if !DistanceBased("eccentricity") {
-		t.Fatal("eccentricity not classified distance-based")
+	if !SharedPass("eccentricity", "closeness") || !SharedPass("eccentricity", "betweenness-sampled") {
+		t.Fatal("eccentricity does not join the shared pass")
 	}
 	spec, ok := Lookup("eccentricity")
 	if !ok || spec.Kind != Vertex {

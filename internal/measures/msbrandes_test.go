@@ -41,9 +41,9 @@ func TestBatchedBetweennessMatchesPerSource(t *testing.T) {
 // picks.
 func TestBetweennessWorkerCountIndependent(t *testing.T) {
 	g := randomGraph(61, 700, 2.5)
-	want := msBrandesBetweenness(g, 1)
+	want := approxBetweenness(g, g.NumVertices(), 0, 1)
 	for _, w := range []int{2, 3, 4, 5, 6, 7, 8, 16} {
-		if got := msBrandesBetweenness(g, w); !reflect.DeepEqual(want, got) {
+		if got := approxBetweenness(g, g.NumVertices(), 0, w); !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d: batched betweenness diverges bitwise from one worker", w)
 		}
 	}
@@ -82,9 +82,9 @@ func TestParallelEdgeBetweennessMatchesSerial(t *testing.T) {
 func TestBatchedVertexAndEdgeFieldsShareOnePass(t *testing.T) {
 	g := randomGraph(63, 300, 2.5)
 	labels, order := componentOrder(g)
-	bc, ebc := msBrandesFields(g, labels, order, true, true, 3)
-	bcOnly, _ := msBrandesFields(g, labels, order, true, false, 1)
-	_, ebcOnly := msBrandesFields(g, labels, order, false, true, 2)
+	bc, ebc := msBrandesFields(g, labels, order, true, true, distFields{}, 3)
+	bcOnly, _ := msBrandesFields(g, labels, order, true, false, distFields{}, 1)
+	_, ebcOnly := msBrandesFields(g, labels, order, false, true, distFields{}, 2)
 	if !reflect.DeepEqual(bc, bcOnly) {
 		t.Fatal("combined pass vertex field diverges from bc-only pass")
 	}
@@ -234,8 +234,8 @@ func TestApproximateSuiteResolvesThroughRegistry(t *testing.T) {
 				name, len(got), g.NumVertices())
 		}
 	}
-	if !DistanceBased("khop") {
-		t.Fatal("khop should join the shared distance pass")
+	if !SharedPass("khop") || !SharedPass("khop", "betweenness-sampled") {
+		t.Fatal("khop should join the shared pass")
 	}
 	fields, ok := SharedDistanceFields(g, []string{"khop", "eccentricity"})
 	if !ok {

@@ -91,15 +91,15 @@ const (
 	betweennessSeed    = 1
 )
 
-// adaptiveBetweenness is the registry's betweenness policy: exact on
-// small graphs, sampled beyond ExactBetweennessLimit where exact cost
-// is prohibitive. Both regimes run on the batched MS-Brandes engine
-// across par.Workers cores.
-func adaptiveBetweenness(g *graph.Graph) []float64 {
-	if g.NumVertices() > ExactBetweennessLimit {
-		return ApproxBetweennessCentrality(g, betweennessSamples, betweennessSeed)
+// brandesMeasure is the registry's Compute for the Brandes measure
+// name: the pivot count brandesMeasures gives it, on the batched
+// MS-Brandes engine across par.Workers cores.
+func brandesMeasure(name string) func(*graph.Graph) []float64 {
+	samples := brandesMeasures[name]
+	return func(g *graph.Graph) []float64 {
+		n := g.NumVertices()
+		return approxBetweenness(g, samples(n), betweennessSeed, par.Workers(n))
 	}
-	return BetweennessCentrality(g)
 }
 
 func init() {
@@ -121,14 +121,12 @@ func init() {
 	Register("betweenness", Spec{
 		Kind:    Vertex,
 		Doc:     "Brandes betweenness (batched MS-Brandes); source-sampled beyond ExactBetweennessLimit vertices",
-		Compute: adaptiveBetweenness,
+		Compute: brandesMeasure("betweenness"),
 	})
 	Register("betweenness-sampled", Spec{
-		Kind: Vertex,
-		Doc:  "sampled-pivot betweenness: 512 seeded pivots scaled n/k, batched MS-Brandes at every size",
-		Compute: func(g *graph.Graph) []float64 {
-			return ApproxBetweennessCentrality(g, betweennessSamples, betweennessSeed)
-		},
+		Kind:    Vertex,
+		Doc:     "sampled-pivot betweenness: 512 seeded pivots scaled n/k, batched MS-Brandes at every size",
+		Compute: brandesMeasure("betweenness-sampled"),
 	})
 	Register("closeness", Spec{
 		Kind:    Vertex,
