@@ -159,7 +159,8 @@ func TestMSBFSMatchesNaiveBFS(t *testing.T) {
 // is an edge. Sparse inputs leave many components and isolated
 // vertices, so batches span components. RunBatch level counts and
 // AccumulateBatch sigma, distances and dependencies must match the
-// oracles under both forced directions, and the level counts
+// oracles under both forced directions, the replayed dependencies
+// must equal the scan oracle's bit for bit, and the level counts
 // AccumulateBatch reports must equal RunBatch's level for level. One
 // scratch per engine serves every input, so graph-size changes between
 // batches are covered too.

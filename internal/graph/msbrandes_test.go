@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -48,8 +49,8 @@ func refBrandesSource(g *Graph, src int32) (sigma []float64, dist []int32, delta
 }
 
 // batchDistances reconstructs per-lane BFS distances from the scratch's
-// recorded events: lane s of evBits[e] set at level L means
-// dist_s(evVert[e]) = L.
+// recorded events: lane s of events[e].bits set at level L means
+// dist_s(events[e].v) = L.
 func batchDistances(s *MSBrandesScratch, n, k int, sources []int32) [][]int32 {
 	dist := make([][]int32, k)
 	for i := range dist {
@@ -62,7 +63,7 @@ func batchDistances(s *MSBrandesScratch, n, k int, sources []int32) [][]int32 {
 	lo := int32(0)
 	for lvl, hi := range s.levelEnd {
 		for e := lo; e < hi; e++ {
-			v, b := s.evVert[e], s.evBits[e]
+			v, b := s.events[e].v, s.events[e].bits
 			for i := 0; i < k; i++ {
 				if b&(1<<uint(i)) != 0 {
 					dist[i][v] = int32(lvl + 1)
@@ -74,12 +75,85 @@ func batchDistances(s *MSBrandesScratch, n, k int, sources []int32) [][]int32 {
 	return dist
 }
 
+// scanBackward is the reverse sweep that finds each DAG edge again by
+// scanning, retained as the oracle of the replayed one. It reads s's
+// recorded events and sigma lanes after a batch and, per level L
+// deepest-first, installs in its own mask array the bits of the
+// sources at level L-1, then tests every neighbor of each level-L
+// event vertex against them, in event order. It keeps its own delta
+// lanes, leaves s untouched, and adds into bc and ebc (either may be
+// nil).
+func scanBackward(s *MSBrandesScratch, g *Graph, sources []int32, bc, ebc []float64) {
+	n := g.NumVertices()
+	delta := make([]float64, n*MSBFSBatch)
+	prev := make([]uint64, n)
+	lanes := func(a []float64, v int32) []float64 {
+		return a[int(v)*MSBFSBatch : int(v)*MSBFSBatch+MSBFSBatch]
+	}
+	levelStart := func(lvl int) int32 {
+		if lvl < 2 {
+			return 0
+		}
+		return s.levelEnd[lvl-2]
+	}
+	for lvl := len(s.levelEnd); lvl >= 1; lvl-- {
+		clear(prev)
+		if lvl == 1 {
+			for i, src := range sources {
+				prev[src] |= uint64(1) << uint(i)
+			}
+		} else {
+			for _, ev := range s.events[levelStart(lvl-1):s.levelEnd[lvl-2]] {
+				prev[ev.v] |= ev.bits
+			}
+		}
+		for _, ev := range s.events[levelStart(lvl):s.levelEnd[lvl-1]] {
+			w, wb := ev.v, ev.bits
+			sw, dw := lanes(s.sigma, w), lanes(delta, w)
+			eids := g.IncidentEdges(w)
+			for j, v := range g.Neighbors(w) {
+				pb := prev[v] & wb
+				if pb == 0 {
+					continue
+				}
+				sv, dv := lanes(s.sigma, v), lanes(delta, v)
+				for m := pb; m != 0; m &= m - 1 {
+					b := bits.TrailingZeros64(m)
+					c := sv[b] / sw[b] * (1 + dw[b])
+					dv[b] += c
+					if ebc != nil {
+						ebc[eids[j]] += c
+					}
+				}
+			}
+			if bc != nil {
+				acc := bc[w]
+				for m := wb; m != 0; m &= m - 1 {
+					acc += dw[bits.TrailingZeros64(m)]
+				}
+				bc[w] = acc
+			}
+		}
+	}
+}
+
+// assertSameBits requires got and want to hold the same float64 bits.
+func assertSameBits(t *testing.T, got, want []float64, what string) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, scan oracle %v", what, i, got[i], want[i])
+		}
+	}
+}
+
 // checkBatchAgainstReference runs one MS-Brandes batch on s and pins,
 // per source lane: sigma exactly equal to the reference pass,
 // distances (from the event record) exactly equal, and the accumulated
 // bc/ebc equal to the summed reference dependencies up to
-// floating-point summation order. It returns the level counts the
-// batch reported to its visitor.
+// floating-point summation order, and bit for bit equal to the scan
+// oracle's. It returns the level counts the batch reported to its
+// visitor.
 func checkBatchAgainstReference(t *testing.T, s *MSBrandesScratch, g *Graph, sources []int32, dir int8, label string) [][]int32 {
 	t.Helper()
 	n := g.NumVertices()
@@ -89,6 +163,12 @@ func checkBatchAgainstReference(t *testing.T, s *MSBrandesScratch, g *Graph, sou
 	labels, _ := ConnectedComponents(g)
 	log := newLevelLog(t, len(sources))
 	s.AccumulateBatch(g, labels, sources, bc, ebc, log.visit)
+
+	scanBC := make([]float64, n)
+	scanEBC := make([]float64, g.NumEdges())
+	scanBackward(s, g, sources, scanBC, scanEBC)
+	assertSameBits(t, bc, scanBC, label+": bc")
+	assertSameBits(t, ebc, scanEBC, label+": ebc")
 
 	wantBC := make([]float64, n)
 	wantEBC := make([]float64, g.NumEdges())
@@ -194,8 +274,9 @@ func TestMSBrandesLevelCountsMatchMSBFS(t *testing.T) {
 // graphs of varying density — disconnected graphs and isolated
 // vertices included — every lane's sigma and distances equal the
 // per-source reference exactly, and the batch-accumulated vertex and
-// edge dependencies match up to summation order, in automatic,
-// forced-top-down, and forced-bottom-up modes alike.
+// edge dependencies match up to summation order and equal the scan
+// oracle's bit for bit, in automatic, forced-top-down, and
+// forced-bottom-up modes alike.
 func TestMSBrandesMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		for _, density := range []float64{0.3, 1.5, 4.0} {
@@ -330,12 +411,43 @@ func TestMSBrandesEmptyBatch(t *testing.T) {
 	}
 }
 
+// nextLevelDirections returns a visitor that records, after each
+// committed level, whether s's own direction rule expands the next
+// level bottom-up. At a commit, seen already holds that level's bits,
+// so the rule's inputs are the level's event vertices and the degree
+// sum over vertices some source has not yet seen.
+func nextLevelDirections(s *MSBrandesScratch, g *Graph, sources []int32, dirs *[]bool) func(int32, *[MSBFSBatch]int32) {
+	full := ^uint64(0)
+	if len(sources) < MSBFSBatch {
+		full = 1<<uint(len(sources)) - 1
+	}
+	return func(level int32, _ *[MSBFSBatch]int32) {
+		lo := int32(0)
+		if level >= 2 {
+			lo = s.levelEnd[level-2]
+		}
+		var cur []int32
+		for _, ev := range s.events[lo:s.levelEnd[level-1]] {
+			cur = append(cur, ev.v)
+		}
+		incompleteDeg := int64(0)
+		for v, seen := range s.seen {
+			if seen != full {
+				incompleteDeg += int64(g.Degree(int32(v)))
+			}
+		}
+		*dirs = append(*dirs, s.bottomUp(g, cur, incompleteDeg))
+	}
+}
+
 // TestMSBrandesWarmBatchAllocationFree pins the pooled-scratch
 // contract: after the first batch has sized the buffers, further
 // batches on the same scratch allocate nothing, with or without a
-// level visitor.
+// level visitor, with edge dependencies on. The batch's automatic
+// directions expand both top-down and bottom-up, so both ways of
+// recording DAG edges, the top-down regroup included, run warm.
 func TestMSBrandesWarmBatchAllocationFree(t *testing.T) {
-	g := msbfsRandomGraph(5, 500, 2.5)
+	g := msbfsRandomGraph(5, 500, 1.5)
 	sources := make([]int32, MSBFSBatch)
 	for i := range sources {
 		sources[i] = int32(i * 7)
@@ -351,7 +463,17 @@ func TestMSBrandesWarmBatchAllocationFree(t *testing.T) {
 	}
 	for _, visit := range []func(int32, *[MSBFSBatch]int32){nil, counting} {
 		var s MSBrandesScratch
-		s.AccumulateBatch(g, labels, sources, bc, ebc, visit) // warm up
+		var dirs []bool
+		s.AccumulateBatch(g, labels, sources, bc, ebc, nextLevelDirections(&s, g, sources, &dirs)) // warm up
+		// The last decision is for a level that found nothing.
+		var topDown, bottomUp bool
+		for _, bu := range dirs[:len(dirs)-1] {
+			bottomUp = bottomUp || bu
+			topDown = topDown || !bu
+		}
+		if !topDown || !bottomUp {
+			t.Fatalf("the batch's levels after the first expand bottom-up %v, want both directions", dirs[:len(dirs)-1])
+		}
 		if a := testing.AllocsPerRun(10, func() {
 			s.AccumulateBatch(g, labels, sources, bc, ebc, visit)
 		}); a != 0 {

@@ -25,8 +25,10 @@ func fieldHash(field []float64) uint64 {
 // field on the GrQc stand-in at scale 0.25, seed 42: a graph with 279
 // components, a giant one and 273 isolated vertices. The distance
 // fields are exact per-source folds, so their hashes may never move.
-// The betweenness hashes move only if the batch composition or the
-// stripe merge changes, and such a change must re-pin them here.
+// The betweenness hashes move only if the batch composition, the
+// stripe merge, or the forward phase's event order changes (hence the
+// direction rule, which fixes that order), and such a change must
+// re-pin them here.
 func TestBatchedFieldGolden(t *testing.T) {
 	g, err := datasets.Generate("GrQc", 0.25, 42)
 	if err != nil {

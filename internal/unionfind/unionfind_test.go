@@ -21,21 +21,6 @@ func sets(d *DSU) int {
 // same reports whether x and y are in the same set of d.
 func same(d *DSU, x, y int) bool { return d.Find(x) == d.Find(y) }
 
-// UnionInto merges the set containing y into the set containing x and
-// keeps the representative of x as the merged set's root (no union by
-// rank for the final link).
-func (d *DSU) UnionInto(x, y int) bool {
-	rx, ry := d.Find(x), d.Find(y)
-	if rx == ry {
-		return false
-	}
-	d.parent[ry] = int32(rx)
-	if d.rank[rx] <= d.rank[ry] {
-		d.rank[rx] = d.rank[ry] + 1
-	}
-	return true
-}
-
 // Naive is a union-find without path compression or union by rank:
 // the reference TestAgainstNaive checks DSU against.
 type Naive struct {
@@ -88,7 +73,7 @@ func TestResetRestoresSingletons(t *testing.T) {
 	d := New(6)
 	d.Union(0, 1)
 	d.Union(2, 3)
-	d.UnionInto(4, 5)
+	d.Union(4, 5)
 
 	// Shrink, same size, and grow; each reset must yield singletons
 	// with no state leaking from the merged past.
@@ -158,37 +143,6 @@ func TestTransitivity(t *testing.T) {
 	}
 	if sets(d) != 2 {
 		t.Errorf("sets = %d, want 2 (the big set and {5})", sets(d))
-	}
-}
-
-func TestUnionIntoPreservesRoot(t *testing.T) {
-	d := New(10)
-	// Build a chain 1..9 merged into 0's set, always keeping 0 as root.
-	for i := 1; i < 10; i++ {
-		d.UnionInto(0, i)
-		if got := d.Find(i); got != 0 {
-			t.Fatalf("after UnionInto(0,%d): Find(%d) = %d, want 0", i, i, got)
-		}
-	}
-}
-
-func TestUnionIntoChainedRoots(t *testing.T) {
-	d := New(4)
-	d.UnionInto(1, 0) // root 1
-	d.UnionInto(2, 1) // root 2
-	d.UnionInto(3, 2) // root 3
-	for i := 0; i < 4; i++ {
-		if got := d.Find(i); got != 3 {
-			t.Errorf("Find(%d) = %d, want 3", i, got)
-		}
-	}
-}
-
-func TestUnionIntoSameSet(t *testing.T) {
-	d := New(3)
-	d.UnionInto(0, 1)
-	if d.UnionInto(1, 0) {
-		t.Error("UnionInto on same set should return false")
 	}
 }
 
